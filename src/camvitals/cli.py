@@ -9,9 +9,8 @@ Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 import argparse
 import csv
 import dataclasses
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 from .config import PipelineConfig, load_config
@@ -112,8 +111,6 @@ def build_parser():
                         "(alternative to --cascade)")
     p.add_argument("--crop", type=_crop_spec, metavar="L,R,T,B",
                    help="override crop margins left,right,top,bottom")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker threads (trials processed concurrently)")
     p.add_argument("--plots", help="directory for per-trial signal SVGs")
     p.set_defaults(func=cmd_estimate)
 
@@ -222,6 +219,17 @@ def _load_pipeline_config(args):
     return cfg
 
 
+@contextmanager
+def _naming_trial(entry):
+    """Prefix a data error raised while analysing one trial with its id."""
+    try:
+        yield
+    except FormatError as e:
+        raise FormatError(f"trial {entry.trial_id}: {e}") from e
+    except ValueError as e:
+        raise ValueError(f"trial {entry.trial_id}: {e}") from e
+
+
 def _fmt_opt(v):
     return "" if v is None else format_number(v)
 
@@ -237,11 +245,13 @@ def cmd_estimate(args):
     if args.plots is not None:
         Path(args.plots).mkdir(parents=True, exist_ok=True)
 
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        futures = [pool.submit(_estimate_trial, data_dir, manifest, entry, cfg,
-                               cascade, args.roi, args.plots)
-                   for entry in manifest.entries]
-        rows = [f.result() for f in futures]
+    # serial: the per-trial work holds the interpreter lock, and threads
+    # measured slower than this loop
+    rows = []
+    for entry in manifest.entries:
+        with _naming_trial(entry):
+            rows.append(_estimate_trial(data_dir, manifest, entry, cfg,
+                                        cascade, args.roi, args.plots))
 
     with open(args.out, "w", newline="", encoding="ascii") as f:
         w = csv.writer(f, lineterminator="\n")
@@ -277,15 +287,16 @@ def cmd_groundtruth(args):
 
     rows = []
     for entry, (_, (s0, s1)) in zip(manifest.entries, segments):
-        ecg_seg = TimeSeries(physio.ecg.samples[s0:s1], physio.sample_rate)
-        hr_gt, flags = gt_hr_flagged(ecg_seg, cfg)
-        rr_gt = None
-        if entry.is_hold_breath:
-            flags = set(flags) | {"hold_breath_excluded"}
-        else:
-            resp_seg = TimeSeries(physio.resp.samples[s0:s1], physio.sample_rate)
-            rr_gt, rr_flags = gt_rr_flagged(resp_seg, cfg)
-            flags = set(flags) | rr_flags
+        with _naming_trial(entry):
+            ecg_seg = TimeSeries(physio.ecg.samples[s0:s1], physio.sample_rate)
+            hr_gt, flags = gt_hr_flagged(ecg_seg, cfg)
+            rr_gt = None
+            if entry.is_hold_breath:
+                flags = set(flags) | {"hold_breath_excluded"}
+            else:
+                resp_seg = TimeSeries(physio.resp.samples[s0:s1], physio.sample_rate)
+                rr_gt, rr_flags = gt_rr_flagged(resp_seg, cfg)
+                flags = set(flags) | rr_flags
         rows.append((entry, hr_gt, rr_gt, flags))
         rr_text = "excluded" if rr_gt is None else f"{rr_gt:.2f}"
         print(f"trial {entry.trial_id}: hr_gt={hr_gt:.2f} rr_gt={rr_text}")

@@ -12,7 +12,7 @@ import numpy as np
 from scipy import stats as sstats
 
 from .geometry import Rect, validate_rect
-from .ingest import format_number, to_grayscale
+from .ingest import _roi_blocks, format_number, to_grayscale
 
 FLAGS = frozenset({"out_of_band", "hold_breath_excluded", "roi_failure"})
 
@@ -128,9 +128,10 @@ def skin_tone_gray(clip, rois):
         raise ValueError("empty clip")
     total = 0.0
     count = 0
-    for i, roi in enumerate(rois):
+    for _, roi, block in _roi_blocks(clip, rois):
         validate_rect(roi, clip.width, clip.height, "face ROI")
-        gray = to_grayscale(clip.frames[i, roi.y:roi.bottom, roi.x:roi.right])
+        gray = to_grayscale(block)
+        # integer sums: exact in any grouping of frames
         total += float(gray.sum())
         count += gray.size
     return total / count

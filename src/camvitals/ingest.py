@@ -3,6 +3,7 @@ raw packed RGB24 clips, and the physio CSV (t,ecg,resp,trigger)."""
 
 import csv
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -127,50 +128,52 @@ class TrialManifest:
 
 # ------------------------- PPM frames -------------------------
 
-def _read_ppm_header(f):
-    # header tokens may be separated by any whitespace and '#' comments
+# "P6 <width> <height> <maxval>" and one whitespace byte, no comments
+_PLAIN_P6_HEADER = re.compile(rb"P6\s+(\d+)\s+(\d+)\s+(\d+)\s")
+_SEPARATORS = re.compile(rb"(?:\s|#[^\n]*\n?)*")
+_TOKEN = re.compile(rb"[^\s#]+")
+# ends the last header token: one whitespace byte, or a comment and its newline
+_HEADER_END = re.compile(rb"\s|#[^\n]*\n?")
+
+
+def _parse_ppm_header(buf, path):
+    """(magic, width, height, maxval tokens, offset of the pixel data).
+
+    Header tokens may be separated by any whitespace and '#' comments."""
+    m = _PLAIN_P6_HEADER.match(buf)
+    if m:
+        return (b"P6", *m.groups(), m.end())
     tokens = []
+    pos = 0
     while len(tokens) < 4:
-        ch = f.read(1)
-        if not ch:
-            raise FormatError("truncated PPM header")
-        if ch == b"#":
-            while ch not in (b"\n", b""):
-                ch = f.read(1)
-            continue
-        if ch.isspace():
-            continue
-        tok = ch
-        while True:
-            ch = f.read(1)
-            if not ch or ch.isspace() or ch == b"#":
-                if ch == b"#":
-                    while ch not in (b"\n", b""):
-                        ch = f.read(1)
-                break
-            tok += ch
-        tokens.append(tok)
-    return tokens
+        tok = _TOKEN.match(buf, _SEPARATORS.match(buf, pos).end())
+        if tok is None:
+            raise FormatError(f"{path}: truncated PPM header")
+        tokens.append(tok.group())
+        pos = tok.end()
+    end = _HEADER_END.match(buf, pos)
+    return (*tokens, end.end() if end else pos)
 
 
 def read_ppm(path):
     """Read one binary (P6) PPM file into an (H, W, 3) uint8 array."""
     with open(path, "rb") as f:
-        magic, w_tok, h_tok, maxval_tok = _read_ppm_header(f)
-        if magic != b"P6":
-            raise FormatError(f"{path}: not a binary P6 PPM (magic {magic!r})")
-        try:
-            width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
-        except ValueError:
-            raise FormatError(f"{path}: malformed PPM header") from None
-        if maxval != 255:
-            raise FormatError(f"{path}: maxval {maxval} unsupported (need 255)")
-        if width <= 0 or height <= 0:
-            raise FormatError(f"{path}: non-positive dimensions")
-        data = f.read(width * height * 3)
-        if len(data) != width * height * 3:
-            raise FormatError(f"{path}: truncated pixel data")
-    return np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3)
+        buf = f.read()
+    magic, w_tok, h_tok, maxval_tok, offset = _parse_ppm_header(buf, path)
+    if magic != b"P6":
+        raise FormatError(f"{path}: not a binary P6 PPM (magic {magic!r})")
+    try:
+        width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
+    except ValueError:
+        raise FormatError(f"{path}: malformed PPM header") from None
+    if maxval != 255:
+        raise FormatError(f"{path}: maxval {maxval} unsupported (need 255)")
+    if width <= 0 or height <= 0:
+        raise FormatError(f"{path}: non-positive dimensions")
+    size = width * height * 3
+    if len(buf) - offset < size:
+        raise FormatError(f"{path}: truncated pixel data")
+    return np.frombuffer(buf, dtype=np.uint8, count=size, offset=offset).reshape(height, width, 3)
 
 
 def write_ppm(path, frame):
@@ -246,8 +249,9 @@ def read_frame_range(dataset_dir, manifest, start_frame, frame_count):
     instead of the whole recording.
     """
     frames = np.empty((frame_count, manifest.height, manifest.width, 3), dtype=np.uint8)
+    prefix = os.path.join(dataset_dir, "")
     for i in range(frame_count):
-        p = frame_path(dataset_dir, start_frame + i)
+        p = prefix + FRAME_PATTERN % (start_frame + i)
         frame = read_ppm(p)
         if frame.shape != (manifest.height, manifest.width, 3):
             raise FormatError(
@@ -300,6 +304,32 @@ def crop_clip(clip, left, right, top, bottom):
             f"crop ({left},{right},{top},{bottom}) exceeds {clip.width}x{clip.height} frame")
     frames = clip.frames[:, top:clip.height - bottom, left:clip.width - right, :]
     return VideoClip(frames, clip.fps)
+
+
+# frames per array expression in _roi_blocks; bounds the size of the
+# float64 temporaries the ROI traces build from a block
+_ROI_BLOCK_FRAMES = 64
+
+
+def _roi_blocks(clip, rois):
+    """Split a clip's per-frame ROIs into blocks of frames that share one box.
+
+    Yields (first frame index, box, pixels) in frame order, one block per
+    run of consecutive equal boxes, cut every _ROI_BLOCK_FRAMES frames.
+    `pixels` is the (frames, box pixels, 3) array of the box in each frame
+    of the block, in the clip's dtype.
+    """
+    n = len(rois)
+    start = 0
+    while start < n:
+        box = rois[start]
+        stop = start + 1
+        limit = min(n, start + _ROI_BLOCK_FRAMES)
+        while stop < limit and rois[stop] == box:
+            stop += 1
+        block = clip.frames[start:stop, box.y:box.y + box.h, box.x:box.x + box.w, :]
+        yield start, box, block.reshape(stop - start, block.shape[1] * block.shape[2], 3)
+        start = stop
 
 
 def to_grayscale(clip):

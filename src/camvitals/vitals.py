@@ -12,7 +12,7 @@ import numpy as np
 from .config import PipelineConfig
 from .dsp import TimeSeries, bandpass, BandpassSpec, median_rate, rate_flags, stft_peak_freqs
 from .geometry import Rect
-from .ingest import LUMA_B, LUMA_G, LUMA_R
+from .ingest import LUMA_B, LUMA_G, LUMA_R, _roi_blocks
 
 from dataclasses import dataclass
 
@@ -38,11 +38,6 @@ def rr_roi(face, frame_h, frame_w):
     return Rect(0, top, frame_w, frame_h - top)
 
 
-def _roi_pixels(clip, rois, t):
-    r = rois[t]
-    return clip.frames[t, r.y:r.y + r.h, r.x:r.x + r.w, :].reshape(-1, 3)
-
-
 def spherical_mean_trace(clip, rois):
     """Pulse trace from per-pixel color directions.
 
@@ -59,15 +54,18 @@ def spherical_mean_trace(clip, rois):
         raise ValueError(f"{len(rois)} ROIs for {clip.n_frames} frames")
     n = clip.n_frames
     means = np.empty((n, 3))
-    for t in range(n):
-        px = _roi_pixels(clip, rois, t).astype(np.float64)
-        norms = np.linalg.norm(px, axis=1)
+    for t0, _, block in _roi_blocks(clip, rois):
+        px = block.astype(np.float64)
+        norms = np.linalg.norm(px, axis=2)
         keep = norms > 0
-        if not np.any(keep):
-            raise ValueError(f"ROI entirely black in frame {t}")
-        units = px[keep] / norms[keep, None]
-        m = units.mean(axis=0)
-        means[t] = m / np.linalg.norm(m)
+        counts = keep.sum(axis=1)
+        _check_not_black(counts, t0)
+        # black pixels add 0.0 to the sums, which leaves them unchanged
+        units = np.divide(px, norms[..., None], out=np.zeros_like(px), where=keep[..., None])
+        block_means = units.sum(axis=1) / counts[:, None]
+        for t, m in enumerate(block_means, t0):
+            # 1-D norm per frame: a vectorised norm rounds differently
+            means[t] = m / np.linalg.norm(m)
 
     mu = means.mean(axis=0)
     mu /= np.linalg.norm(mu)
@@ -98,18 +96,29 @@ def spherical_mean_trace(clip, rois):
     return PulseTrace(unit_means=means, scalar=TimeSeries(scalar, clip.fps))
 
 
+def _check_not_black(counts, t0):
+    black = np.flatnonzero(counts == 0)
+    if black.size:
+        raise ValueError(f"ROI entirely black in frame {t0 + black[0]}")
+
+
 def green_chromaticity_trace(clip, rois):
     """Fallback pulse feature: per-frame mean of G / (R + G + B)."""
     if len(rois) != clip.n_frames:
         raise ValueError(f"{len(rois)} ROIs for {clip.n_frames} frames")
     out = np.empty(clip.n_frames)
-    for t in range(clip.n_frames):
-        px = _roi_pixels(clip, rois, t).astype(np.float64)
-        sums = px.sum(axis=1)
+    for t0, _, block in _roi_blocks(clip, rois):
+        px = block.astype(np.float64)
+        sums = px.sum(axis=2)
         keep = sums > 0
-        if not np.any(keep):
-            raise ValueError(f"ROI entirely black in frame {t}")
-        out[t] = np.mean(px[keep, 1] / sums[keep])
+        _check_not_black(keep.sum(axis=1), t0)
+        ratio = np.divide(px[..., 1], sums, out=np.zeros_like(sums), where=keep)
+        full = keep.all(axis=1)
+        out[t0:t0 + len(block)][full] = ratio[full].mean(axis=1)
+        # a frame with black pixels averages only the others, in the same
+        # summation order as a 1-D mean over them
+        for t in np.flatnonzero(~full):
+            out[t0 + t] = ratio[t, keep[t]].mean()
     return TimeSeries(out, clip.fps)
 
 
@@ -119,12 +128,13 @@ def mean_gray_trace(clip, rois):
     if len(rois) != clip.n_frames:
         raise ValueError(f"{len(rois)} ROIs for {clip.n_frames} frames")
     out = np.empty(clip.n_frames)
-    for t in range(clip.n_frames):
-        px = _roi_pixels(clip, rois, t).astype(np.float64)
-        if px.size == 0:
-            raise ValueError(f"empty ROI in frame {t}")
-        gray = np.clip(np.rint(LUMA_R * px[:, 0] + LUMA_G * px[:, 1] + LUMA_B * px[:, 2]), 0, 255)
-        out[t] = gray.mean()
+    for t0, _, block in _roi_blocks(clip, rois):
+        if block.size == 0:
+            raise ValueError(f"empty ROI in frame {t0}")
+        px = block.astype(np.float64)
+        gray = np.clip(np.rint(LUMA_R * px[..., 0] + LUMA_G * px[..., 1] + LUMA_B * px[..., 2]),
+                       0, 255)
+        out[t0:t0 + len(block)] = gray.mean(axis=1)
     return TimeSeries(out, clip.fps)
 
 

@@ -187,6 +187,22 @@ def test_corrupt_frame_exits_one(tmp_path, capsys):
     assert "frame_000005.ppm" in err
 
 
+@pytest.mark.parametrize("command", ["estimate", "groundtruth"])
+def test_trial_too_short_for_its_window_is_named(command, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    # 180 frames, under the 256-frame video window
+    assert main(["synth", "--out", str(ds), "--duration", "6", "--width", "32",
+                 "--height", "32"]) == 0
+    args = [command, "--data", str(ds), "--out", str(tmp_path / "out.csv")]
+    if command == "estimate":
+        args += ["--roi", ROI, "--crop", NOCROP]
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trial 1: ")
+    assert "shorter than window" in err
+
+
 def test_missing_physio_exits_one(tmp_path, capsys):
     ds = tmp_path / "ds"
     assert main(["synth", "--out", str(ds), "--duration", "1", "--width", "32",

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,35 @@ def test_ppm_rejects_truncated_pixels(tmp_path):
     p.write_bytes(b"P6\n2 2\n255\n" + bytes(7))
     with pytest.raises(FormatError):
         read_ppm(p)
+
+
+def test_ppm_truncated_header_names_the_file(tmp_path):
+    p = tmp_path / "stub.ppm"
+    p.write_bytes(b"P6\n2 # width\n")
+    with pytest.raises(FormatError, match="stub.ppm: truncated PPM header"):
+        read_ppm(p)
+
+
+@pytest.mark.parametrize("first", [0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x20, 0x23])
+def test_ppm_pixels_starting_with_header_bytes_survive(tmp_path, first):
+    body = bytes([first, first, 0x23, 0x0a, 0x20]) + bytes(range(7))
+    p = tmp_path / "ws.ppm"
+    p.write_bytes(b"P6\n2 2\n255\n" + body)
+    assert read_ppm(p).tobytes() == body
+
+
+def test_ppm_comment_right_after_magic(tmp_path):
+    body = bytes(range(12))
+    p = tmp_path / "c.ppm"
+    p.write_bytes(b"P6#c\n2 2\n255\n" + body)
+    assert read_ppm(p).tobytes() == body
+
+
+def test_ppm_ignores_bytes_after_pixels(tmp_path):
+    body = bytes(range(12))
+    p = tmp_path / "long.ppm"
+    p.write_bytes(b"P6\n2 2\n255\n" + body + b"trailing junk")
+    assert read_ppm(p).tobytes() == body
 
 
 def test_frame_path_numbering(tmp_path):
@@ -204,6 +235,19 @@ def test_read_frame_range_and_sequence(tmp_path):
     assert np.array_equal(part.frames, frames[2:6])
     whole = read_ppm_sequence(tmp_path / "manifest.txt")
     assert np.array_equal(whole.frames, frames)
+
+
+@pytest.mark.parametrize("as_type", [str, Path])
+def test_read_frame_range_accepts_str_and_path(tmp_path, as_type):
+    ds = tmp_path / "100%_ds"
+    ds.mkdir()
+    frames = rand_frames(np.random.default_rng(4), 3, 2, 5)
+    for i in range(3):
+        write_ppm(frame_path(ds, 7 + i), frames[i])
+    m = TrialManifest(fps=30.0, width=5, height=2,
+                      entries=[TrialEntry(1, "gaze", 3, 7, 3, 1)])
+    clip = read_frame_range(as_type(ds), m, 7, 3)
+    assert np.array_equal(clip.frames, frames)
 
 
 def test_read_frame_range_rejects_size_mismatch(tmp_path):
