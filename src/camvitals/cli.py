@@ -21,8 +21,8 @@ from .evaluation import (TrialRecord, emit_report, render_signals,
                          segment_trials, skin_tone_gray)
 from .geometry import Rect
 from .groundtruth import gt_hr_flagged, gt_rr_flagged
-from .ingest import (FormatError, crop_clip, format_number, load_physio_csv,
-                     parse_manifest, read_frame_range)
+from .ingest import (FormatError, check_crop, crop_clip, format_number,
+                     load_physio_csv, parse_manifest, read_frame_range)
 from .synth import (SynthConfig, TrialPlan, paper_protocol, synth_dataset)
 from .vitals import (estimate_hr_flagged, estimate_rr_flagged, hr_roi,
                      mean_gray_trace, pulse_trace, rr_roi)
@@ -242,6 +242,8 @@ def cmd_estimate(args):
     cascade = load_cascade(args.cascade) if args.cascade else None
     data_dir = Path(args.data)
     manifest = parse_manifest(data_dir / "manifest.txt")
+    # a crop that does not fit is a setting error, not one trial's
+    check_crop(manifest.width, manifest.height, *cfg.crop)
     if args.plots is not None:
         Path(args.plots).mkdir(parents=True, exist_ok=True)
 

@@ -128,8 +128,6 @@ class TrialManifest:
 
 # ------------------------- PPM frames -------------------------
 
-# "P6 <width> <height> <maxval>" and one whitespace byte, no comments
-_PLAIN_P6_HEADER = re.compile(rb"P6\s+(\d+)\s+(\d+)\s+(\d+)\s")
 _SEPARATORS = re.compile(rb"(?:\s|#[^\n]*\n?)*")
 _TOKEN = re.compile(rb"[^\s#]+")
 # ends the last header token: one whitespace byte, or a comment and its newline
@@ -140,9 +138,6 @@ def _parse_ppm_header(buf, path):
     """(magic, width, height, maxval tokens, offset of the pixel data).
 
     Header tokens may be separated by any whitespace and '#' comments."""
-    m = _PLAIN_P6_HEADER.match(buf)
-    if m:
-        return (b"P6", *m.groups(), m.end())
     tokens = []
     pos = 0
     while len(tokens) < 4:
@@ -294,14 +289,19 @@ def write_raw_rgb(path, clip):
 
 # ------------------------- pixel operations -------------------------
 
+def check_crop(width, height, left, right, top, bottom):
+    """Raise ValueError unless the margins leave pixels in a width x height frame."""
+    if min(left, right, top, bottom) < 0:
+        raise ValueError("crop margins must be non-negative")
+    if left + right >= width or top + bottom >= height:
+        raise ValueError(
+            f"crop ({left},{right},{top},{bottom}) exceeds {width}x{height} frame")
+
+
 def crop_clip(clip, left, right, top, bottom):
     """Remove margins from every frame; (x, y) of the output maps to
     (x + left, y + top) of the input."""
-    if min(left, right, top, bottom) < 0:
-        raise ValueError("crop margins must be non-negative")
-    if left + right >= clip.width or top + bottom >= clip.height:
-        raise ValueError(
-            f"crop ({left},{right},{top},{bottom}) exceeds {clip.width}x{clip.height} frame")
+    check_crop(clip.width, clip.height, left, right, top, bottom)
     frames = clip.frames[:, top:clip.height - bottom, left:clip.width - right, :]
     return VideoClip(frames, clip.fps)
 

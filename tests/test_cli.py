@@ -203,6 +203,14 @@ def test_trial_too_short_for_its_window_is_named(command, tmp_path, capsys):
     assert "shorter than window" in err
 
 
+def test_crop_too_wide_is_not_blamed_on_a_trial(dataset, tmp_path, capsys):
+    # the default crop (300,300,200,0) is for full-HD frames
+    capsys.readouterr()
+    assert main(["estimate", "--data", str(dataset), "--out", str(tmp_path / "e.csv"),
+                 "--roi", ROI]) == 1
+    assert capsys.readouterr().err == "error: crop (300,300,200,0) exceeds 32x32 frame\n"
+
+
 def test_missing_physio_exits_one(tmp_path, capsys):
     ds = tmp_path / "ds"
     assert main(["synth", "--out", str(ds), "--duration", "1", "--width", "32",
