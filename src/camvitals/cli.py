@@ -24,8 +24,7 @@ from .groundtruth import gt_hr_flagged, gt_rr_flagged
 from .ingest import (FormatError, check_crop, crop_clip, format_number,
                      load_physio_csv, parse_manifest, read_frame_range)
 from .synth import (SynthConfig, TrialPlan, paper_protocol, synth_dataset)
-from .vitals import (estimate_hr_flagged, estimate_rr_flagged, hr_roi,
-                     mean_gray_trace, pulse_trace, rr_roi)
+from .vitals import estimate_rate, hr_roi, mean_gray_trace, pulse_trace, rr_roi
 
 EST_HEADER = ["trial_id", "condition", "task", "hr_est", "rr_est",
               "skin_gray", "flags"]
@@ -184,19 +183,18 @@ def _estimate_trial(data_dir, manifest, entry, cfg, cascade, manual_box, plots_d
     except DetectionError:
         flags.add("roi_failure")
         return row
-    hr_rois = [hr_roi(f) for f in faces]
-    rr_rois = [rr_roi(f, clip.height, clip.width) for f in faces]
-    hr_est, hr_flags = estimate_hr_flagged(clip, hr_rois, cfg)
-    rr_est, rr_flags = estimate_rr_flagged(clip, rr_rois, cfg)
+    # each trace once: the rate estimates and the plots share them
+    raw_pulse = pulse_trace(clip, [hr_roi(f) for f in faces], cfg)
+    hr_est, hr_flags = estimate_rate(raw_pulse, cfg.hr_band, cfg)
+    raw_chest = mean_gray_trace(clip, [rr_roi(f, clip.height, clip.width) for f in faces])
+    rr_est, rr_flags = estimate_rate(raw_chest, cfg.rr_band, cfg)
     row["hr_est"] = hr_est
     row["rr_est"] = rr_est
     row["skin_gray"] = skin_tone_gray(clip, faces)
     flags |= hr_flags | rr_flags
 
     if plots_dir is not None:
-        raw_pulse = pulse_trace(clip, hr_rois, cfg)
         filt_pulse = bandpass(raw_pulse, BandpassSpec(*cfg.hr_band, cfg.filter_order))
-        raw_chest = mean_gray_trace(clip, rr_rois)
         filt_chest = bandpass(raw_chest, BandpassSpec(*cfg.rr_band, cfg.filter_order))
         svg = render_signals(
             [("pulse scalar (raw)", raw_pulse),

@@ -54,6 +54,8 @@ class PipelineConfig:
             raise ValueError("need 0 < hr_low < hr_high")
         if not (0 < self.rr_low < self.rr_high):
             raise ValueError("need 0 < rr_low < rr_high")
+        if not self.scale_factor > 1:
+            raise ValueError(f"scale_factor must be > 1, got {self.scale_factor}")
 
     @property
     def hr_band(self):
@@ -112,4 +114,7 @@ def load_config(path, base=None):
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             updates[key] = _coerce(key, value, known[key])
-    return replace(cfg, **updates)
+    try:
+        return replace(cfg, **updates)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

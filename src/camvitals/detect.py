@@ -159,48 +159,90 @@ def canonical_cascade_json(c):
 
 # ------------------------- window evaluation -------------------------
 
-def evaluate_window(c, ii, ii_sq, win, scale):
+def _scaled_rects(tree, scale, room_w, room_h):
+    """A tree's rects scaled to a window of this scale.
+
+    Returns ((left, top, right, bottom, weight), ...) with corners as
+    offsets from the window origin. Each rect is clipped to room_w x
+    room_h, the part of the image right of and below the window origin
+    (pass math.inf for no clip). The first weight is rebalanced so the
+    weighted areas still sum to zero; otherwise uniform regions would
+    score nonzero at non-integer scales.
+    """
+    scaled = []
+    for r, weight in tree.rects:
+        ox = int(round(r.x * scale))
+        oy = int(round(r.y * scale))
+        sw = min(int(round(r.w * scale)), room_w - ox)
+        sh = min(int(round(r.h * scale)), room_h - oy)
+        scaled.append((ox, oy, ox + sw, oy + sh, weight))
+    left, top, right, bottom, _ = scaled[0]
+    area = (right - left) * (bottom - top)
+    if area > 0:
+        w0 = -sum(w * ((r - l) * (b - t)) for l, t, r, b, w in scaled[1:]) / area
+        scaled[0] = (left, top, right, bottom, w0)
+    return tuple(scaled)
+
+
+def scale_plan(c, scale, img_w, img_h):
+    """Tree geometry shared by every window of one scale.
+
+    One (stage threshold, trees) pair per stage, with one
+    (tree, x_limit, y_limit, rects) entry per tree: rects are the tree's
+    unclipped `_scaled_rects`, valid for every window whose origin lies
+    at or before (x_limit, y_limit); a window further right or down
+    clips some rect at the image edge.
+    """
+    plan = []
+    for stage in c.stages:
+        trees = []
+        for tree in stage.trees:
+            rects = _scaled_rects(tree, scale, math.inf, math.inf)
+            trees.append((tree, img_w - max(r[2] for r in rects),
+                          img_h - max(r[3] for r in rects), rects))
+        plan.append((stage.threshold, tuple(trees)))
+    return tuple(plan)
+
+
+def evaluate_window(c, ii, ii_sq, win, scale, plan=None):
     """Run the stage cascade on one window.
 
     Feature sums are divided by scale^2 (rect areas grow with the window)
     and by the window's pixel standard deviation (contrast normalization;
     sigma = 0 falls back to 1), then compared against tree thresholds.
-    After rounding the scaled rects, the first rect's weight is rebalanced
-    so the weighted areas still sum to zero; otherwise uniform regions
-    would score nonzero at non-integer scales. A window passes when every
-    stage's summed tree outputs reach that stage's threshold.
+    Rects are scaled and rebalanced by `_scaled_rects`. A window passes
+    when every stage's summed tree outputs reach that stage's threshold.
+
+    ii and ii_sq are the integral images, as arrays or as nested lists
+    (`detect_faces` passes lists: indexing them is faster). plan is this
+    scale's `scale_plan`; without one it is built for this call.
     """
+    if plan is None:
+        plan = scale_plan(c, scale, len(ii[0]) - 1, len(ii) - 1)
+    x, y = win.x, win.y
+    x1, y1 = x + win.w, y + win.h
     n = win.w * win.h
-    s1 = rect_sum(ii, win)
-    s2 = rect_sum(ii_sq, win)
+    s1 = ii[y1][x1] - ii[y][x1] - ii[y1][x] + ii[y][x]
+    s2 = ii_sq[y1][x1] - ii_sq[y][x1] - ii_sq[y1][x] + ii_sq[y][x]
     mean = s1 / n
     sigma = math.sqrt(max(0.0, s2 / n - mean * mean))
     if sigma == 0.0:
         sigma = 1.0
     inv_norm = 1.0 / (scale * scale * sigma)
 
-    img_h = ii.shape[0] - 1
-    img_w = ii.shape[1] - 1
-    for stage in c.stages:
+    for stage_threshold, trees in plan:
         total = 0.0
-        for tree in stage.trees:
-            scaled = []
-            for r, weight in tree.rects:
-                rx = win.x + int(round(r.x * scale))
-                ry = win.y + int(round(r.y * scale))
-                rw = min(int(round(r.w * scale)), img_w - rx)
-                rh = min(int(round(r.h * scale)), img_h - ry)
-                scaled.append((Rect(rx, ry, rw, rh), weight))
-            first, rest = scaled[0], scaled[1:]
-            if first[0].area > 0:
-                w0 = -sum(w * r.area for r, w in rest) / first[0].area
-                scaled[0] = (first[0], w0)
-            raw = sum(w * rect_sum(ii, r) for r, w in scaled)
+        for tree, x_limit, y_limit, rects in trees:
+            if x > x_limit or y > y_limit:
+                rects = _scaled_rects(tree, scale, len(ii[0]) - 1 - x, len(ii) - 1 - y)
+            raw = sum(w * (ii[y + b][x + r] - ii[y + t][x + r]
+                           - ii[y + b][x + l] + ii[y + t][x + l])
+                      for l, t, r, b, w in rects)
             if raw * inv_norm >= tree.threshold:
                 total += tree.pass_value
             else:
                 total += tree.fail_value
-        if total < stage.threshold:
+        if total < stage_threshold:
             return False
     return True
 
@@ -221,8 +263,9 @@ def detect_faces(c, gray, scale_factor=DEFAULT_SCALE_FACTOR,
     if img_w < c.window_w or img_h < c.window_h:
         raise ValueError(f"frame {img_w}x{img_h} smaller than base window "
                          f"{c.window_w}x{c.window_h}")
-    ii = integral_image(gray)
-    ii_sq = integral_image(gray, squared=True)
+    # nested lists: indexing them per window is faster than the arrays
+    ii = integral_image(gray).tolist()
+    ii_sq = integral_image(gray, squared=True).tolist()
 
     candidates = []
     scale = 1.0
@@ -233,9 +276,10 @@ def detect_faces(c, gray, scale_factor=DEFAULT_SCALE_FACTOR,
             break
         if ww >= min_size and wh >= min_size:
             step = max(1, int(round(scale)))
+            plan = scale_plan(c, scale, img_w, img_h)
             for y in range(0, img_h - wh + 1, step):
                 for x in range(0, img_w - ww + 1, step):
-                    if evaluate_window(c, ii, ii_sq, Rect(x, y, ww, wh), scale):
+                    if evaluate_window(c, ii, ii_sq, Rect(x, y, ww, wh), scale, plan):
                         candidates.append(Rect(x, y, ww, wh))
         scale *= scale_factor
 
@@ -331,6 +375,13 @@ def track_roi(clip, cascade=None, manual_box=None, scale_factor=DEFAULT_SCALE_FA
 
 # ------------------------- OpenCV XML conversion -------------------------
 
+def _child_text(el, tag, what, path):
+    text = el.findtext(tag)
+    if text is None:
+        raise CascadeFormatError(f"{path}: {what} without <{tag}>")
+    return text
+
+
 def convert_opencv_xml(path):
     """Convert an OpenCV haarcascade XML file to this package's Cascade.
 
@@ -362,7 +413,7 @@ def convert_opencv_xml(path):
         if rects_el is None:
             raise CascadeFormatError(f"{path}: feature without <rects>")
         for r_el in rects_el:
-            parts = r_el.text.split()
+            parts = (r_el.text or "").split()
             if len(parts) != 5:
                 raise CascadeFormatError(f"{path}: rect needs 5 fields, got {r_el.text!r}")
             x, y, w, h = (int(p) for p in parts[:4])
@@ -374,11 +425,14 @@ def convert_opencv_xml(path):
     if stages_el is None:
         raise CascadeFormatError(f"{path}: no <stages> element")
     for st in stages_el:
-        threshold = float(st.findtext("stageThreshold"))
+        threshold = float(_child_text(st, "stageThreshold", "stage", path))
+        weak_el = st.find("weakClassifiers")
+        if weak_el is None:
+            raise CascadeFormatError(f"{path}: stage without <weakClassifiers>")
         trees = []
-        for weak in st.find("weakClassifiers"):
-            nodes = weak.findtext("internalNodes").split()
-            leaves = weak.findtext("leafValues").split()
+        for weak in weak_el:
+            nodes = _child_text(weak, "internalNodes", "classifier", path).split()
+            leaves = _child_text(weak, "leafValues", "classifier", path).split()
             if len(nodes) != 4 or len(leaves) != 2:
                 raise CascadeFormatError(f"{path}: only stump classifiers supported")
             feat_idx = int(nodes[2])

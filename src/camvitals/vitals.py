@@ -145,10 +145,12 @@ def pulse_trace(clip, rois, cfg):
     return spherical_mean_trace(clip, rois).scalar
 
 
-def _estimate(ts, band, cfg, stft_spec):
+def estimate_rate(ts, band, cfg):
+    """(rate per minute, flags) of a video-rate trace: bandpass to band
+    (Hz), then the median of the short-time spectral peaks."""
     filtered = bandpass(ts, BandpassSpec(band[0], band[1], cfg.filter_order))
-    freqs = stft_peak_freqs(filtered, stft_spec, band)
-    return median_rate(freqs), rate_flags(freqs, band, stft_spec, ts.sample_rate)
+    freqs = stft_peak_freqs(filtered, cfg.video_stft, band)
+    return median_rate(freqs), rate_flags(freqs, band, cfg.video_stft, ts.sample_rate)
 
 
 def estimate_hr(clip, rois, cfg=None):
@@ -161,7 +163,7 @@ def estimate_hr(clip, rois, cfg=None):
 def estimate_hr_flagged(clip, rois, cfg=None):
     """(bpm, flags): flags ⊆ {out_of_band} marks low-confidence estimates."""
     cfg = cfg or PipelineConfig()
-    return _estimate(pulse_trace(clip, rois, cfg), cfg.hr_band, cfg, cfg.video_stft)
+    return estimate_rate(pulse_trace(clip, rois, cfg), cfg.hr_band, cfg)
 
 
 def estimate_rr(clip, rois, cfg=None):
@@ -173,4 +175,4 @@ def estimate_rr(clip, rois, cfg=None):
 
 def estimate_rr_flagged(clip, rois, cfg=None):
     cfg = cfg or PipelineConfig()
-    return _estimate(mean_gray_trace(clip, rois), cfg.rr_band, cfg, cfg.video_stft)
+    return estimate_rate(mean_gray_trace(clip, rois), cfg.rr_band, cfg)

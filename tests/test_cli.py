@@ -5,10 +5,16 @@ import numpy as np
 import pytest
 from conftest import make_toy_cascade
 
+from camvitals import cli, vitals
 from camvitals.cli import main
+from camvitals.config import PipelineConfig
 from camvitals.detect import load_cascade, save_cascade
+from camvitals.dsp import BandpassSpec, bandpass
+from camvitals.evaluation import render_signals
+from camvitals.geometry import Rect
 from camvitals.ingest import (TrialEntry, TrialManifest, frame_path,
-                              write_manifest, write_ppm)
+                              parse_manifest, read_frame_range, write_manifest,
+                              write_ppm)
 from test_detect import OPENCV_XML
 
 ROI = "manual:12,5,8,10"   # the synthetic face box at 32x32
@@ -120,6 +126,44 @@ def test_estimate_writes_signal_plots(dataset, tmp_path):
     assert ET.fromstring(svg.read_text()).tag.endswith("svg")
 
 
+def test_plots_reuse_each_trace_and_leave_estimates_alone(dataset, tmp_path, monkeypatch):
+    calls = {"pulse_trace": 0, "mean_gray_trace": 0}
+    originals = {name: getattr(vitals, name) for name in calls}
+
+    def counting(name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+        monkeypatch.setattr(vitals, name, counting(name))
+    plain, plotted, plots = tmp_path / "plain.csv", tmp_path / "plotted.csv", tmp_path / "plots"
+    base = ["estimate", "--data", str(dataset), "--roi", ROI, "--crop", NOCROP]
+    assert main(base + ["--out", str(plain)]) == 0
+    calls.update(pulse_trace=0, mean_gray_trace=0)
+    assert main(base + ["--out", str(plotted), "--plots", str(plots)]) == 0
+    assert calls == {"pulse_trace": 1, "mean_gray_trace": 1}   # one trial
+    assert plotted.read_bytes() == plain.read_bytes()
+
+    # the figure each trace's own computation draws
+    manifest = parse_manifest(dataset / "manifest.txt")
+    clip = read_frame_range(dataset, manifest, 0, manifest.entries[0].frame_count)
+    cfg = PipelineConfig()
+    faces = [Rect(12, 5, 8, 10)] * clip.n_frames
+    raw_pulse = originals["pulse_trace"](clip, [vitals.hr_roi(f) for f in faces], cfg)
+    raw_chest = originals["mean_gray_trace"](
+        clip, [vitals.rr_roi(f, clip.height, clip.width) for f in faces])
+    want = render_signals(
+        [("pulse scalar (raw)", raw_pulse),
+         ("pulse scalar (bandpassed)", bandpass(raw_pulse, BandpassSpec(*cfg.hr_band, cfg.filter_order))),
+         ("chest mean gray (raw)", raw_chest),
+         ("chest mean gray (bandpassed)", bandpass(raw_chest, BandpassSpec(*cfg.rr_band, cfg.filter_order)))],
+        "trial 1 signals")
+    assert (plots / "signals_trial_001.svg").read_text() == want
+
+
 # ------------------------- hold-breath handling -------------------------
 
 def test_hold_breath_trial_is_flagged(tmp_path):
@@ -209,6 +253,18 @@ def test_crop_too_wide_is_not_blamed_on_a_trial(dataset, tmp_path, capsys):
     assert main(["estimate", "--data", str(dataset), "--out", str(tmp_path / "e.csv"),
                  "--roi", ROI]) == 1
     assert capsys.readouterr().err == "error: crop (300,300,200,0) exceeds 32x32 frame\n"
+
+
+def test_bad_scale_factor_is_not_blamed_on_a_trial(dataset, tmp_path, capsys):
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text("scale_factor = 1.0\n")
+    cascade = tmp_path / "cascade.json"
+    save_cascade(cascade, make_toy_cascade())
+    capsys.readouterr()
+    assert main(["estimate", "--data", str(dataset), "--out", str(tmp_path / "e.csv"),
+                 "--cascade", str(cascade), "--crop", NOCROP, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: scale_factor must be > 1, got 1.0\n"
+    assert not (tmp_path / "e.csv").exists()
 
 
 def test_missing_physio_exits_one(tmp_path, capsys):

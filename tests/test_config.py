@@ -66,3 +66,14 @@ def test_config_validation():
         PipelineConfig(hr_low=2.5, hr_high=0.7)
     with pytest.raises(ValueError):
         PipelineConfig(rr_low=0.0)
+    for bad in (1.0, 0.9, float("nan")):
+        with pytest.raises(ValueError, match="scale_factor must be > 1"):
+            PipelineConfig(scale_factor=bad)
+
+
+def test_load_config_names_the_file_of_an_invalid_setting(tmp_path):
+    p = tmp_path / "bad.cfg"
+    p.write_text("scale_factor = 1.0\n")
+    with pytest.raises(ValueError) as exc:
+        load_config(p)
+    assert str(exc.value) == f"{p}: scale_factor must be > 1, got 1.0"

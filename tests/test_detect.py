@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -299,4 +300,26 @@ def test_convert_opencv_xml_rejects_non_stump(tmp_path):
     p = tmp_path / "deep.xml"
     p.write_text(xml)
     with pytest.raises(CascadeFormatError):
+        convert_opencv_xml(p)
+
+
+@pytest.mark.parametrize("element,what", [
+    ("<stageThreshold>5.0000000000000000e-01</stageThreshold>", "stage without <stageThreshold>"),
+    ("<internalNodes>0 -1 0 4.0000000000000000e+01</internalNodes>",
+     "classifier without <internalNodes>"),
+    ("<leafValues>0. 1.</leafValues>", "classifier without <leafValues>"),
+    (re.search(r"<weakClassifiers>.*</weakClassifiers>", OPENCV_XML, re.S).group(),
+     "stage without <weakClassifiers>"),
+])
+def test_convert_opencv_xml_names_missing_element(tmp_path, element, what):
+    p = tmp_path / "partial.xml"
+    p.write_text(OPENCV_XML.replace(element, ""))
+    with pytest.raises(CascadeFormatError, match=f"^{re.escape(str(p))}: {what}$"):
+        convert_opencv_xml(p)
+
+
+def test_convert_opencv_xml_rejects_empty_rect(tmp_path):
+    p = tmp_path / "partial.xml"
+    p.write_text(OPENCV_XML.replace("<_>2 2 4 4 4.</_>", "<_></_>"))
+    with pytest.raises(CascadeFormatError, match="rect needs 5 fields"):
         convert_opencv_xml(p)
