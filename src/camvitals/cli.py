@@ -7,28 +7,25 @@ Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 """
 
 import argparse
-import csv
 import dataclasses
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 from .config import PipelineConfig, load_config
 from .detect import (CascadeFormatError, DetectionError, convert_opencv_xml,
                      load_cascade, save_cascade, track_roi)
-from .dsp import BandpassSpec, TimeSeries, bandpass
-from .evaluation import (TrialRecord, emit_report, render_signals,
-                         segment_trials, skin_tone_gray)
+from .dsp import BandpassSpec, SignalTooShort, TimeSeries, bandpass, estimate_rate
+from .evaluation import (EST_HEADER, GT_HEADER, emit_report, join_results,
+                         render_signals, segment_trials, skin_tone_gray,
+                         write_results_csv)
 from .geometry import Rect
-from .groundtruth import gt_hr_flagged, gt_rr_flagged
-from .ingest import (FormatError, check_crop, crop_clip, format_number,
-                     load_physio_csv, parse_manifest, read_frame_range)
-from .synth import (SynthConfig, TrialPlan, paper_protocol, synth_dataset)
-from .vitals import estimate_rate, hr_roi, mean_gray_trace, pulse_trace, rr_roi
-
-EST_HEADER = ["trial_id", "condition", "task", "hr_est", "rr_est",
-              "skin_gray", "flags"]
-GT_HEADER = ["trial_id", "condition", "task", "hr_gt", "rr_gt", "flags"]
+from .groundtruth import gt_hr_flagged
+from .ingest import (MANIFEST_FILE, PHYSIO_FILE, FormatError, check_crop,
+                     crop_clip, load_physio_csv, parse_manifest,
+                     read_frame_range)
+from .synth import (TRUTH_FILE, SynthConfig, TrialPlan, paper_protocol,
+                    read_truth_csv, synth_dataset)
+from .vitals import hr_roi, mean_gray_trace, pulse_trace, rr_roi
 
 
 def _roi_spec(text):
@@ -150,8 +147,7 @@ def cmd_synth(args):
         rates = {1: (args.hr, args.rr)}
     synth_dataset(plans, base_cfg, args.out, seed=args.seed, rates=rates)
 
-    from .synth import read_truth_csv
-    truth = read_truth_csv(Path(args.out) / "truth.csv")
+    truth = read_truth_csv(Path(args.out) / TRUTH_FILE)
     total_s = 0.0
     total_frames = 0
     for plan in plans:
@@ -168,30 +164,21 @@ def cmd_synth(args):
 # ------------------------- estimate -------------------------
 
 def _estimate_trial(data_dir, manifest, entry, cfg, cascade, manual_box, plots_dir):
+    """(hr_est, rr_est, skin_gray, flags) of one trial."""
     clip = read_frame_range(data_dir, manifest, entry.start_frame, entry.frame_count)
     clip = crop_clip(clip, *cfg.crop)
-    flags = set()
-    if entry.is_hold_breath:
-        flags.add("hold_breath_excluded")
-    row = {"trial_id": entry.trial_id, "condition": entry.condition,
-           "task": entry.task_id, "hr_est": None, "rr_est": None,
-           "skin_gray": None, "flags": flags}
     try:
         faces = track_roi(clip, cascade=cascade, manual_box=manual_box,
                           scale_factor=cfg.scale_factor,
                           min_neighbors=cfg.min_neighbors, min_size=cfg.min_size)
     except DetectionError:
-        flags.add("roi_failure")
-        return row
+        return None, None, None, {"roi_failure"}
     # each trace once: the rate estimates and the plots share them
     raw_pulse = pulse_trace(clip, [hr_roi(f) for f in faces], cfg)
-    hr_est, hr_flags = estimate_rate(raw_pulse, cfg.hr_band, cfg)
+    hr_est, hr_flags = estimate_rate(raw_pulse, cfg.hr_band, cfg.video_stft, cfg.filter_order)
     raw_chest = mean_gray_trace(clip, [rr_roi(f, clip.height, clip.width) for f in faces])
-    rr_est, rr_flags = estimate_rate(raw_chest, cfg.rr_band, cfg)
-    row["hr_est"] = hr_est
-    row["rr_est"] = rr_est
-    row["skin_gray"] = skin_tone_gray(clip, faces)
-    flags |= hr_flags | rr_flags
+    rr_est, rr_flags = estimate_rate(raw_chest, cfg.rr_band, cfg.video_stft, cfg.filter_order)
+    skin_gray = skin_tone_gray(clip, faces)
 
     if plots_dir is not None:
         filt_pulse = bandpass(raw_pulse, BandpassSpec(*cfg.hr_band, cfg.filter_order))
@@ -205,7 +192,7 @@ def _estimate_trial(data_dir, manifest, entry, cfg, cascade, manual_box, plots_d
         with open(Path(plots_dir) / f"signals_trial_{entry.trial_id:03d}.svg",
                   "w", encoding="ascii") as f:
             f.write(svg)
-    return row
+    return hr_est, rr_est, skin_gray, hr_flags | rr_flags
 
 
 def _load_pipeline_config(args):
@@ -217,19 +204,24 @@ def _load_pipeline_config(args):
     return cfg
 
 
-@contextmanager
-def _naming_trial(entry):
-    """Prefix a data error raised while analysing one trial with its id."""
-    try:
-        yield
-    except FormatError as e:
-        raise FormatError(f"trial {entry.trial_id}: {e}") from e
-    except ValueError as e:
-        raise ValueError(f"trial {entry.trial_id}: {e}") from e
-
-
-def _fmt_opt(v):
-    return "" if v is None else format_number(v)
+def _result_rows(entries, analyse, n_values):
+    """Yield one result row (trial_id, condition, task, *values, flags) per
+    trial, from analyse(entry) -> (*values, flags). A trial too short for
+    its analysis windows gets n_values empty values and the too_short
+    flag; any other data error ends the command, prefixed with the trial."""
+    for entry in entries:
+        try:
+            *values, flags = analyse(entry)
+        except SignalTooShort as e:
+            print(f"trial {entry.trial_id}: {e} (too_short)")
+            values, flags = [None] * n_values, {"too_short"}
+        except FormatError as e:
+            raise FormatError(f"trial {entry.trial_id}: {e}") from e
+        except ValueError as e:
+            raise ValueError(f"trial {entry.trial_id}: {e}") from e
+        if entry.is_hold_breath:
+            flags = flags | {"hold_breath_excluded"}
+        yield (entry.trial_id, entry.condition, entry.task_id, *values, flags)
 
 
 def cmd_estimate(args):
@@ -239,39 +231,35 @@ def cmd_estimate(args):
     cfg = _load_pipeline_config(args)
     cascade = load_cascade(args.cascade) if args.cascade else None
     data_dir = Path(args.data)
-    manifest = parse_manifest(data_dir / "manifest.txt")
+    manifest = parse_manifest(data_dir / MANIFEST_FILE)
     # a crop that does not fit is a setting error, not one trial's
     check_crop(manifest.width, manifest.height, *cfg.crop)
     if args.plots is not None:
         Path(args.plots).mkdir(parents=True, exist_ok=True)
 
+    def analyse(entry):
+        return _estimate_trial(data_dir, manifest, entry, cfg, cascade, args.roi, args.plots)
+
     # serial: the per-trial work holds the interpreter lock, and threads
     # measured slower than this loop
     rows = []
-    for entry in manifest.entries:
-        with _naming_trial(entry):
-            rows.append(_estimate_trial(data_dir, manifest, entry, cfg,
-                                        cascade, args.roi, args.plots))
+    for row in _result_rows(manifest.entries, analyse, 3):
+        trial_id, _, _, hr_est, rr_est, _, flags = row
+        if "roi_failure" in flags:
+            print(f"trial {trial_id}: no face found (roi_failure)")
+        elif "too_short" not in flags:
+            print(f"trial {trial_id}: hr={hr_est:.2f} rr={rr_est:.2f} "
+                  f"flags={';'.join(sorted(flags))}")
+        rows.append(row)
+    write_results_csv(args.out, EST_HEADER, rows)
 
-    with open(args.out, "w", newline="", encoding="ascii") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(EST_HEADER)
-        for row in rows:
-            w.writerow([row["trial_id"], row["condition"], row["task"],
-                        _fmt_opt(row["hr_est"]), _fmt_opt(row["rr_est"]),
-                        _fmt_opt(row["skin_gray"]), ";".join(sorted(row["flags"]))])
-
-    ok = 0
-    for row in rows:
-        if "roi_failure" in row["flags"]:
-            print(f"trial {row['trial_id']}: no face found (roi_failure)")
-        else:
-            ok += 1
-            print(f"trial {row['trial_id']}: hr={row['hr_est']:.2f} "
-                  f"rr={row['rr_est']:.2f} flags={';'.join(sorted(row['flags']))}")
+    ok = sum(not flags & {"roi_failure", "too_short"} for *_, flags in rows)
     print(f"estimated {ok}/{len(rows)} trials -> {args.out}")
     if ok == 0:
-        print("error: face detection failed on every trial", file=sys.stderr)
+        if all("roi_failure" in flags for *_, flags in rows):
+            print("error: face detection failed on every trial", file=sys.stderr)
+        else:
+            print("error: no trial gave an estimate", file=sys.stderr)
         return 1
     return 0
 
@@ -279,83 +267,44 @@ def cmd_estimate(args):
 # ------------------------- groundtruth -------------------------
 
 def cmd_groundtruth(args):
-    cfg = load_config(args.config) if args.config else PipelineConfig()
+    cfg = _load_pipeline_config(args)
     data_dir = Path(args.data)
-    manifest = parse_manifest(data_dir / "manifest.txt")
-    physio = load_physio_csv(data_dir / "physio.csv")
-    segments = segment_trials(physio, manifest, manifest.fps)
+    manifest = parse_manifest(data_dir / MANIFEST_FILE)
+    physio = load_physio_csv(data_dir / PHYSIO_FILE)
+    segments = {entry: samples for entry, (_, samples)
+                in zip(manifest.entries, segment_trials(physio, manifest, manifest.fps))}
+
+    def analyse(entry):
+        s0, s1 = segments[entry]
+        ecg_seg = TimeSeries(physio.ecg.samples[s0:s1], physio.sample_rate)
+        hr_gt, flags = gt_hr_flagged(ecg_seg, cfg)
+        if entry.is_hold_breath:
+            return hr_gt, None, flags
+        resp_seg = TimeSeries(physio.resp.samples[s0:s1], physio.sample_rate)
+        rr_gt, rr_flags = estimate_rate(resp_seg, cfg.rr_band, cfg.physio_stft,
+                                        cfg.filter_order)
+        return hr_gt, rr_gt, flags | rr_flags
 
     rows = []
-    for entry, (_, (s0, s1)) in zip(manifest.entries, segments):
-        with _naming_trial(entry):
-            ecg_seg = TimeSeries(physio.ecg.samples[s0:s1], physio.sample_rate)
-            hr_gt, flags = gt_hr_flagged(ecg_seg, cfg)
-            rr_gt = None
-            if entry.is_hold_breath:
-                flags = set(flags) | {"hold_breath_excluded"}
-            else:
-                resp_seg = TimeSeries(physio.resp.samples[s0:s1], physio.sample_rate)
-                rr_gt, rr_flags = gt_rr_flagged(resp_seg, cfg)
-                flags = set(flags) | rr_flags
-        rows.append((entry, hr_gt, rr_gt, flags))
-        rr_text = "excluded" if rr_gt is None else f"{rr_gt:.2f}"
-        print(f"trial {entry.trial_id}: hr_gt={hr_gt:.2f} rr_gt={rr_text}")
+    for row in _result_rows(manifest.entries, analyse, 2):
+        trial_id, _, _, hr_gt, rr_gt, flags = row
+        if "too_short" not in flags:
+            rr_text = "excluded" if rr_gt is None else f"{rr_gt:.2f}"
+            print(f"trial {trial_id}: hr_gt={hr_gt:.2f} rr_gt={rr_text}")
+        rows.append(row)
+    write_results_csv(args.out, GT_HEADER, rows)
 
-    with open(args.out, "w", newline="", encoding="ascii") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(GT_HEADER)
-        for entry, hr_gt, rr_gt, flags in rows:
-            w.writerow([entry.trial_id, entry.condition, entry.task_id,
-                        _fmt_opt(hr_gt), _fmt_opt(rr_gt), ";".join(sorted(flags))])
     print(f"ground truth for {len(rows)} trials -> {args.out}")
+    if all("too_short" in flags for *_, flags in rows):
+        print("error: no trial gave a reference rate", file=sys.stderr)
+        return 1
     return 0
 
 
 # ------------------------- evaluate -------------------------
 
-def _read_csv_rows(path, expected_header):
-    with open(path, "r", newline="", encoding="ascii") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != expected_header:
-            raise FormatError(f"{path}: expected header {expected_header}, "
-                              f"got {header}")
-        return [row for row in reader]
-
-
 def cmd_evaluate(args):
-    est_rows = _read_csv_rows(args.estimates, EST_HEADER)
-    gt_rows = _read_csv_rows(args.groundtruth, GT_HEADER)
-    opt = lambda s: None if s == "" else float(s)
-    flagset = lambda s: frozenset(s.split(";")) if s else frozenset()
-
-    gt_by_id = {}
-    for row in gt_rows:
-        tid = int(row[0])
-        if tid in gt_by_id:
-            raise FormatError(f"{args.groundtruth}: duplicate trial_id {tid}")
-        gt_by_id[tid] = row
-
-    records = []
-    for row in est_rows:
-        tid = int(row[0])
-        gt = gt_by_id.pop(tid, None)
-        if gt is None:
-            raise FormatError(f"trial_id {tid} present in estimates only")
-        if (row[1], row[2]) != (gt[1], gt[2]):
-            raise FormatError(
-                f"trial_id {tid}: condition/task mismatch between files "
-                f"({row[1]}/{row[2]} vs {gt[1]}/{gt[2]})")
-        records.append(TrialRecord(
-            trial_id=tid, condition=row[1], task_id=int(row[2]),
-            hr_est=opt(row[3]), hr_gt=opt(gt[3]),
-            rr_est=opt(row[4]), rr_gt=opt(gt[4]), skin_gray=opt(row[5]),
-            flags=flagset(row[6]) | flagset(gt[5])))
-    if gt_by_id:
-        missing = sorted(gt_by_id)
-        raise FormatError(f"trial_id {missing[0]} present in ground truth only")
-
-    report = emit_report(records, args.out)
+    report = emit_report(join_results(args.estimates, args.groundtruth), args.out)
     for summ in report.hr_summaries + report.rr_summaries:
         print(f"{summ.signal} {summ.condition}: n={summ.n} "
               f"rmse={summ.rmse:.3f} median_abs_err={summ.stats.median:.3f}")

@@ -382,6 +382,13 @@ def _child_text(el, tag, what, path):
     return text
 
 
+def _number(convert, text, tag, path):
+    try:
+        return convert(text)
+    except ValueError:
+        raise CascadeFormatError(f"{path}: non-numeric value {text!r} in <{tag}>") from None
+
+
 def convert_opencv_xml(path):
     """Convert an OpenCV haarcascade XML file to this package's Cascade.
 
@@ -398,8 +405,8 @@ def convert_opencv_xml(path):
     casc = root.find("cascade")
     if casc is None:
         raise CascadeFormatError(f"{path}: no <cascade> element")
-    window_w = int(casc.findtext("width", "0"))
-    window_h = int(casc.findtext("height", "0"))
+    window_w = _number(int, casc.findtext("width", "0"), "width", path)
+    window_h = _number(int, casc.findtext("height", "0"), "height", path)
 
     features = []
     feats_el = casc.find("features")
@@ -416,8 +423,8 @@ def convert_opencv_xml(path):
             parts = (r_el.text or "").split()
             if len(parts) != 5:
                 raise CascadeFormatError(f"{path}: rect needs 5 fields, got {r_el.text!r}")
-            x, y, w, h = (int(p) for p in parts[:4])
-            rects.append((Rect(x, y, w, h), float(parts[4])))
+            x, y, w, h = (_number(int, p, "rects", path) for p in parts[:4])
+            rects.append((Rect(x, y, w, h), _number(float, parts[4], "rects", path)))
         features.append(tuple(rects))
 
     stages = []
@@ -425,7 +432,8 @@ def convert_opencv_xml(path):
     if stages_el is None:
         raise CascadeFormatError(f"{path}: no <stages> element")
     for st in stages_el:
-        threshold = float(_child_text(st, "stageThreshold", "stage", path))
+        threshold = _number(float, _child_text(st, "stageThreshold", "stage", path),
+                            "stageThreshold", path)
         weak_el = st.find("weakClassifiers")
         if weak_el is None:
             raise CascadeFormatError(f"{path}: stage without <weakClassifiers>")
@@ -435,12 +443,14 @@ def convert_opencv_xml(path):
             leaves = _child_text(weak, "leafValues", "classifier", path).split()
             if len(nodes) != 4 or len(leaves) != 2:
                 raise CascadeFormatError(f"{path}: only stump classifiers supported")
-            feat_idx = int(nodes[2])
+            feat_idx = _number(int, nodes[2], "internalNodes", path)
             if not (0 <= feat_idx < len(features)):
                 raise CascadeFormatError(f"{path}: feature index {feat_idx} out of range")
+            split = _number(float, nodes[3], "internalNodes", path)
+            fail_value, pass_value = (_number(float, v, "leafValues", path) for v in leaves)
             # leaf order: value when the feature falls below the split, then above
-            trees.append(Tree(rects=features[feat_idx], threshold=float(nodes[3]),
-                              fail_value=float(leaves[0]), pass_value=float(leaves[1])))
+            trees.append(Tree(rects=features[feat_idx], threshold=split,
+                              fail_value=fail_value, pass_value=pass_value))
         stages.append(Stage(threshold=threshold, trees=tuple(trees)))
 
     return Cascade(window_w=window_w, window_h=window_h, stages=tuple(stages))

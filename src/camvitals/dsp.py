@@ -1,5 +1,5 @@
 """Signal toolbox: detrending, zero-phase bandpass, windowed spectral peak
-tracking, and the median-rate reduction used by every rate estimator."""
+tracking, and the rate estimator shared by the video and physio paths."""
 
 import math
 import statistics
@@ -9,16 +9,15 @@ import numpy as np
 from scipy import signal as _signal
 from scipy.interpolate import CubicSpline
 
-# Rate estimates are reported as the median spectral peak over sliding
-# windows; these parameter sets cover the two sample-rate regimes.
-VIDEO_STFT = None   # assigned below, after StftSpec is defined
-PHYSIO_STFT = None
-
 DEFAULT_FILTER_ORDER = 3
 
 # floor for squared magnitudes entering log ratios, so empty bins do not
 # produce -inf or 0/0
 _LOG_FLOOR = 1e-300
+
+
+class SignalTooShort(ValueError):
+    """A signal has fewer samples than an analysis step needs."""
 
 
 @dataclass
@@ -91,6 +90,8 @@ class StftSpec:
             raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
 
 
+# Rate estimates are reported as the median spectral peak over sliding
+# windows; these parameter sets cover the two sample-rate regimes.
 VIDEO_STFT = StftSpec(window_len=256, hop=30, fft_size=4096)
 PHYSIO_STFT = StftSpec(window_len=1024, hop=128, fft_size=8192)
 
@@ -158,7 +159,7 @@ def bandpass(ts, spec):
     """
     padlen = 3 * (2 * spec.order + 1)
     if len(ts) <= 3 * padlen:
-        raise ValueError(f"signal of {len(ts)} samples too short for padding of {padlen}")
+        raise SignalTooShort(f"signal of {len(ts)} samples too short for padding of {padlen}")
     sos = design_bandpass(spec, ts.sample_rate)
     y = _signal.sosfiltfilt(sos, ts.samples, padtype="even", padlen=padlen)
     return TimeSeries(y, ts.sample_rate)
@@ -190,7 +191,7 @@ def stft_peak_freqs(ts, spec, band):
         raise ValueError(f"bad band {band}")
     n = len(ts)
     if n < spec.window_len:
-        raise ValueError(f"signal of {n} samples shorter than window {spec.window_len}")
+        raise SignalTooShort(f"signal of {n} samples shorter than window {spec.window_len}")
     df = ts.sample_rate / spec.fft_size
     n_bins = spec.fft_size // 2 + 1
     k_lo = int(np.ceil(low / df))
@@ -251,16 +252,6 @@ def cubic_spline(knot_t, knot_v, sample_rate, duration):
     return TimeSeries(values, sample_rate)
 
 
-def dominant_rate(ts, band, stft_spec, order=DEFAULT_FILTER_ORDER):
-    """Rate in cycles/minute of the dominant in-band oscillation.
-
-    Single entry point shared by the HR, RR and ground-truth paths:
-    bandpass -> per-window spectral peaks -> median, scaled to per-minute.
-    """
-    filtered = bandpass(ts, BandpassSpec(band[0], band[1], order))
-    return median_rate(stft_peak_freqs(filtered, stft_spec, band))
-
-
 def rate_flags(freqs, band, stft_spec, sample_rate):
     """Confidence flags for a set of window peak frequencies.
 
@@ -279,3 +270,15 @@ def rate_flags(freqs, band, stft_spec, sample_rate):
     if len(freqs) >= 3 and float(np.std(freqs)) > (high - low) / 8.0:
         flags.add("out_of_band")
     return flags
+
+
+def estimate_rate(ts, band, stft_spec, order=DEFAULT_FILTER_ORDER):
+    """(rate in cycles/minute, flags) of the dominant in-band oscillation.
+
+    The one rate estimator of the HR, RR and ground-truth paths: zero-phase
+    bandpass to band (Hz), per-window spectral peaks, their median scaled
+    to per-minute, and the rate_flags of those peaks.
+    """
+    filtered = bandpass(ts, BandpassSpec(band[0], band[1], order))
+    freqs = stft_peak_freqs(filtered, stft_spec, band)
+    return median_rate(freqs), rate_flags(freqs, band, stft_spec, ts.sample_rate)

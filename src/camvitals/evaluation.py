@@ -12,10 +12,14 @@ import numpy as np
 from scipy import stats as sstats
 
 from .geometry import Rect, validate_rect
-from .ingest import _roi_blocks, format_number, to_grayscale
+from .ingest import FormatError, _roi_blocks, format_number, to_grayscale
 
-FLAGS = frozenset({"out_of_band", "hold_breath_excluded", "roi_failure"})
+FLAGS = frozenset({"out_of_band", "hold_breath_excluded", "roi_failure", "too_short"})
 
+# result CSVs: trial_id, condition, task, optional numbers, then flags
+EST_HEADER = ["trial_id", "condition", "task", "hr_est", "rr_est",
+              "skin_gray", "flags"]
+GT_HEADER = ["trial_id", "condition", "task", "hr_gt", "rr_gt", "flags"]
 TRIALS_HEADER = ["trial_id", "condition", "task", "hr_est", "hr_gt",
                  "rr_est", "rr_gt", "skin_gray", "flags"]
 SUMMARY_HEADER = ["kind", "signal", "condition", "n", "rmse", "median", "q1",
@@ -235,34 +239,88 @@ def _fmt_opt(v):
     return "" if v is None else format_number(v)
 
 
-def write_trials_csv(path, records):
+def write_results_csv(path, header, rows):
+    """Write rows of (trial_id, condition, task, *numbers, flags) under
+    `header` (EST_HEADER, GT_HEADER or TRIALS_HEADER); a number that is
+    None becomes an empty cell."""
     with open(path, "w", newline="", encoding="ascii") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(TRIALS_HEADER)
-        for r in records:
-            w.writerow([r.trial_id, r.condition, r.task_id,
-                        _fmt_opt(r.hr_est), _fmt_opt(r.hr_gt),
-                        _fmt_opt(r.rr_est), _fmt_opt(r.rr_gt),
-                        _fmt_opt(r.skin_gray), ";".join(sorted(r.flags))])
+        w.writerow(header)
+        for trial_id, condition, task, *numbers, flags in rows:
+            w.writerow([trial_id, condition, task, *map(_fmt_opt, numbers),
+                        ";".join(sorted(flags))])
+
+
+def _parse_cell(convert, cell, column, where):
+    try:
+        return convert(cell)
+    except ValueError:
+        raise FormatError(f"{where}: {column} {cell!r} is not a number") from None
+
+
+def _read_results_csv(path, header):
+    """Rows of a file that write_results_csv wrote under `header`, as
+    ("path:line", trial_id, condition, task, numbers, flags)."""
+    rows = []
+    with open(path, "r", newline="", encoding="ascii") as f:
+        reader = csv.reader(f)
+        got = next(reader, None)
+        if got != header:
+            raise FormatError(f"{path}: expected header {header}, got {got}")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise FormatError(f"{where}: expected {len(header)} cells, got {len(row)}")
+            trial_id = _parse_cell(int, row[0], header[0], where)
+            task = _parse_cell(int, row[2], header[2], where)
+            numbers = [None if cell == "" else _parse_cell(float, cell, column, where)
+                       for column, cell in zip(header[3:-1], row[3:-1])]
+            flags = frozenset(row[-1].split(";")) if row[-1] else frozenset()
+            if flags - FLAGS:
+                raise FormatError(f"{where}: unknown flags {sorted(flags - FLAGS)}")
+            rows.append((where, trial_id, row[1], task, numbers, flags))
+    return rows
+
+
+def join_results(est_path, gt_path):
+    """One TrialRecord per trial of an est.csv and a gt.csv, in est.csv
+    order. Both files must list the same trials, each with the same
+    condition and task."""
+    est_rows = _read_results_csv(est_path, EST_HEADER)
+    gt_by_id = {}
+    for where, trial_id, *rest in _read_results_csv(gt_path, GT_HEADER):
+        if trial_id in gt_by_id:
+            raise FormatError(f"{where}: duplicate trial_id {trial_id}")
+        gt_by_id[trial_id] = rest
+    records = []
+    for where, trial_id, condition, task, (hr_est, rr_est, skin_gray), flags in est_rows:
+        gt = gt_by_id.pop(trial_id, None)
+        if gt is None:
+            raise FormatError(f"{where}: trial_id {trial_id} present in estimates only")
+        gt_condition, gt_task, (hr_gt, rr_gt), gt_flags = gt
+        if (condition, task) != (gt_condition, gt_task):
+            raise FormatError(
+                f"{where}: trial_id {trial_id}: condition/task mismatch between files "
+                f"({condition}/{task} vs {gt_condition}/{gt_task})")
+        records.append(TrialRecord(
+            trial_id, condition, task, hr_est=hr_est, hr_gt=hr_gt, rr_est=rr_est,
+            rr_gt=rr_gt, skin_gray=skin_gray, flags=flags | gt_flags))
+    if gt_by_id:
+        raise FormatError(f"{gt_path}: trial_id {min(gt_by_id)} present in ground truth only")
+    return records
+
+
+def write_trials_csv(path, records):
+    write_results_csv(path, TRIALS_HEADER, [
+        (r.trial_id, r.condition, r.task_id, r.hr_est, r.hr_gt, r.rr_est,
+         r.rr_gt, r.skin_gray, r.flags) for r in records])
 
 
 def read_trials_csv(path):
-    records = []
-    with open(path, "r", newline="", encoding="ascii") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != TRIALS_HEADER:
-            raise ValueError(f"{path}: unexpected trials header {header}")
-        for row in reader:
-            if len(row) != len(TRIALS_HEADER):
-                raise ValueError(f"{path}: bad trial row {row}")
-            opt = lambda s: None if s == "" else float(s)
-            records.append(TrialRecord(
-                trial_id=int(row[0]), condition=row[1], task_id=int(row[2]),
-                hr_est=opt(row[3]), hr_gt=opt(row[4]),
-                rr_est=opt(row[5]), rr_gt=opt(row[6]), skin_gray=opt(row[7]),
-                flags=frozenset(row[8].split(";")) if row[8] else frozenset()))
-    return records
+    # the number columns follow TrialRecord's field order
+    return [TrialRecord(trial_id, condition, task, *numbers, flags=flags)
+            for _, trial_id, condition, task, numbers, flags
+            in _read_results_csv(path, TRIALS_HEADER)]
 
 
 def write_summary_csv(path, report):

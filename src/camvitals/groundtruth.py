@@ -2,8 +2,8 @@
 
 HR: R peaks from the derivative of the baseline-corrected ECG, rebuilt
 into a PPG-like oscillation by spline interpolation, then the same
-spectral estimator as the video path. RR: the belt channel through the
-estimator directly.
+spectral estimator as the video path. RR: the belt channel goes through
+`dsp.estimate_rate` directly.
 """
 
 from dataclasses import dataclass
@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .dsp import (BandpassSpec, bandpass, cubic_spline, detrend, median_rate,
-                  rate_flags, stft_peak_freqs)
+from .dsp import SignalTooShort, cubic_spline, detrend, estimate_rate
 
 
 @dataclass
@@ -42,7 +41,7 @@ def ecg_peaks(ecg, cfg=None):
     """
     cfg = cfg or PipelineConfig()
     if ecg.duration < 2.0:
-        raise ValueError(f"need >= 2 s of ECG, got {ecg.duration:.3f} s")
+        raise SignalTooShort(f"need >= 2 s of ECG, got {ecg.duration:.3f} s")
     corrected = detrend(ecg, cfg.ecg_detrend_s)
     d = np.diff(corrected.samples)
     theta = cfg.ecg_threshold_factor * np.percentile(np.abs(d), cfg.ecg_percentile)
@@ -81,31 +80,8 @@ def ppg_like(peaks, duration):
     return cubic_spline(knot_t, knot_v, peaks.sample_rate, duration)
 
 
-def gt_hr(ecg, cfg=None):
-    """Reference heart rate in beats/minute from an ECG channel."""
-    cfg = cfg or PipelineConfig()
-    bpm, _ = gt_hr_flagged(ecg, cfg)
-    return bpm
-
-
 def gt_hr_flagged(ecg, cfg=None):
+    """(reference heart rate in beats/minute, flags) from an ECG channel."""
     cfg = cfg or PipelineConfig()
-    peaks = ecg_peaks(ecg, cfg)
-    signal = ppg_like(peaks, ecg.duration)
-    filtered = bandpass(signal, BandpassSpec(cfg.hr_low, cfg.hr_high, cfg.filter_order))
-    freqs = stft_peak_freqs(filtered, cfg.physio_stft, cfg.hr_band)
-    return median_rate(freqs), rate_flags(freqs, cfg.hr_band, cfg.physio_stft, ecg.sample_rate)
-
-
-def gt_rr(resp, cfg=None):
-    """Reference respiration rate in breaths/minute from the belt channel."""
-    cfg = cfg or PipelineConfig()
-    brpm, _ = gt_rr_flagged(resp, cfg)
-    return brpm
-
-
-def gt_rr_flagged(resp, cfg=None):
-    cfg = cfg or PipelineConfig()
-    filtered = bandpass(resp, BandpassSpec(cfg.rr_low, cfg.rr_high, cfg.filter_order))
-    freqs = stft_peak_freqs(filtered, cfg.physio_stft, cfg.rr_band)
-    return median_rate(freqs), rate_flags(freqs, cfg.rr_band, cfg.physio_stft, resp.sample_rate)
+    signal = ppg_like(ecg_peaks(ecg, cfg), ecg.duration)
+    return estimate_rate(signal, cfg.hr_band, cfg.physio_stft, cfg.filter_order)

@@ -1,5 +1,5 @@
 """On-disk formats: P6 PPM frame sequences with a plain-text trial manifest,
-raw packed RGB24 clips, and the physio CSV (t,ecg,resp,trigger)."""
+and the physio CSV (t,ecg,resp,trigger)."""
 
 import csv
 import os
@@ -14,7 +14,10 @@ from .dsp import TimeSeries
 CONDITIONS = ("respiration", "workout", "gaze")
 HOLD_BREATH_TASK = 2
 
+# a dataset directory: one global frame sequence, the manifest, the physio CSV
 FRAME_PATTERN = "frame_%06d.ppm"
+MANIFEST_FILE = "manifest.txt"
+PHYSIO_FILE = "physio.csv"
 
 # Rec.601 luma weights; the capture pipeline's grayscale convention.
 LUMA_R, LUMA_G, LUMA_B = 0.299, 0.587, 0.114
@@ -254,37 +257,6 @@ def read_frame_range(dataset_dir, manifest, start_frame, frame_count):
                 f"manifest declares {manifest.width}x{manifest.height}")
         frames[i] = frame
     return VideoClip(frames, manifest.fps)
-
-
-def read_ppm_sequence(manifest_path):
-    """Load every trial's frames, in manifest order, as one VideoClip."""
-    manifest_path = Path(manifest_path)
-    manifest = parse_manifest(manifest_path)
-    if not manifest.entries:
-        raise FormatError(f"{manifest_path}: manifest lists no trials")
-    parts = [read_frame_range(manifest_path.parent, manifest, e.start_frame, e.frame_count).frames
-             for e in manifest.entries]
-    return VideoClip(np.concatenate(parts, axis=0), manifest.fps)
-
-
-# ------------------------- raw RGB24 -------------------------
-
-def read_raw_rgb(path, width, height, fps):
-    """Read a packed RGB24 file (row-major, top-left origin) as a clip."""
-    if width <= 0 or height <= 0:
-        raise ValueError("dimensions must be positive")
-    size = os.path.getsize(path)
-    frame_bytes = width * height * 3
-    if size == 0 or size % frame_bytes != 0:
-        raise FormatError(f"{path}: size {size} is not a positive multiple of {frame_bytes}")
-    data = np.fromfile(path, dtype=np.uint8)
-    return VideoClip(data.reshape(size // frame_bytes, height, width, 3), fps)
-
-
-def write_raw_rgb(path, clip):
-    if clip.frames.dtype != np.uint8:
-        raise ValueError("raw RGB24 requires uint8 frames")
-    clip.frames.tofile(path)
 
 
 # ------------------------- pixel operations -------------------------

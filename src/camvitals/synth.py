@@ -12,9 +12,10 @@ from scipy import ndimage
 
 from .dsp import TimeSeries
 from .geometry import Rect
-from .ingest import (PhysioRecord, TrialEntry, TrialManifest, VideoClip,
-                     format_number, frame_path, write_manifest,
-                     write_physio_csv, write_ppm, LUMA_R, LUMA_G, LUMA_B)
+from .ingest import (MANIFEST_FILE, PHYSIO_FILE, PhysioRecord, TrialEntry,
+                     TrialManifest, VideoClip, format_number, frame_path,
+                     write_manifest, write_physio_csv, write_ppm, LUMA_R,
+                     LUMA_G, LUMA_B)
 
 BACKGROUND_GRAY = 40.0
 BASE_SKIN = (200.0, 150.0, 130.0)
@@ -24,8 +25,6 @@ PHYSIO_RATE = 128.0
 ECG_BUMP_SIGMA_S = 0.010
 
 TRUTH_FILE = "truth.csv"
-MANIFEST_FILE = "manifest.txt"
-PHYSIO_FILE = "physio.csv"
 
 TRUTH_HEADER = ["trial_id", "hr_bpm", "rr_brpm", "face_x", "face_y",
                 "face_w", "face_h", "mean_face_gray"]
@@ -206,19 +205,6 @@ def paper_protocol(seed=0):
     for _block in range(10):
         for task in rng.permutation([3, 4, 5, 6, 7]):
             plans.append(TrialPlan(trial_id, "gaze", int(task), 10.0))
-            trial_id += 1
-    return plans
-
-
-def block_protocol(condition, tasks, blocks, duration, seed=0, first_trial_id=1):
-    """Small custom protocol: `blocks` repetitions of the task set, order
-    permuted per block."""
-    rng = np.random.default_rng(seed)
-    plans = []
-    trial_id = first_trial_id
-    for _ in range(blocks):
-        for task in rng.permutation(list(tasks)):
-            plans.append(TrialPlan(trial_id, condition, int(task), float(duration)))
             trial_id += 1
     return plans
 

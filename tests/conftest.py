@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from camvitals.config import PipelineConfig
 from camvitals.detect import Cascade, Stage, Tree
+from camvitals.dsp import estimate_rate
 from camvitals.geometry import Rect
 from camvitals.ingest import VideoClip
 from camvitals.synth import SynthConfig, synth_clip
+from camvitals.vitals import mean_gray_trace, pulse_trace
 
 
 def make_toy_cascade(threshold=40.0):
@@ -40,3 +43,15 @@ def toy_cascade():
 def quick_clip(hr=72.0, rr=15.0, duration=20.0, seed=0, **kw):
     cfg = SynthConfig(hr_bpm=hr, rr_brpm=rr, duration=duration, seed=seed, **kw)
     return synth_clip(cfg)
+
+
+def hr_estimate(clip, rois, cfg=PipelineConfig()):
+    """(bpm, flags) of a face ROI sequence, as `camvitals estimate` computes it."""
+    return estimate_rate(pulse_trace(clip, rois, cfg), cfg.hr_band, cfg.video_stft,
+                         cfg.filter_order)
+
+
+def rr_estimate(clip, rois, cfg=PipelineConfig()):
+    """(brpm, flags) of a chest ROI sequence, as `camvitals estimate` computes it."""
+    return estimate_rate(mean_gray_trace(clip, rois), cfg.rr_band, cfg.video_stft,
+                         cfg.filter_order)

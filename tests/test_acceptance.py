@@ -9,22 +9,22 @@ import time
 
 import numpy as np
 import pytest
-from conftest import blob_frame, make_toy_cascade
+from conftest import blob_frame, hr_estimate, make_toy_cascade, rr_estimate
 
 from camvitals.cli import main
 from camvitals.detect import detect_faces, group_rects, integral_image, rect_sum
+from camvitals.config import PipelineConfig
 from camvitals.dsp import (DEFAULT_FILTER_ORDER, PASSBAND_PROBE_HZ,
                            STOPBAND_PROBE_HZ, VIDEO_STFT, BandpassSpec,
-                           TimeSeries, bandpass, dominant_rate,
+                           TimeSeries, bandpass, estimate_rate,
                            stft_peak_freqs)
 from camvitals.evaluation import (TrialRecord, build_report, emit_report,
                                   skin_tone_gray)
 from camvitals.geometry import Rect
-from camvitals.groundtruth import ecg_peaks, gt_hr, gt_rr
+from camvitals.groundtruth import ecg_peaks, gt_hr_flagged
 from camvitals.ingest import parse_manifest
 from camvitals.synth import SynthConfig, synth_clip, synth_ecg, synth_resp
-from camvitals.vitals import (estimate_hr, estimate_rr, estimate_rr_flagged,
-                              hr_roi, rr_roi)
+from camvitals.vitals import hr_roi, rr_roi
 
 HR_BAND = (0.7, 2.5)
 
@@ -34,7 +34,7 @@ def _hr_error(hr, duration, noise_sigma, seed, tone=1.0, quantize=True):
                       noise_sigma=noise_sigma, quantize=quantize, seed=seed)
     clip, truth = synth_clip(cfg)
     rois = [hr_roi(truth.face_box)] * clip.n_frames
-    return abs(estimate_hr(clip, rois) - hr), clip, truth
+    return abs(hr_estimate(clip, rois)[0] - hr), clip, truth
 
 
 def test_criterion_1_synthetic_hr_recovery():
@@ -56,7 +56,7 @@ def test_criterion_2_synthetic_rr_recovery():
                               seed=int(rr) * 100 + seed)
             clip, truth = synth_clip(cfg)
             rois = [rr_roi(truth.face_box, clip.height, clip.width)] * clip.n_frames
-            err = abs(estimate_rr(clip, rois) - rr)
+            err = abs(rr_estimate(clip, rois)[0] - rr)
             hits += err <= 1.0
         assert hits >= 19, f"rr={rr}: only {hits}/20 trials within 1 brpm"
 
@@ -66,7 +66,7 @@ def test_criterion_2_synthetic_rr_recovery():
     cfg = SynthConfig(chest_amp=0.0, duration=20.0, noise_sigma=0.0, seed=0)
     clip, truth = synth_clip(cfg)
     rois = [rr_roi(truth.face_box, clip.height, clip.width)] * clip.n_frames
-    _, flags = estimate_rr_flagged(clip, rois)
+    _, flags = rr_estimate(clip, rois)
     assert "out_of_band" in flags
     records = [
         TrialRecord(1, "respiration", 1, rr_est=15.0, rr_gt=14.5,
@@ -82,10 +82,12 @@ def test_criterion_3_ground_truth_agreement():
     for hr in (50.0, 70.0, 90.0, 120.0, 150.0):
         ecg = synth_ecg(hr, 128.0, 20.0, jitter=0.0, seed=int(hr))
         inter_peak = 60.0 / float(np.median(np.diff(ecg_peaks(ecg).times())))
-        assert abs(gt_hr(ecg) - inter_peak) <= 1.0
+        assert abs(gt_hr_flagged(ecg)[0] - inter_peak) <= 1.0
+    cfg = PipelineConfig()
     for rr in (13.0, 18.0, 24.0):
         resp = synth_resp(rr, 128.0, 20.0, seed=int(rr))
-        assert abs(gt_rr(resp) - rr) <= 0.5
+        brpm, _ = estimate_rate(resp, cfg.rr_band, cfg.physio_stft, cfg.filter_order)
+        assert abs(brpm - rr) <= 0.5
 
 
 def test_criterion_4_skin_tone_error_trend(tmp_path):
@@ -178,10 +180,10 @@ def test_criterion_7_dsp_properties():
 
     rng = np.random.default_rng(3)
     base = np.sin(2 * np.pi * 1.2 * t) + 0.1 * rng.standard_normal(len(t))
-    reference = dominant_rate(TimeSeries(base, fs), HR_BAND, VIDEO_STFT)
+    reference = estimate_rate(TimeSeries(base, fs), HR_BAND, VIDEO_STFT)
     for scale in (2.0 ** -20, 0.5, 2.0, 1024.0, 2.0 ** 40):
-        scaled = dominant_rate(TimeSeries(scale * base, fs), HR_BAND, VIDEO_STFT)
-        assert scaled == reference  # bit-exact under lossless scaling
+        scaled = estimate_rate(TimeSeries(scale * base, fs), HR_BAND, VIDEO_STFT)
+        assert scaled == reference  # rate and flags, bit-exact under lossless scaling
 
 
 ROI = "manual:12,5,8,10"

@@ -15,6 +15,7 @@ from camvitals.geometry import Rect
 from camvitals.ingest import (TrialEntry, TrialManifest, frame_path,
                               parse_manifest, read_frame_range, write_manifest,
                               write_ppm)
+from camvitals.synth import SynthConfig, TrialPlan, synth_dataset
 from test_detect import OPENCV_XML
 
 ROI = "manual:12,5,8,10"   # the synthetic face box at 32x32
@@ -227,24 +228,76 @@ def test_corrupt_frame_exits_one(tmp_path, capsys):
                "--roi", ROI, "--crop", NOCROP])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith("error: trial 1: ")
     assert "frame_000005.ppm" in err
 
 
+@pytest.fixture(scope="module")
+def short_and_long(tmp_path_factory):
+    """Trial 1 lasts 6 s: 180 frames, under the 256-frame video window, and
+    768 physio samples, under the 1024-sample physio window. Trial 2 lasts
+    20 s."""
+    out = tmp_path_factory.mktemp("short_long")
+    synth_dataset([TrialPlan(1, "respiration", 1, 6.0), TrialPlan(2, "respiration", 1, 20.0)],
+                  SynthConfig(width=32, height=32), out, seed=3,
+                  rates={1: (72.0, 15.0), 2: (72.0, 15.0)})
+    return out
+
+
+def _analysis_args(command, data, out):
+    args = [command, "--data", str(data), "--out", str(out)]
+    return args + ["--roi", ROI, "--crop", NOCROP] if command == "estimate" else args
+
+
+RATE_COLUMNS = {"estimate": ("hr_est", "rr_est"), "groundtruth": ("hr_gt", "rr_gt")}
+
+
 @pytest.mark.parametrize("command", ["estimate", "groundtruth"])
-def test_trial_too_short_for_its_window_is_named(command, tmp_path, capsys):
+def test_trial_too_short_for_its_window_is_named(command, short_and_long, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert main(_analysis_args(command, short_and_long, out)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    n, window = (180, 256) if command == "estimate" else (768, 1024)
+    assert (f"trial 1: signal of {n} samples shorter than window {window} (too_short)"
+            in captured.out.splitlines())
+    short, long = read_rows(out)
+    assert short["flags"] == "too_short"
+    for column in RATE_COLUMNS[command]:
+        assert short[column] == ""
+        assert long[column] != ""
+    assert "too_short" not in long["flags"]
+    assert abs(float(long[RATE_COLUMNS[command][0]]) - 72.0) < 1.0
+
+
+def test_too_short_trial_is_left_out_of_scoring(short_and_long, tmp_path):
+    est, gt, report = tmp_path / "est.csv", tmp_path / "gt.csv", tmp_path / "report"
+    assert main(_analysis_args("estimate", short_and_long, est)) == 0
+    assert main(_analysis_args("groundtruth", short_and_long, gt)) == 0
+    assert main(["evaluate", "--estimates", str(est), "--groundtruth", str(gt),
+                 "--out", str(report)]) == 0
+    trials = read_rows(report / "trials.csv")
+    assert [t["trial_id"] for t in trials] == ["1", "2"]
+    assert trials[0]["flags"] == "too_short"
+    assert "too_short" not in trials[1]["flags"]
+    stats = [(r["signal"], r["n"]) for r in read_rows(report / "summary.csv")
+             if r["kind"] == "condition_stats"]
+    assert stats == [("hr", "1"), ("rr", "1")]
+
+
+@pytest.mark.parametrize("command,message", [
+    ("estimate", "error: no trial gave an estimate\n"),
+    ("groundtruth", "error: no trial gave a reference rate\n")])
+def test_only_trial_too_short_exits_one(command, message, tmp_path, capsys):
     ds = tmp_path / "ds"
-    # 180 frames, under the 256-frame video window
     assert main(["synth", "--out", str(ds), "--duration", "6", "--width", "32",
                  "--height", "32"]) == 0
-    args = [command, "--data", str(ds), "--out", str(tmp_path / "out.csv")]
-    if command == "estimate":
-        args += ["--roi", ROI, "--crop", NOCROP]
+    out = tmp_path / "out.csv"
     capsys.readouterr()
-    assert main(args) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: trial 1: ")
-    assert "shorter than window" in err
+    assert main(_analysis_args(command, ds, out)) == 1
+    assert capsys.readouterr().err == message
+    assert read_rows(out)[0]["flags"] == "too_short"
 
 
 def test_crop_too_wide_is_not_blamed_on_a_trial(dataset, tmp_path, capsys):
@@ -298,6 +351,27 @@ def test_evaluate_rejects_foreign_header(estimates_csv, tmp_path, capsys):
                "--groundtruth", str(bogus), "--out", str(tmp_path / "r")])
     assert rc == 1
     assert "header" in capsys.readouterr().err
+
+
+def test_evaluate_names_the_line_of_a_truncated_row(groundtruth_csv, tmp_path, capsys):
+    cut = tmp_path / "est.csv"
+    cut.write_text("trial_id,condition,task,hr_est,rr_est,skin_gray,flags\n"
+                   "1,respiration,1\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--estimates", str(cut),
+                 "--groundtruth", str(groundtruth_csv), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == f"error: {cut}:2: expected 7 cells, got 3\n"
+
+
+def test_evaluate_names_the_line_of_a_non_numeric_cell(estimates_csv, groundtruth_csv,
+                                                       tmp_path, capsys):
+    bad = tmp_path / "gt.csv"
+    header, row = groundtruth_csv.read_text().splitlines()
+    bad.write_text(header + "\n" + "x" + row[row.index(","):] + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--estimates", str(estimates_csv),
+                 "--groundtruth", str(bad), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:2: trial_id 'x' is not a number\n"
 
 
 def test_all_trials_failing_detection_exits_one(tmp_path, capsys):

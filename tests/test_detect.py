@@ -318,6 +318,26 @@ def test_convert_opencv_xml_names_missing_element(tmp_path, element, what):
         convert_opencv_xml(p)
 
 
+@pytest.mark.parametrize("old,new,tag", [
+    ("<width>8</width>", "<width>abc</width>", "width"),
+    ("<height>8</height>", "<height>8px</height>", "height"),
+    ("<_>2 2 4 4 4.</_>", "<_>x 2 4 4 4.</_>", "rects"),
+    ("<_>2 2 4 4 4.</_>", "<_>2 2 4 4 w</_>", "rects"),
+    ("<stageThreshold>5.0000000000000000e-01</stageThreshold>",
+     "<stageThreshold>abc</stageThreshold>", "stageThreshold"),
+    ("0 -1 0 4.0000000000000000e+01", "0 -1 a 4.0000000000000000e+01", "internalNodes"),
+    ("0 -1 0 4.0000000000000000e+01", "0 -1 0 forty", "internalNodes"),
+    ("<leafValues>0. 1.</leafValues>", "<leafValues>0. one</leafValues>", "leafValues"),
+])
+def test_convert_opencv_xml_names_non_numeric_value(tmp_path, old, new, tag):
+    p = tmp_path / "garbled.xml"
+    assert old in OPENCV_XML
+    p.write_text(OPENCV_XML.replace(old, new))
+    with pytest.raises(CascadeFormatError,
+                       match=f"^{re.escape(str(p))}: non-numeric value '.*' in <{tag}>$"):
+        convert_opencv_xml(p)
+
+
 def test_convert_opencv_xml_rejects_empty_rect(tmp_path):
     p = tmp_path / "partial.xml"
     p.write_text(OPENCV_XML.replace("<_>2 2 4 4 4.</_>", "<_></_>"))

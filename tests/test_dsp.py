@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from camvitals.dsp import (DEFAULT_FILTER_ORDER, PHYSIO_STFT, VIDEO_STFT,
-                           BandpassSpec, StftSpec, TimeSeries, bandpass,
-                           cubic_spline, detrend, dominant_rate, median_rate,
-                           rate_flags, stft_peak_freqs)
+                           BandpassSpec, SignalTooShort, StftSpec, TimeSeries,
+                           bandpass, cubic_spline, detrend, estimate_rate,
+                           median_rate, rate_flags, stft_peak_freqs)
 
 
 def sine(freq, fs, duration, amp=1.0, phase=0.0):
@@ -176,8 +176,8 @@ def test_stft_peaks_dominant_of_two_tones():
 
 
 def test_stft_peaks_errors():
-    with pytest.raises(ValueError):
-        stft_peak_freqs(sine(1.0, 30.0, 4.0), VIDEO_STFT, (0.7, 2.5))  # too short
+    with pytest.raises(SignalTooShort, match="signal of 120 samples shorter than window 256"):
+        stft_peak_freqs(sine(1.0, 30.0, 4.0), VIDEO_STFT, (0.7, 2.5))
     with pytest.raises(ValueError):
         stft_peak_freqs(sine(1.0, 30.0, 20.0), VIDEO_STFT, (1.0001, 1.0002))
 
@@ -236,18 +236,36 @@ def test_spline_validates_knots():
         cubic_spline([0.0, 1.0, 0.5], [1.0, 2.0, 3.0], 10.0, 1.0)
 
 
-# ------------------------- dominant rate -------------------------
+# ------------------------- rate estimator -------------------------
+# (the test names predate estimate_rate, which replaced dominant_rate)
 
 def test_dominant_rate_hr_band():
-    assert dominant_rate(sine(1.2, 30.0, 20.0), (0.7, 2.5), VIDEO_STFT) == pytest.approx(72.0, abs=0.5)
+    bpm, _ = estimate_rate(sine(1.2, 30.0, 20.0), (0.7, 2.5), VIDEO_STFT)
+    assert bpm == pytest.approx(72.0, abs=0.5)
 
 
 def test_dominant_rate_rr_band():
-    assert dominant_rate(sine(0.25, 30.0, 20.0), (0.2, 0.5), VIDEO_STFT) == pytest.approx(15.0, abs=0.5)
+    brpm, _ = estimate_rate(sine(0.25, 30.0, 20.0), (0.2, 0.5), VIDEO_STFT)
+    assert brpm == pytest.approx(15.0, abs=0.5)
 
 
 def test_dominant_rate_short_gaze_trial():
-    assert dominant_rate(sine(1.5, 30.0, 10.0), (0.7, 2.5), VIDEO_STFT) == pytest.approx(90.0, abs=1.0)
+    bpm, _ = estimate_rate(sine(1.5, 30.0, 10.0), (0.7, 2.5), VIDEO_STFT)
+    assert bpm == pytest.approx(90.0, abs=1.0)
+
+
+def test_estimate_rate_is_bandpass_peaks_median_and_flags():
+    ts = sine(1.3, 128.0, 20.0)
+    band = (0.7, 2.5)
+    freqs = stft_peak_freqs(bandpass(ts, BandpassSpec(*band, 4)), PHYSIO_STFT, band)
+    assert estimate_rate(ts, band, PHYSIO_STFT, order=4) == \
+        (median_rate(freqs), rate_flags(freqs, band, PHYSIO_STFT, 128.0))
+
+
+def test_estimate_rate_too_short_for_bandpass_padding():
+    # 63 samples: the order-3 filter pads each end with 21
+    with pytest.raises(SignalTooShort, match="signal of 63 samples too short for padding of 21"):
+        estimate_rate(sine(1.0, 30.0, 2.1), (0.7, 2.5), VIDEO_STFT)
 
 
 def test_dominant_rate_invariant_under_positive_scaling():
@@ -258,13 +276,14 @@ def test_dominant_rate_invariant_under_positive_scaling():
     for _ in range(5):
         f0 = float(rng.uniform(0.8, 2.3))
         ts = sine(f0, 30.0, 20.0)
-        base = dominant_rate(ts, (0.7, 2.5), VIDEO_STFT)
+        base = estimate_rate(ts, (0.7, 2.5), VIDEO_STFT)
         for scale in (2.0 ** -20, 0.5, 2.0, 1024.0, 2.0 ** 40):
             scaled = TimeSeries(scale * ts.samples, 30.0)
-            assert dominant_rate(scaled, (0.7, 2.5), VIDEO_STFT) == base
+            assert estimate_rate(scaled, (0.7, 2.5), VIDEO_STFT) == base   # rate and flags
         for scale in (1e-6, 7.0, 1e6):
             scaled = TimeSeries(scale * ts.samples, 30.0)
-            assert dominant_rate(scaled, (0.7, 2.5), VIDEO_STFT) == pytest.approx(base, abs=1e-6)
+            rate, _ = estimate_rate(scaled, (0.7, 2.5), VIDEO_STFT)
+            assert rate == pytest.approx(base[0], abs=1e-6)
 
 
 # ------------------------- flags -------------------------

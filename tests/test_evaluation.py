@@ -1,4 +1,5 @@
 import math
+import re
 import statistics
 import xml.etree.ElementTree as ET
 
@@ -12,8 +13,8 @@ from camvitals.evaluation import (BoxplotStats, TrialRecord, boxplot_stats,
                                   segment_trials, skin_tone_gray,
                                   write_trials_csv)
 from camvitals.geometry import Rect
-from camvitals.ingest import (PhysioRecord, TrialEntry, TrialManifest,
-                              VideoClip)
+from camvitals.ingest import (FormatError, PhysioRecord, TrialEntry,
+                              TrialManifest, VideoClip)
 from camvitals.synth import SynthConfig, synth_clip
 
 FS = 128.0
@@ -266,6 +267,20 @@ def test_trials_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
+        read_trials_csv(path)
+
+
+@pytest.mark.parametrize("row,message", [
+    ("1,gaze,3,1.0", "expected 9 cells, got 4"),
+    ("1,gaze,3,1.0,1.0,,,abc,", "skin_gray 'abc' is not a number"),
+    ("1,gaze,three,1.0,1.0,,,,", "task 'three' is not a number"),
+    ("1,gaze,3,1.0,1.0,,,,odd_flag", r"unknown flags \['odd_flag'\]"),
+])
+def test_trials_csv_names_the_line_of_a_bad_row(tmp_path, row, message):
+    path = tmp_path / "trials.csv"
+    write_trials_csv(path, sample_records()[:1])
+    path.write_text(path.read_text() + row + "\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:3: {message}$"):
         read_trials_csv(path)
 
 

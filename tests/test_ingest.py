@@ -8,9 +8,8 @@ from camvitals.ingest import (FormatError, PhysioRecord, TrialEntry,
                               TrialManifest, VideoClip, crop_clip,
                               format_number, frame_path, load_physio_csv,
                               parse_manifest, read_frame_range, read_ppm,
-                              read_ppm_sequence, read_raw_rgb, to_grayscale,
-                              write_manifest, write_physio_csv, write_ppm,
-                              write_raw_rgb)
+                              to_grayscale, write_manifest, write_physio_csv,
+                              write_ppm)
 
 
 def rand_frames(rng, n, h, w):
@@ -91,33 +90,6 @@ def test_ppm_ignores_bytes_after_pixels(tmp_path):
 def test_frame_path_numbering(tmp_path):
     assert frame_path(tmp_path, 42).name == "frame_000042.ppm"
     assert frame_path(tmp_path, 0).name == "frame_000000.ppm"
-
-
-# ------------------------- raw RGB -------------------------
-
-def test_raw_rgb_round_trip(tmp_path):
-    rng = np.random.default_rng(7)
-    clip = VideoClip(rand_frames(rng, 3, 4, 5), 30.0)
-    p = tmp_path / "clip.rgb"
-    write_raw_rgb(p, clip)
-    back = read_raw_rgb(p, 5, 4, 30.0)
-    assert np.array_equal(back.frames, clip.frames)
-    assert back.fps == 30.0
-
-
-def test_raw_rgb_24_bytes_is_two_2x2_frames(tmp_path):
-    p = tmp_path / "two.rgb"
-    p.write_bytes(bytes(range(24)))
-    clip = read_raw_rgb(p, 2, 2, 10.0)
-    assert clip.n_frames == 2
-    assert clip.frames[1, 0, 0, 0] == 12
-
-
-def test_raw_rgb_rejects_partial_frame(tmp_path):
-    p = tmp_path / "odd.rgb"
-    p.write_bytes(bytes(25))
-    with pytest.raises(FormatError):
-        read_raw_rgb(p, 2, 2, 10.0)
 
 
 # ------------------------- VideoClip -------------------------
@@ -229,12 +201,8 @@ def test_read_frame_range_and_sequence(tmp_path):
     entries = [TrialEntry(1, "gaze", 3, 0, 2, 1),
                TrialEntry(2, "gaze", 4, 2, 4, 2)]
     m = TrialManifest(fps=30.0, width=4, height=4, entries=entries)
-    write_manifest(tmp_path / "manifest.txt", m)
-
     part = read_frame_range(tmp_path, m, 2, 4)
     assert np.array_equal(part.frames, frames[2:6])
-    whole = read_ppm_sequence(tmp_path / "manifest.txt")
-    assert np.array_equal(whole.frames, frames)
 
 
 @pytest.mark.parametrize("as_type", [str, Path])

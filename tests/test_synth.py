@@ -5,9 +5,8 @@ from camvitals.geometry import Rect
 from camvitals.ingest import (frame_path, parse_manifest, read_frame_range,
                               load_physio_csv, to_grayscale)
 from camvitals.synth import (RATE_RANGES, SynthConfig, TrialPlan,
-                             block_protocol, paper_protocol, read_truth_csv,
-                             scene_geometry, synth_clip, synth_dataset,
-                             synth_ecg, synth_resp)
+                             paper_protocol, read_truth_csv, scene_geometry,
+                             synth_clip, synth_dataset, synth_ecg, synth_resp)
 
 
 # ------------------------- scene layout -------------------------
@@ -199,17 +198,6 @@ def test_paper_protocol_seed_determinism():
     assert paper_protocol(seed=4) == paper_protocol(seed=4)
 
 
-def test_block_protocol_structure_and_ids():
-    plans = block_protocol("gaze", (3, 5), blocks=2, duration=6.0, seed=1,
-                           first_trial_id=10)
-    assert [p.trial_id for p in plans] == [10, 11, 12, 13]
-    assert all(p.condition == "gaze" and p.duration == 6.0 for p in plans)
-    assert sorted(p.task_id for p in plans[:2]) == [3, 5]
-    assert sorted(p.task_id for p in plans[2:]) == [3, 5]
-    assert block_protocol("gaze", (3, 5), 2, 6.0, seed=1) == \
-        block_protocol("gaze", (3, 5), 2, 6.0, seed=1)
-
-
 def test_drawn_rates_stay_inside_condition_ranges(tmp_path):
     out = tmp_path / "data"
     plans = [p for p in paper_protocol(seed=0) if p.trial_id in (1, 2, 31)]
@@ -229,8 +217,8 @@ def test_drawn_rates_stay_inside_condition_ranges(tmp_path):
 @pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("ds")
-    protocol = block_protocol("respiration", (1, 2), blocks=1, duration=4.0,
-                              seed=2)
+    protocol = [TrialPlan(1, "respiration", 1, 4.0),
+                TrialPlan(2, "respiration", 2, 4.0)]
     base = SynthConfig(width=32, height=32, fps=30.0, noise_sigma=1.0)
     synth_dataset(protocol, base, out, seed=9)
     return out, protocol
@@ -292,7 +280,7 @@ def test_dataset_hold_breath_belt_is_flat(tiny_dataset):
 
 def test_dataset_truth_file_and_rate_override(tmp_path):
     out = tmp_path / "ds2"
-    protocol = block_protocol("gaze", (3,), blocks=1, duration=2.0)
+    protocol = [TrialPlan(1, "gaze", 3, 2.0)]
     synth_dataset(protocol, SynthConfig(width=32, height=32), out, seed=0,
                   rates={1: (100.0, 25.0)})
     truth = read_truth_csv(out / "truth.csv")
@@ -302,7 +290,7 @@ def test_dataset_truth_file_and_rate_override(tmp_path):
 
 
 def test_dataset_regeneration_is_byte_identical(tmp_path):
-    protocol = block_protocol("workout", (1,), blocks=1, duration=2.0)
+    protocol = [TrialPlan(1, "workout", 1, 2.0)]
     base = SynthConfig(width=32, height=32, noise_sigma=1.5)
     a, b = tmp_path / "a", tmp_path / "b"
     synth_dataset(protocol, base, a, seed=3)

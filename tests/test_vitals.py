@@ -4,12 +4,11 @@ import pytest
 from camvitals.config import PipelineConfig
 from camvitals.geometry import Rect
 from camvitals.ingest import VideoClip
-from camvitals.vitals import (estimate_hr, estimate_hr_flagged, estimate_rr,
-                              estimate_rr_flagged, green_chromaticity_trace,
-                              hr_roi, mean_gray_trace, pulse_trace, rr_roi,
+from camvitals.vitals import (green_chromaticity_trace, hr_roi,
+                              mean_gray_trace, pulse_trace, rr_roi,
                               spherical_mean_trace)
 
-from conftest import quick_clip
+from conftest import hr_estimate, quick_clip, rr_estimate
 
 
 # ------------------------- ROI derivation -------------------------
@@ -92,24 +91,24 @@ def test_pulse_trace_respects_scalarization_config():
     assert np.array_equal(direct.samples, via_cfg.samples)
 
 
-# ------------------------- estimators -------------------------
+# ------------------- traces through dsp.estimate_rate -------------------
 
 def test_estimate_hr_recovers_injected_rate():
     clip, truth = quick_clip(hr=66.0, noise_sigma=0.5, seed=7)
     rois = [hr_roi(truth.face_box) for _ in range(clip.n_frames)]
-    assert estimate_hr(clip, rois) == pytest.approx(66.0, abs=0.5)
+    assert hr_estimate(clip, rois)[0] == pytest.approx(66.0, abs=0.5)
 
 
 def test_estimate_rr_recovers_injected_rate():
     clip, truth = quick_clip(rr=17.0, noise_sigma=0.5, seed=8)
     rois = [rr_roi(truth.face_box, clip.height, clip.width)] * clip.n_frames
-    assert estimate_rr(clip, rois) == pytest.approx(17.0, abs=0.5)
+    assert rr_estimate(clip, rois)[0] == pytest.approx(17.0, abs=0.5)
 
 
 def test_estimate_hr_flagged_clean_signal_unflagged():
     clip, truth = quick_clip(hr=72.0, seed=3)
     rois = [hr_roi(truth.face_box)] * clip.n_frames
-    bpm, flags = estimate_hr_flagged(clip, rois)
+    bpm, flags = hr_estimate(clip, rois)
     assert flags == set()
     assert bpm == pytest.approx(72.0, abs=0.5)
 
@@ -117,7 +116,7 @@ def test_estimate_hr_flagged_clean_signal_unflagged():
 def test_estimate_rr_flags_motionless_chest():
     clip, truth = quick_clip(chest_amp=0.0, seed=6)
     rois = [rr_roi(truth.face_box, clip.height, clip.width)] * clip.n_frames
-    _, flags = estimate_rr_flagged(clip, rois)
+    _, flags = rr_estimate(clip, rois)
     assert "out_of_band" in flags
 
 
@@ -125,4 +124,4 @@ def test_estimators_accept_custom_band_config():
     clip, truth = quick_clip(hr=150.0, seed=9)
     rois = [hr_roi(truth.face_box)] * clip.n_frames
     wide = PipelineConfig(hr_high=3.0)
-    assert estimate_hr(clip, rois, wide) == pytest.approx(150.0, abs=0.5)
+    assert hr_estimate(clip, rois, wide)[0] == pytest.approx(150.0, abs=0.5)
