@@ -16,13 +16,12 @@ from .detect import (CascadeFormatError, DetectionError, convert_opencv_xml,
                      load_cascade, save_cascade, track_roi)
 from .dsp import BandpassSpec, SignalTooShort, TimeSeries, bandpass, estimate_rate
 from .evaluation import (EST_HEADER, GT_HEADER, emit_report, join_results,
-                         render_signals, segment_trials, skin_tone_gray,
-                         write_results_csv)
+                         render_signals, segment_trials, skin_tone_gray)
 from .geometry import Rect
 from .groundtruth import gt_hr_flagged
 from .ingest import (MANIFEST_FILE, PHYSIO_FILE, FormatError, check_crop,
                      crop_clip, load_physio_csv, parse_manifest,
-                     read_frame_range)
+                     read_frame_range, write_csv)
 from .synth import (TRUTH_FILE, SynthConfig, TrialPlan, paper_protocol,
                     read_truth_csv, synth_dataset)
 from .vitals import hr_roi, mean_gray_trace, pulse_trace, rr_roi
@@ -251,7 +250,7 @@ def cmd_estimate(args):
             print(f"trial {trial_id}: hr={hr_est:.2f} rr={rr_est:.2f} "
                   f"flags={';'.join(sorted(flags))}")
         rows.append(row)
-    write_results_csv(args.out, EST_HEADER, rows)
+    write_csv(args.out, EST_HEADER, rows)
 
     ok = sum(not flags & {"roi_failure", "too_short"} for *_, flags in rows)
     print(f"estimated {ok}/{len(rows)} trials -> {args.out}")
@@ -292,7 +291,7 @@ def cmd_groundtruth(args):
             rr_text = "excluded" if rr_gt is None else f"{rr_gt:.2f}"
             print(f"trial {trial_id}: hr_gt={hr_gt:.2f} rr_gt={rr_text}")
         rows.append(row)
-    write_results_csv(args.out, GT_HEADER, rows)
+    write_csv(args.out, GT_HEADER, rows)
 
     print(f"ground truth for {len(rows)} trials -> {args.out}")
     if all("too_short" in flags for *_, flags in rows):

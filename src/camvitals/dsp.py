@@ -165,6 +165,12 @@ def bandpass(ts, spec):
     return TimeSeries(y, ts.sample_rate)
 
 
+def check_window(n, spec):
+    """Raise SignalTooShort unless n samples hold one window of spec."""
+    if n < spec.window_len:
+        raise SignalTooShort(f"signal of {n} samples shorter than window {spec.window_len}")
+
+
 def stft_peak_freqs(ts, spec, band):
     """Per-window frequency of the largest in-band spectral magnitude.
 
@@ -190,8 +196,7 @@ def stft_peak_freqs(ts, spec, band):
     if not (0 <= low < high):
         raise ValueError(f"bad band {band}")
     n = len(ts)
-    if n < spec.window_len:
-        raise SignalTooShort(f"signal of {n} samples shorter than window {spec.window_len}")
+    check_window(n, spec)
     df = ts.sample_rate / spec.fft_size
     n_bins = spec.fft_size // 2 + 1
     k_lo = int(np.ceil(low / df))

@@ -3,7 +3,6 @@ condition, the skin-brightness error regression, and deterministic SVG
 figures. All numbers in CSVs use shortest round-trip formatting so a
 re-parse reproduces the records bit for bit."""
 
-import csv
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -11,8 +10,9 @@ from pathlib import Path
 import numpy as np
 from scipy import stats as sstats
 
-from .geometry import Rect, validate_rect
-from .ingest import FormatError, _roi_blocks, format_number, to_grayscale
+from .geometry import Rect
+from .ingest import (FormatError, _optional_float, _parse_row, _roi_blocks, read_csv,
+                     to_grayscale, write_csv)
 
 FLAGS = frozenset({"out_of_band", "hold_breath_excluded", "roi_failure", "too_short"})
 
@@ -125,20 +125,30 @@ def skin_tone_gray(clip, rois):
     """
     if isinstance(rois, Rect):
         rois = [rois] * clip.n_frames
-    rois = list(rois)
-    if len(rois) != clip.n_frames:
-        raise ValueError(f"{len(rois)} ROIs for {clip.n_frames} frames")
-    if clip.n_frames == 0:
-        raise ValueError("empty clip")
     total = 0.0
     count = 0
-    for _, roi, block in _roi_blocks(clip, rois):
-        validate_rect(roi, clip.width, clip.height, "face ROI")
+    for _, _, block in _roi_blocks(clip, rois):
         gray = to_grayscale(block)
         # integer sums: exact in any grouping of frames
         total += float(gray.sum())
         count += gray.size
     return total / count
+
+
+def _ols(x, y):
+    """(slope, intercept, xbar, sxx, s2, tcrit) of the OLS fit of float
+    arrays: s2 and the 97.5% t quantile tcrit are on n-2 degrees of freedom."""
+    n = len(x)
+    xbar, ybar = float(np.mean(x)), float(np.mean(y))
+    sxx = float(np.sum((x - xbar) ** 2))
+    if sxx == 0.0:
+        raise ValueError("x values are all equal; fit is degenerate")
+    slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
+    intercept = ybar - slope * xbar
+    resid = y - (slope * x + intercept)
+    s2 = float(np.sum(resid ** 2)) / (n - 2)
+    tcrit = float(sstats.t.ppf(0.975, n - 2))
+    return slope, intercept, xbar, sxx, s2, tcrit
 
 
 def linear_fit(x, y):
@@ -149,15 +159,7 @@ def linear_fit(x, y):
     n = len(x)
     if n < 3 or len(y) != n:
         raise ValueError("need at least 3 (x, y) points")
-    xbar, ybar = float(np.mean(x)), float(np.mean(y))
-    sxx = float(np.sum((x - xbar) ** 2))
-    if sxx == 0.0:
-        raise ValueError("x values are all equal; fit is degenerate")
-    slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
-    intercept = ybar - slope * xbar
-    resid = y - (slope * x + intercept)
-    s2 = float(np.sum(resid ** 2)) / (n - 2)
-    tcrit = float(sstats.t.ppf(0.975, n - 2))
+    slope, intercept, xbar, sxx, s2, tcrit = _ols(x, y)
     ci_slope = tcrit * np.sqrt(s2 / sxx)
     ci_intercept = tcrit * np.sqrt(s2 * (1.0 / n + xbar ** 2 / sxx))
     return slope, intercept, float(ci_slope), float(ci_intercept)
@@ -235,69 +237,44 @@ def build_report(records):
 
 # ------------------------- CSV round trip -------------------------
 
-def _fmt_opt(v):
-    return "" if v is None else format_number(v)
-
-
-def write_results_csv(path, header, rows):
-    """Write rows of (trial_id, condition, task, *numbers, flags) under
-    `header` (EST_HEADER, GT_HEADER or TRIALS_HEADER); a number that is
-    None becomes an empty cell."""
-    with open(path, "w", newline="", encoding="ascii") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        for trial_id, condition, task, *numbers, flags in rows:
-            w.writerow([trial_id, condition, task, *map(_fmt_opt, numbers),
-                        ";".join(sorted(flags))])
-
-
-def _parse_cell(convert, cell, column, where):
-    try:
-        return convert(cell)
-    except ValueError:
-        raise FormatError(f"{where}: {column} {cell!r} is not a number") from None
-
-
 def _read_results_csv(path, header):
-    """Rows of a file that write_results_csv wrote under `header`, as
-    ("path:line", trial_id, condition, task, numbers, flags)."""
+    """Rows of a result CSV written under `header`, as ("path:line",
+    trial_id, condition, task, numbers, flags)."""
+    types = (int, str, int) + (_optional_float,) * (len(header) - 4)
     rows = []
-    with open(path, "r", newline="", encoding="ascii") as f:
-        reader = csv.reader(f)
-        got = next(reader, None)
-        if got != header:
-            raise FormatError(f"{path}: expected header {header}, got {got}")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(header):
-                raise FormatError(f"{where}: expected {len(header)} cells, got {len(row)}")
-            trial_id = _parse_cell(int, row[0], header[0], where)
-            task = _parse_cell(int, row[2], header[2], where)
-            numbers = [None if cell == "" else _parse_cell(float, cell, column, where)
-                       for column, cell in zip(header[3:-1], row[3:-1])]
-            flags = frozenset(row[-1].split(";")) if row[-1] else frozenset()
-            if flags - FLAGS:
-                raise FormatError(f"{where}: unknown flags {sorted(flags - FLAGS)}")
-            rows.append((where, trial_id, row[1], task, numbers, flags))
+    for line, row in read_csv(path, header):
+        where = f"{path}:{line}"
+        trial_id, condition, task, *numbers = _parse_row(types, row[:-1], header, where)
+        flags = frozenset(row[-1].split(";")) if row[-1] else frozenset()
+        if flags - FLAGS:
+            raise FormatError(f"{where}: unknown flags {sorted(flags - FLAGS)}")
+        rows.append((where, trial_id, condition, task, numbers, flags))
     return rows
+
+
+def _by_trial_id(rows):
+    """{trial_id: (where, *rest)} of _read_results_csv rows, in file order."""
+    out = {}
+    for where, trial_id, *rest in rows:
+        if trial_id in out:
+            raise FormatError(f"{where}: duplicate trial_id {trial_id}")
+        out[trial_id] = (where, *rest)
+    return out
 
 
 def join_results(est_path, gt_path):
     """One TrialRecord per trial of an est.csv and a gt.csv, in est.csv
-    order. Both files must list the same trials, each with the same
+    order. Both files must list the same trials, once each, with the same
     condition and task."""
-    est_rows = _read_results_csv(est_path, EST_HEADER)
-    gt_by_id = {}
-    for where, trial_id, *rest in _read_results_csv(gt_path, GT_HEADER):
-        if trial_id in gt_by_id:
-            raise FormatError(f"{where}: duplicate trial_id {trial_id}")
-        gt_by_id[trial_id] = rest
+    est_by_id = _by_trial_id(_read_results_csv(est_path, EST_HEADER))
+    gt_by_id = _by_trial_id(_read_results_csv(gt_path, GT_HEADER))
     records = []
-    for where, trial_id, condition, task, (hr_est, rr_est, skin_gray), flags in est_rows:
+    for trial_id, (where, condition, task, (hr_est, rr_est, skin_gray), flags) \
+            in est_by_id.items():
         gt = gt_by_id.pop(trial_id, None)
         if gt is None:
             raise FormatError(f"{where}: trial_id {trial_id} present in estimates only")
-        gt_condition, gt_task, (hr_gt, rr_gt), gt_flags = gt
+        _, gt_condition, gt_task, (hr_gt, rr_gt), gt_flags = gt
         if (condition, task) != (gt_condition, gt_task):
             raise FormatError(
                 f"{where}: trial_id {trial_id}: condition/task mismatch between files "
@@ -311,7 +288,7 @@ def join_results(est_path, gt_path):
 
 
 def write_trials_csv(path, records):
-    write_results_csv(path, TRIALS_HEADER, [
+    write_csv(path, TRIALS_HEADER, [
         (r.trial_id, r.condition, r.task_id, r.hr_est, r.hr_gt, r.rr_est,
          r.rr_gt, r.skin_gray, r.flags) for r in records])
 
@@ -324,22 +301,16 @@ def read_trials_csv(path):
 
 
 def write_summary_csv(path, report):
-    with open(path, "w", newline="", encoding="ascii") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(SUMMARY_HEADER)
-        for summ in report.hr_summaries + report.rr_summaries:
-            st = summ.stats
-            w.writerow(["condition_stats", summ.signal, summ.condition, summ.n,
-                        format_number(summ.rmse), format_number(st.median),
-                        format_number(st.q1), format_number(st.q3),
-                        format_number(st.whisker_lo), format_number(st.whisker_hi),
-                        len(st.outliers), "", "", "", ""])
-        if report.skin_fit is not None:
-            slope, intercept, ci_s, ci_i = report.skin_fit
-            w.writerow(["skin_regression", "hr", "all", len(report.skin_points),
-                        "", "", "", "", "", "", "",
-                        format_number(slope), format_number(intercept),
-                        format_number(ci_s), format_number(ci_i)])
+    rows = []
+    for summ in report.hr_summaries + report.rr_summaries:
+        st = summ.stats
+        rows.append(["condition_stats", summ.signal, summ.condition, summ.n, summ.rmse,
+                     st.median, st.q1, st.q3, st.whisker_lo, st.whisker_hi,
+                     len(st.outliers), None, None, None, None])
+    if report.skin_fit is not None:
+        rows.append(["skin_regression", "hr", "all", len(report.skin_points),
+                     None, None, None, None, None, None, None, *report.skin_fit])
+    write_csv(path, SUMMARY_HEADER, rows)
 
 
 # ------------------------- SVG rendering -------------------------
@@ -480,8 +451,9 @@ def render_boxplot(summaries, title, ylabel):
 
 
 def render_scatter(points, fit, title, xlabel, ylabel):
-    """Scatter of (x, y) points; when `fit` is given, adds the OLS line and
-    the pointwise 95% confidence band of the mean response."""
+    """Scatter of (x, y) points; when `fit` (the linear_fit of the points)
+    is given, adds the OLS line and the pointwise 95% confidence band of
+    the mean response."""
     canvas = SvgCanvas(460, 340)
     if not points:
         canvas.text(canvas.width / 2, 170, "no data points", anchor="middle")
@@ -495,16 +467,10 @@ def render_scatter(points, fit, title, xlabel, ylabel):
 
     band = None
     if fit is not None:
-        slope, intercept, _, _ = fit
-        n = len(xs)
-        xbar = float(xs.mean())
-        sxx = float(np.sum((xs - xbar) ** 2))
-        resid = ys - (slope * xs + intercept)
-        s2 = float(np.sum(resid ** 2)) / max(n - 2, 1)
-        tcrit = float(sstats.t.ppf(0.975, max(n - 2, 1)))
+        slope, intercept, xbar, sxx, s2, tcrit = _ols(xs, ys)
         gx = np.linspace(x_lo, x_hi, 50)
         gy = slope * gx + intercept
-        half = tcrit * np.sqrt(s2 * (1.0 / n + (gx - xbar) ** 2 / sxx))
+        half = tcrit * np.sqrt(s2 * (1.0 / len(xs) + (gx - xbar) ** 2 / sxx))
         band = (gx, gy, half)
         y_hi = max(y_hi, float((gy + half).max()) * 1.05)
         y_lo = min(y_lo, float((gy - half).min()))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .dsp import SignalTooShort, cubic_spline, detrend, estimate_rate
+from .dsp import SignalTooShort, check_window, cubic_spline, detrend, estimate_rate
 
 
 @dataclass
@@ -83,5 +83,7 @@ def ppg_like(peaks, duration):
 def gt_hr_flagged(ecg, cfg=None):
     """(reference heart rate in beats/minute, flags) from an ECG channel."""
     cfg = cfg or PipelineConfig()
+    # before peak detection: too short is too short, whatever the beat count
+    check_window(len(ecg), cfg.physio_stft)
     signal = ppg_like(ecg_peaks(ecg, cfg), ecg.duration)
     return estimate_rate(signal, cfg.hr_band, cfg.physio_stft, cfg.filter_order)

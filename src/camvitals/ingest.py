@@ -1,5 +1,6 @@
 """On-disk formats: P6 PPM frame sequences with a plain-text trial manifest,
-and the physio CSV (t,ecg,resp,trigger)."""
+the physio CSV (t,ecg,resp,trigger), and the CSV dialect that it shares with
+truth.csv and the result files."""
 
 import csv
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import TimeSeries
+from .geometry import validate_rect
 
 CONDITIONS = ("respiration", "workout", "gaze")
 HOLD_BREATH_TASK = 2
@@ -289,12 +291,16 @@ def _roi_blocks(clip, rois):
     Yields (first frame index, box, pixels) in frame order, one block per
     run of consecutive equal boxes, cut every _ROI_BLOCK_FRAMES frames.
     `pixels` is the (frames, box pixels, 3) array of the box in each frame
-    of the block, in the clip's dtype.
+    of the block, in the clip's dtype. Raises ValueError unless there is
+    one ROI per frame, each non-empty and inside the frame.
     """
     n = len(rois)
+    if n != clip.n_frames:
+        raise ValueError(f"{n} ROIs for {clip.n_frames} frames")
     start = 0
     while start < n:
         box = rois[start]
+        validate_rect(box, clip.width, clip.height, f"ROI of frame {start}")
         stop = start + 1
         limit = min(n, start + _ROI_BLOCK_FRAMES)
         while stop < limit and rois[stop] == box:
@@ -313,34 +319,87 @@ def to_grayscale(clip):
     return np.clip(np.rint(gray), 0, 255).astype(np.uint8)
 
 
+# ------------------------- CSV dialect -------------------------
+# Every CSV the package writes or reads: ASCII, "\n" line ends, a fixed
+# header checked verbatim, the header's cell count on every row, floats in
+# shortest round-trip form, an empty cell for a missing value, and flags
+# ";"-joined in sorted order. Every error names the file and line.
+
+def format_number(x):
+    """Shortest decimal string that round-trips to the same float."""
+    return repr(float(x))
+
+
+def _csv_cell(v):
+    if v is None:
+        return ""
+    if isinstance(v, (float, np.floating)):
+        return format_number(v)
+    if isinstance(v, (set, frozenset)):
+        return ";".join(sorted(v))
+    return v
+
+
+def write_csv(path, header, rows):
+    """Write `header` and `rows` in this dialect; other cells as csv writes them."""
+    with open(path, "w", newline="", encoding="ascii") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([_csv_cell(v) for v in row] for row in rows)
+
+
+def read_csv(path, header):
+    """Yield (line number, row) for each row of a CSV written under
+    `header`, after checking the header and the row's cell count."""
+    with open(path, "r", newline="", encoding="ascii") as f:
+        reader = csv.reader(f)
+        got = next(reader, None)
+        if got != header:
+            raise FormatError(f"{path}:1: expected header {header}, got {got}")
+        n = len(header)
+        for row in reader:
+            if len(row) != n:
+                raise FormatError(
+                    f"{path}:{reader.line_num}: expected {n} cells, got {len(row)}")
+            yield reader.line_num, row
+
+
+def _parse_cell(convert, cell, column, where):
+    try:
+        return convert(cell)
+    except ValueError:
+        raise FormatError(f"{where}: {column} {cell!r} is not a number") from None
+
+
+def _optional_float(cell):
+    return None if cell == "" else float(cell)
+
+
+def _parse_row(converters, row, header, where):
+    return [_parse_cell(c, cell, column, where)
+            for c, cell, column in zip(converters, row, header)]
+
+
 # ------------------------- physio CSV -------------------------
 
 PHYSIO_HEADER = ["t", "ecg", "resp", "trigger"]
+_PHYSIO_TYPES = (float, float, float, int)
 _T_TOLERANCE = 1e-6  # seconds
 
 
 def load_physio_csv(path):
     """Parse `t,ecg,resp,trigger` CSV; the sample rate is inferred from the
     (strictly uniform) time column."""
-    with open(path, "r", newline="", encoding="ascii") as f:
-        reader = csv.reader(f)
+    t, ecg, resp, trig = [], [], [], []
+    for line, row in read_csv(path, PHYSIO_HEADER):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        if header != PHYSIO_HEADER:
-            raise FormatError(f"{path}: header {header} != {PHYSIO_HEADER}")
-        t, ecg, resp, trig = [], [], [], []
-        for lineno, row in enumerate(reader, 2):
-            if len(row) != 4:
-                raise FormatError(f"{path}:{lineno}: expected 4 columns")
-            try:
-                t.append(float(row[0]))
-                ecg.append(float(row[1]))
-                resp.append(float(row[2]))
-                trig.append(int(row[3]))
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-numeric cell") from None
+            t.append(float(row[0]))
+            ecg.append(float(row[1]))
+            resp.append(float(row[2]))
+            trig.append(int(row[3]))
+        except ValueError:
+            # cell by cell, to name the column; this raises
+            _parse_row(_PHYSIO_TYPES, row, PHYSIO_HEADER, f"{path}:{line}")
     if len(t) < 2:
         raise FormatError(f"{path}: need at least 2 samples to infer a rate")
     t = np.array(t)
@@ -357,18 +416,7 @@ def load_physio_csv(path):
 
 
 def write_physio_csv(path, record):
-    n = len(record.ecg)
     dt = 1.0 / record.sample_rate
-    with open(path, "w", newline="", encoding="ascii") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(PHYSIO_HEADER)
-        for i in range(n):
-            w.writerow([format_number(i * dt),
-                        format_number(record.ecg.samples[i]),
-                        format_number(record.resp.samples[i]),
-                        int(record.trigger[i])])
-
-
-def format_number(x):
-    """Shortest decimal string that round-trips to the same float."""
-    return repr(float(x))
+    write_csv(path, PHYSIO_HEADER, zip(
+        [i * dt for i in range(len(record.ecg))], record.ecg.samples.tolist(),
+        record.resp.samples.tolist(), record.trigger.tolist()))

@@ -3,7 +3,6 @@ channel carries the pulse, a chest band whose edge carries breathing
 motion, plus matching ECG / belt channels — the oracle for every
 behavioral test, including the skin-tone sweep."""
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,10 +11,10 @@ from scipy import ndimage
 
 from .dsp import TimeSeries
 from .geometry import Rect
-from .ingest import (MANIFEST_FILE, PHYSIO_FILE, PhysioRecord, TrialEntry,
-                     TrialManifest, VideoClip, format_number, frame_path,
-                     write_manifest, write_physio_csv, write_ppm, LUMA_R,
-                     LUMA_G, LUMA_B)
+from .ingest import (HOLD_BREATH_TASK, MANIFEST_FILE, PHYSIO_FILE, PhysioRecord,
+                     TrialEntry, TrialManifest, VideoClip, _parse_row, frame_path,
+                     read_csv, write_csv, write_manifest, write_physio_csv,
+                     write_ppm, LUMA_R, LUMA_G, LUMA_B)
 
 BACKGROUND_GRAY = 40.0
 BASE_SKIN = (200.0, 150.0, 130.0)
@@ -28,6 +27,7 @@ TRUTH_FILE = "truth.csv"
 
 TRUTH_HEADER = ["trial_id", "hr_bpm", "rr_brpm", "face_x", "face_y",
                 "face_w", "face_h", "mean_face_gray"]
+_TRUTH_TYPES = (int, float, float, int, int, int, int, float)
 
 
 @dataclass(frozen=True)
@@ -238,7 +238,7 @@ def synth_dataset(protocol, base_cfg, out_dir, seed=0, physio_rate=PHYSIO_RATE,
     for plan in protocol:
         override = (rates or {}).get(plan.trial_id)
         hr, rr = override if override is not None else _trial_rates(plan, seed)
-        hold_breath = plan.task_id == 2
+        hold_breath = plan.task_id == HOLD_BREATH_TASK
         cfg = SynthConfig(width=base_cfg.width, height=base_cfg.height,
                           fps=base_cfg.fps, duration=plan.duration,
                           hr_bpm=hr, rr_brpm=rr, tone=base_cfg.tone,
@@ -278,27 +278,15 @@ def synth_dataset(protocol, base_cfg, out_dir, seed=0, physio_rate=PHYSIO_RATE,
                           resp=TimeSeries(np.concatenate(resp_parts), physio_rate),
                           trigger=np.concatenate(trig_parts))
     write_physio_csv(out_dir / PHYSIO_FILE, record)
-
-    with open(out_dir / TRUTH_FILE, "w", newline="", encoding="ascii") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(TRUTH_HEADER)
-        for row in truth_rows:
-            writer.writerow([row[0]] + [format_number(v) if isinstance(v, float) else v
-                                        for v in row[1:]])
+    write_csv(out_dir / TRUTH_FILE, TRUTH_HEADER, truth_rows)
 
 
 def read_truth_csv(path):
     """Parse truth.csv back into a {trial_id: SynthTruth} mapping."""
     out = {}
-    with open(path, "r", newline="", encoding="ascii") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != TRUTH_HEADER:
-            raise ValueError(f"{path}: unexpected truth header {header}")
-        for row in reader:
-            tid = int(row[0])
-            out[tid] = SynthTruth(
-                hr_bpm=float(row[1]), rr_brpm=float(row[2]),
-                face_box=Rect(int(row[3]), int(row[4]), int(row[5]), int(row[6])),
-                mean_face_gray=float(row[7]))
+    for line, row in read_csv(path, TRUTH_HEADER):
+        tid, hr, rr, x, y, w, h, gray = _parse_row(_TRUTH_TYPES, row, TRUTH_HEADER,
+                                                   f"{path}:{line}")
+        out[tid] = SynthTruth(hr_bpm=hr, rr_brpm=rr, face_box=Rect(x, y, w, h),
+                              mean_face_gray=gray)
     return out

@@ -15,7 +15,7 @@ import numpy as np
 # bandpass is unused here: the benchmark's tracer test reads vitals.bandpass
 from .dsp import TimeSeries, bandpass  # noqa: F401
 from .geometry import Rect
-from .ingest import LUMA_B, LUMA_G, LUMA_R, _roi_blocks
+from .ingest import _roi_blocks, to_grayscale
 
 
 @dataclass
@@ -51,8 +51,6 @@ def spherical_mean_trace(clip, rois):
     sign so the first nonzero sample is non-negative. A constant-color
     clip has zero tangent variance and yields an all-zero scalar.
     """
-    if len(rois) != clip.n_frames:
-        raise ValueError(f"{len(rois)} ROIs for {clip.n_frames} frames")
     n = clip.n_frames
     means = np.empty((n, 3))
     for t0, _, block in _roi_blocks(clip, rois):
@@ -105,8 +103,6 @@ def _check_not_black(counts, t0):
 
 def green_chromaticity_trace(clip, rois):
     """Fallback pulse feature: per-frame mean of G / (R + G + B)."""
-    if len(rois) != clip.n_frames:
-        raise ValueError(f"{len(rois)} ROIs for {clip.n_frames} frames")
     out = np.empty(clip.n_frames)
     for t0, _, block in _roi_blocks(clip, rois):
         px = block.astype(np.float64)
@@ -126,16 +122,10 @@ def green_chromaticity_trace(clip, rois):
 def mean_gray_trace(clip, rois):
     """Per-frame mean Rec.601 gray over the ROI (grayscale conversion is
     rounded per pixel, matching the file-format convention)."""
-    if len(rois) != clip.n_frames:
-        raise ValueError(f"{len(rois)} ROIs for {clip.n_frames} frames")
     out = np.empty(clip.n_frames)
     for t0, _, block in _roi_blocks(clip, rois):
-        if block.size == 0:
-            raise ValueError(f"empty ROI in frame {t0}")
-        px = block.astype(np.float64)
-        gray = np.clip(np.rint(LUMA_R * px[..., 0] + LUMA_G * px[..., 1] + LUMA_B * px[..., 2]),
-                       0, 255)
-        out[t0:t0 + len(block)] = gray.mean(axis=1)
+        # integer gray levels: their float64 sums are exact in any order
+        out[t0:t0 + len(block)] = to_grayscale(block).mean(axis=1)
     return TimeSeries(out, clip.fps)
 
 

@@ -249,17 +249,27 @@ def _analysis_args(command, data, out):
     return args + ["--roi", ROI, "--crop", NOCROP] if command == "estimate" else args
 
 
+@pytest.fixture(scope="module")
+def few_beats_and_long(tmp_path_factory):
+    """Trial 1 lasts 2.2 s at 30 bpm: 66 frames and 282 physio samples,
+    with too few ECG beats to rebuild a pulse from. Trial 2 lasts 20 s."""
+    out = tmp_path_factory.mktemp("few_beats_long")
+    synth_dataset([TrialPlan(1, "respiration", 1, 2.2), TrialPlan(2, "respiration", 1, 20.0)],
+                  SynthConfig(width=32, height=32), out, seed=3,
+                  rates={1: (30.0, 15.0), 2: (72.0, 15.0)})
+    return out
+
+
 RATE_COLUMNS = {"estimate": ("hr_est", "rr_est"), "groundtruth": ("hr_gt", "rr_gt")}
 
 
-@pytest.mark.parametrize("command", ["estimate", "groundtruth"])
-def test_trial_too_short_for_its_window_is_named(command, short_and_long, tmp_path, capsys):
-    out = tmp_path / "out.csv"
+def _check_short_trial_flagged(command, data, n, window, out, capsys):
+    """`command` exits 0, names trial 1 as too short for its window, gives
+    it the too_short flag and empty rates, and rates trial 2."""
     capsys.readouterr()
-    assert main(_analysis_args(command, short_and_long, out)) == 0
+    assert main(_analysis_args(command, data, out)) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    n, window = (180, 256) if command == "estimate" else (768, 1024)
     assert (f"trial 1: signal of {n} samples shorter than window {window} (too_short)"
             in captured.out.splitlines())
     short, long = read_rows(out)
@@ -269,6 +279,20 @@ def test_trial_too_short_for_its_window_is_named(command, short_and_long, tmp_pa
         assert long[column] != ""
     assert "too_short" not in long["flags"]
     assert abs(float(long[RATE_COLUMNS[command][0]]) - 72.0) < 1.0
+
+
+@pytest.mark.parametrize("command", ["estimate", "groundtruth"])
+def test_trial_too_short_for_its_window_is_named(command, short_and_long, tmp_path, capsys):
+    n, window = (180, 256) if command == "estimate" else (768, 1024)
+    _check_short_trial_flagged(command, short_and_long, n, window, tmp_path / "out.csv", capsys)
+
+
+@pytest.mark.parametrize("command", ["estimate", "groundtruth"])
+def test_trial_with_few_beats_too_short_for_its_window_is_named(command, few_beats_and_long,
+                                                                tmp_path, capsys):
+    n, window = (66, 256) if command == "estimate" else (282, 1024)
+    _check_short_trial_flagged(command, few_beats_and_long, n, window, tmp_path / "out.csv",
+                               capsys)
 
 
 def test_too_short_trial_is_left_out_of_scoring(short_and_long, tmp_path):
@@ -342,6 +366,17 @@ def test_evaluate_rejects_mismatched_trials(estimates_csv, groundtruth_csv,
     assert rc == 1
     err = capsys.readouterr().err
     assert "trial_id 1" in err and "estimates only" in err
+
+
+def test_evaluate_names_a_trial_id_duplicated_in_estimates(estimates_csv, groundtruth_csv,
+                                                          tmp_path, capsys):
+    doubled = tmp_path / "est.csv"
+    header, row = estimates_csv.read_text().splitlines()
+    doubled.write_text(f"{header}\n{row}\n{row}\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--estimates", str(doubled),
+                 "--groundtruth", str(groundtruth_csv), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == f"error: {doubled}:3: duplicate trial_id 1\n"
 
 
 def test_evaluate_rejects_foreign_header(estimates_csv, tmp_path, capsys):

@@ -1,15 +1,18 @@
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from camvitals.dsp import TimeSeries
-from camvitals.ingest import (FormatError, PhysioRecord, TrialEntry,
+from camvitals.evaluation import TRIALS_HEADER, read_trials_csv
+from camvitals.ingest import (PHYSIO_HEADER, FormatError, PhysioRecord, TrialEntry,
                               TrialManifest, VideoClip, crop_clip,
                               format_number, frame_path, load_physio_csv,
                               parse_manifest, read_frame_range, read_ppm,
                               to_grayscale, write_manifest, write_physio_csv,
                               write_ppm)
+from camvitals.synth import TRUTH_HEADER, read_truth_csv
 
 
 def rand_frames(rng, n, h, w):
@@ -274,3 +277,35 @@ def test_format_number_round_trips_floats():
         x = float(rng.normal(scale=10.0 ** rng.integers(-6, 7)))
         assert float(format_number(x)) == x
     assert format_number(72.0) == "72.0"
+
+
+# ------------------------- CSV dialect -------------------------
+
+# reader, header, a valid row, a short row, (a row with a bad cell, its column)
+CSV_READERS = {
+    "physio": (load_physio_csv, PHYSIO_HEADER, "0.0,0.5,-0.5,1",
+               "0.0,0.5", ("0.0078125,0.5,abc,0", "resp")),
+    "truth": (read_truth_csv, TRUTH_HEADER, "1,72.0,15.0,12,5,8,10,162.67",
+              "1,72.0", ("2,72.0,15.0,12,5,eight,10,162.67", "face_w")),
+    "trials": (read_trials_csv, TRIALS_HEADER, "1,gaze,3,70.0,71.0,,,,",
+               "1,gaze,3,70.0", ("2,gaze,3,70.0,x,,,,", "hr_gt")),
+}
+
+
+@pytest.mark.parametrize("case", ["foreign header", "short row", "bad cell"])
+@pytest.mark.parametrize("kind", sorted(CSV_READERS))
+def test_csv_readers_name_the_line_of_a_bad_row(kind, case, tmp_path):
+    read, header, good, short, (bad, column) = CSV_READERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    if case == "foreign header":
+        lines = ["a,b,c", good]
+        message = f"1: expected header {header}, got ['a', 'b', 'c']"
+    elif case == "short row":
+        lines = [",".join(header), short]
+        message = f"2: expected {len(header)} cells, got {short.count(',') + 1}"
+    else:
+        lines = [",".join(header), good, bad]
+        message = f"3: {column} '{bad.split(',')[header.index(column)]}' is not a number"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}:{message}')}$"):
+        read(path)

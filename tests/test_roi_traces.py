@@ -130,3 +130,18 @@ def test_all_black_roi_in_a_later_block_names_its_frame(trace):
     rois = [Rect(2, 2, 4, 4)] * 200
     with pytest.raises(ValueError, match="frame 150$"):
         trace(clip, rois)
+
+
+@pytest.mark.parametrize("rois,message", [
+    ([Rect(2, 2, 4, 4)] * 199, "^199 ROIs for 200 frames$"),
+    ([Rect(2, 2, 4, 4)] * 100 + [Rect(5, 2, 4, 4)] * 100,
+     r"^ROI of frame 100 Rect\(x=5, y=2, w=4, h=4\) outside 8x8 frame$"),
+    ([Rect(2, 2, 4, 4)] * 70 + [Rect(2, 2, 0, 4)] * 130,
+     r"^ROI of frame 70 has non-positive size: Rect\(x=2, y=2, w=0, h=4\)$"),
+], ids=["count", "outside", "empty"])
+@pytest.mark.parametrize("function", [spherical_mean_trace, green_chromaticity_trace,
+                                      mean_gray_trace, skin_tone_gray])
+def test_every_roi_function_checks_its_rois(function, rois, message):
+    clip = VideoClip(np.full((200, 8, 8, 3), 120, dtype=np.uint8), 30.0)
+    with pytest.raises(ValueError, match=message):
+        function(clip, rois)
