@@ -5,6 +5,7 @@ flat `key = value` file format and CLI override."""
 from dataclasses import dataclass, fields, replace
 
 from .dsp import PHYSIO_STFT, VIDEO_STFT, DEFAULT_FILTER_ORDER, StftSpec
+from .ingest import not_ascii
 
 SCALARIZATIONS = ("spherical_log_map", "green_chromaticity")
 
@@ -101,19 +102,22 @@ def load_config(path, base=None):
     known = {f.name: by_name.get(f.type, f.type) if isinstance(f.type, str) else f.type
              for f in fields(PipelineConfig)}
     updates = {}
-    with open(path, "r", encoding="ascii") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected `key = value`")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            updates[key] = _coerce(key, value, known[key])
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            for lineno, raw in enumerate(f, 1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"{path}:{lineno}: expected `key = value`")
+                key, _, value = line.partition("=")
+                key = key.strip()
+                value = value.strip()
+                if key not in known:
+                    raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+                updates[key] = _coerce(key, value, known[key])
+    except UnicodeDecodeError as e:
+        raise ValueError(not_ascii(path, e)) from None
     try:
         return replace(cfg, **updates)
     except ValueError as e:

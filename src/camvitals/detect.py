@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Rect, validate_rect
-from .ingest import to_grayscale
+from .ingest import not_ascii, to_grayscale
 
 DEFAULT_SCALE_FACTOR = 1.1
 DEFAULT_MIN_NEIGHBORS = 3
@@ -145,6 +145,8 @@ def load_cascade(path):
         d = json.loads(Path(path).read_text(encoding="ascii"))
     except json.JSONDecodeError as e:
         raise CascadeFormatError(f"{path}: invalid JSON: {e}") from None
+    except UnicodeDecodeError as e:
+        raise CascadeFormatError(not_ascii(path, e)) from None
     return cascade_from_dict(d)
 
 

@@ -1,13 +1,16 @@
 """Signal toolbox: detrending, zero-phase bandpass, windowed spectral peak
 tracking, and the rate estimator shared by the video and physio paths."""
 
+# scipy is imported inside the functions that use it: `scipy.signal` alone
+# takes over a second to import, and `evaluate`, `synth` and
+# `convert-cascade` never filter, so they should not pay for it.
+
+import functools
 import math
 import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _signal
-from scipy.interpolate import CubicSpline
 
 DEFAULT_FILTER_ORDER = 3
 
@@ -134,10 +137,21 @@ def detrend(ts, window_s):
 
 def design_bandpass(spec, sample_rate):
     """Second-order-section coefficients for the given bandpass spec."""
+    from scipy import signal
+
     if spec.high >= sample_rate / 2:
         raise ValueError(f"band high {spec.high} Hz >= Nyquist at {sample_rate} Hz")
-    return _signal.butter(spec.order, [spec.low, spec.high], btype="bandpass",
-                          fs=sample_rate, output="sos")
+    return signal.butter(spec.order, [spec.low, spec.high], btype="bandpass",
+                         fs=sample_rate, output="sos")
+
+
+@functools.cache
+def _cached_sos(spec, sample_rate):
+    """design_bandpass, once per (spec, sample_rate); the array is shared by
+    every caller, so it is read-only."""
+    sos = design_bandpass(spec, sample_rate)
+    sos.flags.writeable = False
+    return sos
 
 
 def bandpass(ts, spec):
@@ -160,8 +174,11 @@ def bandpass(ts, spec):
     padlen = 3 * (2 * spec.order + 1)
     if len(ts) <= 3 * padlen:
         raise SignalTooShort(f"signal of {len(ts)} samples too short for padding of {padlen}")
-    sos = design_bandpass(spec, ts.sample_rate)
-    y = _signal.sosfiltfilt(sos, ts.samples, padtype="even", padlen=padlen)
+    from scipy import signal
+
+    # sosfilt rejects a read-only buffer, so filter with a copy
+    sos = _cached_sos(spec, ts.sample_rate).copy()
+    y = signal.sosfiltfilt(sos, ts.samples, padtype="even", padlen=padlen)
     return TimeSeries(y, ts.sample_rate)
 
 
@@ -251,6 +268,8 @@ def cubic_spline(knot_t, knot_v, sample_rate, duration):
         raise ValueError(f"need >= 3 knots, got {len(knot_t)}")
     if np.any(np.diff(knot_t) <= 0):
         raise ValueError("knot times must be strictly increasing")
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(knot_t, knot_v, bc_type="natural")
     t = np.arange(int(round(duration * sample_rate))) / sample_rate
     values = spline(np.clip(t, knot_t[0], knot_t[-1]))

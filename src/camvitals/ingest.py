@@ -29,6 +29,12 @@ class FormatError(ValueError):
     """A file failed to parse against its documented format."""
 
 
+def not_ascii(path, err):
+    """Error message for a UnicodeDecodeError met reading `path` as ASCII.
+    The decoder reads in chunks, so it cannot say on which line."""
+    return f"{path}: not ASCII text (byte 0x{err.object[err.start]:02x})"
+
+
 @dataclass
 class VideoClip:
     """Frame stack (T, H, W, 3) with a fixed frame rate.
@@ -201,25 +207,28 @@ def parse_manifest(path):
     """
     header = {}
     entries = []
-    with open(path, "r", encoding="ascii") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" in line and len(line.split()) == 1:
-                key, _, value = line.partition("=")
-                header[key.strip()] = value.strip()
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise FormatError(f"{path}:{lineno}: expected 6 trial fields, got {len(parts)}")
-            try:
-                entries.append(TrialEntry(
-                    trial_id=int(parts[0]), condition=parts[1], task_id=int(parts[2]),
-                    start_frame=int(parts[3]), frame_count=int(parts[4]),
-                    trigger_code=int(parts[5])))
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-numeric trial field") from None
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            for lineno, raw in enumerate(f, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" in line and len(line.split()) == 1:
+                    key, _, value = line.partition("=")
+                    header[key.strip()] = value.strip()
+                    continue
+                parts = line.split()
+                if len(parts) != 6:
+                    raise FormatError(f"{path}:{lineno}: expected 6 trial fields, got {len(parts)}")
+                try:
+                    entries.append(TrialEntry(
+                        trial_id=int(parts[0]), condition=parts[1], task_id=int(parts[2]),
+                        start_frame=int(parts[3]), frame_count=int(parts[4]),
+                        trigger_code=int(parts[5])))
+                except ValueError:
+                    raise FormatError(f"{path}:{lineno}: non-numeric trial field") from None
+    except UnicodeDecodeError as e:
+        raise FormatError(not_ascii(path, e)) from None
     try:
         fps = float(header["fps"])
         width = int(header["width"])
@@ -351,17 +360,20 @@ def write_csv(path, header, rows):
 def read_csv(path, header):
     """Yield (line number, row) for each row of a CSV written under
     `header`, after checking the header and the row's cell count."""
-    with open(path, "r", newline="", encoding="ascii") as f:
-        reader = csv.reader(f)
-        got = next(reader, None)
-        if got != header:
-            raise FormatError(f"{path}:1: expected header {header}, got {got}")
-        n = len(header)
-        for row in reader:
-            if len(row) != n:
-                raise FormatError(
-                    f"{path}:{reader.line_num}: expected {n} cells, got {len(row)}")
-            yield reader.line_num, row
+    try:
+        with open(path, "r", newline="", encoding="ascii") as f:
+            reader = csv.reader(f)
+            got = next(reader, None)
+            if got != header:
+                raise FormatError(f"{path}:1: expected header {header}, got {got}")
+            n = len(header)
+            for row in reader:
+                if len(row) != n:
+                    raise FormatError(
+                        f"{path}:{reader.line_num}: expected {n} cells, got {len(row)}")
+                yield reader.line_num, row
+    except UnicodeDecodeError as e:
+        raise FormatError(not_ascii(path, e)) from None
 
 
 def _parse_cell(convert, cell, column, where):

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .dsp import TimeSeries
 from .geometry import Rect
@@ -113,6 +112,8 @@ def synth_clip(cfg):
         frames[:, :, :, c] += coverage[:, :, None] * (CHEST_COLOR[c] - BACKGROUND_GRAY)
 
     if cfg.blur_radius > 0:
+        from scipy import ndimage
+
         k = 2 * cfg.blur_radius + 1
         for i in range(n):
             frames[i] = ndimage.uniform_filter(frames[i], size=(k, k, 1), mode="nearest")

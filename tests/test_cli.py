@@ -409,6 +409,19 @@ def test_evaluate_names_the_line_of_a_non_numeric_cell(estimates_csv, groundtrut
     assert capsys.readouterr().err == f"error: {bad}:2: trial_id 'x' is not a number\n"
 
 
+def test_groundtruth_names_a_physio_file_that_is_not_ascii(dataset, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    (ds / "manifest.txt").write_bytes((dataset / "manifest.txt").read_bytes())
+    header, first, rest = (dataset / "physio.csv").read_bytes().split(b"\n", 2)
+    t, ecg, resp, trigger = first.split(b",")
+    physio = ds / "physio.csv"
+    physio.write_bytes(b"\n".join([header, b",".join([t, ecg, resp + b"\xe9", trigger]), rest]))
+    capsys.readouterr()
+    assert main(["groundtruth", "--data", str(ds), "--out", str(tmp_path / "gt.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {physio}: not ASCII text (byte 0xe9)\n"
+
+
 def test_all_trials_failing_detection_exits_one(tmp_path, capsys):
     ds = tmp_path / "blank"
     ds.mkdir()

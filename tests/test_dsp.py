@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.signal
 
+from camvitals import dsp
+from camvitals.config import PipelineConfig
 from camvitals.dsp import (DEFAULT_FILTER_ORDER, PHYSIO_STFT, VIDEO_STFT,
                            BandpassSpec, SignalTooShort, StftSpec, TimeSeries,
                            bandpass, cubic_spline, detrend, estimate_rate,
@@ -146,6 +149,63 @@ def test_bandpass_rejects_short_signal_and_bad_band():
         bandpass(TimeSeries(np.zeros(30), 30.0), BandpassSpec(0.7, 2.5, 3))
     with pytest.raises(ValueError):
         bandpass(TimeSeries(np.zeros(900), 30.0), BandpassSpec(0.7, 16.0, 3))
+
+
+# the bands the pipeline filters with, at the video and physio sample rates
+_CFG = PipelineConfig()
+_PIPELINE_DESIGNS = [(BandpassSpec(*band, _CFG.filter_order), rate)
+                     for band in (_CFG.hr_band, _CFG.rr_band) for rate in (30.0, 128.0)]
+
+
+@pytest.mark.parametrize("spec,rate", _PIPELINE_DESIGNS,
+                         ids=[f"{s.low}-{s.high}Hz@{r:g}" for s, r in _PIPELINE_DESIGNS])
+def test_cached_design_is_the_butterworth_design_bit_for_bit(spec, rate):
+    want = scipy.signal.butter(spec.order, [spec.low, spec.high], btype="bandpass",
+                               fs=rate, output="sos")
+    got = dsp._cached_sos(spec, rate)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_bandpass_designs_once_per_band_and_rate(monkeypatch):
+    calls = []
+    butter = scipy.signal.butter
+
+    def counting_butter(*args, **kwargs):
+        calls.append(args)
+        return butter(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.signal, "butter", counting_butter)
+    dsp._cached_sos.cache_clear()
+    try:
+        ts = sine(1.2, 30.0, 20.0)
+        first = bandpass(ts, BandpassSpec(0.7, 2.5, 3))
+        second = bandpass(ts, BandpassSpec(0.7, 2.5, 3))
+        assert len(calls) == 1
+        assert first.samples.tobytes() == second.samples.tobytes()
+        bandpass(ts, BandpassSpec(0.2, 0.5, 3))
+        bandpass(TimeSeries(ts.samples, 31.0), BandpassSpec(0.7, 2.5, 3))
+        assert len(calls) == 3
+    finally:
+        dsp._cached_sos.cache_clear()
+
+
+def test_cached_design_survives_repeated_filtering_unchanged():
+    spec = BandpassSpec(0.7, 2.5, 3)
+    sos = dsp._cached_sos(spec, 30.0)
+    before = sos.tobytes()
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        bandpass(TimeSeries(rng.normal(size=300), 30.0), spec)
+    assert dsp._cached_sos(spec, 30.0) is sos
+    assert sos.tobytes() == before
+    assert not sos.flags.writeable
+
+
+def test_band_at_nyquist_raises_on_every_call():
+    ts = TimeSeries(np.zeros(900), 30.0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="Nyquist"):
+            bandpass(ts, BandpassSpec(0.7, 15.0, 3))
 
 
 # ------------------------- STFT peaks -------------------------

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from camvitals.dsp import TimeSeries
 from camvitals.evaluation import (BoxplotStats, TrialRecord, boxplot_stats,
@@ -134,6 +135,24 @@ def test_linear_fit_frozen_case():
     assert intercept == pytest.approx(1.04, abs=1e-12)
     assert ci_s == pytest.approx(0.17137997843812058, abs=1e-9)
     assert ci_i == pytest.approx(0.41979349930257864, abs=1e-9)
+
+
+def test_linear_fit_intervals_match_the_scipy_stats_t_quantile():
+    # the t quantile comes from scipy.special.stdtrit; the reference is the
+    # same OLS formula with scipy.stats.t.ppf, bit for bit
+    rng = np.random.default_rng(23)
+    for n in range(3, 201):
+        x = rng.uniform(40.0, 220.0, size=n)
+        y = 0.02 * x + rng.normal(size=n)
+        xbar, ybar = float(np.mean(x)), float(np.mean(y))
+        sxx = float(np.sum((x - xbar) ** 2))
+        slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
+        intercept = ybar - slope * xbar
+        s2 = float(np.sum((y - (slope * x + intercept)) ** 2)) / (n - 2)
+        t = float(scipy.stats.t.ppf(0.975, n - 2))
+        want = (slope, intercept, float(t * np.sqrt(s2 / sxx)),
+                float(t * np.sqrt(s2 * (1.0 / n + xbar ** 2 / sxx))))
+        assert linear_fit(x, y) == want, n
 
 
 def test_linear_fit_rejects_degenerate_inputs():

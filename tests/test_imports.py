@@ -1,0 +1,51 @@
+"""Start-up cost: `import camvitals.cli` and `evaluate` load none of the
+slow scipy subpackages, which the modules import inside the functions that
+use them. Each case runs in a fresh interpreter, since this process has
+long since imported scipy."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from camvitals.evaluation import EST_HEADER, GT_HEADER
+from camvitals.ingest import write_csv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(code):
+    """Run `code` in a new interpreter that imports camvitals from SRC;
+    return the JSON its last stdout line prints."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_scipy():
+    loaded = fresh_python(
+        "import json, sys\n"
+        "import camvitals.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m == 'scipy' or m.startswith('scipy.'))))\n")
+    assert loaded == []
+
+
+def test_evaluate_loads_no_signal_stats_or_interpolate(tmp_path):
+    est, gt = tmp_path / "est.csv", tmp_path / "gt.csv"
+    # four scored trials with distinct skin gray, so the skin regression runs
+    write_csv(est, EST_HEADER, [(i, "gaze", 3, 70.0 + i, 15.0, 100.0 + 10 * i, set())
+                                for i in range(1, 5)])
+    write_csv(gt, GT_HEADER, [(i, "gaze", 3, 71.0, 15.5 + i, set()) for i in range(1, 5)])
+    rc, loaded = fresh_python(
+        "import json, sys\n"
+        "from camvitals import cli\n"
+        f"rc = cli.main(['evaluate', '--estimates', {str(est)!r},\n"
+        f"               '--groundtruth', {str(gt)!r}, '--out', {str(tmp_path / 'report')!r}])\n"
+        "print(json.dumps([rc, [m for m in ('scipy.signal', 'scipy.stats', 'scipy.interpolate')\n"
+        "                       if m in sys.modules]]))\n")
+    assert rc == 0
+    assert loaded == []
+    assert (tmp_path / "report" / "summary.csv").read_text().count("skin_regression") == 1

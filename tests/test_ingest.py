@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from camvitals.config import load_config
+from camvitals.detect import CascadeFormatError, load_cascade
 from camvitals.dsp import TimeSeries
 from camvitals.evaluation import TRIALS_HEADER, read_trials_csv
 from camvitals.ingest import (PHYSIO_HEADER, FormatError, PhysioRecord, TrialEntry,
@@ -309,3 +311,25 @@ def test_csv_readers_name_the_line_of_a_bad_row(kind, case, tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match=f"^{re.escape(f'{path}:{message}')}$"):
         read(path)
+
+
+# file name, reader, its error type, contents with a non-ASCII byte
+NON_ASCII_FILES = {
+    "physio": ("physio.csv", load_physio_csv, FormatError,
+               b"t,ecg,resp,trigger\n0.0,0.5,caf\xe9,1\n"),
+    "manifest": ("manifest.txt", parse_manifest, FormatError,
+                 b"fps=30\nwidth=32\nheight=32\n# caf\xe9\n"),
+    "config": ("pipeline.cfg", load_config, ValueError, b"hr_low = 0.7  # caf\xe9\n"),
+    "cascade": ("cascade.json", load_cascade, CascadeFormatError,
+                b'{"window": [8, 8], "note": "caf\xe9"}\n'),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_ASCII_FILES))
+def test_ascii_readers_name_the_file_of_a_non_ascii_byte(kind, tmp_path):
+    name, read, error, data = NON_ASCII_FILES[kind]
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(error, match=f"^{re.escape(f'{path}: not ASCII text (byte 0xe9)')}$") as e:
+        read(path)
+    assert e.type is error
