@@ -117,13 +117,19 @@ def cascade_to_dict(c):
 
 
 def cascade_from_dict(d):
+    if not isinstance(d, dict):
+        raise CascadeFormatError("cascade must be a JSON object")
     try:
         window = d["window"]
         stages_raw = d["stages"]
-    except (KeyError, TypeError) as e:
+    except KeyError as e:
         raise CascadeFormatError(f"missing cascade key: {e}") from None
     if not (isinstance(window, list) and len(window) == 2):
         raise CascadeFormatError(f"window must be [w, h], got {window!r}")
+    try:
+        window_w, window_h = int(window[0]), int(window[1])
+    except (TypeError, ValueError, OverflowError):
+        raise CascadeFormatError(f"window must be two integers, got {window!r}") from None
     stages = []
     try:
         for s in stages_raw:
@@ -134,9 +140,9 @@ def cascade_from_dict(d):
                 trees.append(Tree(rects=rects, threshold=float(t["threshold"]),
                                   pass_value=float(t["pass"]), fail_value=float(t["fail"])))
             stages.append(Stage(threshold=float(s["threshold"]), trees=tuple(trees)))
-    except (KeyError, TypeError, ValueError, IndexError) as e:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as e:
         raise CascadeFormatError(f"malformed cascade structure: {e}") from None
-    return Cascade(window_w=int(window[0]), window_h=int(window[1]), stages=tuple(stages))
+    return Cascade(window_w=window_w, window_h=window_h, stages=tuple(stages))
 
 
 def load_cascade(path):
@@ -147,7 +153,10 @@ def load_cascade(path):
         raise CascadeFormatError(f"{path}: invalid JSON: {e}") from None
     except UnicodeDecodeError as e:
         raise CascadeFormatError(not_ascii(path, e)) from None
-    return cascade_from_dict(d)
+    try:
+        return cascade_from_dict(d)
+    except CascadeFormatError as e:
+        raise CascadeFormatError(f"{path}: {e}") from None
 
 
 def save_cascade(path, c):

@@ -255,18 +255,36 @@ def read_frame_range(dataset_dir, manifest, start_frame, frame_count):
     """Load a contiguous frame range of a dataset as a VideoClip.
 
     This is the streaming unit: callers load one trial's range at a time
-    instead of the whole recording.
+    instead of the whole recording. A frame whose header is exactly the one
+    write_ppm writes for the manifest's size is read with one readv, its
+    pixels straight into the clip; any other frame goes through read_ppm.
     """
-    frames = np.empty((frame_count, manifest.height, manifest.width, 3), dtype=np.uint8)
+    w, h = manifest.width, manifest.height
+    frames = np.empty((frame_count, h, w, 3), dtype=np.uint8)
+    header = b"P6\n%d %d\n255\n" % (w, h)
+    head = bytearray(len(header))
+    size = len(header) + w * h * 3
     prefix = os.path.join(dataset_dir, "")
     for i in range(frame_count):
         p = prefix + FRAME_PATTERN % (start_frame + i)
-        frame = read_ppm(p)
-        if frame.shape != (manifest.height, manifest.width, 3):
-            raise FormatError(
-                f"{p}: frame is {frame.shape[1]}x{frame.shape[0]}, "
-                f"manifest declares {manifest.width}x{manifest.height}")
-        frames[i] = frame
+        try:
+            fd = os.open(p, os.O_RDONLY)
+            try:
+                n = os.readv(fd, [head, frames[i]])
+            finally:
+                os.close(fd)
+        except OSError as e:
+            raise FormatError(f"{p}: cannot read frame ({e.strerror})") from None
+        # read_ppm would take the same pixels from a file that starts with
+        # `header` and holds them all, trailing bytes or not; any other
+        # file it parses in full, and names what is wrong with it
+        if n < size or head != header:
+            frame = read_ppm(p)
+            if frame.shape != (h, w, 3):
+                raise FormatError(
+                    f"{p}: frame is {frame.shape[1]}x{frame.shape[0]}, "
+                    f"manifest declares {w}x{h}")
+            frames[i] = frame
     return VideoClip(frames, manifest.fps)
 
 
@@ -323,9 +341,15 @@ def to_grayscale(clip):
     """Rec.601 grayscale: round(0.299 R + 0.587 G + 0.114 B) as uint8.
     Accepts a VideoClip or any (..., 3) RGB array."""
     pixels = clip.frames if isinstance(clip, VideoClip) else np.asarray(clip)
-    f = pixels.astype(np.float64)
-    gray = LUMA_R * f[..., 0] + LUMA_G * f[..., 1] + LUMA_B * f[..., 2]
-    return np.clip(np.rint(gray), 0, 255).astype(np.uint8)
+    # the IEEE operations of (R*LUMA_R + G*LUMA_G) + B*LUMA_B on float64
+    # channels, in that order, without a float64 copy of all three
+    gray = np.multiply(pixels[..., 0], LUMA_R, dtype=np.float64)
+    term = np.multiply(pixels[..., 1], LUMA_G, dtype=np.float64)
+    gray += term
+    gray += np.multiply(pixels[..., 2], LUMA_B, out=term, dtype=np.float64)
+    np.rint(gray, out=gray)
+    np.clip(gray, 0, 255, out=gray)
+    return gray.astype(np.uint8)
 
 
 # ------------------------- CSV dialect -------------------------

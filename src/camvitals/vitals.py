@@ -8,6 +8,7 @@ onto the first principal tangent direction. Respiration uses the mean
 grayscale of the area below the face.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,7 @@ def spherical_mean_trace(clip, rois):
         block_means = units.sum(axis=1) / counts[:, None]
         for t, m in enumerate(block_means, t0):
             # 1-D norm per frame: a vectorised norm rounds differently
-            means[t] = m / np.linalg.norm(m)
+            means[t] = m / math.sqrt(m.dot(m))
 
     mu = means.mean(axis=0)
     mu /= np.linalg.norm(mu)

@@ -232,6 +232,19 @@ def test_corrupt_frame_exits_one(tmp_path, capsys):
     assert "frame_000005.ppm" in err
 
 
+def test_missing_frame_exits_one(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["synth", "--out", str(ds), "--duration", "1", "--width", "32",
+                 "--height", "32"]) == 0
+    frame_path(ds, 5).unlink()
+    rc = main(["estimate", "--data", str(ds), "--out", str(tmp_path / "e.csv"),
+               "--roi", ROI, "--crop", NOCROP])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trial 1: ")
+    assert "frame_000005.ppm" in err
+
+
 @pytest.fixture(scope="module")
 def short_and_long(tmp_path_factory):
     """Trial 1 lasts 6 s: 180 frames, under the 256-frame video window, and

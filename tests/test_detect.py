@@ -230,6 +230,25 @@ def test_load_cascade_rejects_bad_json(tmp_path):
         load_cascade(p)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"window": [8, 8]}', "missing cascade key: 'stages'"),
+    ('{"window": ["a", 8], "stages": []}', "window must be two integers, got ['a', 8]"),
+    ('{"window": [Infinity, 8], "stages": []}', "window must be two integers, got [inf, 8]"),
+    ('{"window": [8, 8], "stages": []}', "cascade has no stages"),
+    ('{"window": [8, 8], "stages": [{"threshold": 0, "trees": [{"rects": '
+     '[[Infinity, 0, 1, 1, 1]], "threshold": 0, "pass": 1, "fail": 0}]}]}',
+     "malformed cascade structure: cannot convert float infinity to integer"),
+    ("[1, 2]", "cascade must be a JSON object"),
+], ids=["missing key", "non-integer window", "infinite window", "no stages",
+        "infinite rect", "not an object"])
+def test_load_cascade_names_the_file_of_a_structural_error(tmp_path, text, message):
+    p = tmp_path / "c.json"
+    p.write_text(text)
+    with pytest.raises(CascadeFormatError) as e:
+        load_cascade(p)
+    assert str(e.value) == f"{p}: {message}"
+
+
 def test_cascade_rejects_rect_outside_window():
     tree = Tree(rects=((Rect(4, 4, 8, 8), 1.0),), threshold=0.0,
                 pass_value=1.0, fail_value=0.0)

@@ -8,7 +8,8 @@ from camvitals.config import load_config
 from camvitals.detect import CascadeFormatError, load_cascade
 from camvitals.dsp import TimeSeries
 from camvitals.evaluation import TRIALS_HEADER, read_trials_csv
-from camvitals.ingest import (PHYSIO_HEADER, FormatError, PhysioRecord, TrialEntry,
+from camvitals.ingest import (LUMA_B, LUMA_G, LUMA_R, PHYSIO_HEADER, FormatError,
+                              PhysioRecord, TrialEntry,
                               TrialManifest, VideoClip, crop_clip,
                               format_number, frame_path, load_physio_csv,
                               parse_manifest, read_frame_range, read_ppm,
@@ -138,6 +139,41 @@ def test_to_grayscale_frozen_values():
     assert gray[0, 0, 1] == 255
 
 
+def gray_reference(pixels):
+    """to_grayscale as one float64 expression over a copy of the channels."""
+    f = np.asarray(pixels).astype(np.float64)
+    gray = LUMA_R * f[..., 0] + LUMA_G * f[..., 1] + LUMA_B * f[..., 2]
+    return np.clip(np.rint(gray), 0, 255).astype(np.uint8)
+
+
+def test_to_grayscale_matches_reference_on_every_uint8_triple():
+    gb = np.arange(1 << 16)
+    px = np.empty((gb.size, 3), dtype=np.uint8)
+    px[:, 1], px[:, 2] = gb >> 8, gb & 0xFF
+    for r in range(256):  # 2^16 triples at a time keeps memory small
+        px[:, 0] = r
+        assert np.array_equal(to_grayscale(px), gray_reference(px)), f"R = {r}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_to_grayscale_matches_reference_on_float_frames(dtype):
+    rng = np.random.default_rng(21)
+    frames = rng.uniform(0, 255, size=(4, 16, 16, 3)).astype(dtype)
+    # channel values whose weighted sum lands on or near a .5 rounding tie
+    frames[0, 0, :4] = [[0.5 / LUMA_R, 0, 0], [0, 0, 2.5 / LUMA_B], [127.5, 127.5, 127.5],
+                        [255, 255, 255]]
+    gray = to_grayscale(VideoClip(frames, 30.0))
+    assert gray.dtype == np.uint8
+    assert np.array_equal(gray, gray_reference(frames))
+
+
+def test_to_grayscale_matches_reference_on_a_roi_view():
+    frames = rand_frames(np.random.default_rng(22), 5, 12, 10)
+    view = frames[1::2, 3:9, 2:7, :]
+    assert not view.flags.c_contiguous
+    assert np.array_equal(to_grayscale(view), gray_reference(view))
+
+
 # ------------------------- manifest -------------------------
 
 def make_manifest():
@@ -227,8 +263,57 @@ def test_read_frame_range_rejects_size_mismatch(tmp_path):
     write_ppm(frame_path(tmp_path, 0), np.zeros((3, 4, 3), dtype=np.uint8))
     m = TrialManifest(fps=30.0, width=8, height=8,
                       entries=[TrialEntry(1, "gaze", 3, 0, 1, 1)])
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="frame is 4x3, manifest declares 8x8"):
         read_frame_range(tmp_path, m, 0, 1)
+
+
+# 3x2 frames, whose header as write_ppm writes it is this
+HEADER_3X2 = b"P6\n3 2\n255\n"
+
+
+def test_read_frame_range_equals_read_ppm_per_frame(tmp_path):
+    rng = np.random.default_rng(23)
+    bodies = [rng.integers(0, 256, 18, dtype=np.uint8).tobytes() for _ in range(4)]
+    # pixel data that starts with header-like bytes
+    bodies += [b"\n3 2\n255\n#" + bytes(range(8)), HEADER_3X2 + bytes(range(7))]
+    files = [HEADER_3X2 + bodies[0],
+             b"P6\n# comment\n3 2\n255\n" + bodies[1],
+             b"P6  3\t2\r\n255 " + bodies[2],
+             HEADER_3X2 + bodies[3] + b"trailing bytes",
+             HEADER_3X2 + bodies[4],
+             HEADER_3X2 + bodies[5]]
+    for i, raw in enumerate(files):
+        frame_path(tmp_path, 10 + i).write_bytes(raw)
+    m = TrialManifest(fps=30.0, width=3, height=2,
+                      entries=[TrialEntry(1, "gaze", 3, 10, len(files), 1)])
+    clip = read_frame_range(tmp_path, m, 10, len(files))
+    ref = np.stack([read_ppm(frame_path(tmp_path, 10 + i)) for i in range(len(files))])
+    assert np.array_equal(clip.frames, ref)
+    assert [f.tobytes() for f in clip.frames] == bodies
+
+
+@pytest.mark.parametrize("raw", [HEADER_3X2 + bytes(17), HEADER_3X2[:-1], b"P6\n3", b""],
+                         ids=["truncated pixels", "header less its last byte",
+                              "truncated header", "empty"])
+def test_read_frame_range_fails_as_read_ppm(tmp_path, raw):
+    frame_path(tmp_path, 0).write_bytes(HEADER_3X2 + bytes(18))
+    frame_path(tmp_path, 1).write_bytes(raw)
+    m = TrialManifest(fps=30.0, width=3, height=2,
+                      entries=[TrialEntry(1, "gaze", 3, 0, 2, 1)])
+    with pytest.raises(FormatError) as want:
+        read_ppm(frame_path(tmp_path, 1))
+    with pytest.raises(FormatError) as got:
+        read_frame_range(tmp_path, m, 0, 2)
+    assert str(got.value) == str(want.value)
+
+
+def test_read_frame_range_names_a_missing_frame(tmp_path):
+    write_ppm(frame_path(tmp_path, 0), np.zeros((2, 3, 3), dtype=np.uint8))
+    m = TrialManifest(fps=30.0, width=3, height=2,
+                      entries=[TrialEntry(1, "gaze", 3, 0, 2, 1)])
+    with pytest.raises(FormatError, match=re.escape(
+            f"{frame_path(tmp_path, 1)}: cannot read frame (No such file or directory)")):
+        read_frame_range(tmp_path, m, 0, 2)
 
 
 # ------------------------- physio CSV -------------------------
