@@ -12,9 +12,9 @@ import sys
 from pathlib import Path
 
 from .config import PipelineConfig, load_config
-from .detect import (CascadeFormatError, DetectionError, convert_opencv_xml,
-                     load_cascade, save_cascade, track_roi)
-from .dsp import BandpassSpec, SignalTooShort, TimeSeries, bandpass, estimate_rate
+from .detect import (DetectionError, convert_opencv_xml, load_cascade, save_cascade,
+                     track_roi)
+from .dsp import SignalTooShort, TimeSeries, bandpass, estimate_rate
 from .evaluation import (EST_HEADER, GT_HEADER, emit_report, join_results,
                          render_signals, segment_trials, skin_tone_gray)
 from .geometry import Rect
@@ -180,8 +180,8 @@ def _estimate_trial(data_dir, manifest, entry, cfg, cascade, manual_box, plots_d
     skin_gray = skin_tone_gray(clip, faces)
 
     if plots_dir is not None:
-        filt_pulse = bandpass(raw_pulse, BandpassSpec(*cfg.hr_band, cfg.filter_order))
-        filt_chest = bandpass(raw_chest, BandpassSpec(*cfg.rr_band, cfg.filter_order))
+        filt_pulse = bandpass(raw_pulse, cfg.hr_bandpass)
+        filt_chest = bandpass(raw_chest, cfg.rr_bandpass)
         svg = render_signals(
             [("pulse scalar (raw)", raw_pulse),
              ("pulse scalar (bandpassed)", filt_pulse),
@@ -270,8 +270,7 @@ def cmd_groundtruth(args):
     data_dir = Path(args.data)
     manifest = parse_manifest(data_dir / MANIFEST_FILE)
     physio = load_physio_csv(data_dir / PHYSIO_FILE)
-    segments = {entry: samples for entry, (_, samples)
-                in zip(manifest.entries, segment_trials(physio, manifest, manifest.fps))}
+    segments = dict(zip(manifest.entries, segment_trials(physio, manifest)))
 
     def analyse(entry):
         s0, s1 = segments[entry]
@@ -331,7 +330,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, CascadeFormatError, DetectionError, ValueError, OSError) as e:
+    except (DetectionError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

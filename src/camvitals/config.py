@@ -2,9 +2,9 @@
 (full-HD 30 Hz video cropped by (300,300,200,0), physio at 128 Hz), with a
 flat `key = value` file format and CLI override."""
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
-from .dsp import PHYSIO_STFT, VIDEO_STFT, DEFAULT_FILTER_ORDER, StftSpec
+from .dsp import PHYSIO_STFT, VIDEO_STFT, DEFAULT_FILTER_ORDER, BandpassSpec, StftSpec
 from .ingest import not_ascii
 
 SCALARIZATIONS = ("spherical_log_map", "green_chromaticity")
@@ -57,6 +57,14 @@ class PipelineConfig:
             raise ValueError("need 0 < rr_low < rr_high")
         if not self.scale_factor > 1:
             raise ValueError(f"scale_factor must be > 1, got {self.scale_factor}")
+        # built here, so that a bad STFT shape or filter order is a config
+        # error, which load_config names the file of, and not the first trial's
+        video = StftSpec(self.video_window, self.video_hop, self.video_fft)
+        physio = StftSpec(self.physio_window, self.physio_hop, self.physio_fft)
+        object.__setattr__(self, "video_stft", video)
+        object.__setattr__(self, "physio_stft", physio)
+        object.__setattr__(self, "hr_bandpass", BandpassSpec(*self.hr_band, self.filter_order))
+        object.__setattr__(self, "rr_bandpass", BandpassSpec(*self.rr_band, self.filter_order))
 
     @property
     def hr_band(self):
@@ -70,37 +78,13 @@ class PipelineConfig:
     def crop(self):
         return (self.crop_left, self.crop_right, self.crop_top, self.crop_bottom)
 
-    @property
-    def video_stft(self):
-        return StftSpec(self.video_window, self.video_hop, self.video_fft)
 
-    @property
-    def physio_stft(self):
-        return StftSpec(self.physio_window, self.physio_hop, self.physio_fft)
-
-
-def _coerce(name, text, target_type):
-    try:
-        if target_type is int:
-            return int(text)
-        if target_type is float:
-            return float(text)
-        return text
-    except ValueError:
-        raise ValueError(f"config key {name}: cannot parse {text!r} as {target_type.__name__}") from None
-
-
-def load_config(path, base=None):
-    """Parse a flat `key = value` config file over a base PipelineConfig.
+def load_config(path):
+    """Parse a flat `key = value` config file over the PipelineConfig defaults.
 
     Blank lines and '#' comments are ignored; unknown keys are errors.
     """
-    cfg = base or PipelineConfig()
-    # field annotations may be type objects or strings depending on how
-    # annotations are evaluated; normalize to the type object
-    by_name = {"int": int, "float": float, "str": str}
-    known = {f.name: by_name.get(f.type, f.type) if isinstance(f.type, str) else f.type
-             for f in fields(PipelineConfig)}
+    known = {f.name: f.type for f in fields(PipelineConfig)}
     updates = {}
     try:
         with open(path, "r", encoding="ascii") as f:
@@ -115,10 +99,15 @@ def load_config(path, base=None):
                 value = value.strip()
                 if key not in known:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-                updates[key] = _coerce(key, value, known[key])
+                try:
+                    updates[key] = known[key](value)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: config key {key}: cannot parse {value!r} "
+                        f"as {known[key].__name__}") from None
     except UnicodeDecodeError as e:
         raise ValueError(not_ascii(path, e)) from None
     try:
-        return replace(cfg, **updates)
+        return PipelineConfig(**updates)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None

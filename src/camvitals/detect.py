@@ -464,4 +464,7 @@ def convert_opencv_xml(path):
                               fail_value=fail_value, pass_value=pass_value))
         stages.append(Stage(threshold=threshold, trees=tuple(trees)))
 
-    return Cascade(window_w=window_w, window_h=window_h, stages=tuple(stages))
+    try:
+        return Cascade(window_w=window_w, window_h=window_h, stages=tuple(stages))
+    except CascadeFormatError as e:
+        raise CascadeFormatError(f"{path}: {e}") from None

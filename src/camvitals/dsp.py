@@ -135,21 +135,17 @@ def detrend(ts, window_s):
     return TimeSeries(x - means, ts.sample_rate)
 
 
-def design_bandpass(spec, sample_rate):
-    """Second-order-section coefficients for the given bandpass spec."""
-    from scipy import signal
-
-    if spec.high >= sample_rate / 2:
-        raise ValueError(f"band high {spec.high} Hz >= Nyquist at {sample_rate} Hz")
-    return signal.butter(spec.order, [spec.low, spec.high], btype="bandpass",
-                         fs=sample_rate, output="sos")
-
-
 @functools.cache
 def _cached_sos(spec, sample_rate):
-    """design_bandpass, once per (spec, sample_rate); the array is shared by
-    every caller, so it is read-only."""
-    sos = design_bandpass(spec, sample_rate)
+    """Second-order-section coefficients of the bandpass spec, designed once
+    per (spec, sample_rate); the array is shared by every caller, so it is
+    read-only."""
+    if spec.high >= sample_rate / 2:
+        raise ValueError(f"band high {spec.high} Hz >= Nyquist at {sample_rate} Hz")
+    from scipy import signal
+
+    sos = signal.butter(spec.order, [spec.low, spec.high], btype="bandpass",
+                        fs=sample_rate, output="sos")
     sos.flags.writeable = False
     return sos
 

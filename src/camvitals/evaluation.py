@@ -77,18 +77,17 @@ class ConditionSummary:
 
 @dataclass
 class EvaluationReport:
-    records: list
     hr_summaries: list
     rr_summaries: list
     skin_points: list = field(default_factory=list)   # (gray, abs hr error)
     skin_fit: tuple | None = None                     # linear_fit output
 
 
-def segment_trials(physio, manifest, fps):
+def segment_trials(physio, manifest):
     """Align manifest trials with the physio channels via trigger codes.
 
-    Returns one ((start_frame, end_frame), (start_sample, end_sample))
-    pair per manifest entry. Each trigger code must occur exactly once.
+    Returns one (start_sample, end_sample) pair per manifest entry. Each
+    trigger code must occur exactly once.
     """
     pairs = []
     for entry in manifest.entries:
@@ -99,12 +98,11 @@ def segment_trials(physio, manifest, fps):
             raise ValueError(
                 f"trigger code {entry.trigger_code} occurs {hits.size} times")
         s0 = int(hits[0])
-        n = int(round(entry.frame_count / fps * physio.sample_rate))
+        n = int(round(entry.frame_count / manifest.fps * physio.sample_rate))
         if s0 + n > len(physio.trigger):
             raise ValueError(
                 f"trial {entry.trial_id}: physio record ends before trial does")
-        pairs.append(((entry.start_frame, entry.start_frame + entry.frame_count),
-                      (s0, s0 + n)))
+        pairs.append((s0, s0 + n))
     return pairs
 
 
@@ -126,7 +124,7 @@ def skin_tone_gray(clip, rois):
         rois = [rois] * clip.n_frames
     total = 0.0
     count = 0
-    for _, _, block in _roi_blocks(clip, rois):
+    for _, block in _roi_blocks(clip, rois):
         gray = to_grayscale(block)
         # integer sums: exact in any grouping of frames
         total += float(gray.sum())
@@ -217,19 +215,19 @@ def build_report(records):
     skin-brightness regression over absolute HR errors."""
     if not records:
         raise ValueError("no trial records to evaluate")
-    report = EvaluationReport(records=list(records), hr_summaries=[], rr_summaries=[])
+    report = EvaluationReport(hr_summaries=[], rr_summaries=[])
+    scored = {signal: _scored_pairs(records, signal) for signal in ("hr", "rr")}
     for signal, summaries in (("hr", report.hr_summaries),
                               ("rr", report.rr_summaries)):
-        scored = _scored_pairs(records, signal)
         for condition in _condition_order(records):
-            sub = [(e, g) for r, e, g in scored if r.condition == condition]
+            sub = [(e, g) for r, e, g in scored[signal] if r.condition == condition]
             if not sub:
                 continue
             errs = tuple(abs(e - g) for e, g in sub)
             summaries.append(ConditionSummary(
                 signal=signal, condition=condition, abs_errors=errs,
                 rmse=rmse(sub), stats=boxplot_stats(errs)))
-    for r, est, gt in _scored_pairs(records, "hr"):
+    for r, est, gt in scored["hr"]:
         if r.skin_gray is not None:
             report.skin_points.append((r.skin_gray, abs(est - gt)))
     xs = [p[0] for p in report.skin_points]

@@ -3,6 +3,7 @@ the physio CSV (t,ecg,resp,trigger), and the CSV dialect that it shares with
 truth.csv and the result files."""
 
 import csv
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -237,7 +238,10 @@ def parse_manifest(path):
         raise FormatError(f"{path}: manifest header missing {missing}") from None
     except ValueError:
         raise FormatError(f"{path}: non-numeric manifest header value") from None
-    return TrialManifest(fps=fps, width=width, height=height, entries=entries)
+    try:
+        return TrialManifest(fps=fps, width=width, height=height, entries=entries)
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from None
 
 
 def write_manifest(path, manifest):
@@ -315,7 +319,7 @@ _ROI_BLOCK_FRAMES = 64
 def _roi_blocks(clip, rois):
     """Split a clip's per-frame ROIs into blocks of frames that share one box.
 
-    Yields (first frame index, box, pixels) in frame order, one block per
+    Yields (first frame index, pixels) in frame order, one block per
     run of consecutive equal boxes, cut every _ROI_BLOCK_FRAMES frames.
     `pixels` is the (frames, box pixels, 3) array of the box in each frame
     of the block, in the clip's dtype. Raises ValueError unless there is
@@ -333,7 +337,7 @@ def _roi_blocks(clip, rois):
         while stop < limit and rois[stop] == box:
             stop += 1
         block = clip.frames[start:stop, box.y:box.y + box.h, box.x:box.x + box.w, :]
-        yield start, box, block.reshape(stop - start, block.shape[1] * block.shape[2], 3)
+        yield start, block.reshape(stop - start, block.shape[1] * block.shape[2], 3)
         start = stop
 
 
@@ -407,8 +411,15 @@ def _parse_cell(convert, cell, column, where):
         raise FormatError(f"{where}: {column} {cell!r} is not a number") from None
 
 
+def _finite_float(cell):
+    x = float(cell)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite {x}")
+    return x
+
+
 def _optional_float(cell):
-    return None if cell == "" else float(cell)
+    return None if cell == "" else _finite_float(cell)
 
 
 def _parse_row(converters, row, header, where):
@@ -419,7 +430,7 @@ def _parse_row(converters, row, header, where):
 # ------------------------- physio CSV -------------------------
 
 PHYSIO_HEADER = ["t", "ecg", "resp", "trigger"]
-_PHYSIO_TYPES = (float, float, float, int)
+_PHYSIO_TYPES = (_finite_float, _finite_float, _finite_float, int)
 _T_TOLERANCE = 1e-6  # seconds
 
 
@@ -436,9 +447,14 @@ def load_physio_csv(path):
         except ValueError:
             # cell by cell, to name the column; this raises
             _parse_row(_PHYSIO_TYPES, row, PHYSIO_HEADER, f"{path}:{line}")
+    columns = np.array([t, ecg, resp])
+    if not np.isfinite(columns).all():
+        # read again cell by cell, to name the line and column; this raises
+        for line, row in read_csv(path, PHYSIO_HEADER):
+            _parse_row(_PHYSIO_TYPES, row, PHYSIO_HEADER, f"{path}:{line}")
+    t, ecg, resp = columns
     if len(t) < 2:
         raise FormatError(f"{path}: need at least 2 samples to infer a rate")
-    t = np.array(t)
     dt = t[1] - t[0]
     if dt <= 0:
         raise FormatError(f"{path}: time column not increasing")

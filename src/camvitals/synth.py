@@ -3,7 +3,7 @@ channel carries the pulse, a chest band whose edge carries breathing
 motion, plus matching ECG / belt channels — the oracle for every
 behavioral test, including the skin-tone sweep."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +11,8 @@ import numpy as np
 from .dsp import TimeSeries
 from .geometry import Rect
 from .ingest import (HOLD_BREATH_TASK, MANIFEST_FILE, PHYSIO_FILE, PhysioRecord,
-                     TrialEntry, TrialManifest, VideoClip, _parse_row, frame_path,
-                     read_csv, write_csv, write_manifest, write_physio_csv,
+                     TrialEntry, TrialManifest, VideoClip, _finite_float, _parse_row,
+                     frame_path, read_csv, write_csv, write_manifest, write_physio_csv,
                      write_ppm, LUMA_R, LUMA_G, LUMA_B)
 
 BACKGROUND_GRAY = 40.0
@@ -26,7 +26,7 @@ TRUTH_FILE = "truth.csv"
 
 TRUTH_HEADER = ["trial_id", "hr_bpm", "rr_brpm", "face_x", "face_y",
                 "face_w", "face_h", "mean_face_gray"]
-_TRUTH_TYPES = (int, float, float, int, int, int, int, float)
+_TRUTH_TYPES = (int, _finite_float, _finite_float, int, int, int, int, _finite_float)
 
 
 @dataclass(frozen=True)
@@ -216,12 +216,11 @@ def _trial_rates(plan, seed):
     return rng.uniform(*hr_range), rng.uniform(*rr_range)
 
 
-def synth_dataset(protocol, base_cfg, out_dir, seed=0, physio_rate=PHYSIO_RATE,
-                  rates=None):
+def synth_dataset(protocol, base_cfg, out_dir, seed=0, rates=None):
     """Write a full dataset directory for a protocol.
 
     Layout: frame_%06d.ppm files (one global sequence), manifest.txt,
-    physio.csv (ECG/belt/trigger at physio_rate, trigger code = trial_id
+    physio.csv (ECG/belt/trigger at PHYSIO_RATE, trigger code = trial_id
     at each trial's start sample), and truth.csv with the injected rates
     and face geometry per trial. Hold-breath trials (task 2) get zero
     chest motion and a flat belt. Rates are drawn per trial from the
@@ -240,22 +239,17 @@ def synth_dataset(protocol, base_cfg, out_dir, seed=0, physio_rate=PHYSIO_RATE,
         override = (rates or {}).get(plan.trial_id)
         hr, rr = override if override is not None else _trial_rates(plan, seed)
         hold_breath = plan.task_id == HOLD_BREATH_TASK
-        cfg = SynthConfig(width=base_cfg.width, height=base_cfg.height,
-                          fps=base_cfg.fps, duration=plan.duration,
-                          hr_bpm=hr, rr_brpm=rr, tone=base_cfg.tone,
-                          pulse_amp=base_cfg.pulse_amp,
-                          chest_amp=0.0 if hold_breath else base_cfg.chest_amp,
-                          noise_sigma=base_cfg.noise_sigma, quantize=True,
-                          blur_radius=base_cfg.blur_radius,
-                          seed=seed + plan.trial_id)
+        cfg = replace(base_cfg, duration=plan.duration, hr_bpm=hr, rr_brpm=rr,
+                      chest_amp=0.0 if hold_breath else base_cfg.chest_amp,
+                      quantize=True, seed=seed + plan.trial_id)
         clip, truth = synth_clip(cfg)
         for i in range(clip.n_frames):
             write_ppm(frame_path(out_dir, next_frame + i), clip.frames[i])
 
-        n_phys = int(round(plan.duration * physio_rate))
-        ecg = synth_ecg(hr, physio_rate, plan.duration, jitter=0.05,
+        n_phys = int(round(plan.duration * PHYSIO_RATE))
+        ecg = synth_ecg(hr, PHYSIO_RATE, plan.duration, jitter=0.05,
                         seed=seed + plan.trial_id + 50_000)
-        resp = synth_resp(rr, physio_rate, plan.duration,
+        resp = synth_resp(rr, PHYSIO_RATE, plan.duration,
                           seed=seed + plan.trial_id + 100_000,
                           amplitude=0.0 if hold_breath else 1.0)
         trig = np.zeros(n_phys, dtype=np.int64)
@@ -274,9 +268,9 @@ def synth_dataset(protocol, base_cfg, out_dir, seed=0, physio_rate=PHYSIO_RATE,
     manifest = TrialManifest(fps=base_cfg.fps, width=base_cfg.width,
                              height=base_cfg.height, entries=entries)
     write_manifest(out_dir / MANIFEST_FILE, manifest)
-    record = PhysioRecord(sample_rate=physio_rate,
-                          ecg=TimeSeries(np.concatenate(ecg_parts), physio_rate),
-                          resp=TimeSeries(np.concatenate(resp_parts), physio_rate),
+    record = PhysioRecord(sample_rate=PHYSIO_RATE,
+                          ecg=TimeSeries(np.concatenate(ecg_parts), PHYSIO_RATE),
+                          resp=TimeSeries(np.concatenate(resp_parts), PHYSIO_RATE),
                           trigger=np.concatenate(trig_parts))
     write_physio_csv(out_dir / PHYSIO_FILE, record)
     write_csv(out_dir / TRUTH_FILE, TRUTH_HEADER, truth_rows)

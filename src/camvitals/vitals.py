@@ -54,7 +54,7 @@ def spherical_mean_trace(clip, rois):
     """
     n = clip.n_frames
     means = np.empty((n, 3))
-    for t0, _, block in _roi_blocks(clip, rois):
+    for t0, block in _roi_blocks(clip, rois):
         px = block.astype(np.float64)
         norms = np.linalg.norm(px, axis=2)
         keep = norms > 0
@@ -105,7 +105,7 @@ def _check_not_black(counts, t0):
 def green_chromaticity_trace(clip, rois):
     """Fallback pulse feature: per-frame mean of G / (R + G + B)."""
     out = np.empty(clip.n_frames)
-    for t0, _, block in _roi_blocks(clip, rois):
+    for t0, block in _roi_blocks(clip, rois):
         px = block.astype(np.float64)
         sums = px.sum(axis=2)
         keep = sums > 0
@@ -124,7 +124,7 @@ def mean_gray_trace(clip, rois):
     """Per-frame mean Rec.601 gray over the ROI (grayscale conversion is
     rounded per pixel, matching the file-format convention)."""
     out = np.empty(clip.n_frames)
-    for t0, _, block in _roi_blocks(clip, rois):
+    for t0, block in _roi_blocks(clip, rois):
         # integer gray levels: their float64 sums are exact in any order
         out[t0:t0 + len(block)] = to_grayscale(block).mean(axis=1)
     return TimeSeries(out, clip.fps)

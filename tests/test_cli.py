@@ -347,14 +347,17 @@ def test_crop_too_wide_is_not_blamed_on_a_trial(dataset, tmp_path, capsys):
 
 def test_bad_scale_factor_is_not_blamed_on_a_trial(dataset, tmp_path, capsys):
     cfg = tmp_path / "pipeline.cfg"
-    cfg.write_text("scale_factor = 1.0\n")
     cascade = tmp_path / "cascade.json"
     save_cascade(cascade, make_toy_cascade())
-    capsys.readouterr()
-    assert main(["estimate", "--data", str(dataset), "--out", str(tmp_path / "e.csv"),
-                 "--cascade", str(cascade), "--crop", NOCROP, "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err == f"error: {cfg}: scale_factor must be > 1, got 1.0\n"
-    assert not (tmp_path / "e.csv").exists()
+    for setting, message in [("scale_factor = 1.0", "scale_factor must be > 1, got 1.0"),
+                             ("video_fft = 1000", "fft_size must be a power of two, got 1000"),
+                             ("filter_order = 0", "order must be >= 1, got 0")]:
+        cfg.write_text(setting + "\n")
+        capsys.readouterr()
+        assert main(["estimate", "--data", str(dataset), "--out", str(tmp_path / "e.csv"),
+                     "--cascade", str(cascade), "--crop", NOCROP, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert not (tmp_path / "e.csv").exists()
 
 
 def test_missing_physio_exits_one(tmp_path, capsys):
@@ -390,6 +393,19 @@ def test_evaluate_names_a_trial_id_duplicated_in_estimates(estimates_csv, ground
     assert main(["evaluate", "--estimates", str(doubled),
                  "--groundtruth", str(groundtruth_csv), "--out", str(tmp_path / "r")]) == 1
     assert capsys.readouterr().err == f"error: {doubled}:3: duplicate trial_id 1\n"
+
+
+def test_evaluate_names_a_non_finite_estimate(estimates_csv, groundtruth_csv, tmp_path,
+                                             capsys):
+    est = tmp_path / "est.csv"
+    header, row = estimates_csv.read_text().splitlines()
+    cells = row.split(",")
+    cells[3] = "nan"
+    est.write_text(f"{header}\n{','.join(cells)}\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--estimates", str(est),
+                 "--groundtruth", str(groundtruth_csv), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == f"error: {est}:2: hr_est 'nan' is not a number\n"
 
 
 def test_evaluate_rejects_foreign_header(estimates_csv, tmp_path, capsys):

@@ -47,9 +47,10 @@ def test_load_config_rejects_unknown_key(tmp_path):
 
 def test_load_config_rejects_unparseable_value(tmp_path):
     p = tmp_path / "bad.cfg"
-    p.write_text("crop_left = wide\n")
-    with pytest.raises(ValueError):
+    p.write_text("# margins\ncrop_left = wide\n")
+    with pytest.raises(ValueError) as exc:
         load_config(p)
+    assert str(exc.value) == f"{p}:2: config key crop_left: cannot parse 'wide' as int"
 
 
 def test_load_config_rejects_missing_equals(tmp_path):

@@ -357,6 +357,23 @@ def test_convert_opencv_xml_names_non_numeric_value(tmp_path, old, new, tag):
         convert_opencv_xml(p)
 
 
+@pytest.mark.parametrize("old,new,what", [
+    (re.search(r"<stages>.*</stages>", OPENCV_XML, re.S).group(), "<stages></stages>",
+     "cascade has no stages"),
+    (re.search(r"<weakClassifiers>.*</weakClassifiers>", OPENCV_XML, re.S).group(),
+     "<weakClassifiers></weakClassifiers>", "stage 0 has no trees"),
+    ("<_>2 2 4 4 4.</_>", "<_>2 2 8 4 4.</_>",
+     "stage 0 tree 0: rect (2, 2, 8, 4) outside 8x8 base window"),
+    ("<width>8</width>", "<width>0</width>", "window dimensions must be positive"),
+], ids=["no stages", "stage with no trees", "rect outside window", "zero window"])
+def test_convert_opencv_xml_names_the_file_of_a_cascade_check(tmp_path, old, new, what):
+    p = tmp_path / "haar.xml"
+    assert old in OPENCV_XML
+    p.write_text(OPENCV_XML.replace(old, new))
+    with pytest.raises(CascadeFormatError, match=f"^{re.escape(f'{p}: {what}')}$"):
+        convert_opencv_xml(p)
+
+
 def test_convert_opencv_xml_rejects_empty_rect(tmp_path):
     p = tmp_path / "partial.xml"
     p.write_text(OPENCV_XML.replace("<_>2 2 4 4 4.</_>", "<_></_>"))

@@ -40,26 +40,26 @@ def two_trial_manifest():
 
 def test_segment_trials_frozen_spans():
     physio = make_physio(2560, [(0, 1), (1280, 2)])
-    spans = segment_trials(physio, two_trial_manifest(), fps=30.0)
-    assert spans == [((0, 300), (0, 1280)), ((300, 600), (1280, 2560))]
+    spans = segment_trials(physio, two_trial_manifest())
+    assert spans == [(0, 1280), (1280, 2560)]
 
 
 def test_segment_trials_missing_trigger():
     physio = make_physio(2560, [(0, 1)])
     with pytest.raises(ValueError):
-        segment_trials(physio, two_trial_manifest(), fps=30.0)
+        segment_trials(physio, two_trial_manifest())
 
 
 def test_segment_trials_duplicate_trigger():
     physio = make_physio(2560, [(0, 1), (600, 2), (1280, 2)])
     with pytest.raises(ValueError):
-        segment_trials(physio, two_trial_manifest(), fps=30.0)
+        segment_trials(physio, two_trial_manifest())
 
 
 def test_segment_trials_record_too_short():
     physio = make_physio(2000, [(0, 1), (1280, 2)])
     with pytest.raises(ValueError):
-        segment_trials(physio, two_trial_manifest(), fps=30.0)
+        segment_trials(physio, two_trial_manifest())
 
 
 # ------------------------- error metrics -------------------------

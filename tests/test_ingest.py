@@ -7,7 +7,8 @@ import pytest
 from camvitals.config import load_config
 from camvitals.detect import CascadeFormatError, load_cascade
 from camvitals.dsp import TimeSeries
-from camvitals.evaluation import TRIALS_HEADER, read_trials_csv
+from camvitals.evaluation import (EST_HEADER, GT_HEADER, TRIALS_HEADER, join_results,
+                                  read_trials_csv)
 from camvitals.ingest import (LUMA_B, LUMA_G, LUMA_R, PHYSIO_HEADER, FormatError,
                               PhysioRecord, TrialEntry,
                               TrialManifest, VideoClip, crop_clip,
@@ -232,6 +233,32 @@ def test_parse_manifest_rejects_malformed_lines(tmp_path):
         parse_manifest(p)
 
 
+# manifest text, and the message of the check it fails
+MANIFEST_CHECKS = {
+    "header": ("fps=0\nwidth=8\nheight=8\n1 gaze 3 0 10 1\n",
+               "manifest header values must be positive"),
+    "condition": ("fps=30\nwidth=8\nheight=8\n1 sleep 3 0 10 1\n",
+                  "trial 1: unknown condition 'sleep'"),
+    "task range": ("fps=30\nwidth=8\nheight=8\n1 gaze 8 0 10 1\n",
+                   "trial 1: task_id 8 outside 1..7"),
+    "frame range": ("fps=30\nwidth=8\nheight=8\n1 gaze 3 0 0 1\n",
+                    "trial 1: bad frame range"),
+    "duplicate": ("fps=30\nwidth=8\nheight=8\n1 gaze 3 0 10 1\n1 gaze 4 10 10 2\n",
+                  "duplicate trial_id 1"),
+    "overlap": ("fps=30\nwidth=8\nheight=8\n1 gaze 3 0 10 1\n2 gaze 4 9 10 2\n",
+                "trials 1 and 2 overlap in frame ranges"),
+}
+
+
+@pytest.mark.parametrize("check", list(MANIFEST_CHECKS))
+def test_parse_manifest_names_the_file_of_a_manifest_check(check, tmp_path):
+    text, message = MANIFEST_CHECKS[check]
+    p = tmp_path / "manifest.txt"
+    p.write_text(text)
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{p}: {message}')}$"):
+        parse_manifest(p)
+
+
 # ------------------------- frame ranges -------------------------
 
 def test_read_frame_range_and_sequence(tmp_path):
@@ -396,6 +423,40 @@ def test_csv_readers_name_the_line_of_a_bad_row(kind, case, tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match=f"^{re.escape(f'{path}:{message}')}$"):
         read(path)
+
+
+# file name, header, valid rows, and the reader that reads the file
+FINITE_FILES = {
+    "physio": ("physio.csv", PHYSIO_HEADER,
+               ["0.0,0.5,-0.5,1", "0.0078125,0.5,-0.5,0", "0.015625,0.5,-0.5,0"],
+               lambda d: load_physio_csv(d / "physio.csv")),
+    "est": ("est.csv", EST_HEADER, ["1,gaze,3,70.0,15.0,120.0,", "2,gaze,4,71.0,16.0,121.0,"],
+            lambda d: join_results(d / "est.csv", d / "gt.csv")),
+    "gt": ("gt.csv", GT_HEADER, ["1,gaze,3,70.5,15.5,", "2,gaze,4,71.5,16.5,"],
+           lambda d: join_results(d / "est.csv", d / "gt.csv")),
+    "truth": ("truth.csv", TRUTH_HEADER,
+              ["1,72.0,15.0,12,5,8,10,162.67", "2,73.0,16.0,12,5,8,10,162.67"],
+              lambda d: read_truth_csv(d / "truth.csv")),
+}
+
+
+@pytest.mark.parametrize("kind,column,cell", [
+    ("physio", "t", "nan"), ("physio", "ecg", "inf"), ("physio", "resp", "-inf"),
+    ("est", "hr_est", "nan"), ("est", "skin_gray", "inf"), ("gt", "rr_gt", "nan"),
+    ("truth", "hr_bpm", "inf"), ("truth", "mean_face_gray", "nan"),
+])
+def test_csv_readers_name_a_non_finite_cell(kind, column, cell, tmp_path):
+    for name, header, rows, _ in FINITE_FILES.values():
+        (tmp_path / name).write_text("\n".join([",".join(header), *rows]) + "\n")
+    name, header, rows, read = FINITE_FILES[kind]
+    read(tmp_path)   # the valid files read, so the error below is the cell's
+    cells = rows[1].split(",")
+    cells[header.index(column)] = cell
+    path = tmp_path / name
+    path.write_text("\n".join([",".join(header), rows[0], ",".join(cells), *rows[2:]]) + "\n")
+    with pytest.raises(FormatError,
+                       match=f"^{re.escape(f'{path}:3: {column} {cell!r} is not a number')}$"):
+        read(tmp_path)
 
 
 # file name, reader, its error type, contents with a non-ASCII byte
