@@ -12,19 +12,30 @@ import sys
 from pathlib import Path
 
 from .config import PipelineConfig, load_config
-from .detect import (DetectionError, convert_opencv_xml, load_cascade, save_cascade,
-                     track_roi)
-from .dsp import SignalTooShort, TimeSeries, bandpass, estimate_rate
+from .detect import (DetectionError, check_frame_fits, convert_opencv_xml, load_cascade,
+                     save_cascade, track_roi)
+from .dsp import (SignalTooShort, TimeSeries, band_bins, bandpass, check_detrend_window,
+                  check_nyquist, estimate_rate)
 from .evaluation import (EST_HEADER, GT_HEADER, emit_report, join_results,
                          render_signals, segment_trials, skin_tone_gray)
 from .geometry import Rect
 from .groundtruth import gt_hr_flagged
 from .ingest import (MANIFEST_FILE, PHYSIO_FILE, FormatError, check_crop,
-                     crop_clip, load_physio_csv, parse_manifest,
+                     crop_clip, load_physio_csv, named, parse_manifest,
                      read_frame_range, write_csv)
-from .synth import (TRUTH_FILE, SynthConfig, TrialPlan, paper_protocol,
-                    read_truth_csv, synth_dataset)
+from .synth import SynthConfig, TrialPlan, paper_protocol, synth_dataset
 from .vitals import hr_roi, mean_gray_trace, pulse_trace, rr_roi
+
+
+def _four_ints(text, what):
+    """The four comma-separated integers of a --roi or --crop value."""
+    parts = text.split(",")
+    if len(parts) == 4:
+        try:
+            return [int(p) for p in parts]
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"{what} must be 4 comma-separated integers (got {text!r})")
 
 
 def _roi_spec(text):
@@ -32,27 +43,14 @@ def _roi_spec(text):
     if not text.startswith(prefix):
         raise argparse.ArgumentTypeError(
             f"ROI must look like manual:x,y,w,h (got {text!r})")
-    parts = text[len(prefix):].split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(f"ROI needs 4 integers (got {text!r})")
-    try:
-        return Rect(*(int(p) for p in parts))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"ROI coordinates must be integers (got {text!r})")
+    return Rect(*_four_ints(text[len(prefix):], "ROI"))
 
 
 def _crop_spec(text):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(
-            f"crop must be left,right,top,bottom (got {text!r})")
-    try:
-        vals = [int(p) for p in parts]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"crop margins must be integers (got {text!r})")
-    if any(v < 0 for v in vals):
-        raise argparse.ArgumentTypeError("crop margins must be >= 0")
-    return tuple(vals)
+    margins = _four_ints(text, "crop margins left,right,top,bottom")
+    if min(margins) < 0:
+        raise argparse.ArgumentTypeError(f"crop margins must be >= 0 (got {text!r})")
+    return tuple(margins)
 
 
 def build_parser():
@@ -144,17 +142,15 @@ def cmd_synth(args):
     else:
         plans = [TrialPlan(1, args.condition, args.task, args.duration)]
         rates = {1: (args.hr, args.rr)}
-    synth_dataset(plans, base_cfg, args.out, seed=args.seed, rates=rates)
+    manifest, rates = synth_dataset(plans, base_cfg, args.out, seed=args.seed, rates=rates)
 
-    truth = read_truth_csv(Path(args.out) / TRUTH_FILE)
     total_s = 0.0
-    total_frames = 0
     for plan in plans:
-        t = truth[plan.trial_id]
+        hr, rr = rates[plan.trial_id]
         print(f"trial {plan.trial_id} {plan.condition} task {plan.task_id} "
-              f"{plan.duration:g}s hr={t.hr_bpm:.2f} rr={t.rr_brpm:.2f}")
+              f"{plan.duration:g}s hr={hr:.2f} rr={rr:.2f}")
         total_s += plan.duration
-        total_frames += int(round(plan.duration * args.fps))
+    total_frames = sum(e.frame_count for e in manifest.entries)
     print(f"wrote {len(plans)} trials ({total_frames} frames, {total_s:g} s) "
           f"to {args.out}")
     return 0
@@ -174,9 +170,9 @@ def _estimate_trial(data_dir, manifest, entry, cfg, cascade, manual_box, plots_d
         return None, None, None, {"roi_failure"}
     # each trace once: the rate estimates and the plots share them
     raw_pulse = pulse_trace(clip, [hr_roi(f) for f in faces], cfg)
-    hr_est, hr_flags = estimate_rate(raw_pulse, cfg.hr_band, cfg.video_stft, cfg.filter_order)
+    hr_est, hr_flags = estimate_rate(raw_pulse, cfg.hr_bandpass, cfg.video_stft)
     raw_chest = mean_gray_trace(clip, [rr_roi(f, clip.height, clip.width) for f in faces])
-    rr_est, rr_flags = estimate_rate(raw_chest, cfg.rr_band, cfg.video_stft, cfg.filter_order)
+    rr_est, rr_flags = estimate_rate(raw_chest, cfg.rr_bandpass, cfg.video_stft)
     skin_gray = skin_tone_gray(clip, faces)
 
     if plots_dir is not None:
@@ -201,6 +197,14 @@ def _load_pipeline_config(args):
         cfg = dataclasses.replace(cfg, crop_left=left, crop_right=right,
                                   crop_top=top, crop_bottom=bottom)
     return cfg
+
+
+def _check_bands(cfg, sample_rate, stft_spec):
+    """Raise ValueError unless estimate_rate can filter and peak-track both
+    bands of cfg at sample_rate: the checks each of its calls makes."""
+    for spec in (cfg.hr_bandpass, cfg.rr_bandpass):
+        check_nyquist(spec, sample_rate)
+        band_bins((spec.low, spec.high), sample_rate, stft_spec)
 
 
 def _result_rows(entries, analyse, n_values):
@@ -231,8 +235,13 @@ def cmd_estimate(args):
     cascade = load_cascade(args.cascade) if args.cascade else None
     data_dir = Path(args.data)
     manifest = parse_manifest(data_dir / MANIFEST_FILE)
-    # a crop that does not fit is a setting error, not one trial's
-    check_crop(manifest.width, manifest.height, *cfg.crop)
+    # settings that do not fit the frames are setting errors, not one trial's
+    cropped = check_crop(manifest.width, manifest.height, *cfg.crop)
+    with named(args.config or data_dir / MANIFEST_FILE):
+        _check_bands(cfg, manifest.fps, cfg.video_stft)
+    if cascade is not None:
+        with named(args.cascade):
+            check_frame_fits(cascade, *cropped)
     if args.plots is not None:
         Path(args.plots).mkdir(parents=True, exist_ok=True)
 
@@ -270,6 +279,10 @@ def cmd_groundtruth(args):
     data_dir = Path(args.data)
     manifest = parse_manifest(data_dir / MANIFEST_FILE)
     physio = load_physio_csv(data_dir / PHYSIO_FILE)
+    # settings that do not fit the physio rate are setting errors, not one trial's
+    with named(args.config or data_dir / PHYSIO_FILE):
+        _check_bands(cfg, physio.sample_rate, cfg.physio_stft)
+        check_detrend_window(cfg.ecg_detrend_s, physio.sample_rate)
     segments = dict(zip(manifest.entries, segment_trials(physio, manifest)))
 
     def analyse(entry):
@@ -279,8 +292,7 @@ def cmd_groundtruth(args):
         if entry.is_hold_breath:
             return hr_gt, None, flags
         resp_seg = TimeSeries(physio.resp.samples[s0:s1], physio.sample_rate)
-        rr_gt, rr_flags = estimate_rate(resp_seg, cfg.rr_band, cfg.physio_stft,
-                                        cfg.filter_order)
+        rr_gt, rr_flags = estimate_rate(resp_seg, cfg.rr_bandpass, cfg.physio_stft)
         return hr_gt, rr_gt, flags | rr_flags
 
     rows = []

@@ -4,8 +4,9 @@ flat `key = value` file format and CLI override."""
 
 from dataclasses import dataclass, fields
 
+from .detect import DEFAULT_MIN_NEIGHBORS, DEFAULT_SCALE_FACTOR, check_scale_factor
 from .dsp import PHYSIO_STFT, VIDEO_STFT, DEFAULT_FILTER_ORDER, BandpassSpec, StftSpec
-from .ingest import not_ascii
+from .ingest import named, not_ascii
 
 SCALARIZATIONS = ("spherical_log_map", "green_chromaticity")
 
@@ -19,8 +20,8 @@ class PipelineConfig:
     crop_bottom: int = 0
 
     # detection
-    scale_factor: float = 1.1
-    min_neighbors: int = 3
+    scale_factor: float = DEFAULT_SCALE_FACTOR
+    min_neighbors: int = DEFAULT_MIN_NEIGHBORS
     min_size: int = 0
 
     # rate estimation bands (Hz) and filtering
@@ -55,24 +56,17 @@ class PipelineConfig:
             raise ValueError("need 0 < hr_low < hr_high")
         if not (0 < self.rr_low < self.rr_high):
             raise ValueError("need 0 < rr_low < rr_high")
-        if not self.scale_factor > 1:
-            raise ValueError(f"scale_factor must be > 1, got {self.scale_factor}")
+        check_scale_factor(self.scale_factor)
         # built here, so that a bad STFT shape or filter order is a config
         # error, which load_config names the file of, and not the first trial's
         video = StftSpec(self.video_window, self.video_hop, self.video_fft)
         physio = StftSpec(self.physio_window, self.physio_hop, self.physio_fft)
         object.__setattr__(self, "video_stft", video)
         object.__setattr__(self, "physio_stft", physio)
-        object.__setattr__(self, "hr_bandpass", BandpassSpec(*self.hr_band, self.filter_order))
-        object.__setattr__(self, "rr_bandpass", BandpassSpec(*self.rr_band, self.filter_order))
-
-    @property
-    def hr_band(self):
-        return (self.hr_low, self.hr_high)
-
-    @property
-    def rr_band(self):
-        return (self.rr_low, self.rr_high)
+        object.__setattr__(self, "hr_bandpass",
+                           BandpassSpec(self.hr_low, self.hr_high, self.filter_order))
+        object.__setattr__(self, "rr_bandpass",
+                           BandpassSpec(self.rr_low, self.rr_high, self.filter_order))
 
     @property
     def crop(self):
@@ -107,7 +101,5 @@ def load_config(path):
                         f"as {known[key].__name__}") from None
     except UnicodeDecodeError as e:
         raise ValueError(not_ascii(path, e)) from None
-    try:
+    with named(path):
         return PipelineConfig(**updates)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None

@@ -258,6 +258,20 @@ def evaluate_window(c, ii, ii_sq, win, scale, plan=None):
     return True
 
 
+def check_scale_factor(scale_factor):
+    """Raise ValueError unless the window grows by scale_factor > 1."""
+    if not scale_factor > 1:
+        raise ValueError(f"scale_factor must be > 1, got {scale_factor}")
+
+
+def check_frame_fits(c, img_w, img_h):
+    """Raise ValueError unless a img_w x img_h frame holds the cascade's
+    base window."""
+    if img_w < c.window_w or img_h < c.window_h:
+        raise ValueError(f"frame {img_w}x{img_h} smaller than base window "
+                         f"{c.window_w}x{c.window_h}")
+
+
 def detect_faces(c, gray, scale_factor=DEFAULT_SCALE_FACTOR,
                  min_neighbors=DEFAULT_MIN_NEIGHBORS, min_size=0,
                  eps=DEFAULT_GROUP_EPS):
@@ -268,12 +282,9 @@ def detect_faces(c, gray, scale_factor=DEFAULT_SCALE_FACTOR,
     sorted by descending area (ties by x, then y).
     """
     gray = np.asarray(gray)
-    if scale_factor <= 1:
-        raise ValueError(f"scale_factor must be > 1, got {scale_factor}")
+    check_scale_factor(scale_factor)
     img_h, img_w = gray.shape
-    if img_w < c.window_w or img_h < c.window_h:
-        raise ValueError(f"frame {img_w}x{img_h} smaller than base window "
-                         f"{c.window_w}x{c.window_h}")
+    check_frame_fits(c, img_w, img_h)
     # nested lists: indexing them per window is faster than the arrays
     ii = integral_image(gray).tolist()
     ii_sq = integral_image(gray, squared=True).tolist()

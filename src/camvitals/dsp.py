@@ -98,11 +98,12 @@ class StftSpec:
 VIDEO_STFT = StftSpec(window_len=256, hop=30, fft_size=4096)
 PHYSIO_STFT = StftSpec(window_len=1024, hop=128, fft_size=8192)
 
-# filter quality probes for the default HR band (0.7-2.5 Hz): a passband
-# tone that must come through at unit gain and a stopband tone that must
-# lose at least 20 dB against it
-PASSBAND_PROBE_HZ = 1.2
-STOPBAND_PROBE_HZ = 3.5
+
+def check_detrend_window(window_s, sample_rate):
+    """Raise ValueError unless a detrend half-span of window_s seconds
+    covers at least 3 samples at sample_rate."""
+    if window_s * sample_rate < 3:
+        raise ValueError(f"detrend window {window_s}s spans < 3 samples at {sample_rate} Hz")
 
 
 def detrend(ts, window_s):
@@ -122,9 +123,8 @@ def detrend(ts, window_s):
     -------
     TimeSeries at the input sample rate.
     """
+    check_detrend_window(window_s, ts.sample_rate)
     half = int(round(window_s * ts.sample_rate))
-    if window_s * ts.sample_rate < 3:
-        raise ValueError(f"detrend window {window_s}s spans < 3 samples at {ts.sample_rate} Hz")
     x = ts.samples
     n = len(x)
     csum = np.concatenate(([0.0], np.cumsum(x)))
@@ -135,13 +135,19 @@ def detrend(ts, window_s):
     return TimeSeries(x - means, ts.sample_rate)
 
 
+def check_nyquist(spec, sample_rate):
+    """Raise ValueError unless the bandpass spec lies below the Nyquist
+    frequency of sample_rate."""
+    if spec.high >= sample_rate / 2:
+        raise ValueError(f"band high {spec.high} Hz >= Nyquist at {sample_rate} Hz")
+
+
 @functools.cache
 def _cached_sos(spec, sample_rate):
     """Second-order-section coefficients of the bandpass spec, designed once
     per (spec, sample_rate); the array is shared by every caller, so it is
     read-only."""
-    if spec.high >= sample_rate / 2:
-        raise ValueError(f"band high {spec.high} Hz >= Nyquist at {sample_rate} Hz")
+    check_nyquist(spec, sample_rate)
     from scipy import signal
 
     sos = signal.butter(spec.order, [spec.low, spec.high], btype="bandpass",
@@ -184,6 +190,20 @@ def check_window(n, spec):
         raise SignalTooShort(f"signal of {n} samples shorter than window {spec.window_len}")
 
 
+def band_bins(band, sample_rate, spec):
+    """(first, last) index of the FFT bins of spec at sample_rate that lie
+    in the inclusive band (Hz); ValueError if there are none."""
+    low, high = band
+    if not (0 <= low < high):
+        raise ValueError(f"bad band {band}")
+    df = sample_rate / spec.fft_size
+    k_lo = int(np.ceil(low / df))
+    k_hi = min(int(np.floor(high / df)), spec.fft_size // 2)
+    if k_lo > k_hi:
+        raise ValueError(f"band {band} contains no FFT bins at resolution {df} Hz")
+    return k_lo, k_hi
+
+
 def stft_peak_freqs(ts, spec, band):
     """Per-window frequency of the largest in-band spectral magnitude.
 
@@ -205,18 +225,10 @@ def stft_peak_freqs(ts, spec, band):
     -------
     numpy array of peak frequencies in Hz, one per window.
     """
-    low, high = band
-    if not (0 <= low < high):
-        raise ValueError(f"bad band {band}")
     n = len(ts)
     check_window(n, spec)
+    k_lo, k_hi = band_bins(band, ts.sample_rate, spec)
     df = ts.sample_rate / spec.fft_size
-    n_bins = spec.fft_size // 2 + 1
-    k_lo = int(np.ceil(low / df))
-    k_hi = int(np.floor(high / df))
-    k_hi = min(k_hi, n_bins - 1)
-    if k_lo > k_hi:
-        raise ValueError(f"band {band} contains no FFT bins at resolution {df} Hz")
 
     window = np.hanning(spec.window_len)
     freqs = []
@@ -292,13 +304,15 @@ def rate_flags(freqs, band, stft_spec, sample_rate):
     return flags
 
 
-def estimate_rate(ts, band, stft_spec, order=DEFAULT_FILTER_ORDER):
+def estimate_rate(ts, spec, stft_spec):
     """(rate in cycles/minute, flags) of the dominant in-band oscillation.
 
     The one rate estimator of the HR, RR and ground-truth paths: zero-phase
-    bandpass to band (Hz), per-window spectral peaks, their median scaled
-    to per-minute, and the rate_flags of those peaks.
+    bandpass by the BandpassSpec spec, per-window spectral peaks in its
+    band, their median scaled to per-minute, and the rate_flags of those
+    peaks.
     """
-    filtered = bandpass(ts, BandpassSpec(band[0], band[1], order))
+    band = (spec.low, spec.high)
+    filtered = bandpass(ts, spec)
     freqs = stft_peak_freqs(filtered, stft_spec, band)
     return median_rate(freqs), rate_flags(freqs, band, stft_spec, ts.sample_rate)

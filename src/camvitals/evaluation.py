@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Rect
 from .ingest import (FormatError, _optional_float, _parse_row, _roi_blocks, read_csv,
                      to_grayscale, write_csv)
 
@@ -116,12 +115,10 @@ def rmse(pairs):
 def skin_tone_gray(clip, rois):
     """Mean gray level over the face pixels of every frame.
 
-    `rois` is a single Rect or one Rect per frame. Uses the same rounded
-    Rec.601 conversion as the rest of the pipeline, weighting every pixel
-    equally, so concatenated clips average by pixel count.
+    `rois` holds one Rect per frame. Uses the same rounded Rec.601
+    conversion as the rest of the pipeline, weighting every pixel equally,
+    so concatenated clips average by pixel count.
     """
-    if isinstance(rois, Rect):
-        rois = [rois] * clip.n_frames
     total = 0.0
     count = 0
     for _, block in _roi_blocks(clip, rois):

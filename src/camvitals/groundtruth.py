@@ -6,40 +6,19 @@ spectral estimator as the video path. RR: the belt channel goes through
 `dsp.estimate_rate` directly.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .config import PipelineConfig
 from .dsp import SignalTooShort, check_window, cubic_spline, detrend, estimate_rate
 
 
-@dataclass
-class PeakList:
-    indices: np.ndarray
-    sample_rate: float
+def ecg_peaks(ecg, cfg):
+    """R-peak times in seconds from the ECG derivative.
 
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        if np.any(np.diff(self.indices) <= 0):
-            raise ValueError("peak indices must be strictly increasing")
-
-    def times(self):
-        return self.indices / self.sample_rate
-
-    def __len__(self):
-        return len(self.indices)
-
-
-def ecg_peaks(ecg, cfg=None):
-    """R-peak positions from the ECG derivative.
-
-    Pipeline: moving-mean baseline removal (0.5 s half-span), first
-    difference d, threshold at half the 95th percentile of |d|, local
-    maxima of d above the threshold, thinned by a 0.25 s refractory
-    period keeping the larger candidate on conflict.
+    Pipeline: moving-mean baseline removal, first difference d, threshold
+    at a fraction of a high percentile of |d|, local maxima of d above the
+    threshold, thinned by a refractory period keeping the larger candidate
+    on conflict. The spans and fractions are cfg's ecg_* settings.
     """
-    cfg = cfg or PipelineConfig()
     if ecg.duration < 2.0:
         raise SignalTooShort(f"need >= 2 s of ECG, got {ecg.duration:.3f} s")
     corrected = detrend(ecg, cfg.ecg_detrend_s)
@@ -58,32 +37,31 @@ def ecg_peaks(ecg, cfg=None):
                 kept.append(i)
     if not kept:
         raise ValueError("no ECG peaks found")
-    return PeakList(np.array(kept), ecg.sample_rate)
+    return np.array(kept, dtype=np.int64) / ecg.sample_rate
 
 
-def ppg_like(peaks, duration):
-    """Oscillation reconstructed from peak times.
+def ppg_like(peak_times, sample_rate, duration):
+    """Oscillation reconstructed from strictly increasing peak times (s).
 
     Knots: +1 at each peak, -1 at each inter-peak midpoint; natural cubic
-    spline sampled at the ECG rate. The fundamental frequency equals the
+    spline sampled at sample_rate. The fundamental frequency equals the
     beat rate.
     """
-    if len(peaks) < 3:
-        raise ValueError(f"need >= 3 peaks, got {len(peaks)}")
-    pt = peaks.times()
+    pt = np.asarray(peak_times, dtype=np.float64)
+    if len(pt) < 3:
+        raise ValueError(f"need >= 3 peaks, got {len(pt)}")
     knot_t = np.empty(2 * len(pt) - 1)
     knot_v = np.empty_like(knot_t)
     knot_t[0::2] = pt
     knot_v[0::2] = 1.0
     knot_t[1::2] = 0.5 * (pt[:-1] + pt[1:])
     knot_v[1::2] = -1.0
-    return cubic_spline(knot_t, knot_v, peaks.sample_rate, duration)
+    return cubic_spline(knot_t, knot_v, sample_rate, duration)
 
 
-def gt_hr_flagged(ecg, cfg=None):
+def gt_hr_flagged(ecg, cfg):
     """(reference heart rate in beats/minute, flags) from an ECG channel."""
-    cfg = cfg or PipelineConfig()
     # before peak detection: too short is too short, whatever the beat count
     check_window(len(ecg), cfg.physio_stft)
-    signal = ppg_like(ecg_peaks(ecg, cfg), ecg.duration)
-    return estimate_rate(signal, cfg.hr_band, cfg.physio_stft, cfg.filter_order)
+    signal = ppg_like(ecg_peaks(ecg, cfg), ecg.sample_rate, ecg.duration)
+    return estimate_rate(signal, cfg.hr_bandpass, cfg.physio_stft)

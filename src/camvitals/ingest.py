@@ -2,6 +2,7 @@
 the physio CSV (t,ecg,resp,trigger), and the CSV dialect that it shares with
 truth.csv and the result files."""
 
+import contextlib
 import csv
 import math
 import os
@@ -34,6 +35,16 @@ def not_ascii(path, err):
     """Error message for a UnicodeDecodeError met reading `path` as ASCII.
     The decoder reads in chunks, so it cannot say on which line."""
     return f"{path}: not ASCII text (byte 0x{err.object[err.start]:02x})"
+
+
+@contextlib.contextmanager
+def named(source):
+    """Prefix a ValueError raised in the block with `source`, the file of
+    the setting or data it concerns."""
+    try:
+        yield
+    except ValueError as e:
+        raise ValueError(f"{source}: {e}") from None
 
 
 @dataclass
@@ -295,12 +306,14 @@ def read_frame_range(dataset_dir, manifest, start_frame, frame_count):
 # ------------------------- pixel operations -------------------------
 
 def check_crop(width, height, left, right, top, bottom):
-    """Raise ValueError unless the margins leave pixels in a width x height frame."""
+    """(width, height) of a width x height frame cropped by the margins;
+    ValueError unless they leave pixels."""
     if min(left, right, top, bottom) < 0:
         raise ValueError("crop margins must be non-negative")
     if left + right >= width or top + bottom >= height:
         raise ValueError(
             f"crop ({left},{right},{top},{bottom}) exceeds {width}x{height} frame")
+    return width - left - right, height - top - bottom
 
 
 def crop_clip(clip, left, right, top, bottom):

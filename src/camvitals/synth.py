@@ -227,17 +227,22 @@ def synth_dataset(protocol, base_cfg, out_dir, seed=0, rates=None):
     condition's range unless `rates` maps the trial id to an (hr, rr)
     pair. All randomness derives from `seed` and the trial id, so
     regeneration is bit-identical.
+
+    Returns the dataset's TrialManifest and the {trial_id: (hr, rr)} rates
+    it injected.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     entries = []
+    injected = {}
     truth_rows = []
     ecg_parts, resp_parts, trig_parts = [], [], []
     next_frame = 0
     for plan in protocol:
         override = (rates or {}).get(plan.trial_id)
         hr, rr = override if override is not None else _trial_rates(plan, seed)
+        injected[plan.trial_id] = (hr, rr)
         hold_breath = plan.task_id == HOLD_BREATH_TASK
         cfg = replace(base_cfg, duration=plan.duration, hr_bpm=hr, rr_brpm=rr,
                       chest_amp=0.0 if hold_breath else base_cfg.chest_amp,
@@ -274,6 +279,7 @@ def synth_dataset(protocol, base_cfg, out_dir, seed=0, rates=None):
                           trigger=np.concatenate(trig_parts))
     write_physio_csv(out_dir / PHYSIO_FILE, record)
     write_csv(out_dir / TRUTH_FILE, TRUTH_HEADER, truth_rows)
+    return manifest, injected
 
 
 def read_truth_csv(path):

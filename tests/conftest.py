@@ -47,11 +47,9 @@ def quick_clip(hr=72.0, rr=15.0, duration=20.0, seed=0, **kw):
 
 def hr_estimate(clip, rois, cfg=PipelineConfig()):
     """(bpm, flags) of a face ROI sequence, as `camvitals estimate` computes it."""
-    return estimate_rate(pulse_trace(clip, rois, cfg), cfg.hr_band, cfg.video_stft,
-                         cfg.filter_order)
+    return estimate_rate(pulse_trace(clip, rois, cfg), cfg.hr_bandpass, cfg.video_stft)
 
 
 def rr_estimate(clip, rois, cfg=PipelineConfig()):
     """(brpm, flags) of a chest ROI sequence, as `camvitals estimate` computes it."""
-    return estimate_rate(mean_gray_trace(clip, rois), cfg.rr_band, cfg.video_stft,
-                         cfg.filter_order)
+    return estimate_rate(mean_gray_trace(clip, rois), cfg.rr_bandpass, cfg.video_stft)

@@ -14,10 +14,8 @@ from conftest import blob_frame, hr_estimate, make_toy_cascade, rr_estimate
 from camvitals.cli import main
 from camvitals.detect import detect_faces, group_rects, integral_image, rect_sum
 from camvitals.config import PipelineConfig
-from camvitals.dsp import (DEFAULT_FILTER_ORDER, PASSBAND_PROBE_HZ,
-                           STOPBAND_PROBE_HZ, VIDEO_STFT, BandpassSpec,
-                           TimeSeries, bandpass, estimate_rate,
-                           stft_peak_freqs)
+from camvitals.dsp import (DEFAULT_FILTER_ORDER, VIDEO_STFT, BandpassSpec,
+                           TimeSeries, bandpass, estimate_rate, stft_peak_freqs)
 from camvitals.evaluation import (TrialRecord, build_report, emit_report,
                                   skin_tone_gray)
 from camvitals.geometry import Rect
@@ -27,6 +25,10 @@ from camvitals.synth import SynthConfig, synth_clip, synth_ecg, synth_resp
 from camvitals.vitals import hr_roi, rr_roi
 
 HR_BAND = (0.7, 2.5)
+# filter quality probes for HR_BAND: a passband tone that must come through
+# at unit gain and a stopband tone that must lose at least 20 dB against it
+PASSBAND_PROBE_HZ = 1.2
+STOPBAND_PROBE_HZ = 3.5
 
 
 def _hr_error(hr, duration, noise_sigma, seed, tone=1.0, quantize=True):
@@ -79,14 +81,14 @@ def test_criterion_2_synthetic_rr_recovery():
 
 
 def test_criterion_3_ground_truth_agreement():
+    cfg = PipelineConfig()
     for hr in (50.0, 70.0, 90.0, 120.0, 150.0):
         ecg = synth_ecg(hr, 128.0, 20.0, jitter=0.0, seed=int(hr))
-        inter_peak = 60.0 / float(np.median(np.diff(ecg_peaks(ecg).times())))
-        assert abs(gt_hr_flagged(ecg)[0] - inter_peak) <= 1.0
-    cfg = PipelineConfig()
+        inter_peak = 60.0 / float(np.median(np.diff(ecg_peaks(ecg, cfg))))
+        assert abs(gt_hr_flagged(ecg, cfg)[0] - inter_peak) <= 1.0
     for rr in (13.0, 18.0, 24.0):
         resp = synth_resp(rr, 128.0, 20.0, seed=int(rr))
-        brpm, _ = estimate_rate(resp, cfg.rr_band, cfg.physio_stft, cfg.filter_order)
+        brpm, _ = estimate_rate(resp, cfg.rr_bandpass, cfg.physio_stft)
         assert abs(brpm - rr) <= 0.5
 
 
@@ -100,7 +102,7 @@ def test_criterion_4_skin_tone_error_trend(tmp_path):
                                          quantize=True)
             records.append(TrialRecord(
                 trial_id, "respiration", 1, hr_est=hr + err, hr_gt=hr,
-                skin_gray=skin_tone_gray(clip, truth.face_box)))
+                skin_gray=skin_tone_gray(clip, [truth.face_box] * clip.n_frames)))
             trial_id += 1
     report = emit_report(records, tmp_path)
     slope = report.skin_fit[0]
@@ -180,9 +182,9 @@ def test_criterion_7_dsp_properties():
 
     rng = np.random.default_rng(3)
     base = np.sin(2 * np.pi * 1.2 * t) + 0.1 * rng.standard_normal(len(t))
-    reference = estimate_rate(TimeSeries(base, fs), HR_BAND, VIDEO_STFT)
+    reference = estimate_rate(TimeSeries(base, fs), spec, VIDEO_STFT)
     for scale in (2.0 ** -20, 0.5, 2.0, 1024.0, 2.0 ** 40):
-        scaled = estimate_rate(TimeSeries(scale * base, fs), HR_BAND, VIDEO_STFT)
+        scaled = estimate_rate(TimeSeries(scale * base, fs), spec, VIDEO_STFT)
         assert scaled == reference  # rate and flags, bit-exact under lossless scaling
 
 

@@ -8,8 +8,8 @@ from conftest import make_toy_cascade
 from camvitals import cli, vitals
 from camvitals.cli import main
 from camvitals.config import PipelineConfig
-from camvitals.detect import load_cascade, save_cascade
-from camvitals.dsp import BandpassSpec, bandpass
+from camvitals.detect import Cascade, Stage, Tree, load_cascade, save_cascade
+from camvitals.dsp import bandpass
 from camvitals.evaluation import render_signals
 from camvitals.geometry import Rect
 from camvitals.ingest import (TrialEntry, TrialManifest, frame_path,
@@ -158,9 +158,9 @@ def test_plots_reuse_each_trace_and_leave_estimates_alone(dataset, tmp_path, mon
         clip, [vitals.rr_roi(f, clip.height, clip.width) for f in faces])
     want = render_signals(
         [("pulse scalar (raw)", raw_pulse),
-         ("pulse scalar (bandpassed)", bandpass(raw_pulse, BandpassSpec(*cfg.hr_band, cfg.filter_order))),
+         ("pulse scalar (bandpassed)", bandpass(raw_pulse, cfg.hr_bandpass)),
          ("chest mean gray (raw)", raw_chest),
-         ("chest mean gray (bandpassed)", bandpass(raw_chest, BandpassSpec(*cfg.rr_band, cfg.filter_order)))],
+         ("chest mean gray (bandpassed)", bandpass(raw_chest, cfg.rr_bandpass))],
         "trial 1 signals")
     assert (plots / "signals_trial_001.svg").read_text() == want
 
@@ -360,6 +360,41 @@ def test_bad_scale_factor_is_not_blamed_on_a_trial(dataset, tmp_path, capsys):
         assert not (tmp_path / "e.csv").exists()
 
 
+def _window_cascade(size):
+    """A one-tree cascade with a size x size base window."""
+    tree = Tree(rects=((Rect(0, 0, size, size), 1.0),), threshold=0.0,
+                pass_value=1.0, fail_value=0.0)
+    return Cascade(window_w=size, window_h=size, stages=(Stage(0.5, (tree,)),))
+
+
+@pytest.mark.parametrize("command,setting,message", [
+    ("estimate", "hr_high = 20", "band high 20.0 Hz >= Nyquist at 30.0 Hz"),
+    ("groundtruth", "rr_high = 70", "band high 70.0 Hz >= Nyquist at 128.0 Hz"),
+    ("groundtruth", "ecg_detrend_s = 0.001",
+     "detrend window 0.001s spans < 3 samples at 128.0 Hz"),
+    ("estimate", "hr_low = 0.7\nhr_high = 0.701",
+     "band (0.7, 0.701) contains no FFT bins at resolution 0.00732421875 Hz"),
+    ("groundtruth", "hr_low = 0.7\nhr_high = 0.701",
+     "band (0.7, 0.701) contains no FFT bins at resolution 0.015625 Hz"),
+    ("estimate", None, "frame 32x32 smaller than base window 40x40")])
+def test_setting_that_does_not_fit_the_rate_is_not_blamed_on_a_trial(
+        command, setting, message, dataset, tmp_path, capsys):
+    out, cfg, cascade = tmp_path / "out.csv", tmp_path / "pipeline.cfg", tmp_path / "cascade.json"
+    args = [command, "--data", str(dataset), "--out", str(out)]
+    if command == "estimate":
+        save_cascade(cascade, _window_cascade(40 if setting is None else 8))
+        args += ["--cascade", str(cascade), "--crop", NOCROP]
+    if setting is not None:
+        cfg.write_text(setting + "\n")
+        args += ["--config", str(cfg)]
+    capsys.readouterr()
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cascade if setting is None else cfg}: {message}\n"
+    assert "trial" not in captured.out + captured.err
+    assert not out.exists()
+
+
 def test_missing_physio_exits_one(tmp_path, capsys):
     ds = tmp_path / "ds"
     assert main(["synth", "--out", str(ds), "--duration", "1", "--width", "32",
@@ -491,6 +526,25 @@ def test_convert_cascade_bad_xml_exits_one(tmp_path, capsys):
                "--out", str(tmp_path / "c.json")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--roi", "manual:12,5,8", "ROI must be 4 comma-separated integers (got '12,5,8')"),
+    ("--roi", "manual:12,5,8,1.5", "ROI must be 4 comma-separated integers (got '12,5,8,1.5')"),
+    ("--crop", "0,0,0", "crop margins left,right,top,bottom must be 4 comma-separated "
+                        "integers (got '0,0,0')"),
+    ("--crop", "0,0,x,0", "crop margins left,right,top,bottom must be 4 comma-separated "
+                          "integers (got '0,0,x,0')"),
+    ("--crop", "0,-1,0,0", "crop margins must be >= 0 (got '0,-1,0,0')")])
+def test_bad_roi_or_crop_value_exits_two_with_its_message(flag, value, message, dataset,
+                                                          tmp_path, capsys):
+    args = ["estimate", "--data", str(dataset), "--out", str(tmp_path / "e.csv"),
+            "--roi", ROI, "--crop", NOCROP]
+    args[args.index(flag) + 1] = value
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: {message}" in capsys.readouterr().err
 
 
 def test_bad_roi_spec_exits_two(dataset, tmp_path):

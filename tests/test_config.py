@@ -1,14 +1,15 @@
 import pytest
 
 from camvitals.config import PipelineConfig, load_config
+from camvitals.dsp import BandpassSpec
 
 
 def test_defaults_match_reference_setup():
     cfg = PipelineConfig()
     assert cfg.crop == (300, 300, 200, 0)
-    assert cfg.hr_band == (0.7, 2.5)
-    assert cfg.rr_band == (0.2, 0.5)
-    assert cfg.filter_order == 3
+    assert cfg.hr_bandpass == BandpassSpec(0.7, 2.5, 3)
+    assert cfg.rr_bandpass == BandpassSpec(0.2, 0.5, 3)
+    assert (cfg.scale_factor, cfg.min_neighbors, cfg.min_size) == (1.1, 3, 0)
     assert (cfg.video_window, cfg.video_hop, cfg.video_fft) == (256, 30, 4096)
     assert (cfg.physio_window, cfg.physio_hop, cfg.physio_fft) == (1024, 128, 8192)
     assert cfg.scalarization == "spherical_log_map"

@@ -153,8 +153,8 @@ def test_bandpass_rejects_short_signal_and_bad_band():
 
 # the bands the pipeline filters with, at the video and physio sample rates
 _CFG = PipelineConfig()
-_PIPELINE_DESIGNS = [(BandpassSpec(*band, _CFG.filter_order), rate)
-                     for band in (_CFG.hr_band, _CFG.rr_band) for rate in (30.0, 128.0)]
+_PIPELINE_DESIGNS = [(spec, rate) for spec in (_CFG.hr_bandpass, _CFG.rr_bandpass)
+                     for rate in (30.0, 128.0)]
 
 
 @pytest.mark.parametrize("spec,rate", _PIPELINE_DESIGNS,
@@ -299,33 +299,37 @@ def test_spline_validates_knots():
 # ------------------------- rate estimator -------------------------
 # (the test names predate estimate_rate, which replaced dominant_rate)
 
+HR_SPEC = BandpassSpec(0.7, 2.5)
+
+
 def test_dominant_rate_hr_band():
-    bpm, _ = estimate_rate(sine(1.2, 30.0, 20.0), (0.7, 2.5), VIDEO_STFT)
+    bpm, _ = estimate_rate(sine(1.2, 30.0, 20.0), HR_SPEC, VIDEO_STFT)
     assert bpm == pytest.approx(72.0, abs=0.5)
 
 
 def test_dominant_rate_rr_band():
-    brpm, _ = estimate_rate(sine(0.25, 30.0, 20.0), (0.2, 0.5), VIDEO_STFT)
+    brpm, _ = estimate_rate(sine(0.25, 30.0, 20.0), BandpassSpec(0.2, 0.5), VIDEO_STFT)
     assert brpm == pytest.approx(15.0, abs=0.5)
 
 
 def test_dominant_rate_short_gaze_trial():
-    bpm, _ = estimate_rate(sine(1.5, 30.0, 10.0), (0.7, 2.5), VIDEO_STFT)
+    bpm, _ = estimate_rate(sine(1.5, 30.0, 10.0), HR_SPEC, VIDEO_STFT)
     assert bpm == pytest.approx(90.0, abs=1.0)
 
 
 def test_estimate_rate_is_bandpass_peaks_median_and_flags():
     ts = sine(1.3, 128.0, 20.0)
-    band = (0.7, 2.5)
-    freqs = stft_peak_freqs(bandpass(ts, BandpassSpec(*band, 4)), PHYSIO_STFT, band)
-    assert estimate_rate(ts, band, PHYSIO_STFT, order=4) == \
+    spec = BandpassSpec(0.7, 2.5, 4)
+    band = (spec.low, spec.high)
+    freqs = stft_peak_freqs(bandpass(ts, spec), PHYSIO_STFT, band)
+    assert estimate_rate(ts, spec, PHYSIO_STFT) == \
         (median_rate(freqs), rate_flags(freqs, band, PHYSIO_STFT, 128.0))
 
 
 def test_estimate_rate_too_short_for_bandpass_padding():
     # 63 samples: the order-3 filter pads each end with 21
     with pytest.raises(SignalTooShort, match="signal of 63 samples too short for padding of 21"):
-        estimate_rate(sine(1.0, 30.0, 2.1), (0.7, 2.5), VIDEO_STFT)
+        estimate_rate(sine(1.0, 30.0, 2.1), HR_SPEC, VIDEO_STFT)
 
 
 def test_dominant_rate_invariant_under_positive_scaling():
@@ -336,13 +340,13 @@ def test_dominant_rate_invariant_under_positive_scaling():
     for _ in range(5):
         f0 = float(rng.uniform(0.8, 2.3))
         ts = sine(f0, 30.0, 20.0)
-        base = estimate_rate(ts, (0.7, 2.5), VIDEO_STFT)
+        base = estimate_rate(ts, HR_SPEC, VIDEO_STFT)
         for scale in (2.0 ** -20, 0.5, 2.0, 1024.0, 2.0 ** 40):
             scaled = TimeSeries(scale * ts.samples, 30.0)
-            assert estimate_rate(scaled, (0.7, 2.5), VIDEO_STFT) == base   # rate and flags
+            assert estimate_rate(scaled, HR_SPEC, VIDEO_STFT) == base   # rate and flags
         for scale in (1e-6, 7.0, 1e6):
             scaled = TimeSeries(scale * ts.samples, 30.0)
-            rate, _ = estimate_rate(scaled, (0.7, 2.5), VIDEO_STFT)
+            rate, _ = estimate_rate(scaled, HR_SPEC, VIDEO_STFT)
             assert rate == pytest.approx(base[0], abs=1e-6)
 
 

@@ -90,14 +90,14 @@ def test_rmse_rejects_empty():
 
 def test_skin_tone_gray_white_frame():
     clip = VideoClip(np.full((2, 6, 6, 3), 255, dtype=np.uint8), 30.0)
-    assert skin_tone_gray(clip, Rect(0, 0, 6, 6)) == pytest.approx(255.0)
+    assert skin_tone_gray(clip, [Rect(0, 0, 6, 6)] * clip.n_frames) == pytest.approx(255.0)
 
 
 def test_skin_tone_gray_tracks_tone_ratio():
     vals = {}
     for tone in (0.5, 1.0):
         clip, truth = synth_clip(SynthConfig(duration=1.0, tone=tone))
-        vals[tone] = skin_tone_gray(clip, truth.face_box)
+        vals[tone] = skin_tone_gray(clip, [truth.face_box] * clip.n_frames)
     assert vals[1.0] / vals[0.5] == pytest.approx(2.0, rel=0.02)
 
 
@@ -116,7 +116,7 @@ def test_skin_tone_gray_input_validation():
     with pytest.raises(ValueError):
         skin_tone_gray(clip, [Rect(0, 0, 2, 2)])  # one ROI for two frames
     with pytest.raises(ValueError):
-        skin_tone_gray(clip, Rect(2, 2, 4, 4))  # spills past the frame
+        skin_tone_gray(clip, [Rect(2, 2, 4, 4)] * clip.n_frames)  # spills past the frame
 
 
 # ------------------------- regression line -------------------------
