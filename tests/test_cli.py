@@ -361,7 +361,7 @@ def test_bad_scale_factor_is_not_blamed_on_a_trial(dataset, tmp_path, capsys):
 
 
 def _window_cascade(size):
-    """A one-tree cascade with a size x size base window."""
+    """A one-tree cascade with a size x size base window that every window passes."""
     tree = Tree(rects=((Rect(0, 0, size, size), 1.0),), threshold=0.0,
                 pass_value=1.0, fail_value=0.0)
     return Cascade(window_w=size, window_h=size, stages=(Stage(0.5, (tree,)),))
@@ -376,13 +376,15 @@ def _window_cascade(size):
      "band (0.7, 0.701) contains no FFT bins at resolution 0.00732421875 Hz"),
     ("groundtruth", "hr_low = 0.7\nhr_high = 0.701",
      "band (0.7, 0.701) contains no FFT bins at resolution 0.015625 Hz"),
-    ("estimate", None, "frame 32x32 smaller than base window 40x40")])
+    ("estimate", None, "frame 32x32 smaller than base window 40x40")],
+    ids=["video-nyquist", "physio-nyquist", "detrend", "video-no-bins", "physio-no-bins",
+         "cascade-window"])
 def test_setting_that_does_not_fit_the_rate_is_not_blamed_on_a_trial(
         command, setting, message, dataset, tmp_path, capsys):
     out, cfg, cascade = tmp_path / "out.csv", tmp_path / "pipeline.cfg", tmp_path / "cascade.json"
     args = [command, "--data", str(dataset), "--out", str(out)]
     if command == "estimate":
-        save_cascade(cascade, _window_cascade(40 if setting is None else 8))
+        save_cascade(cascade, make_toy_cascade() if setting else _window_cascade(40))
         args += ["--cascade", str(cascade), "--crop", NOCROP]
     if setting is not None:
         cfg.write_text(setting + "\n")
@@ -535,7 +537,8 @@ def test_convert_cascade_bad_xml_exits_one(tmp_path, capsys):
                         "integers (got '0,0,0')"),
     ("--crop", "0,0,x,0", "crop margins left,right,top,bottom must be 4 comma-separated "
                           "integers (got '0,0,x,0')"),
-    ("--crop", "0,-1,0,0", "crop margins must be >= 0 (got '0,-1,0,0')")])
+    ("--crop", "0,-1,0,0", "crop margins must be >= 0 (got '0,-1,0,0')")],
+    ids=["roi-count", "roi-non-integer", "crop-count", "crop-non-integer", "crop-negative"])
 def test_bad_roi_or_crop_value_exits_two_with_its_message(flag, value, message, dataset,
                                                           tmp_path, capsys):
     args = ["estimate", "--data", str(dataset), "--out", str(tmp_path / "e.csv"),
