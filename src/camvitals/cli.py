@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 import argparse
 import dataclasses
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .config import PipelineConfig, load_config
@@ -235,8 +236,10 @@ def cmd_estimate(args):
     cascade = load_cascade(args.cascade) if args.cascade else None
     data_dir = Path(args.data)
     manifest = parse_manifest(data_dir / MANIFEST_FILE)
-    # settings that do not fit the frames are setting errors, not one trial's
-    cropped = check_crop(manifest.width, manifest.height, *cfg.crop)
+    # settings that do not fit the frames are setting errors, not one trial's;
+    # margins from --crop or the defaults name no file
+    with named(args.config) if args.config and args.crop is None else nullcontext():
+        cropped = check_crop(manifest.width, manifest.height, *cfg.crop)
     with named(args.config or data_dir / MANIFEST_FILE):
         _check_bands(cfg, manifest.fps, cfg.video_stft)
     if cascade is not None:

@@ -52,10 +52,6 @@ class PipelineConfig:
         if self.scalarization not in SCALARIZATIONS:
             raise ValueError(f"scalarization must be one of {SCALARIZATIONS}, "
                              f"got {self.scalarization!r}")
-        if not (0 < self.hr_low < self.hr_high):
-            raise ValueError("need 0 < hr_low < hr_high")
-        if not (0 < self.rr_low < self.rr_high):
-            raise ValueError("need 0 < rr_low < rr_high")
         check_scale_factor(self.scale_factor)
         # built here, so that a bad STFT shape or filter order is a config
         # error, which load_config names the file of, and not the first trial's

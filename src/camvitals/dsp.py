@@ -1,9 +1,13 @@
 """Signal toolbox: detrending, zero-phase bandpass, windowed spectral peak
 tracking, and the rate estimator shared by the video and physio paths."""
 
-# scipy is imported inside the functions that use it: `scipy.signal` alone
-# takes over a second to import, and `evaluate`, `synth` and
-# `convert-cascade` never filter, so they should not pay for it.
+# The Butterworth design, the zero-phase filter and the natural cubic
+# spline below are numpy/Python ports of scipy.signal.butter,
+# scipy.signal.sosfiltfilt and scipy.interpolate.CubicSpline. Each does
+# scipy's floating-point operations in scipy's order, so its results are
+# bit-equal to scipy's; tests/test_dsp.py checks that against scipy.
+# Importing scipy.signal and scipy.interpolate takes over a second, more
+# than the signal work of a whole `groundtruth` run.
 
 import functools
 import math
@@ -11,6 +15,7 @@ import statistics
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_FILTER_ORDER = 3
 
@@ -142,18 +147,130 @@ def check_nyquist(spec, sample_rate):
         raise ValueError(f"band high {spec.high} Hz >= Nyquist at {sample_rate} Hz")
 
 
+def _poly(roots):
+    """Coefficients of the monic polynomial with the given roots, real
+    part only (scipy.signal's zpk2tf for conjugate pairs and real roots)."""
+    a = np.ones(1, dtype=roots.dtype)
+    for r in roots:
+        a = np.convolve(a, np.array((1, -r)))
+    return a.real
+
+
+def _cplxreal(z):
+    """(one of each complex-conjugate pair, the real values) of z, sorted
+    and averaged as scipy.signal's _cplxreal does."""
+    tol = 100 * np.finfo(np.float64).eps
+    z = z[np.lexsort((abs(z.imag), z.real))]
+    real = abs(z.imag) <= tol * abs(z)
+    if real.all():
+        return np.array([]), z.real
+    zr = z[real].real
+    z = z[~real]
+    zp, zn = z[z.imag > 0], z[z.imag < 0]
+    # runs of equal real part are ordered by imaginary part
+    same_real = np.diff(zp.real) <= tol * abs(zp[:-1])
+    diffs = np.diff(np.concatenate(([0], same_real, [0])))
+    for start, stop in zip(np.nonzero(diffs > 0)[0], np.nonzero(diffs < 0)[0] + 1):
+        for chunk in (zp[start:stop], zn[start:stop]):
+            chunk[...] = chunk[np.lexsort([abs(chunk.imag)])]
+    return (zp + zn.conj()) / 2, zr
+
+
+def _butter_bandpass(order, low, high, sample_rate):
+    """signal.butter(order, [low, high], "bandpass", fs=sample_rate,
+    output="sos"): the analog prototype, pre-warped lowpass-to-bandpass
+    transform, bilinear transform, and zpk2sos with "nearest" pairing."""
+    m = np.arange(-order + 1, order, 2, dtype=np.float64)
+    p = -np.exp(1j * np.pi * m / (2 * order))
+    wn = np.asarray([low, high], dtype=np.float64) / (sample_rate / 2)
+    # pre-warped for the bilinear transform at fs = 2
+    warped = 4.0 * np.tan(np.pi * wn / 2.0)
+    bw = float(warped[1] - warped[0])
+    wo = float(np.sqrt(warped[0] * warped[1]))
+    p = p * bw / 2
+    p = np.concatenate((p + np.sqrt(p**2 - wo**2), p - np.sqrt(p**2 - wo**2)))
+    # bilinear transform; the order zeros at s = 0 map to z = 1, the order
+    # zeros at infinity to z = -1
+    k = bw**order * np.real(4.0**order / np.prod(4.0 - p))
+    z = np.repeat([-1.0, 1.0], order)
+    p = np.concatenate(_cplxreal((4.0 + p) / (4.0 - p)))
+
+    def idx_worst(p):
+        # the pole closest to the unit circle
+        return np.argmin(np.abs(1 - np.abs(p)))
+
+    # sections from the last, so the poles closest to the unit circle go
+    # last; all zeros are real and real poles come in pairs, so zpk2sos's
+    # cases for a lone real pole or a lone real zero never arise
+    sos = np.zeros((order, 6))
+    for si in range(order - 1, -1, -1):
+        p1_idx = idx_worst(p)
+        p1 = p[p1_idx]
+        p = np.delete(p, p1_idx)
+        if np.isreal(p1):
+            real_idx = np.flatnonzero(np.isreal(p))
+            p2_idx = real_idx[idx_worst(p[real_idx])]
+            p2 = p[p2_idx]
+            p = np.delete(p, p2_idx)
+        else:
+            p2 = p1.conj()
+        zeros = []
+        for _ in range(2):
+            # the zero nearest to p1
+            z1_idx = np.argsort(np.abs(z - p1))[0]
+            zeros.append(z[z1_idx])
+            z = np.delete(z, z1_idx)
+        sos[si, :3] = _poly(np.array(zeros))
+        sos[si, 3:] = _poly(np.array([p1, p2]))
+    sos[0, :3] *= k
+    return sos
+
+
 @functools.cache
 def _cached_sos(spec, sample_rate):
     """Second-order-section coefficients of the bandpass spec, designed once
     per (spec, sample_rate); the array is shared by every caller, so it is
     read-only."""
     check_nyquist(spec, sample_rate)
-    from scipy import signal
-
-    sos = signal.butter(spec.order, [spec.low, spec.high], btype="bandpass",
-                        fs=sample_rate, output="sos")
+    sos = _butter_bandpass(spec.order, spec.low, spec.high, sample_rate)
     sos.flags.writeable = False
     return sos
+
+
+@functools.cache
+def _cached_zi(spec, sample_rate):
+    """signal.sosfilt_zi of the cached design, also computed once and
+    read-only: the section states of the steady-state response to a unit
+    step. Each section's is lfilter_zi's solution of zi = A zi + B, scaled
+    by the DC gain of the sections before it."""
+    sos = _cached_sos(spec, sample_rate)
+    zi = np.empty((len(sos), 2))
+    scale = 1.0
+    for section, (b, a) in enumerate(zip(sos[:, :3], sos[:, 3:])):
+        companion = np.zeros((2, 2))
+        companion[0] = -a[1:] / (1.0 * a[0:1])
+        companion[1, 0] = 1
+        i_minus_a = np.eye(2) - companion.T
+        zi[section] = scale * np.linalg.solve(i_minus_a, b[1:] - a[1:] * b[0])
+        scale *= np.sum(b) / np.sum(a)
+    zi.flags.writeable = False
+    return zi
+
+
+def _sosfilt(sos, x, zi):
+    """signal.sosfilt's transposed direct-form II recurrence over the list
+    of floats x from section states zi, one section after the other (each
+    section's output depends only on its input, so this equals scipy's
+    sample-major loop)."""
+    for (b0, b1, b2, _, a1, a2), (z0, z1) in zip(sos.tolist(), zi.tolist()):
+        y = []
+        for xn in x:
+            yn = b0 * xn + z0
+            z0 = b1 * xn - a1 * yn + z1
+            z1 = b2 * xn - a2 * yn
+            y.append(yn)
+        x = y
+    return x
 
 
 def bandpass(ts, spec):
@@ -176,12 +293,14 @@ def bandpass(ts, spec):
     padlen = 3 * (2 * spec.order + 1)
     if len(ts) <= 3 * padlen:
         raise SignalTooShort(f"signal of {len(ts)} samples too short for padding of {padlen}")
-    from scipy import signal
-
-    # sosfilt rejects a read-only buffer, so filter with a copy
-    sos = _cached_sos(spec, ts.sample_rate).copy()
-    y = signal.sosfiltfilt(sos, ts.samples, padtype="even", padlen=padlen)
-    return TimeSeries(y, ts.sample_rate)
+    sos = _cached_sos(spec, ts.sample_rate)
+    # signal.sosfiltfilt(sos, x, padtype="even", padlen=padlen)
+    x = ts.samples
+    ext = np.concatenate((x[padlen:0:-1], x, x[-2:-(padlen + 2):-1]))
+    zi = _cached_zi(spec, ts.sample_rate)
+    y = _sosfilt(sos, ext.tolist(), zi * ext[0])
+    y = _sosfilt(sos, y[::-1], zi * y[-1])
+    return TimeSeries(np.array(y[::-1][padlen:-padlen]), ts.sample_rate)
 
 
 def check_window(n, spec):
@@ -225,20 +344,18 @@ def stft_peak_freqs(ts, spec, band):
     -------
     numpy array of peak frequencies in Hz, one per window.
     """
-    n = len(ts)
-    check_window(n, spec)
+    check_window(len(ts), spec)
     k_lo, k_hi = band_bins(band, ts.sample_rate, spec)
     df = ts.sample_rate / spec.fft_size
 
-    window = np.hanning(spec.window_len)
+    segments = sliding_window_view(ts.samples, spec.window_len)[::spec.hop]
+    spectra = np.fft.rfft(segments * np.hanning(spec.window_len), spec.fft_size, axis=1)
+    # squared magnitudes: the log-parabola vertex is the same as over
+    # plain magnitudes, and the add/multiply-only path keeps argmax and
+    # refinement bit-stable when the input is scaled by a power of two
+    mag2s = spectra.real ** 2 + spectra.imag ** 2
     freqs = []
-    for start in range(0, n - spec.window_len + 1, spec.hop):
-        seg = ts.samples[start:start + spec.window_len] * window
-        spectrum = np.fft.rfft(seg, spec.fft_size)
-        # squared magnitudes: the log-parabola vertex is the same as over
-        # plain magnitudes, and the add/multiply-only path keeps argmax and
-        # refinement bit-stable when the input is scaled by a power of two
-        mag2 = spectrum.real ** 2 + spectrum.imag ** 2
+    for mag2 in mag2s:
         k = k_lo + int(np.argmax(mag2[k_lo:k_hi + 1]))
         delta = 0.0
         if k_lo < k < k_hi:
@@ -264,6 +381,37 @@ def median_rate(freqs):
     return statistics.median(np.asarray(freqs, dtype=np.float64)) * 60.0
 
 
+def _gtsv(dl, d, du, b):
+    """LAPACK dgtsv for one right-hand side, over lists of floats: Gaussian
+    elimination of the tridiagonal system with sub-, main and super-
+    diagonals dl, d, du, swapping rows where the subdiagonal entry is
+    larger, then back substitution; returns the solution."""
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            temp = b[i]
+            b[i] = b[i + 1]
+            b[i + 1] = temp - fact * b[i + 1]
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
 def cubic_spline(knot_t, knot_v, sample_rate, duration):
     """Natural cubic spline through (knot_t, knot_v), sampled uniformly.
 
@@ -276,11 +424,34 @@ def cubic_spline(knot_t, knot_v, sample_rate, duration):
         raise ValueError(f"need >= 3 knots, got {len(knot_t)}")
     if np.any(np.diff(knot_t) <= 0):
         raise ValueError("knot times must be strictly increasing")
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(knot_t, knot_v, bc_type="natural")
-    t = np.arange(int(round(duration * sample_rate))) / sample_rate
-    values = spline(np.clip(t, knot_t[0], knot_t[-1]))
+    # CubicSpline(knot_t, knot_v, bc_type="natural"): the knot slopes s
+    # solve a tridiagonal system (diagonals dl, d, du; right side b)
+    x, y = knot_t, knot_v
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d = np.empty(len(x))
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    d[0], d[-1] = 2 * dx[0], 2 * dx[-1]
+    du = np.concatenate((dx[:1], dx[:-1]))
+    dl = np.concatenate((dx[1:], dx[-1:]))
+    b = np.empty(len(x))
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # natural ends; scipy adds the zero end curvature's term, which at the
+    # last knot turns a -0.0 into +0.0
+    b[0] = 3 * (y[1] - y[0])
+    b[-1] = 0.0 + 3 * (y[-1] - y[-2])
+    s = np.array(_gtsv(dl.tolist(), d.tolist(), du.tolist(), b.tolist()))
+    # Hermite form, then PPoly's evaluation in its interval and term order
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    coeffs = (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])
+    at = np.clip(np.arange(int(round(duration * sample_rate))) / sample_rate, x[0], x[-1])
+    i = np.minimum(np.searchsorted(x, at, side="right") - 1, len(x) - 2)
+    h = at - x[i]
+    values = 0.0 + coeffs[3][i]
+    power = h
+    for c in coeffs[2::-1]:
+        values += c[i] * power
+        power = power * h
     return TimeSeries(values, sample_rate)
 
 

@@ -277,9 +277,12 @@ def join_results(est_path, gt_path):
             raise FormatError(
                 f"{where}: trial_id {trial_id}: condition/task mismatch between files "
                 f"({condition}/{task} vs {gt_condition}/{gt_task})")
-        records.append(TrialRecord(
-            trial_id, condition, task, hr_est=hr_est, hr_gt=hr_gt, rr_est=rr_est,
-            rr_gt=rr_gt, skin_gray=skin_gray, flags=flags | gt_flags))
+        try:
+            records.append(TrialRecord(
+                trial_id, condition, task, hr_est=hr_est, hr_gt=hr_gt, rr_est=rr_est,
+                rr_gt=rr_gt, skin_gray=skin_gray, flags=flags | gt_flags))
+        except ValueError as e:
+            raise FormatError(f"{where}: {e}") from None
     if gt_by_id:
         raise FormatError(f"{gt_path}: trial_id {min(gt_by_id)} present in ground truth only")
     return records

@@ -345,6 +345,26 @@ def test_crop_too_wide_is_not_blamed_on_a_trial(dataset, tmp_path, capsys):
     assert capsys.readouterr().err == "error: crop (300,300,200,0) exceeds 32x32 frame\n"
 
 
+@pytest.mark.parametrize("source", ["config", "crop"])
+def test_bad_crop_names_the_config_only_when_it_came_from_there(source, dataset, tmp_path,
+                                                                capsys):
+    cfg = tmp_path / "pipeline.cfg"
+    args = ["estimate", "--data", str(dataset), "--out", str(tmp_path / "e.csv"),
+            "--roi", ROI, "--config", str(cfg)]
+    if source == "config":
+        cfg.write_text("crop_left = -1\ncrop_right = 0\ncrop_top = 0\n")
+        message = f"error: {cfg}: crop margins must be non-negative\n"
+    else:
+        # --crop overrides every margin of the config
+        cfg.write_text("crop_left = 0\ncrop_right = 0\ncrop_top = 0\n")
+        args += ["--crop", "0,40,0,0"]
+        message = "error: crop (0,40,0,0) exceeds 32x32 frame\n"
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_bad_scale_factor_is_not_blamed_on_a_trial(dataset, tmp_path, capsys):
     cfg = tmp_path / "pipeline.cfg"
     cascade = tmp_path / "cascade.json"
@@ -443,6 +463,24 @@ def test_evaluate_names_a_non_finite_estimate(estimates_csv, groundtruth_csv, tm
     assert main(["evaluate", "--estimates", str(est),
                  "--groundtruth", str(groundtruth_csv), "--out", str(tmp_path / "r")]) == 1
     assert capsys.readouterr().err == f"error: {est}:2: hr_est 'nan' is not a number\n"
+
+
+@pytest.mark.parametrize("cells,message", [
+    ({5: "-1.0"}, "skin_gray -1.0 outside [0, 255]"),
+    ({3: "", 4: "", 6: ""}, "trial 1: no complete estimate/truth pair and no flags")],
+    ids=["skin-gray-range", "empty-row"])
+def test_evaluate_names_the_line_of_an_invalid_record(cells, message, estimates_csv,
+                                                      groundtruth_csv, tmp_path, capsys):
+    est = tmp_path / "est.csv"
+    header, row = estimates_csv.read_text().splitlines()
+    row = row.split(",")
+    for column, cell in cells.items():
+        row[column] = cell
+    est.write_text(f"{header}\n{','.join(row)}\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--estimates", str(est),
+                 "--groundtruth", str(groundtruth_csv), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == f"error: {est}:2: {message}\n"
 
 
 def test_evaluate_rejects_foreign_header(estimates_csv, tmp_path, capsys):

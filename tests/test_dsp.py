@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.signal
+from scipy.interpolate import CubicSpline
 
 from camvitals import dsp
 from camvitals.config import PipelineConfig
@@ -168,13 +171,13 @@ def test_cached_design_is_the_butterworth_design_bit_for_bit(spec, rate):
 
 def test_bandpass_designs_once_per_band_and_rate(monkeypatch):
     calls = []
-    butter = scipy.signal.butter
+    butter = dsp._butter_bandpass
 
-    def counting_butter(*args, **kwargs):
+    def counting_butter(*args):
         calls.append(args)
-        return butter(*args, **kwargs)
+        return butter(*args)
 
-    monkeypatch.setattr(scipy.signal, "butter", counting_butter)
+    monkeypatch.setattr(dsp, "_butter_bandpass", counting_butter)
     dsp._cached_sos.cache_clear()
     try:
         ts = sine(1.2, 30.0, 20.0)
@@ -187,6 +190,132 @@ def test_bandpass_designs_once_per_band_and_rate(monkeypatch):
         assert len(calls) == 3
     finally:
         dsp._cached_sos.cache_clear()
+
+
+# ------------------------- scipy ports, bit for bit -------------------------
+# dsp's design, filter and spline do scipy's operations in scipy's order;
+# these compare them with scipy for exact equality.
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+def scipy_sos(order, low, high, rate):
+    return scipy.signal.butter(order, [low, high], btype="bandpass", fs=rate, output="sos")
+
+
+# (low, high, rate): narrow bands give complex poles only; wide bands from
+# near DC give the analog prototype's real pole a real bandpass pair
+_COMPLEX_POLE_BANDS = [(0.7, 2.5, 30.0), (0.2, 0.5, 30.0), (0.7, 2.5, 128.0),
+                       (0.2, 0.5, 128.0), (1.0, 1.1, 25.0), (0.01, 0.02, 30.0)]
+_REAL_POLE_BANDS = [(0.05, 0.9, 30.0), (0.05, 14.0, 30.0), (0.1, 12.0, 25.0),
+                    (0.2, 60.0, 128.0)]
+
+
+def has_real_poles(order, low, high, rate):
+    _, p, _ = scipy.signal.butter(order, [low, high], btype="bandpass", fs=rate,
+                                  output="zpk")
+    return bool(np.any(p.imag == 0))
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_butterworth_design_matches_scipy_bit_for_bit(order):
+    rng = np.random.default_rng(order)
+    bands = _COMPLEX_POLE_BANDS + _REAL_POLE_BANDS
+    for _ in range(30):
+        rate = float(rng.choice([30.0, 128.0, rng.uniform(5.0, 500.0)]))
+        low = float(rng.uniform(0.001, 0.45)) * rate
+        bands.append((low, float(rng.uniform(low / rate + 1e-4, 0.4999)) * rate, rate))
+    for low, high, rate in bands:
+        assert same_bits(dsp._butter_bandpass(order, low, high, rate),
+                         scipy_sos(order, low, high, rate)), (low, high, rate)
+
+
+def test_design_bands_cover_real_and_complex_poles():
+    for order in (1, 3, 5):
+        assert not any(has_real_poles(order, *band) for band in _COMPLEX_POLE_BANDS)
+        assert all(has_real_poles(order, *band) for band in _REAL_POLE_BANDS)
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_bandpass_matches_sosfiltfilt_bit_for_bit(order):
+    rng = np.random.default_rng(10 + order)
+    padlen = 3 * (2 * order + 1)
+    for low, high, rate in _COMPLEX_POLE_BANDS[:4] + _REAL_POLE_BANDS[:1]:
+        spec = BandpassSpec(low, high, order)
+        sos = scipy_sos(order, low, high, rate)
+        for n in (3 * padlen + 1, 3 * padlen + 2, 600, 2560):
+            for x in (rng.normal(size=n), np.full(n, 3.7), 1e6 + rng.normal(size=n),
+                      -250.0 + 1e-3 * np.cumsum(rng.normal(size=n))):
+                want = scipy.signal.sosfiltfilt(sos, x, padtype="even", padlen=padlen)
+                assert same_bits(bandpass(TimeSeries(x, rate), spec).samples, want), \
+                    (low, high, rate, n)
+
+
+def peak_train_knots(peaks):
+    """ppg_like's knots: +1 at each peak, -1 at each midpoint."""
+    knot_t = np.empty(2 * len(peaks) - 1)
+    knot_v = np.empty_like(knot_t)
+    knot_t[0::2] = peaks
+    knot_v[0::2] = 1.0
+    knot_t[1::2] = 0.5 * (peaks[:-1] + peaks[1:])
+    knot_v[1::2] = -1.0
+    return knot_t, knot_v
+
+
+def gtsv_row_swaps(knot_t):
+    """Rows dgtsv interchanges when it solves the natural spline system of
+    knot_t (its elimination, replayed on the diagonals)."""
+    dx = np.diff(knot_t)
+    dl = list(dx[1:]) + [dx[-1]]
+    d = [2 * dx[0]] + list(2 * (dx[:-1] + dx[1:])) + [2 * dx[-1]]
+    du = [dx[0]] + list(dx[:-1])
+    swaps = 0
+    for i in range(len(d) - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            d[i + 1] -= dl[i] / d[i] * du[i]
+        else:
+            swaps += 1
+            fact = d[i] / dl[i]
+            d[i], d[i + 1] = dl[i], du[i] - fact * d[i + 1]
+            if i < len(d) - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+    return swaps
+
+
+def spline_cases():
+    rng = np.random.default_rng(77)
+    regular = [0.3 + 0.8 * np.arange(n) for n in (3, 4, 12, 40)]
+    jittered = [np.cumsum(rng.uniform(0.4, 1.2, size=n)) for n in (3, 9, 25, 60)]
+    # 0.25 s (the refractory default) next to 0.95 s intervals
+    pivoting = [np.cumsum(rng.choice([0.25, 0.95], size=n)) for n in (6, 15, 30)]
+    pivoting.append(np.cumsum([0.5, 0.25, 0.95, 0.25, 0.95, 0.8, 0.8]))
+    return regular, jittered, pivoting
+
+
+def test_spline_cases_reach_the_row_interchange():
+    regular, jittered, pivoting = spline_cases()
+    assert all(gtsv_row_swaps(peak_train_knots(p)[0]) == 0 for p in regular)
+    assert all(gtsv_row_swaps(peak_train_knots(p)[0]) > 0 for p in pivoting)
+
+
+def test_spline_matches_scipy_cubic_spline_bit_for_bit():
+    rng = np.random.default_rng(78)
+    knots = []
+    for peaks in [p for group in spline_cases() for p in group]:
+        knot_t, knot_v = peak_train_knots(peaks)
+        # ppg_like's +-1 values, and values that leave no zero in the system
+        knots += [(knot_t, knot_v), (knot_t, rng.normal(size=len(knot_t)))]
+    for knot_t, knot_v in knots:
+        for rate in (30.0, 128.0):
+            duration = float(knot_t[-1]) + 1.5
+            t = np.arange(int(round(duration * rate))) / rate
+            spline = CubicSpline(knot_t, knot_v, bc_type="natural")
+            want = spline(np.clip(t, knot_t[0], knot_t[-1]))
+            got = cubic_spline(knot_t, knot_v, rate, duration).samples
+            assert same_bits(got, want), (knot_t, knot_v, rate)
 
 
 def test_cached_design_survives_repeated_filtering_unchanged():
@@ -233,6 +362,44 @@ def test_stft_peaks_dominant_of_two_tones():
     x = np.sin(2 * np.pi * 1.0 * t) + 0.3 * np.sin(2 * np.pi * 2.0 * t)
     freqs = stft_peak_freqs(TimeSeries(x, fs), VIDEO_STFT, (0.7, 2.5))
     assert all(abs(f - 1.0) < 0.05 for f in freqs)
+
+
+def per_window_peak_freqs(ts, spec, band):
+    """stft_peak_freqs with one FFT per window, as it was computed before
+    the spectra were batched."""
+    k_lo, k_hi = dsp.band_bins(band, ts.sample_rate, spec)
+    window = np.hanning(spec.window_len)
+    freqs = []
+    for start in range(0, len(ts) - spec.window_len + 1, spec.hop):
+        spectrum = np.fft.rfft(ts.samples[start:start + spec.window_len] * window,
+                               spec.fft_size)
+        mag2 = spectrum.real ** 2 + spectrum.imag ** 2
+        k = k_lo + int(np.argmax(mag2[k_lo:k_hi + 1]))
+        delta = 0.0
+        if k_lo < k < k_hi:
+            left, mid, right = (max(float(mag2[j]), dsp._LOG_FLOOR) for j in (k - 1, k, k + 1))
+            denom = math.log((left * right) / (mid * mid))
+            if denom != 0.0:
+                delta = float(np.clip(0.5 * math.log(left / right) / denom, -0.5, 0.5))
+        freqs.append((k + delta) * ts.sample_rate / spec.fft_size)
+    return np.array(freqs)
+
+
+@pytest.mark.parametrize("spec,rate", [(VIDEO_STFT, 30.0), (PHYSIO_STFT, 128.0)],
+                         ids=["video", "physio"])
+def test_batched_stft_peaks_equal_the_per_window_loop(spec, rate):
+    rng = np.random.default_rng(int(rate))
+    lengths = (300, spec.window_len, spec.window_len + spec.hop - 1, 2560, 7680,
+               *rng.integers(spec.window_len, 7681, size=10))
+    for n in lengths:
+        if n < spec.window_len:
+            continue
+        t = np.arange(n) / rate
+        tone = np.sin(2 * np.pi * rng.uniform(0.8, 2.3) * t)
+        for x in (tone, tone + rng.normal(size=n), rng.normal(size=n), 1e3 * tone + 5e5):
+            ts = TimeSeries(x, rate)
+            assert np.array_equal(stft_peak_freqs(ts, spec, (0.7, 2.5)),
+                                  per_window_peak_freqs(ts, spec, (0.7, 2.5))), n
 
 
 def test_stft_peaks_errors():

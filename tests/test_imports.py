@@ -1,7 +1,7 @@
-"""Start-up cost: `import camvitals.cli` and `evaluate` load none of the
-slow scipy subpackages, which the modules import inside the functions that
-use them. Each case runs in a fresh interpreter, since this process has
-long since imported scipy."""
+"""Start-up cost: `import camvitals.cli`, `estimate` and `groundtruth` load
+no scipy module, and `evaluate` loads none of the slow scipy subpackages;
+the modules import scipy inside the functions that use it. Each case runs
+in a fresh interpreter, since this process has long since imported scipy."""
 
 import json
 import os
@@ -11,6 +11,7 @@ from pathlib import Path
 
 from camvitals.evaluation import EST_HEADER, GT_HEADER
 from camvitals.ingest import write_csv
+from camvitals.synth import SynthConfig, TrialPlan, synth_dataset
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -30,6 +31,23 @@ def test_importing_the_cli_loads_no_scipy():
         "import camvitals.cli\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m == 'scipy' or m.startswith('scipy.'))))\n")
+    assert loaded == []
+
+
+def test_estimate_and_groundtruth_load_no_scipy(tmp_path):
+    data = tmp_path / "data"
+    synth_dataset([TrialPlan(1, "respiration", 1, 10.0)], SynthConfig(width=32, height=32),
+                  data, seed=2, rates={1: (72.0, 15.0)})
+    estimate = ["estimate", "--data", str(data), "--out", str(tmp_path / "est.csv"),
+                "--roi", "manual:12,5,8,10", "--crop", "0,0,0,0"]
+    groundtruth = ["groundtruth", "--data", str(data), "--out", str(tmp_path / "gt.csv")]
+    rcs, loaded = fresh_python(
+        "import json, sys\n"
+        "from camvitals import cli\n"
+        f"rcs = [cli.main({estimate!r}), cli.main({groundtruth!r})]\n"
+        "print(json.dumps([rcs, sorted(m for m in sys.modules\n"
+        "                              if m == 'scipy' or m.startswith('scipy.'))]))\n")
+    assert rcs == [0, 0]
     assert loaded == []
 
 
