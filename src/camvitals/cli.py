@@ -16,7 +16,7 @@ from .config import PipelineConfig, load_config
 from .detect import (DetectionError, check_frame_fits, convert_opencv_xml, load_cascade,
                      save_cascade, track_roi)
 from .dsp import (SignalTooShort, TimeSeries, band_bins, bandpass, check_detrend_window,
-                  check_nyquist, estimate_rate)
+                  check_nyquist, estimate_rate, filtered_rate)
 from .evaluation import (EST_HEADER, GT_HEADER, emit_report, join_results,
                          render_signals, segment_trials, skin_tone_gray)
 from .geometry import Rect
@@ -169,16 +169,17 @@ def _estimate_trial(data_dir, manifest, entry, cfg, cascade, manual_box, plots_d
                           min_neighbors=cfg.min_neighbors, min_size=cfg.min_size)
     except DetectionError:
         return None, None, None, {"roi_failure"}
-    # each trace once: the rate estimates and the plots share them
+    # each trace computed and filtered once: the rate estimates and the
+    # plots share them
     raw_pulse = pulse_trace(clip, [hr_roi(f) for f in faces], cfg)
-    hr_est, hr_flags = estimate_rate(raw_pulse, cfg.hr_bandpass, cfg.video_stft)
+    filt_pulse = bandpass(raw_pulse, cfg.hr_bandpass)
+    hr_est, hr_flags = filtered_rate(filt_pulse, cfg.hr_bandpass, cfg.video_stft)
     raw_chest = mean_gray_trace(clip, [rr_roi(f, clip.height, clip.width) for f in faces])
-    rr_est, rr_flags = estimate_rate(raw_chest, cfg.rr_bandpass, cfg.video_stft)
+    filt_chest = bandpass(raw_chest, cfg.rr_bandpass)
+    rr_est, rr_flags = filtered_rate(filt_chest, cfg.rr_bandpass, cfg.video_stft)
     skin_gray = skin_tone_gray(clip, faces)
 
     if plots_dir is not None:
-        filt_pulse = bandpass(raw_pulse, cfg.hr_bandpass)
-        filt_chest = bandpass(raw_chest, cfg.rr_bandpass)
         svg = render_signals(
             [("pulse scalar (raw)", raw_pulse),
              ("pulse scalar (bandpassed)", filt_pulse),

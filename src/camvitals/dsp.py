@@ -479,11 +479,15 @@ def estimate_rate(ts, spec, stft_spec):
     """(rate in cycles/minute, flags) of the dominant in-band oscillation.
 
     The one rate estimator of the HR, RR and ground-truth paths: zero-phase
-    bandpass by the BandpassSpec spec, per-window spectral peaks in its
-    band, their median scaled to per-minute, and the rate_flags of those
-    peaks.
+    bandpass by the BandpassSpec spec, then filtered_rate of the result.
     """
+    return filtered_rate(bandpass(ts, spec), spec, stft_spec)
+
+
+def filtered_rate(filtered, spec, stft_spec):
+    """estimate_rate of a series already bandpassed by spec, for a caller
+    that keeps the filtered signal: per-window spectral peaks in the band,
+    their median scaled to per-minute, and the rate_flags of those peaks."""
     band = (spec.low, spec.high)
-    filtered = bandpass(ts, spec)
     freqs = stft_peak_freqs(filtered, stft_spec, band)
-    return median_rate(freqs), rate_flags(freqs, band, stft_spec, ts.sample_rate)
+    return median_rate(freqs), rate_flags(freqs, band, stft_spec, filtered.sample_rate)

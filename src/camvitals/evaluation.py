@@ -80,6 +80,7 @@ class EvaluationReport:
     rr_summaries: list
     skin_points: list = field(default_factory=list)   # (gray, abs hr error)
     skin_fit: tuple | None = None                     # linear_fit output
+    skin_ols: tuple | None = None                     # _ols output of the same fit
 
 
 def segment_trials(physio, manifest):
@@ -129,13 +130,83 @@ def skin_tone_gray(clip, rois):
     return total / count
 
 
-def _ols(x, y):
-    """(slope, intercept, xbar, sxx, s2, tcrit) of the OLS fit of float
-    arrays: s2 and the 97.5% t quantile tcrit are on n-2 degrees of freedom."""
+# The 97.5% quantile of Student's t on df = 1..198 degrees of freedom (fits
+# of 3..200 points): float(scipy.special.stdtrit(df, 0.975)) under scipy
+# 1.17.1, written with repr. scipy's quantile is not correctly rounded, so
+# no independent algorithm reproduces its bits; the table spares evaluate
+# the scipy.special import. One string rather than 198 float literals:
+# compiling those raised the start-up peak RSS of every CLI process by
+# about 0.3 MB. test_evaluation's test_t_quantile_table_is_scipy_stdtrit
+# checks every entry.
+_T975 = tuple(float(t) for t in """
+    12.706204736174694 4.302652729749462 3.1824463052837078 2.7764451051977934
+    2.5705818356363146 2.4469118511449786 2.364624251592784 2.306004135204166
+    2.262157162798205 2.228138851986274 2.200985160091639 2.1788128296672284
+    2.1603686564627913 2.144786687917804 2.131449545559776 2.1199052992212546
+    2.1098155778333156 2.1009220402410382 2.0930240544083087 2.085963447265864
+    2.0796138447276795 2.0738730679040254 2.0686576104190486 2.0638985616280245
+    2.0595385527532972 2.0555294386428735 2.0518305164802846 2.0484071417952454
+    2.045229642132703 2.0422724563012378 2.039513446396408 2.0369333434601016
+    2.0345152974493383 2.0322445093177186 2.030107928250343 2.0280940009804502
+    2.0261924630291093 2.0243941639119694 2.022690920036761 2.021075390306273
+    2.019540970441376 2.0180817028184443 2.016692199227824 2.0153675744437636
+    2.014103388880846 2.012895598919429 2.0117405137297655 2.010634757624232
+    2.0095752371292392 2.008559112100761 2.007583770315836 2.006646805061688
+    2.0057459953178687 2.0048792881880564 2.0040447832891455 2.003240718847872
+    2.002465459291007 2.0017174841452356 2.000995378088267 2.0002978220142604
+    1.999623584994939 1.9989715170333788 1.998340542520741 1.997729654317693
+    1.9971379083920038 1.9965644189523117 1.996008354025296 1.9954689314298435
+    1.9949454151072374 1.994437111771186 1.9939433678456255 1.9934635666618719
+    1.992997125889855 1.992543495180932 1.9921021540022417 1.9916726096446642
+    1.9912543953883846 1.9908470688116906 1.9904502102301285 1.990063421254446
+    1.9896863234569029 1.989318557136572 1.9889597801751624 1.9886096669757083
+    1.9882679074772216 1.98793420623902 1.9876082815890708 1.9872898648311692
+    1.986978699506281 1.9866745407037683 1.9863771544186177 1.98608631695113
+    1.9858018143458227 1.985523441866604 1.9852510035054978 1.984984311522457
+    1.9847231860139845 1.9844674545084815 1.9842169515864174 1.9839715185235518
+    1.983731002955606 1.9834952585628793 1.9832641447734565 1.9830375264837259
+    1.9828152737950475 1.9825972617655006 1.9823833701756908 1.982173483307727
+    1.9819674897364825 1.981765282132372 1.9815667570749007 1.9813718148763053
+    1.981180359414661 1.9809922979758567 1.9808075411039094 1.9806260024590894
+    1.9804475986834025 1.980272249272974 1.9800998764569397 1.9799304050824402
+    1.9797637625053868 1.9795998784866382 1.9794386850933035 1.9792801166048548
+    1.9791241094237977 1.9789706019906281 1.9788195347028539 1.978670849837835
+    1.9785244914792577 1.9783804054470222 1.9782385392303798 1.9780988419241303
+    1.9779612641677262 1.9778257580871244 1.9776922772392527 1.977560776558935
+    1.9774312123081748 1.9773035420276506 1.977177724490333 1.9770537196570985
+    1.9769314886342528 1.9768109936328597 1.976692197929798 1.9765750658304433
+    1.9764595626329178 1.9763456545938125 1.976233308895327 1.9761224936137445
+    1.976013177689192 1.9759053308966201 1.9757989238179392 1.97569392781527
+    1.9755903150052492 1.9754880582343404 1.9753871310551152 1.9752875077034489
+    1.9751891630765912 1.9750920727120844 1.9749962127674756 1.9749015600007986
+    1.974808091751787 1.974715785923791 1.974624620966361 1.9745345758584756
+    1.9744456300923825 1.9743577636580294 1.9742709570280557 1.9741851911433248
+    1.9741004473989765 1.9740167076309703 1.973933954103107 1.9738521694945061
+    1.973771336887522 1.9736914397560734 1.9736124619543842 1.9735343877061042
+    1.9734572015938032 1.9733808885488238 1.9733054338414737 1.9732308230715456
+    1.9731570421591593 1.973084077335903 1.973011915136267 1.9729405423893598
+    1.9728699462108963 1.9728001139954416 1.9727310334089099 1.9726626923813002
+    1.9725950790996682 1.972528182001318 1.972461989767211 1.9723964913155805
+    1.9723316757957499 1.9722675325821355 1.9722040512684433 1.9721412216620415
+    1.9720790337785026 1.9720174778363146
+""".split())
+
+
+def _t975(df):
+    """97.5% quantile of Student's t on df degrees of freedom, bit-equal to
+    scipy.stats.t.ppf(0.975, df)."""
+    if df <= len(_T975):
+        return _T975[df - 1]
     # scipy.special, not scipy.stats: the same quantile (t.ppf calls
     # stdtrit) at under half the import cost
     from scipy.special import stdtrit
 
+    return float(stdtrit(df, 0.975))
+
+
+def _ols(x, y):
+    """(slope, intercept, xbar, sxx, s2, tcrit) of the OLS fit of float
+    arrays: s2 and the 97.5% t quantile tcrit are on n-2 degrees of freedom."""
     n = len(x)
     xbar, ybar = float(np.mean(x)), float(np.mean(y))
     sxx = float(np.sum((x - xbar) ** 2))
@@ -145,8 +216,16 @@ def _ols(x, y):
     intercept = ybar - slope * xbar
     resid = y - (slope * x + intercept)
     s2 = float(np.sum(resid ** 2)) / (n - 2)
-    tcrit = float(stdtrit(n - 2, 0.975))
-    return slope, intercept, xbar, sxx, s2, tcrit
+    return slope, intercept, xbar, sxx, s2, _t975(n - 2)
+
+
+def _ci95(n, ols):
+    """(slope, intercept, ci95_slope, ci95_intercept) of an _ols result on
+    n points: the line and the half-widths of its 95% intervals."""
+    slope, intercept, xbar, sxx, s2, tcrit = ols
+    ci_slope = tcrit * np.sqrt(s2 / sxx)
+    ci_intercept = tcrit * np.sqrt(s2 * (1.0 / n + xbar ** 2 / sxx))
+    return slope, intercept, float(ci_slope), float(ci_intercept)
 
 
 def linear_fit(x, y):
@@ -157,10 +236,7 @@ def linear_fit(x, y):
     n = len(x)
     if n < 3 or len(y) != n:
         raise ValueError("need at least 3 (x, y) points")
-    slope, intercept, xbar, sxx, s2, tcrit = _ols(x, y)
-    ci_slope = tcrit * np.sqrt(s2 / sxx)
-    ci_intercept = tcrit * np.sqrt(s2 * (1.0 / n + xbar ** 2 / sxx))
-    return slope, intercept, float(ci_slope), float(ci_intercept)
+    return _ci95(n, _ols(x, y))
 
 
 def boxplot_stats(values):
@@ -229,7 +305,11 @@ def build_report(records):
             report.skin_points.append((r.skin_gray, abs(est - gt)))
     xs = [p[0] for p in report.skin_points]
     if len(report.skin_points) >= 3 and len(set(xs)) > 1:
-        report.skin_fit = linear_fit(xs, [p[1] for p in report.skin_points])
+        # one fit: the summary row and the figure's band both use it
+        report.skin_ols = _ols(np.array(xs, dtype=np.float64),
+                               np.array([p[1] for p in report.skin_points],
+                                        dtype=np.float64))
+        report.skin_fit = _ci95(len(xs), report.skin_ols)
     return report
 
 
@@ -451,8 +531,8 @@ def render_boxplot(summaries, title, ylabel):
     return canvas.to_string()
 
 
-def render_scatter(points, fit, title, xlabel, ylabel):
-    """Scatter of (x, y) points; when `fit` (the linear_fit of the points)
+def render_scatter(points, ols, title, xlabel, ylabel):
+    """Scatter of (x, y) points; when `ols` (the _ols fit of the points)
     is given, adds the OLS line and the pointwise 95% confidence band of
     the mean response."""
     canvas = SvgCanvas(460, 340)
@@ -467,8 +547,8 @@ def render_scatter(points, fit, title, xlabel, ylabel):
     y_lo, y_hi = 0.0, float(ys.max()) * 1.15 + 1e-9
 
     band = None
-    if fit is not None:
-        slope, intercept, xbar, sxx, s2, tcrit = _ols(xs, ys)
+    if ols is not None:
+        slope, intercept, xbar, sxx, s2, tcrit = ols
         gx = np.linspace(x_lo, x_hi, 50)
         gy = slope * gx + intercept
         half = tcrit * np.sqrt(s2 * (1.0 / len(xs) + (gx - xbar) ** 2 / sxx))
@@ -536,7 +616,7 @@ def emit_report(records, out_dir):
         "rr_boxplot.svg": render_boxplot(
             report.rr_summaries, "Absolute RR error by condition", "error (brpm)"),
         "skin_scatter.svg": render_scatter(
-            report.skin_points, report.skin_fit,
+            report.skin_points, report.skin_ols,
             "HR error vs face brightness", "mean face gray", "abs error (bpm)"),
     }
     for name, svg in figures.items():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import make_toy_cascade
 
-from camvitals import cli, vitals
+from camvitals import cli, dsp, vitals
 from camvitals.cli import main
 from camvitals.config import PipelineConfig
 from camvitals.detect import Cascade, Stage, Tree, load_cascade, save_cascade
@@ -163,6 +163,26 @@ def test_plots_reuse_each_trace_and_leave_estimates_alone(dataset, tmp_path, mon
          ("chest mean gray (bandpassed)", bandpass(raw_chest, cfg.rr_bandpass))],
         "trial 1 signals")
     assert (plots / "signals_trial_001.svg").read_text() == want
+
+
+def test_plots_filter_each_trace_once(dataset, tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return bandpass(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "bandpass", counting)
+    monkeypatch.setattr(dsp, "bandpass", counting)
+    plain, plotted = tmp_path / "plain.csv", tmp_path / "plotted.csv"
+    base = ["estimate", "--data", str(dataset), "--roi", ROI, "--crop", NOCROP]
+    assert main(base + ["--out", str(plain)]) == 0
+    assert len(calls) == 2
+    calls.clear()
+    assert main(base + ["--out", str(plotted), "--plots", str(tmp_path / "plots")]) == 0
+    cfg = PipelineConfig()
+    assert calls == [cfg.hr_bandpass, cfg.rr_bandpass]   # one trial, one call per trace
+    assert plotted.read_bytes() == plain.read_bytes()
 
 
 # ------------------------- hold-breath handling -------------------------

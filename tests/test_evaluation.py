@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import statistics
@@ -5,8 +6,10 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
+from camvitals import evaluation
 from camvitals.dsp import TimeSeries
 from camvitals.evaluation import (BoxplotStats, TrialRecord, boxplot_stats,
                                   build_report, emit_report, linear_fit,
@@ -153,6 +156,29 @@ def test_linear_fit_intervals_match_the_scipy_stats_t_quantile():
         want = (slope, intercept, float(t * np.sqrt(s2 / sxx)),
                 float(t * np.sqrt(s2 * (1.0 / n + xbar ** 2 / sxx))))
         assert linear_fit(x, y) == want, n
+
+
+def test_t_quantile_table_is_scipy_stdtrit():
+    # every entry bit for bit, one per df of the fits of 3..200 points
+    assert len(evaluation._T975) == 198
+    for df, t in enumerate(evaluation._T975, start=1):
+        assert t.hex() == float(scipy.special.stdtrit(df, 0.975)).hex(), df
+
+
+@pytest.mark.parametrize("n", [200, 201, 202])   # last table entry, then scipy
+def test_linear_fit_matches_the_t_quantile_across_the_table_end(n):
+    rng = np.random.default_rng(n)
+    x = rng.uniform(40.0, 220.0, size=n)
+    y = 0.02 * x + rng.normal(size=n)
+    xbar, ybar = float(np.mean(x)), float(np.mean(y))
+    sxx = float(np.sum((x - xbar) ** 2))
+    slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
+    intercept = ybar - slope * xbar
+    s2 = float(np.sum((y - (slope * x + intercept)) ** 2)) / (n - 2)
+    t = float(scipy.stats.t.ppf(0.975, n - 2))
+    want = (slope, intercept, float(t * np.sqrt(s2 / sxx)),
+            float(t * np.sqrt(s2 * (1.0 / n + xbar ** 2 / sxx))))
+    assert linear_fit(x, y) == want
 
 
 def test_linear_fit_rejects_degenerate_inputs():
@@ -325,6 +351,24 @@ def test_emit_report_is_deterministic(tmp_path):
              "skin_scatter.svg"]
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_emit_report_fits_the_skin_regression_once(tmp_path, monkeypatch):
+    calls = []
+    ols = evaluation._ols
+
+    def counting(x, y):
+        calls.append(len(x))
+        return ols(x, y)
+
+    monkeypatch.setattr(evaluation, "_ols", counting)
+    emit_report(sample_records(), tmp_path)
+    assert calls == [3]
+    # the bytes written when the figure made its own second fit
+    assert (tmp_path / "summary.csv").read_text().splitlines()[-1] == (
+        "skin_regression,hr,all,3,,,,,,,,0.01,0.5,0.22007792174426874,34.21250328874686")
+    assert hashlib.sha256((tmp_path / "skin_scatter.svg").read_bytes()).hexdigest() == (
+        "5a0e0887aac8724b6b29e513eb86b978351f247c96f8bfe20f4c185c706463b0")
 
 
 def test_report_figures_are_valid_xml(tmp_path):

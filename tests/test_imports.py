@@ -67,3 +67,21 @@ def test_evaluate_loads_no_signal_stats_or_interpolate(tmp_path):
     assert rc == 0
     assert loaded == []
     assert (tmp_path / "report" / "summary.csv").read_text().count("skin_regression") == 1
+
+
+def test_evaluate_of_the_paper_protocol_size_loads_no_scipy(tmp_path):
+    est, gt = tmp_path / "est.csv", tmp_path / "gt.csv"
+    # 80 scored trials with distinct skin gray: a 78-df t quantile
+    write_csv(est, EST_HEADER, [(i, "gaze", 3, 70.0 + (i % 7), 15.0, 40.0 + 2 * i, set())
+                                for i in range(1, 81)])
+    write_csv(gt, GT_HEADER, [(i, "gaze", 3, 71.0, 15.5, set()) for i in range(1, 81)])
+    rc, loaded = fresh_python(
+        "import json, sys\n"
+        "from camvitals import cli\n"
+        f"rc = cli.main(['evaluate', '--estimates', {str(est)!r},\n"
+        f"               '--groundtruth', {str(gt)!r}, '--out', {str(tmp_path / 'report')!r}])\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules\n"
+        "                             if m == 'scipy' or m.startswith('scipy.'))]))\n")
+    assert rc == 0
+    assert loaded == []
+    assert (tmp_path / "report" / "summary.csv").read_text().count("skin_regression") == 1
