@@ -19,7 +19,7 @@ from .dsp import (SignalTooShort, TimeSeries, band_bins, bandpass, check_detrend
                   check_nyquist, estimate_rate, filtered_rate)
 from .evaluation import (EST_HEADER, GT_HEADER, emit_report, join_results,
                          render_signals, segment_trials, skin_tone_gray)
-from .geometry import Rect
+from .geometry import Rect, validate_rect
 from .groundtruth import gt_hr_flagged
 from .ingest import (MANIFEST_FILE, PHYSIO_FILE, FormatError, check_crop,
                      crop_clip, load_physio_csv, named, parse_manifest,
@@ -68,24 +68,25 @@ def build_parser():
     p.add_argument("--protocol", choices=["paper", "single"], default="single",
                    help="paper: 30 respiratory-part + 50 gaze-part trials; "
                         "single: one trial with the rates given below")
-    p.add_argument("--seed", type=int, default=0, help="master random seed")
-    p.add_argument("--width", type=int, default=64, help="frame width")
-    p.add_argument("--height", type=int, default=64, help="frame height")
-    p.add_argument("--fps", type=float, default=30.0, help="frame rate")
-    p.add_argument("--tone", type=float, default=1.0,
+    d = SynthConfig()
+    p.add_argument("--seed", type=int, default=d.seed, help="master random seed")
+    p.add_argument("--width", type=int, default=d.width, help="frame width")
+    p.add_argument("--height", type=int, default=d.height, help="frame height")
+    p.add_argument("--fps", type=float, default=d.fps, help="frame rate")
+    p.add_argument("--tone", type=float, default=d.tone,
                    help="skin brightness factor in (0, 1]")
-    p.add_argument("--pulse-amp", type=float, default=0.01,
+    p.add_argument("--pulse-amp", type=float, default=d.pulse_amp,
                    help="relative red-channel pulse amplitude")
-    p.add_argument("--chest-amp", type=float, default=1.5,
+    p.add_argument("--chest-amp", type=float, default=d.chest_amp,
                    help="chest edge motion amplitude in pixels")
-    p.add_argument("--noise-sigma", type=float, default=0.0,
+    p.add_argument("--noise-sigma", type=float, default=d.noise_sigma,
                    help="additive Gaussian pixel noise sigma")
-    p.add_argument("--blur", type=int, default=0, help="box blur radius")
-    p.add_argument("--hr", type=float, default=72.0,
+    p.add_argument("--blur", type=int, default=d.blur_radius, help="box blur radius")
+    p.add_argument("--hr", type=float, default=d.hr_bpm,
                    help="heart rate in bpm (single protocol)")
-    p.add_argument("--rr", type=float, default=15.0,
+    p.add_argument("--rr", type=float, default=d.rr_brpm,
                    help="respiration rate in brpm (single protocol)")
-    p.add_argument("--duration", type=float, default=20.0,
+    p.add_argument("--duration", type=float, default=d.duration,
                    help="trial length in seconds (single protocol)")
     p.add_argument("--task", type=int, default=1,
                    help="task id 1-7; 2 = hold breath (single protocol)")
@@ -157,40 +158,7 @@ def cmd_synth(args):
     return 0
 
 
-# ------------------------- estimate -------------------------
-
-def _estimate_trial(data_dir, manifest, entry, cfg, cascade, manual_box, plots_dir):
-    """(hr_est, rr_est, skin_gray, flags) of one trial."""
-    clip = read_frame_range(data_dir, manifest, entry.start_frame, entry.frame_count)
-    clip = crop_clip(clip, *cfg.crop)
-    try:
-        faces = track_roi(clip, cascade=cascade, manual_box=manual_box,
-                          scale_factor=cfg.scale_factor,
-                          min_neighbors=cfg.min_neighbors, min_size=cfg.min_size)
-    except DetectionError:
-        return None, None, None, {"roi_failure"}
-    # each trace computed and filtered once: the rate estimates and the
-    # plots share them
-    raw_pulse = pulse_trace(clip, [hr_roi(f) for f in faces], cfg)
-    filt_pulse = bandpass(raw_pulse, cfg.hr_bandpass)
-    hr_est, hr_flags = filtered_rate(filt_pulse, cfg.hr_bandpass, cfg.video_stft)
-    raw_chest = mean_gray_trace(clip, [rr_roi(f, clip.height, clip.width) for f in faces])
-    filt_chest = bandpass(raw_chest, cfg.rr_bandpass)
-    rr_est, rr_flags = filtered_rate(filt_chest, cfg.rr_bandpass, cfg.video_stft)
-    skin_gray = skin_tone_gray(clip, faces)
-
-    if plots_dir is not None:
-        svg = render_signals(
-            [("pulse scalar (raw)", raw_pulse),
-             ("pulse scalar (bandpassed)", filt_pulse),
-             ("chest mean gray (raw)", raw_chest),
-             ("chest mean gray (bandpassed)", filt_chest)],
-            f"trial {entry.trial_id} signals")
-        with open(Path(plots_dir) / f"signals_trial_{entry.trial_id:03d}.svg",
-                  "w", encoding="ascii") as f:
-            f.write(svg)
-    return hr_est, rr_est, skin_gray, hr_flags | rr_flags
-
+# ------------------------- trials -------------------------
 
 def _load_pipeline_config(args):
     cfg = load_config(args.config) if args.config else PipelineConfig()
@@ -209,25 +177,37 @@ def _check_bands(cfg, sample_rate, stft_spec):
         band_bins((spec.low, spec.high), sample_rate, stft_spec)
 
 
-def _result_rows(entries, analyse, n_values):
-    """Yield one result row (trial_id, condition, task, *values, flags) per
-    trial, from analyse(entry) -> (*values, flags). A trial too short for
-    its analysis windows gets n_values empty values and the too_short
-    flag; any other data error ends the command, prefixed with the trial."""
+def _run_trials(entries, analyse, header, out, describe):
+    """Analyse each trial, print its line, write one row per trial under
+    `header` to `out`, and return each row's flags.
+
+    analyse(entry) -> (*values, flags), and the line of such a trial is
+    describe(*values, flags). A trial with no face found gets roi_failure,
+    one too short for its analysis windows too_short, both with empty
+    values; any other data error ends the command, prefixed with the trial."""
+    empty = [None] * (len(header) - 4)   # all but trial_id, condition, task_id, flags
+    rows = []
     for entry in entries:
+        line = None
         try:
             *values, flags = analyse(entry)
+        except DetectionError:
+            values, flags, line = empty, {"roi_failure"}, "no face found (roi_failure)"
         except SignalTooShort as e:
-            print(f"trial {entry.trial_id}: {e} (too_short)")
-            values, flags = [None] * n_values, {"too_short"}
+            values, flags, line = empty, {"too_short"}, f"{e} (too_short)"
         except FormatError as e:
             raise FormatError(f"trial {entry.trial_id}: {e}") from e
         except ValueError as e:
             raise ValueError(f"trial {entry.trial_id}: {e}") from e
         if entry.is_hold_breath:
             flags = flags | {"hold_breath_excluded"}
-        yield (entry.trial_id, entry.condition, entry.task_id, *values, flags)
+        print(f"trial {entry.trial_id}: {line or describe(*values, flags)}")
+        rows.append((entry.trial_id, entry.condition, entry.task_id, *values, flags))
+    write_csv(out, header, rows)
+    return [flags for *_, flags in rows]
 
+
+# ------------------------- estimate -------------------------
 
 def cmd_estimate(args):
     if (args.cascade is None) == (args.roi is None):
@@ -238,37 +218,58 @@ def cmd_estimate(args):
     data_dir = Path(args.data)
     manifest = parse_manifest(data_dir / MANIFEST_FILE)
     # settings that do not fit the frames are setting errors, not one trial's;
-    # margins from --crop or the defaults name no file
+    # margins from --crop or the defaults and a box from --roi name no file
     with named(args.config) if args.config and args.crop is None else nullcontext():
-        cropped = check_crop(manifest.width, manifest.height, *cfg.crop)
+        width, height = check_crop(manifest.width, manifest.height, *cfg.crop)
+    if args.roi is not None:
+        rr_roi(validate_rect(args.roi, width, height, "manual ROI"), height, width)
     with named(args.config or data_dir / MANIFEST_FILE):
         _check_bands(cfg, manifest.fps, cfg.video_stft)
     if cascade is not None:
         with named(args.cascade):
-            check_frame_fits(cascade, *cropped)
+            check_frame_fits(cascade, width, height)
     if args.plots is not None:
         Path(args.plots).mkdir(parents=True, exist_ok=True)
 
     def analyse(entry):
-        return _estimate_trial(data_dir, manifest, entry, cfg, cascade, args.roi, args.plots)
+        """(hr_est, rr_est, skin_gray, flags) of one trial."""
+        clip = read_frame_range(data_dir, manifest, entry.start_frame, entry.frame_count)
+        clip = crop_clip(clip, *cfg.crop)
+        faces = track_roi(clip, cascade=cascade, manual_box=args.roi,
+                          scale_factor=cfg.scale_factor,
+                          min_neighbors=cfg.min_neighbors, min_size=cfg.min_size)
+        # each trace computed and filtered once: the rate estimates and the
+        # plots share them
+        raw_pulse = pulse_trace(clip, [hr_roi(f) for f in faces], cfg)
+        filt_pulse = bandpass(raw_pulse, cfg.hr_bandpass)
+        hr_est, hr_flags = filtered_rate(filt_pulse, cfg.hr_bandpass, cfg.video_stft)
+        raw_chest = mean_gray_trace(clip, [rr_roi(f, clip.height, clip.width) for f in faces])
+        filt_chest = bandpass(raw_chest, cfg.rr_bandpass)
+        rr_est, rr_flags = filtered_rate(filt_chest, cfg.rr_bandpass, cfg.video_stft)
+        skin_gray = skin_tone_gray(clip, faces)
+
+        if args.plots is not None:
+            svg = render_signals(
+                [("pulse scalar (raw)", raw_pulse),
+                 ("pulse scalar (bandpassed)", filt_pulse),
+                 ("chest mean gray (raw)", raw_chest),
+                 ("chest mean gray (bandpassed)", filt_chest)],
+                f"trial {entry.trial_id} signals")
+            with open(Path(args.plots) / f"signals_trial_{entry.trial_id:03d}.svg",
+                      "w", encoding="ascii") as f:
+                f.write(svg)
+        return hr_est, rr_est, skin_gray, hr_flags | rr_flags
+
+    def describe(hr_est, rr_est, _skin_gray, flags):
+        return f"hr={hr_est:.2f} rr={rr_est:.2f} flags={';'.join(sorted(flags))}"
 
     # serial: the per-trial work holds the interpreter lock, and threads
     # measured slower than this loop
-    rows = []
-    for row in _result_rows(manifest.entries, analyse, 3):
-        trial_id, _, _, hr_est, rr_est, _, flags = row
-        if "roi_failure" in flags:
-            print(f"trial {trial_id}: no face found (roi_failure)")
-        elif "too_short" not in flags:
-            print(f"trial {trial_id}: hr={hr_est:.2f} rr={rr_est:.2f} "
-                  f"flags={';'.join(sorted(flags))}")
-        rows.append(row)
-    write_csv(args.out, EST_HEADER, rows)
-
-    ok = sum(not flags & {"roi_failure", "too_short"} for *_, flags in rows)
-    print(f"estimated {ok}/{len(rows)} trials -> {args.out}")
+    flags = _run_trials(manifest.entries, analyse, EST_HEADER, args.out, describe)
+    ok = sum(not f & {"roi_failure", "too_short"} for f in flags)
+    print(f"estimated {ok}/{len(flags)} trials -> {args.out}")
     if ok == 0:
-        if all("roi_failure" in flags for *_, flags in rows):
+        if all("roi_failure" in f for f in flags):
             print("error: face detection failed on every trial", file=sys.stderr)
         else:
             print("error: no trial gave an estimate", file=sys.stderr)
@@ -287,7 +288,8 @@ def cmd_groundtruth(args):
     with named(args.config or data_dir / PHYSIO_FILE):
         _check_bands(cfg, physio.sample_rate, cfg.physio_stft)
         check_detrend_window(cfg.ecg_detrend_s, physio.sample_rate)
-    segments = dict(zip(manifest.entries, segment_trials(physio, manifest)))
+    with named(data_dir / PHYSIO_FILE):
+        segments = dict(zip(manifest.entries, segment_trials(physio, manifest)))
 
     def analyse(entry):
         s0, s1 = segments[entry]
@@ -299,17 +301,13 @@ def cmd_groundtruth(args):
         rr_gt, rr_flags = estimate_rate(resp_seg, cfg.rr_bandpass, cfg.physio_stft)
         return hr_gt, rr_gt, flags | rr_flags
 
-    rows = []
-    for row in _result_rows(manifest.entries, analyse, 2):
-        trial_id, _, _, hr_gt, rr_gt, flags = row
-        if "too_short" not in flags:
-            rr_text = "excluded" if rr_gt is None else f"{rr_gt:.2f}"
-            print(f"trial {trial_id}: hr_gt={hr_gt:.2f} rr_gt={rr_text}")
-        rows.append(row)
-    write_csv(args.out, GT_HEADER, rows)
+    def describe(hr_gt, rr_gt, _flags):
+        rr_text = "excluded" if rr_gt is None else f"{rr_gt:.2f}"
+        return f"hr_gt={hr_gt:.2f} rr_gt={rr_text}"
 
-    print(f"ground truth for {len(rows)} trials -> {args.out}")
-    if all("too_short" in flags for *_, flags in rows):
+    flags = _run_trials(manifest.entries, analyse, GT_HEADER, args.out, describe)
+    print(f"ground truth for {len(flags)} trials -> {args.out}")
+    if all("too_short" in f for f in flags):
         print("error: no trial gave a reference rate", file=sys.stderr)
         return 1
     return 0

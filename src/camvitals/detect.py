@@ -15,7 +15,7 @@ from .ingest import not_ascii, to_grayscale
 
 DEFAULT_SCALE_FACTOR = 1.1
 DEFAULT_MIN_NEIGHBORS = 3
-DEFAULT_GROUP_EPS = 0.2
+GROUP_EPS = 0.2
 
 
 class DetectionError(RuntimeError):
@@ -273,8 +273,7 @@ def check_frame_fits(c, img_w, img_h):
 
 
 def detect_faces(c, gray, scale_factor=DEFAULT_SCALE_FACTOR,
-                 min_neighbors=DEFAULT_MIN_NEIGHBORS, min_size=0,
-                 eps=DEFAULT_GROUP_EPS):
+                 min_neighbors=DEFAULT_MIN_NEIGHBORS, min_size=0):
     """Multiscale sliding-window detection over one grayscale frame.
 
     The window grows geometrically by scale_factor; the slide step is
@@ -305,26 +304,24 @@ def detect_faces(c, gray, scale_factor=DEFAULT_SCALE_FACTOR,
                         candidates.append(Rect(x, y, ww, wh))
         scale *= scale_factor
 
-    grouped = group_rects(candidates, min_neighbors, eps)
+    grouped = group_rects(candidates, min_neighbors)
     return sorted(grouped, key=lambda r: (-r.area, r.x, r.y))
 
 
-def _similar(a, b, eps):
-    delta = eps * 0.5 * (min(a.w, b.w) + min(a.h, b.h))
+def _similar(a, b):
+    delta = GROUP_EPS * 0.5 * (min(a.w, b.w) + min(a.h, b.h))
     return (abs(a.x - b.x) <= delta and abs(a.y - b.y) <= delta
             and abs(a.w - b.w) <= delta and abs(a.h - b.h) <= delta)
 
 
-def group_rects(candidates, min_neighbors, eps=DEFAULT_GROUP_EPS):
+def group_rects(candidates, min_neighbors):
     """Cluster near-identical rectangles and average each cluster.
 
-    Similarity (all four coordinates within eps * mean min-extent) is
+    Similarity (all four coordinates within GROUP_EPS * mean min-extent) is
     closed transitively; clusters smaller than min_neighbors + 1 are
     dropped; survivors are reduced to the coordinate-wise mean rectangle
     (rounded to integer pixels).
     """
-    if not (0 < eps < 1):
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
     n = len(candidates)
     parent = list(range(n))
 
@@ -336,7 +333,7 @@ def group_rects(candidates, min_neighbors, eps=DEFAULT_GROUP_EPS):
 
     for i in range(n):
         for j in range(i + 1, n):
-            if _similar(candidates[i], candidates[j], eps):
+            if _similar(candidates[i], candidates[j]):
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj

@@ -345,6 +345,8 @@ def join_results(est_path, gt_path):
     order. Both files must list the same trials, once each, with the same
     condition and task."""
     est_by_id = _by_trial_id(_read_results_csv(est_path, EST_HEADER))
+    if not est_by_id:
+        raise FormatError(f"{est_path}: no trial records to evaluate")
     gt_by_id = _by_trial_id(_read_results_csv(gt_path, GT_HEADER))
     records = []
     for trial_id, (where, condition, task, (hr_est, rr_est, skin_gray), flags) \

@@ -249,6 +249,8 @@ def parse_manifest(path):
         raise FormatError(f"{path}: manifest header missing {missing}") from None
     except ValueError:
         raise FormatError(f"{path}: non-numeric manifest header value") from None
+    if not entries:
+        raise FormatError(f"{path}: no trials")
     try:
         return TrialManifest(fps=fps, width=width, height=height, entries=entries)
     except ValueError as e:

@@ -10,7 +10,7 @@ from camvitals.cli import main
 from camvitals.config import PipelineConfig
 from camvitals.detect import Cascade, Stage, Tree, load_cascade, save_cascade
 from camvitals.dsp import bandpass
-from camvitals.evaluation import render_signals
+from camvitals.evaluation import EST_HEADER, render_signals
 from camvitals.geometry import Rect
 from camvitals.ingest import (TrialEntry, TrialManifest, frame_path,
                               parse_manifest, read_frame_range, write_manifest,
@@ -343,6 +343,63 @@ def test_too_short_trial_is_left_out_of_scoring(short_and_long, tmp_path):
     assert stats == [("hr", "1"), ("rr", "1")]
 
 
+@pytest.fixture(scope="module")
+def short_hold_and_normal(tmp_path_factory):
+    """Trial 1 is too short for the video and physio windows, trial 2 holds
+    its breath and trial 3 is a plain gaze trial."""
+    out = tmp_path_factory.mktemp("short_hold_normal")
+    synth_dataset([TrialPlan(1, "respiration", 1, 6.0), TrialPlan(2, "respiration", 2, 10.0),
+                   TrialPlan(3, "gaze", 3, 10.0)],
+                  SynthConfig(width=32, height=32, noise_sigma=1.0), out, seed=5)
+    return out
+
+
+# each command's stdout on short_hold_and_normal, one line per trial and then
+# the summary line; OUT stands for the output CSV
+TRIAL_LINES = {
+    "estimate": ["trial 1: signal of 180 samples shorter than window 256 (too_short)",
+                 "trial 2: hr=72.46 rr=19.61 flags=hold_breath_excluded",
+                 "trial 3: hr=68.16 rr=19.33 flags=",
+                 "estimated 2/3 trials -> OUT"],
+    "groundtruth": ["trial 1: signal of 768 samples shorter than window 1024 (too_short)",
+                    "trial 2: hr_gt=72.40 rr_gt=excluded",
+                    "trial 3: hr_gt=67.95 rr_gt=18.91",
+                    "ground truth for 3 trials -> OUT"],
+}
+
+
+@pytest.mark.parametrize("command", ["estimate", "groundtruth"])
+def test_each_trial_outcome_prints_one_line(command, short_hold_and_normal, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert main(_analysis_args(command, short_hold_and_normal, out)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.replace(str(out), "OUT").splitlines() == TRIAL_LINES[command]
+    assert [row["flags"] for row in read_rows(out)][:2] == ["too_short", "hold_breath_excluded"]
+
+
+def test_cascade_that_finds_no_face_prints_one_line_per_trial(short_hold_and_normal, tmp_path,
+                                                              capsys):
+    never = Tree(rects=((Rect(0, 0, 32, 32), 1.0),), threshold=0.0,
+                 pass_value=0.0, fail_value=0.0)
+    cascade = tmp_path / "cascade.json"
+    save_cascade(cascade, Cascade(window_w=32, window_h=32, stages=(Stage(0.5, (never,)),)))
+    out = tmp_path / "est.csv"
+    capsys.readouterr()
+    assert main(["estimate", "--data", str(short_hold_and_normal), "--out", str(out),
+                 "--cascade", str(cascade), "--crop", NOCROP]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "trial 1: no face found (roi_failure)",
+        "trial 2: no face found (roi_failure)",
+        "trial 3: no face found (roi_failure)",
+        f"estimated 0/3 trials -> {out}"]
+    assert captured.err == "error: face detection failed on every trial\n"
+    assert [(row["hr_est"], row["flags"]) for row in read_rows(out)] == [
+        ("", "roi_failure"), ("", "hold_breath_excluded;roi_failure"), ("", "roi_failure")]
+
+
 @pytest.mark.parametrize("command,message", [
     ("estimate", "error: no trial gave an estimate\n"),
     ("groundtruth", "error: no trial gave a reference rate\n")])
@@ -363,6 +420,22 @@ def test_crop_too_wide_is_not_blamed_on_a_trial(dataset, tmp_path, capsys):
     assert main(["estimate", "--data", str(dataset), "--out", str(tmp_path / "e.csv"),
                  "--roi", ROI]) == 1
     assert capsys.readouterr().err == "error: crop (300,300,200,0) exceeds 32x32 frame\n"
+
+
+@pytest.mark.parametrize("roi,message", [
+    ("manual:30,30,8,8", "manual ROI Rect(x=30, y=30, w=8, h=8) outside 32x32 frame"),
+    ("manual:12,20,8,12", "face bottom 32 leaves no chest region in height 32")],
+    ids=["outside-frame", "no-chest"])
+def test_roi_that_does_not_fit_the_frame_is_not_blamed_on_a_trial(roi, message, dataset,
+                                                                  tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    capsys.readouterr()
+    assert main(["estimate", "--data", str(dataset), "--out", str(out),
+                 "--roi", roi, "--crop", NOCROP]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("source", ["config", "crop"])
@@ -445,6 +518,58 @@ def test_missing_physio_exits_one(tmp_path, capsys):
     rc = main(["groundtruth", "--data", str(ds), "--out", str(tmp_path / "g.csv")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "groundtruth"])
+def test_manifest_without_trials_is_named(command, dataset, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    manifest = ds / "manifest.txt"
+    manifest.write_text("fps=30\nwidth=32\nheight=32\n")
+    (ds / "physio.csv").write_bytes((dataset / "physio.csv").read_bytes())
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert main(_analysis_args(command, ds, out)) == 1
+    assert capsys.readouterr().err == f"error: {manifest}: no trials\n"
+    assert not out.exists()
+
+
+def _drop_trigger(physio_bytes):
+    """The physio CSV with trial 1's trigger cell, on its first sample, set to 0."""
+    header, first, rest = physio_bytes.split(b"\n", 2)
+    return b"\n".join([header, first.rsplit(b",", 1)[0] + b",0", rest])
+
+
+def _cut_record(physio_bytes):
+    """The header and first 1000 samples: under the 1280 of the 10 s trial."""
+    return b"\n".join(physio_bytes.split(b"\n")[:1001]) + b"\n"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_drop_trigger, "trigger code 1 not found"),
+    (_cut_record, "trial 1: physio record ends before trial does")],
+    ids=["trigger-missing", "record-short"])
+def test_groundtruth_names_the_physio_file_of_a_segmentation_error(edit, message, dataset,
+                                                                    tmp_path, capsys):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    (ds / "manifest.txt").write_bytes((dataset / "manifest.txt").read_bytes())
+    physio = ds / "physio.csv"
+    physio.write_bytes(edit((dataset / "physio.csv").read_bytes()))
+    out = tmp_path / "gt.csv"
+    capsys.readouterr()
+    assert main(["groundtruth", "--data", str(ds), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {physio}: {message}\n"
+    assert not out.exists()
+
+
+def test_evaluate_names_an_estimates_file_without_rows(groundtruth_csv, tmp_path, capsys):
+    est = tmp_path / "est.csv"
+    est.write_text(",".join(EST_HEADER) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--estimates", str(est), "--groundtruth", str(groundtruth_csv),
+                 "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == f"error: {est}: no trial records to evaluate\n"
 
 
 def test_evaluate_rejects_mismatched_trials(estimates_csv, groundtruth_csv,

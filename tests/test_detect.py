@@ -149,7 +149,7 @@ def test_group_rects_drops_underpopulated_clusters():
 def test_group_rects_similarity_is_transitive_via_chain():
     # a~b and b~c pull all three into one cluster even if a!~c directly
     a, b, c = Rect(0, 0, 20, 20), Rect(3, 0, 20, 20), Rect(6, 0, 20, 20)
-    out = group_rects([a, b, c], min_neighbors=2, eps=0.2)
+    out = group_rects([a, b, c], min_neighbors=2)
     assert out == [Rect(3, 0, 20, 20)]
 
 
@@ -158,11 +158,6 @@ def test_group_rects_keeps_distant_clusters_apart():
            Rect(40, 40, 10, 10), Rect(41, 40, 10, 10)]
     out = group_rects(far, min_neighbors=1)
     assert len(out) == 2
-
-
-def test_group_rects_validates_eps():
-    with pytest.raises(ValueError):
-        group_rects([Rect(0, 0, 4, 4)], min_neighbors=0, eps=1.5)
 
 
 # ------------------------- ROI tracking -------------------------

@@ -247,6 +247,7 @@ MANIFEST_CHECKS = {
                   "duplicate trial_id 1"),
     "overlap": ("fps=30\nwidth=8\nheight=8\n1 gaze 3 0 10 1\n2 gaze 4 9 10 2\n",
                 "trials 1 and 2 overlap in frame ranges"),
+    "no trials": ("fps=30\nwidth=8\nheight=8\n# trial_id condition task_id\n", "no trials"),
 }
 
 
