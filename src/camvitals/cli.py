@@ -13,8 +13,8 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from .config import PipelineConfig, load_config
-from .detect import (DetectionError, check_frame_fits, convert_opencv_xml, load_cascade,
-                     save_cascade, track_roi)
+from .detect import (DetectionError, check_frame_fits, check_min_size, convert_opencv_xml,
+                     load_cascade, save_cascade, track_roi)
 from .dsp import (SignalTooShort, TimeSeries, band_bins, bandpass, check_detrend_window,
                   check_nyquist, estimate_rate, filtered_rate)
 from .evaluation import (EST_HEADER, GT_HEADER, emit_report, join_results,
@@ -228,6 +228,9 @@ def cmd_estimate(args):
     if cascade is not None:
         with named(args.cascade):
             check_frame_fits(cascade, width, height)
+        # min_size comes from --config; the default 0 keeps the base window
+        with named(args.config) if args.config else nullcontext():
+            check_min_size(cascade, width, height, cfg.scale_factor, cfg.min_size)
     if args.plots is not None:
         Path(args.plots).mkdir(parents=True, exist_ok=True)
 
@@ -235,9 +238,8 @@ def cmd_estimate(args):
         """(hr_est, rr_est, skin_gray, flags) of one trial."""
         clip = read_frame_range(data_dir, manifest, entry.start_frame, entry.frame_count)
         clip = crop_clip(clip, *cfg.crop)
-        faces = track_roi(clip, cascade=cascade, manual_box=args.roi,
-                          scale_factor=cfg.scale_factor,
-                          min_neighbors=cfg.min_neighbors, min_size=cfg.min_size)
+        faces = ([args.roi] * clip.n_frames if cascade is None else
+                 track_roi(clip, cascade, cfg.scale_factor, cfg.min_neighbors, cfg.min_size))
         # each trace computed and filtered once: the rate estimates and the
         # plots share them
         raw_pulse = pulse_trace(clip, [hr_roi(f) for f in faces], cfg)
@@ -344,7 +346,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DetectionError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -2,6 +2,7 @@
 (full-HD 30 Hz video cropped by (300,300,200,0), physio at 128 Hz), with a
 flat `key = value` file format and CLI override."""
 
+import math
 from dataclasses import dataclass, fields
 
 from .detect import DEFAULT_MIN_NEIGHBORS, DEFAULT_SCALE_FACTOR, check_scale_factor
@@ -53,6 +54,12 @@ class PipelineConfig:
             raise ValueError(f"scalarization must be one of {SCALARIZATIONS}, "
                              f"got {self.scalarization!r}")
         check_scale_factor(self.scale_factor)
+        # written as `not (x >= 0)` so that a NaN fails too
+        if not (0 <= self.ecg_percentile <= 100):
+            raise ValueError(f"ecg_percentile must be in [0, 100], got {self.ecg_percentile}")
+        for name in ("ecg_refractory_s", "ecg_threshold_factor", "min_neighbors", "min_size"):
+            if not (getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         # built here, so that a bad STFT shape or filter order is a config
         # error, which load_config names the file of, and not the first trial's
         video = StftSpec(self.video_window, self.video_hop, self.video_fft)
@@ -95,6 +102,9 @@ def load_config(path):
                     raise ValueError(
                         f"{path}:{lineno}: config key {key}: cannot parse {value!r} "
                         f"as {known[key].__name__}") from None
+                if known[key] is float and not math.isfinite(updates[key]):
+                    raise ValueError(
+                        f"{path}:{lineno}: config key {key}: {value!r} is not a number")
     except UnicodeDecodeError as e:
         raise ValueError(not_ascii(path, e)) from None
     with named(path):

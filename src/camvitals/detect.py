@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Rect, validate_rect
+from .geometry import Rect
 from .ingest import not_ascii, to_grayscale
 
 DEFAULT_SCALE_FACTOR = 1.1
@@ -215,7 +215,7 @@ def scale_plan(c, scale, img_w, img_h):
     return tuple(plan)
 
 
-def evaluate_window(c, ii, ii_sq, win, scale, plan=None):
+def evaluate_window(c, ii, ii_sq, win, scale, plan):
     """Run the stage cascade on one window.
 
     Feature sums are divided by scale^2 (rect areas grow with the window)
@@ -226,10 +226,8 @@ def evaluate_window(c, ii, ii_sq, win, scale, plan=None):
 
     ii and ii_sq are the integral images, as arrays or as nested lists
     (`detect_faces` passes lists: indexing them is faster). plan is this
-    scale's `scale_plan`; without one it is built for this call.
+    scale's `scale_plan`.
     """
-    if plan is None:
-        plan = scale_plan(c, scale, len(ii[0]) - 1, len(ii) - 1)
     x, y = win.x, win.y
     x1, y1 = x + win.w, y + win.h
     n = win.w * win.h
@@ -272,11 +270,36 @@ def check_frame_fits(c, img_w, img_h):
                          f"{c.window_w}x{c.window_h}")
 
 
+def scan_sizes(c, img_w, img_h, scale_factor, min_size):
+    """(scale, window w, window h) of each scale the scan slides over: the
+    window grows geometrically by scale_factor from the cascade's base size
+    while it fits the frame; windows narrower or shorter than min_size are
+    skipped."""
+    scale = 1.0
+    while True:
+        ww = int(round(c.window_w * scale))
+        wh = int(round(c.window_h * scale))
+        if ww > img_w or wh > img_h:
+            return
+        if ww >= min_size and wh >= min_size:
+            yield scale, ww, wh
+        scale *= scale_factor
+
+
+def check_min_size(c, img_w, img_h, scale_factor, min_size):
+    """Raise ValueError unless min_size leaves a window to scan in an
+    img_w x img_h frame."""
+    if next(scan_sizes(c, img_w, img_h, scale_factor, min_size), None) is None:
+        raise ValueError(f"min_size {min_size} leaves no window of the "
+                         f"{c.window_w}x{c.window_h} cascade to scan in a "
+                         f"{img_w}x{img_h} frame")
+
+
 def detect_faces(c, gray, scale_factor=DEFAULT_SCALE_FACTOR,
                  min_neighbors=DEFAULT_MIN_NEIGHBORS, min_size=0):
     """Multiscale sliding-window detection over one grayscale frame.
 
-    The window grows geometrically by scale_factor; the slide step is
+    The scales are those of `scan_sizes`; the slide step is
     max(1, round(scale)). Raw hits are merged by group_rects and returned
     sorted by descending area (ties by x, then y).
     """
@@ -289,20 +312,13 @@ def detect_faces(c, gray, scale_factor=DEFAULT_SCALE_FACTOR,
     ii_sq = integral_image(gray, squared=True).tolist()
 
     candidates = []
-    scale = 1.0
-    while True:
-        ww = int(round(c.window_w * scale))
-        wh = int(round(c.window_h * scale))
-        if ww > img_w or wh > img_h:
-            break
-        if ww >= min_size and wh >= min_size:
-            step = max(1, int(round(scale)))
-            plan = scale_plan(c, scale, img_w, img_h)
-            for y in range(0, img_h - wh + 1, step):
-                for x in range(0, img_w - ww + 1, step):
-                    if evaluate_window(c, ii, ii_sq, Rect(x, y, ww, wh), scale, plan):
-                        candidates.append(Rect(x, y, ww, wh))
-        scale *= scale_factor
+    for scale, ww, wh in scan_sizes(c, img_w, img_h, scale_factor, min_size):
+        step = max(1, int(round(scale)))
+        plan = scale_plan(c, scale, img_w, img_h)
+        for y in range(0, img_h - wh + 1, step):
+            for x in range(0, img_w - ww + 1, step):
+                if evaluate_window(c, ii, ii_sq, Rect(x, y, ww, wh), scale, plan):
+                    candidates.append(Rect(x, y, ww, wh))
 
     grouped = group_rects(candidates, min_neighbors)
     return sorted(grouped, key=lambda r: (-r.area, r.x, r.y))
@@ -357,22 +373,14 @@ def group_rects(candidates, min_neighbors):
     return out
 
 
-def track_roi(clip, cascade=None, manual_box=None, scale_factor=DEFAULT_SCALE_FACTOR,
+def track_roi(clip, cascade, scale_factor=DEFAULT_SCALE_FACTOR,
               min_neighbors=DEFAULT_MIN_NEIGHBORS, min_size=0):
-    """One face box per frame.
+    """One face box per frame: the largest detection of the cascade.
 
-    Exactly one of cascade / manual_box selects the source. Manual mode
-    repeats the given box. Cascade mode takes the largest detection per
-    frame; frames with no detection reuse the last successful box, leading
+    Frames with no detection reuse the last successful box, leading
     failures inherit the first success, and a clip with no detection on
     any frame raises DetectionError.
     """
-    if (cascade is None) == (manual_box is None):
-        raise ValueError("exactly one of cascade / manual_box must be given")
-    if manual_box is not None:
-        box = validate_rect(Rect(*manual_box), clip.width, clip.height, "manual ROI")
-        return [box] * clip.n_frames
-
     grays = to_grayscale(clip)
     raw = []
     for t in range(clip.n_frames):

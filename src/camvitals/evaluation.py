@@ -79,7 +79,7 @@ class EvaluationReport:
     hr_summaries: list
     rr_summaries: list
     skin_points: list = field(default_factory=list)   # (gray, abs hr error)
-    skin_fit: tuple | None = None                     # linear_fit output
+    skin_fit: tuple | None = None                     # _ci95 of skin_ols
     skin_ols: tuple | None = None                     # _ols output of the same fit
 
 
@@ -226,17 +226,6 @@ def _ci95(n, ols):
     ci_slope = tcrit * np.sqrt(s2 / sxx)
     ci_intercept = tcrit * np.sqrt(s2 * (1.0 / n + xbar ** 2 / sxx))
     return slope, intercept, float(ci_slope), float(ci_intercept)
-
-
-def linear_fit(x, y):
-    """OLS fit y = slope*x + intercept with 95% CI half-widths from the
-    t-distribution on n-2 degrees of freedom."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = len(x)
-    if n < 3 or len(y) != n:
-        raise ValueError("need at least 3 (x, y) points")
-    return _ci95(n, _ols(x, y))
 
 
 def boxplot_stats(values):
@@ -457,8 +446,8 @@ class SvgCanvas:
 class _Axes:
     """Maps data coordinates onto an SVG plot box and draws the frame."""
 
-    def __init__(self, canvas, x_range, y_range, margins=(60, 20, 30, 45)):
-        left, right, top, bottom = margins
+    def __init__(self, canvas, x_range, y_range):
+        left, right, top, bottom = 60, 20, 30, 45   # plot box inset
         self.canvas = canvas
         self.x0, self.x1 = x_range
         self.y0, self.y1 = y_range
@@ -487,16 +476,16 @@ class _Axes:
         c.text(14, (self.py0 + self.py1) / 2, ylabel, anchor="middle",
                rotate=-90.0)
 
-    def y_ticks(self, n=5):
+    def y_ticks(self):
         c = self.canvas
-        for v in np.linspace(self.y0, self.y1, n):
+        for v in np.linspace(self.y0, self.y1, 5):
             py = self.y(float(v))
             c.line(self.px0 - 4, py, self.px0, py, stroke="#333333")
             c.text(self.px0 - 7, py + 4, f"{v:.3g}", anchor="end", size=10)
 
-    def x_ticks(self, n=5):
+    def x_ticks(self):
         c = self.canvas
-        for v in np.linspace(self.x0, self.x1, n):
+        for v in np.linspace(self.x0, self.x1, 5):
             px = self.x(float(v))
             c.line(px, self.py0, px, self.py0 + 4, stroke="#333333")
             c.text(px, self.py0 + 16, f"{v:.3g}", anchor="middle", size=10)

@@ -26,7 +26,7 @@ class Rect(NamedTuple):
         return self.x >= 0 and self.y >= 0 and self.right <= width and self.bottom <= height
 
 
-def validate_rect(r, width, height, what="rect"):
+def validate_rect(r, width, height, what):
     if r.w <= 0 or r.h <= 0:
         raise ValueError(f"{what} has non-positive size: {r}")
     if not r.inside(width, height):

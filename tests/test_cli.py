@@ -510,6 +510,34 @@ def test_setting_that_does_not_fit_the_rate_is_not_blamed_on_a_trial(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,setting,window,message", [
+    ("groundtruth", "ecg_refractory_s = nan", None,
+     ":1: config key ecg_refractory_s: 'nan' is not a number"),
+    ("groundtruth", "ecg_percentile = 150", None,
+     ": ecg_percentile must be in [0, 100], got 150.0"),
+    ("estimate", "min_size = 40", (8, 8),
+     ": min_size 40 leaves no window of the 8x8 cascade to scan in a 32x32 frame"),
+    ("estimate", "min_size = 30", (8, 10),
+     ": min_size 30 leaves no window of the 8x10 cascade to scan in a 32x32 frame")],
+    ids=["non-finite", "ecg-percentile", "min-size-above-frame", "min-size-between-scales"])
+def test_bad_setting_names_the_config_before_trial_1(command, setting, window, message,
+                                                     dataset, tmp_path, capsys):
+    out, cfg, cascade = tmp_path / "out.csv", tmp_path / "pipeline.cfg", tmp_path / "cascade.json"
+    cfg.write_text(setting + "\n")
+    args = [command, "--data", str(dataset), "--out", str(out), "--config", str(cfg)]
+    if window is not None:
+        tree = Tree(rects=((Rect(0, 0, *window), 1.0),), threshold=0.0,
+                    pass_value=1.0, fail_value=0.0)
+        save_cascade(cascade, Cascade(*window, stages=(Stage(0.5, (tree,)),)))
+        args += ["--cascade", str(cascade), "--crop", NOCROP]
+    capsys.readouterr()
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg}{message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_missing_physio_exits_one(tmp_path, capsys):
     ds = tmp_path / "ds"
     assert main(["synth", "--out", str(ds), "--duration", "1", "--width", "32",

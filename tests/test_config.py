@@ -79,3 +79,39 @@ def test_load_config_names_the_file_of_an_invalid_setting(tmp_path):
     with pytest.raises(ValueError) as exc:
         load_config(p)
     assert str(exc.value) == f"{p}: scale_factor must be > 1, got 1.0"
+
+
+@pytest.mark.parametrize("key,value", [
+    ("ecg_detrend_s", "nan"), ("ecg_refractory_s", "inf"),
+    ("ecg_threshold_factor", "-inf"), ("hr_high", "NaN")])
+def test_load_config_names_the_line_of_a_non_finite_value(tmp_path, key, value):
+    p = tmp_path / "bad.cfg"
+    p.write_text(f"# ecg\n{key} = {value}\n")
+    with pytest.raises(ValueError) as exc:
+        load_config(p)
+    assert str(exc.value) == f"{p}:2: config key {key}: {value!r} is not a number"
+
+
+@pytest.mark.parametrize("field,bad,message", [
+    ("ecg_percentile", 150.0, "ecg_percentile must be in [0, 100], got 150.0"),
+    ("ecg_percentile", -1.0, "ecg_percentile must be in [0, 100], got -1.0"),
+    ("ecg_percentile", float("nan"), "ecg_percentile must be in [0, 100], got nan"),
+    ("ecg_refractory_s", -1.0, "ecg_refractory_s must be >= 0, got -1.0"),
+    ("ecg_refractory_s", float("nan"), "ecg_refractory_s must be >= 0, got nan"),
+    ("ecg_threshold_factor", -0.5, "ecg_threshold_factor must be >= 0, got -0.5"),
+    ("min_neighbors", -1, "min_neighbors must be >= 0, got -1"),
+    ("min_size", -1, "min_size must be >= 0, got -1")],
+    ids=["percentile-above", "percentile-below", "percentile-nan", "refractory-negative",
+         "refractory-nan", "threshold-factor-negative", "min-neighbors-negative",
+         "min-size-negative"])
+def test_config_range_checks(field, bad, message):
+    with pytest.raises(ValueError) as exc:
+        PipelineConfig(**{field: bad})
+    assert str(exc.value) == message
+
+
+def test_config_range_checks_accept_their_bounds():
+    for field, ok in [("ecg_percentile", 0.0), ("ecg_percentile", 100.0),
+                      ("ecg_refractory_s", 0.0), ("ecg_threshold_factor", 0.0),
+                      ("min_neighbors", 0), ("min_size", 0)]:
+        assert getattr(PipelineConfig(**{field: ok}), field) == ok

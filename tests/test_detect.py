@@ -9,7 +9,8 @@ from camvitals.detect import (Cascade, CascadeFormatError, DetectionError,
                               cascade_from_dict, cascade_to_dict,
                               convert_opencv_xml, detect_faces,
                               evaluate_window, group_rects, integral_image,
-                              load_cascade, rect_sum, save_cascade, track_roi)
+                              load_cascade, rect_sum, save_cascade, scale_plan,
+                              track_roi)
 from camvitals.geometry import Rect
 
 from conftest import blob_clip, blob_frame, make_toy_cascade
@@ -62,8 +63,8 @@ def test_evaluate_window_zero_on_flat_patch():
     passing = make_toy_cascade(threshold=-0.5)
     failing = make_toy_cascade(threshold=0.5)
     win = Rect(0, 0, 8, 8)
-    assert evaluate_window(passing, ii, ii_sq, win, 1.0)
-    assert not evaluate_window(failing, ii, ii_sq, win, 1.0)
+    assert evaluate_window(passing, ii, ii_sq, win, 1.0, scale_plan(passing, 1.0, 8, 8))
+    assert not evaluate_window(failing, ii, ii_sq, win, 1.0, scale_plan(failing, 1.0, 8, 8))
 
 
 def test_evaluate_window_normalized_value_frozen():
@@ -76,8 +77,8 @@ def test_evaluate_window_normalized_value_frozen():
     win = Rect(0, 0, 8, 8)
     below = make_toy_cascade(threshold=110.85125168440815 - 1e-9)
     above = make_toy_cascade(threshold=110.85125168440815 + 1e-9)
-    assert evaluate_window(below, ii, ii_sq, win, 1.0)
-    assert not evaluate_window(above, ii, ii_sq, win, 1.0)
+    assert evaluate_window(below, ii, ii_sq, win, 1.0, scale_plan(below, 1.0, 8, 8))
+    assert not evaluate_window(above, ii, ii_sq, win, 1.0, scale_plan(above, 1.0, 8, 8))
 
 
 def test_stage_threshold_can_reject_despite_tree_pass():
@@ -87,7 +88,7 @@ def test_stage_threshold_can_reject_despite_tree_pass():
     img = blob_frame(8, 8, Rect(2, 2, 4, 4))
     ii = integral_image(img)
     ii_sq = integral_image(img, squared=True)
-    assert not evaluate_window(c, ii, ii_sq, Rect(0, 0, 8, 8), 1.0)
+    assert not evaluate_window(c, ii, ii_sq, Rect(0, 0, 8, 8), 1.0, scale_plan(c, 1.0, 8, 8))
 
 
 # ------------------------- detection -------------------------
@@ -162,20 +163,6 @@ def test_group_rects_keeps_distant_clusters_apart():
 
 # ------------------------- ROI tracking -------------------------
 
-def test_track_roi_manual_mode_repeats_box():
-    clip = blob_clip(16, 16, [None, None, None])
-    rois = track_roi(clip, manual_box=Rect(2, 3, 5, 6))
-    assert rois == [Rect(2, 3, 5, 6)] * 3
-
-
-def test_track_roi_requires_exactly_one_source(toy_cascade):
-    clip = blob_clip(16, 16, [None])
-    with pytest.raises(ValueError):
-        track_roi(clip)
-    with pytest.raises(ValueError):
-        track_roi(clip, cascade=toy_cascade, manual_box=Rect(0, 0, 4, 4))
-
-
 def test_track_roi_hold_last_and_leading_inherit(toy_cascade):
     blob = Rect(8, 8, 4, 4)
     clip = blob_clip(24, 24, [None, blob, None, blob])
@@ -191,12 +178,6 @@ def test_track_roi_all_frames_fail(toy_cascade):
     clip = blob_clip(24, 24, [None, None])
     with pytest.raises(DetectionError):
         track_roi(clip, cascade=toy_cascade)
-
-
-def test_track_roi_rejects_manual_box_outside_frame():
-    clip = blob_clip(16, 16, [None])
-    with pytest.raises(ValueError):
-        track_roi(clip, manual_box=Rect(10, 10, 10, 10))
 
 
 # ------------------------- serialization -------------------------

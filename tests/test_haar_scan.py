@@ -270,18 +270,3 @@ def test_random_cascades_reach_clipped_windows(monkeypatch):
             assert_same_scan(monkeypatch, c, frames(rng, shape)["noisy"], scale_factor)
     assert clipped > 0
 
-
-def test_evaluate_window_without_plan_matches_reference():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        c = random_cascade(rng)
-        gray = frames(rng, (14, 15))["noisy"]
-        ii = integral_image(gray)
-        ii_sq = integral_image(gray, squared=True)
-        scale = 1.25
-        ww, wh = int(round(c.window_w * scale)), int(round(c.window_h * scale))
-        for y in range(0, gray.shape[0] - wh + 1):
-            for x in range(0, gray.shape[1] - ww + 1):
-                win = Rect(x, y, ww, wh)
-                assert (detect.evaluate_window(c, ii, ii_sq, win, scale)
-                        == ref_evaluate_window(c, ii, ii_sq, win, scale))
