@@ -129,9 +129,10 @@ def detrend(ts, window_s):
     TimeSeries at the input sample rate.
     """
     check_detrend_window(window_s, ts.sample_rate)
-    half = int(round(window_s * ts.sample_rate))
     x = ts.samples
     n = len(x)
+    # any half-span >= n - 1 averages the whole series at every sample
+    half = int(round(min(window_s * ts.sample_rate, n)))
     csum = np.concatenate(([0.0], np.cumsum(x)))
     idx = np.arange(n)
     lo = np.maximum(0, idx - half)
@@ -350,24 +351,26 @@ def stft_peak_freqs(ts, spec, band):
 
     segments = sliding_window_view(ts.samples, spec.window_len)[::spec.hop]
     spectra = np.fft.rfft(segments * np.hanning(spec.window_len), spec.fft_size, axis=1)
-    # squared magnitudes: the log-parabola vertex is the same as over
-    # plain magnitudes, and the add/multiply-only path keeps argmax and
-    # refinement bit-stable when the input is scaled by a power of two
-    mag2s = spectra.real ** 2 + spectra.imag ** 2
+    # squared magnitudes of the band's bins: the log-parabola vertex is the
+    # same as over plain magnitudes, and the add/multiply-only path keeps
+    # argmax and refinement bit-stable when the input is scaled by a power
+    # of two
+    band_spectra = spectra[:, k_lo:k_hi + 1]
+    mag2s = band_spectra.real ** 2 + band_spectra.imag ** 2
+    last = k_hi - k_lo
     freqs = []
-    for mag2 in mag2s:
-        k = k_lo + int(np.argmax(mag2[k_lo:k_hi + 1]))
+    for j, mag2 in zip(np.argmax(mag2s, axis=1).tolist(), mag2s.tolist()):
         delta = 0.0
-        if k_lo < k < k_hi:
-            left = max(float(mag2[k - 1]), _LOG_FLOOR)
-            mid = max(float(mag2[k]), _LOG_FLOOR)
-            right = max(float(mag2[k + 1]), _LOG_FLOOR)
+        if 0 < j < last:
+            left, mid, right = (max(m, _LOG_FLOOR) for m in mag2[j - 1:j + 2])
             # log-ratio form: any common scale factor cancels in the
-            # quotients before log rounds it in
+            # quotients before log rounds it in; math.log, not np.log,
+            # which may differ in the last bit
             denom = math.log((left * right) / (mid * mid))
             if denom != 0.0:
-                delta = float(np.clip(0.5 * math.log(left / right) / denom, -0.5, 0.5))
-        freqs.append((k + delta) * df)
+                # np.clip's order: max, then min; a nan stays nan
+                delta = min(max(0.5 * math.log(left / right) / denom, -0.5), 0.5)
+        freqs.append((k_lo + j + delta) * df)
     return np.array(freqs)
 
 

@@ -24,17 +24,20 @@ def ecg_peaks(ecg, cfg):
     corrected = detrend(ecg, cfg.ecg_detrend_s)
     d = np.diff(corrected.samples)
     theta = cfg.ecg_threshold_factor * np.percentile(np.abs(d), cfg.ecg_percentile)
-    refractory = int(round(cfg.ecg_refractory_s * ecg.sample_rate))
+    # a span past the record acts as one past every peak gap
+    refractory = int(round(min(cfg.ecg_refractory_s * ecg.sample_rate, len(d))))
 
-    kept = []
-    for i in range(1, len(d) - 1):
-        # strict rise on the left tolerates flat tops on the right
-        if d[i] > theta and d[i] > d[i - 1] and d[i] >= d[i + 1]:
-            if kept and i - kept[-1] < refractory:
-                if d[i] > d[kept[-1]]:
-                    kept[-1] = i
-            else:
-                kept.append(i)
+    # strict rise on the left tolerates flat tops on the right
+    mid = d[1:-1]
+    candidates = np.flatnonzero((mid > theta) & (mid > d[:-2]) & (mid >= d[2:])) + 1
+    kept, kept_d = [], []
+    for i, di in zip(candidates.tolist(), d[candidates].tolist()):
+        if kept and i - kept[-1] < refractory:
+            if di > kept_d[-1]:
+                kept[-1], kept_d[-1] = i, di
+        else:
+            kept.append(i)
+            kept_d.append(di)
     if not kept:
         raise ValueError("no ECG peaks found")
     return np.array(kept, dtype=np.int64) / ecg.sample_rate

@@ -104,6 +104,7 @@ class PhysioRecord:
             raise ValueError("physio channels differ in length")
         if not (self.sample_rate > 0):
             raise ValueError("sample_rate must be positive")
+        self.sample_rate = float(self.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -445,20 +446,71 @@ def _parse_row(converters, row, header, where):
 # ------------------------- physio CSV -------------------------
 
 PHYSIO_HEADER = ["t", "ecg", "resp", "trigger"]
-_PHYSIO_TYPES = (_finite_float, _finite_float, _finite_float, int)
 _T_TOLERANCE = 1e-6  # seconds
 
 
-def load_physio_csv(path):
-    """Parse `t,ecg,resp,trigger` CSV; the sample rate is inferred from the
-    (strictly uniform) time column."""
+def _int64(cell):
+    x = int(cell)
+    if not -2 ** 63 <= x < 2 ** 63:
+        raise ValueError(f"{x} outside int64")
+    return x
+
+
+_PHYSIO_TYPES = (_finite_float, _finite_float, _finite_float, _int64)
+_PHYSIO_HEAD = (",".join(PHYSIO_HEADER) + "\n").encode("ascii")
+# bytes of whole lines per array pass of _physio_columns; bounds the size
+# of its cell lists and position arrays
+_PHYSIO_BLOCK_BYTES = 1 << 17
+
+
+def _physio_columns(data):
+    """The t, ecg, resp and trigger columns of physio.csv's bytes, one array
+    conversion per column and block of lines; None unless read_csv would
+    return the same rows and every cell converts to a finite float (an
+    int64 trigger). Without quotes or \r, a csv row is the line split at
+    its commas, and numpy converts a cell as float() and int() do."""
+    if not (data.startswith(_PHYSIO_HEAD) and data.endswith(b"\n") and data.isascii()):
+        return None
+    if b'"' in data or b"\r" in data:
+        return None
+    floats, ints = ([], [], []), []
+    start = len(_PHYSIO_HEAD)
+    while start < len(data):
+        stop = data.index(b"\n", min(start + _PHYSIO_BLOCK_BYTES, len(data)) - 1) + 1
+        block = data[start:stop]
+        start = stop
+        # 3 commas before the first newline, 6 before the second, ...
+        codes = np.frombuffer(block, dtype=np.uint8)
+        ends = np.flatnonzero(codes == ord("\n"))
+        commas = np.flatnonzero(codes == ord(","))
+        if not np.array_equal(np.searchsorted(commas, ends),
+                              np.arange(3, 3 * len(ends) + 1, 3)):
+            return None
+        cells = block.replace(b"\n", b",").split(b",")
+        cells.pop()  # after the last newline
+        try:
+            for i, column in enumerate(floats):
+                column.append(np.array(cells[i::4], dtype=np.float64))
+            ints.append(np.array(cells[3::4], dtype=np.int64))
+        except (ValueError, OverflowError):
+            return None
+    columns = [np.concatenate(c) if c else np.empty(0) for c in floats]
+    if not all(np.isfinite(c).all() for c in columns):
+        return None
+    return (*columns, np.concatenate(ints) if ints else np.empty(0, dtype=np.int64))
+
+
+def _checked_physio_columns(path):
+    """The columns of physio.csv, row by row through read_csv; a cell that
+    is not a finite number (an int64 trigger) raises FormatError naming its
+    line and column."""
     t, ecg, resp, trig = [], [], [], []
     for line, row in read_csv(path, PHYSIO_HEADER):
         try:
             t.append(float(row[0]))
             ecg.append(float(row[1]))
             resp.append(float(row[2]))
-            trig.append(int(row[3]))
+            trig.append(_int64(row[3]))
         except ValueError:
             # cell by cell, to name the column; this raises
             _parse_row(_PHYSIO_TYPES, row, PHYSIO_HEADER, f"{path}:{line}")
@@ -467,7 +519,16 @@ def load_physio_csv(path):
         # read again cell by cell, to name the line and column; this raises
         for line, row in read_csv(path, PHYSIO_HEADER):
             _parse_row(_PHYSIO_TYPES, row, PHYSIO_HEADER, f"{path}:{line}")
-    t, ecg, resp = columns
+    return (*columns, np.array(trig, dtype=np.int64))
+
+
+def load_physio_csv(path):
+    """Parse `t,ecg,resp,trigger` CSV; the sample rate is inferred from the
+    (strictly uniform) time column. A file the array pass cannot vouch
+    for is read again row by row, which names what is wrong with it."""
+    with open(path, "rb") as f:
+        columns = _physio_columns(f.read())
+    t, ecg, resp, trig = columns or _checked_physio_columns(path)
     if len(t) < 2:
         raise FormatError(f"{path}: need at least 2 samples to infer a rate")
     dt = t[1] - t[0]
@@ -479,7 +540,7 @@ def load_physio_csv(path):
     return PhysioRecord(sample_rate=rate,
                         ecg=TimeSeries(ecg, rate),
                         resp=TimeSeries(resp, rate),
-                        trigger=np.array(trig, dtype=np.int64))
+                        trigger=trig)
 
 
 def write_physio_csv(path, record):

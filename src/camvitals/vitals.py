@@ -8,7 +8,6 @@ onto the first principal tangent direction. Respiration uses the mean
 grayscale of the area below the face.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +61,10 @@ def spherical_mean_trace(clip, rois):
         _check_not_black(counts, t0)
         # black pixels add 0.0 to the sums, which leaves them unchanged
         units = np.divide(px, norms[..., None], out=np.zeros_like(px), where=keep[..., None])
-        block_means = units.sum(axis=1) / counts[:, None]
-        for t, m in enumerate(block_means, t0):
-            # 1-D norm per frame: a vectorised norm rounds differently
-            means[t] = m / math.sqrt(m.dot(m))
+        bm = units.sum(axis=1) / counts[:, None]
+        # matmul takes each frame's squared norm through the dot kernel of
+        # m.dot(m); einsum or (bm * bm).sum(1) round differently
+        means[t0:t0 + len(bm)] = bm / np.sqrt(np.matmul(bm[:, None, :], bm[:, :, None]))[:, 0]
 
     mu = means.mean(axis=0)
     mu /= np.linalg.norm(mu)

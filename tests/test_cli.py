@@ -591,6 +591,46 @@ def test_groundtruth_names_the_physio_file_of_a_segmentation_error(edit, message
     assert not out.exists()
 
 
+def test_groundtruth_names_a_trigger_beyond_int64(dataset, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    (ds / "manifest.txt").write_bytes((dataset / "manifest.txt").read_bytes())
+    header, first, rest = (dataset / "physio.csv").read_bytes().split(b"\n", 2)
+    physio = ds / "physio.csv"
+    physio.write_bytes(b"\n".join(
+        [header, first.rsplit(b",", 1)[0] + b",99999999999999999999", rest]))
+    out = tmp_path / "gt.csv"
+    capsys.readouterr()
+    assert main(["groundtruth", "--data", str(ds), "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {physio}:2: trigger '99999999999999999999' is not a number\n")
+    assert not out.exists()
+
+
+def _groundtruth_with(setting, dataset, tmp_path, capsys):
+    """(exit code, stdout, stderr, gt.csv bytes or None) of groundtruth
+    with one config line."""
+    cfg, out = tmp_path / "pipeline.cfg", tmp_path / "gt.csv"
+    cfg.write_text(setting + "\n")
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    rc = main(["groundtruth", "--data", str(dataset), "--out", str(out), "--config", str(cfg)])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+
+@pytest.mark.parametrize("key,rc,err", [
+    ("ecg_detrend_s", 0, ""),
+    ("ecg_refractory_s", 1, "error: trial 1: need >= 3 peaks, got 1\n")])
+def test_huge_ecg_span_acts_as_one_past_the_record(key, rc, err, dataset, tmp_path, capsys):
+    # 1e6 s spans past the 10 s record and worked before spans were
+    # clamped; 1e300 and 1e307 overflowed the conversion to int
+    past = _groundtruth_with(f"{key} = 1e6", dataset, tmp_path, capsys)
+    assert (past[0], past[2]) == (rc, err)
+    for value in ("1e300", "1e307"):
+        assert _groundtruth_with(f"{key} = {value}", dataset, tmp_path, capsys) == past
+
+
 def test_evaluate_names_an_estimates_file_without_rows(groundtruth_csv, tmp_path, capsys):
     est = tmp_path / "est.csv"
     est.write_text(",".join(EST_HEADER) + "\n")

@@ -385,6 +385,15 @@ def per_window_peak_freqs(ts, spec, band):
     return np.array(freqs)
 
 
+def _peaks_or_error(peak_freqs, ts, spec, band):
+    """The bytes of peak_freqs' result, or the repr of its ValueError."""
+    try:
+        return peak_freqs(ts, spec, band).tobytes()
+    except ValueError as e:
+        return repr(e)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("spec,rate", [(VIDEO_STFT, 30.0), (PHYSIO_STFT, 128.0)],
                          ids=["video", "physio"])
 def test_batched_stft_peaks_equal_the_per_window_loop(spec, rate):
@@ -400,6 +409,24 @@ def test_batched_stft_peaks_equal_the_per_window_loop(spec, rate):
             ts = TimeSeries(x, rate)
             assert np.array_equal(stft_peak_freqs(ts, spec, (0.7, 2.5)),
                                   per_window_peak_freqs(ts, spec, (0.7, 2.5))), n
+    # peaks on either band edge, a band from bin 0, and squared magnitudes
+    # that overflow to inf (inf/inf refinements give nan peaks)
+    n = 2560
+    t = np.arange(n) / rate
+    tone = np.sin(2 * np.pi * 1.3 * t)
+    edges, nan_peaks = set(), 0
+    for band in ((0.7, 2.5), (0.0, 2.5)):
+        k_lo, k_hi = dsp.band_bins(band, rate, spec)
+        for x in (np.sin(2 * np.pi * (band[0] - 0.15) * t), np.sin(2 * np.pi * (band[1] + 0.15) * t),
+                  3.0 + tone, 1e77 * tone, 1e100 * (tone + rng.normal(size=n)),
+                  1e160 * tone, 1e300 * (tone + rng.normal(size=n))):
+            ts = TimeSeries(x, rate)
+            got = _peaks_or_error(stft_peak_freqs, ts, spec, band)
+            assert got == _peaks_or_error(per_window_peak_freqs, ts, spec, band), band
+            freqs = np.frombuffer(got)
+            nan_peaks += int(np.isnan(freqs).sum())
+            edges |= {(band, k) for k in (k_lo, k_hi) if np.any(freqs == k * rate / spec.fft_size)}
+    assert len(edges) == 4 and nan_peaks > 0
 
 
 def test_stft_peaks_errors():

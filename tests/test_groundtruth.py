@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from camvitals.config import PipelineConfig
-from camvitals.dsp import SignalTooShort, TimeSeries, estimate_rate
+from camvitals.dsp import SignalTooShort, TimeSeries, detrend, estimate_rate
 from camvitals.groundtruth import ecg_peaks, gt_hr_flagged, ppg_like
 from camvitals.synth import synth_ecg, synth_resp
 
@@ -71,6 +71,69 @@ def test_ecg_peaks_are_times_of_sample_indices():
     times = ecg_peaks(ecg, CFG)
     indices = np.round(times * FS).astype(np.int64)
     assert times.tobytes() == (indices / FS).tobytes()
+
+
+def ref_ecg_peaks(ecg, cfg):
+    """ecg_peaks as one loop over every sample of the derivative, as it was
+    computed before the candidates were found with array operations."""
+    d = np.diff(detrend(ecg, cfg.ecg_detrend_s).samples)
+    theta = cfg.ecg_threshold_factor * np.percentile(np.abs(d), cfg.ecg_percentile)
+    refractory = int(round(cfg.ecg_refractory_s * ecg.sample_rate))
+    kept = []
+    for i in range(1, len(d) - 1):
+        if d[i] > theta and d[i] > d[i - 1] and d[i] >= d[i + 1]:
+            if kept and i - kept[-1] < refractory:
+                if d[i] > d[kept[-1]]:
+                    kept[-1] = i
+            else:
+                kept.append(i)
+    if not kept:
+        raise ValueError("no ECG peaks found")
+    return np.array(kept, dtype=np.int64) / ecg.sample_rate
+
+
+def quantized_ecg(seed, n=2048):
+    """An ECG of small integers: over a detrend window past the record, its
+    derivative holds exact ties, so candidates with flat tops and equal
+    rivals inside one refractory span."""
+    rng = np.random.default_rng(seed)
+    ecg = synth_ecg(70, FS, n / FS, jitter=0.1, seed=seed)
+    return TimeSeries(np.round(4 * ecg.samples + rng.normal(scale=0.7, size=n)), FS)
+
+
+@pytest.mark.parametrize("refractory_s", [0.0, 0.05, 0.25, 1.5])
+@pytest.mark.parametrize("threshold", [0.0, 0.2, 0.5])
+def test_ecg_peaks_equal_the_per_sample_loop(threshold, refractory_s):
+    rng = np.random.default_rng(int(100 * threshold + 10 * refractory_s))
+    cfg = PipelineConfig(ecg_threshold_factor=threshold, ecg_refractory_s=refractory_s)
+    flat_cfg = PipelineConfig(ecg_threshold_factor=threshold, ecg_refractory_s=refractory_s,
+                              ecg_detrend_s=100.0)
+    flat_tops = 0
+    for seed in range(4):
+        ecg = synth_ecg(60 + 20 * seed, FS, 12.0, jitter=0.05, seed=seed)
+        for sigma in (0.0, 0.02, 0.3):
+            noisy = TimeSeries(ecg.samples + rng.normal(scale=sigma, size=len(ecg)), FS)
+            assert ecg_peaks(noisy, cfg).tobytes() == ref_ecg_peaks(noisy, cfg).tobytes()
+        quantized = quantized_ecg(seed)
+        assert ecg_peaks(quantized, flat_cfg).tobytes() == \
+            ref_ecg_peaks(quantized, flat_cfg).tobytes()
+        d = np.diff(detrend(quantized, flat_cfg.ecg_detrend_s).samples)
+        flat_tops += int(np.sum((d[1:-1] > 0) & (d[1:-1] > d[:-2]) & (d[1:-1] == d[2:])))
+    assert flat_tops > 0
+
+
+def test_ecg_spans_past_the_record_act_as_the_record():
+    ecg = synth_ecg(70, FS, 10.0, jitter=0.05, seed=3)
+    n = len(ecg)
+    whole = detrend(ecg, (n - 1) / FS).samples.tobytes()
+    for window_s in (n / FS, 1e300, 1e307):
+        assert detrend(ecg, window_s).samples.tobytes() == whole
+    # a refractory span past every peak gap keeps the largest candidate
+    past = ref_ecg_peaks(ecg, PipelineConfig(ecg_refractory_s=1e6, ecg_threshold_factor=0.0))
+    assert len(past) == 1
+    for refractory_s in (n / FS, 1e300, 1e307):
+        cfg = PipelineConfig(ecg_refractory_s=refractory_s, ecg_threshold_factor=0.0)
+        assert ecg_peaks(ecg, cfg).tobytes() == past.tobytes()
 
 
 # ------------------------- surrogate pulse curve -------------------------

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from camvitals import ingest
 from camvitals.config import load_config
 from camvitals.detect import CascadeFormatError, load_cascade
 from camvitals.dsp import TimeSeries
@@ -480,3 +481,142 @@ def test_ascii_readers_name_the_file_of_a_non_ascii_byte(kind, tmp_path):
     with pytest.raises(error, match=f"^{re.escape(f'{path}: not ASCII text (byte 0xe9)')}$") as e:
         read(path)
     assert e.type is error
+
+
+# ------------------------- physio fast path -------------------------
+
+def _physio_text(n=300, seed=9):
+    """A clean physio.csv of n samples at 128 Hz, as write_physio_csv writes it."""
+    rng = np.random.default_rng(seed)
+    lines = [",".join(PHYSIO_HEADER)]
+    for i in range(n):
+        lines.append(f"{i / 128.0!r},{rng.normal()!r},{rng.normal() * 1e-3!r},{i % 3}")
+    return "\n".join(lines) + "\n"
+
+
+def _load_or_error(path):
+    try:
+        rec = load_physio_csv(path)
+    except FormatError as e:
+        return str(e)
+    return (rec.sample_rate, rec.ecg.samples.tobytes(), rec.resp.samples.tobytes(),
+            rec.trigger.tobytes())
+
+
+def _assert_same_as_checked_reader(path, monkeypatch):
+    """load_physio_csv gives the checked reader's arrays or error text."""
+    got = _load_or_error(path)
+    with monkeypatch.context() as m:
+        m.setattr(ingest, "_physio_columns", lambda data: None)
+        assert got == _load_or_error(path)
+    return got
+
+
+def _edit_line(text, index, edit):
+    lines = text.split("\n")
+    lines[index] = edit(lines[index])
+    return "\n".join(lines)
+
+
+def _set_cell(text, line, column, cell):
+    def edit(row):
+        cells = row.split(",")
+        cells[column] = cell
+        return ",".join(cells)
+    return _edit_line(text, line, edit)
+
+
+# name, edit of a clean file's text, whether the array pass reads the result
+PHYSIO_MUTATIONS = {
+    "clean": (lambda s: s, True),
+    "short row": (lambda s: _edit_line(s, 5, lambda r: r.rsplit(",", 1)[0]), False),
+    # a total cell count passes, and the cells shifted by one all convert
+    "5 cells beside 3": (lambda s: _edit_line(_edit_line(s, 5, lambda r: r + ",7"), 6,
+                                              lambda r: r.rsplit(",", 2)[0] + ",5"), False),
+    "blank line": (lambda s: _edit_line(s, 8, lambda r: r + "\n"), False),
+    "no final newline": (lambda s: s[:-1], False),
+    "quote": (lambda s: _set_cell(s, 4, 1, '"0.25"'), False),
+    "crlf": (lambda s: s.replace("\n", "\r\n"), False),
+    "non-ascii": (lambda s: _set_cell(s, 7, 2, "caf\xe9"), False),
+    "nul": (lambda s: _set_cell(s, 7, 2, "1\0"), False),
+    "nan": (lambda s: _set_cell(s, 9, 1, "nan"), False),
+    "inf": (lambda s: _set_cell(s, 9, 2, "-inf"), False),
+    "overflow to inf": (lambda s: _set_cell(s, 9, 0, "1e999"), False),
+    "non-numeric": (lambda s: _set_cell(s, 3, 1, "abc"), False),
+    "trigger 1.0": (lambda s: _set_cell(s, 3, 3, "1.0"), False),
+    "underscore": (lambda s: _set_cell(_set_cell(s, 3, 1, "1_0"), 4, 3, "1_0"), True),
+    "leading space": (lambda s: _set_cell(_set_cell(s, 3, 2, " 1.0"), 4, 3, " 1"), True),
+    "huge trigger": (lambda s: _set_cell(s, 6, 3, "99999999999999999999"), False),
+    "int64 trigger": (lambda s: _set_cell(s, 6, 3, str(-2 ** 63)), True),
+    "header only": (lambda s: s.split("\n")[0] + "\n", True),
+    "foreign header": (lambda s: "T" + s[1:], False),
+    "non-uniform times": (lambda s: _set_cell(s, 9, 0, "5.0"), True),
+}
+
+
+@pytest.mark.parametrize("block_bytes", [1 << 17, 97], ids=["one-block", "many-blocks"])
+@pytest.mark.parametrize("name", sorted(PHYSIO_MUTATIONS))
+def test_physio_array_pass_equals_the_checked_reader(name, block_bytes, tmp_path, monkeypatch):
+    edit, vouched = PHYSIO_MUTATIONS[name]
+    path = tmp_path / "physio.csv"
+    path.write_bytes(edit(_physio_text()).encode("latin-1"))
+    monkeypatch.setattr(ingest, "_PHYSIO_BLOCK_BYTES", block_bytes)
+    _assert_same_as_checked_reader(path, monkeypatch)
+    assert (ingest._physio_columns(path.read_bytes()) is not None) == vouched
+
+
+def test_physio_array_pass_equals_the_checked_reader_on_random_edits(tmp_path, monkeypatch):
+    # seeded byte edits of a clean file: replace, insert or delete one byte
+    # from the alphabet of the dialect and of the ways a file goes wrong
+    rng = np.random.default_rng(23)
+    alphabet = b'0123456789,\n\r". _-+eE.nai\xe9\x00'
+    clean = _physio_text(40).encode("ascii")
+    monkeypatch.setattr(ingest, "_PHYSIO_BLOCK_BYTES", 64)
+    path = tmp_path / "physio.csv"
+    outcomes = set()
+    for _ in range(300):
+        data = bytearray(clean)
+        for _ in range(int(rng.integers(1, 4))):
+            at = int(rng.integers(len(ingest._PHYSIO_HEAD), len(data)))
+            byte = alphabet[int(rng.integers(len(alphabet)))]
+            kind = int(rng.integers(3))
+            if kind == 0:
+                data[at] = byte
+            elif kind == 1:
+                data.insert(at, byte)
+            else:
+                del data[at]
+        path.write_bytes(bytes(data))
+        outcomes.add(isinstance(_assert_same_as_checked_reader(path, monkeypatch), str))
+    assert outcomes == {True, False}
+
+
+def test_paper_size_physio_needs_no_row_reader(tmp_path, monkeypatch):
+    # 1100 s at 128 Hz: the paper protocol's record
+    rng = np.random.default_rng(31)
+    n = 140_800
+    rec = PhysioRecord(sample_rate=128.0,
+                       ecg=TimeSeries(rng.normal(size=n), 128.0),
+                       resp=TimeSeries(rng.normal(size=n), 128.0),
+                       trigger=rng.integers(0, 81, size=n))
+    path = tmp_path / "physio.csv"
+    write_physio_csv(path, rec)
+
+    def no_row_reader(*args):
+        raise AssertionError("read_csv called")
+
+    monkeypatch.setattr(ingest, "read_csv", no_row_reader)
+    back = load_physio_csv(path)
+    assert back.sample_rate == 128.0
+    assert back.ecg.samples.tobytes() == rec.ecg.samples.tobytes()
+    assert back.resp.samples.tobytes() == rec.resp.samples.tobytes()
+    assert back.trigger.tobytes() == rec.trigger.tobytes()
+
+
+@pytest.mark.parametrize("cell", ["99999999999999999999", str(2 ** 63), str(-2 ** 63 - 1)])
+def test_physio_names_a_trigger_beyond_int64(cell, tmp_path):
+    path = tmp_path / "physio.csv"
+    path.write_text(_set_cell(_physio_text(8), 3, 3, cell))
+    with pytest.raises(FormatError,
+                       match=f"^{re.escape(f'{path}:4: trigger {cell!r} is not a number')}$"):
+        load_physio_csv(path)

@@ -145,3 +145,18 @@ def test_every_roi_function_checks_its_rois(function, rois, message):
     clip = VideoClip(np.full((200, 8, 8, 3), 120, dtype=np.uint8), 30.0)
     with pytest.raises(ValueError, match=message):
         function(clip, rois)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+def test_unit_means_renormalise_as_the_per_frame_loop_on_random_frames(dtype):
+    # random colours and black pixels spread the frames' mean directions,
+    # and so their squared norms, far wider than a face clip does
+    rng = np.random.default_rng(41)
+    frames = rng.integers(1, 256, size=(3000, 3, 3, 3)).astype(dtype)
+    if dtype != np.uint8:
+        frames -= rng.uniform(0.0, 1.0, size=frames.shape)
+    frames[rng.random(frames.shape[:3]) < 0.3] = 0
+    frames[:, 1, 1] = rng.integers(1, 256, size=(3000, 3))
+    clip = VideoClip(frames, 30.0)
+    rois = [Rect(0, 0, 3, 3)] * clip.n_frames
+    assert np.array_equal(spherical_mean_trace(clip, rois).unit_means, ref_unit_means(clip, rois))
