@@ -21,7 +21,7 @@ from .evaluation import (EST_HEADER, GT_HEADER, emit_report, join_results,
                          render_signals, segment_trials, skin_tone_gray)
 from .geometry import Rect, validate_rect
 from .groundtruth import gt_hr_flagged
-from .ingest import (MANIFEST_FILE, PHYSIO_FILE, FormatError, check_crop,
+from .ingest import (MANIFEST_FILE, PHYSIO_FILE, check_crop,
                      crop_clip, load_physio_csv, named, parse_manifest,
                      read_frame_range, write_csv)
 from .synth import SynthConfig, TrialPlan, paper_protocol, synth_dataset
@@ -195,8 +195,6 @@ def _run_trials(entries, analyse, header, out, describe):
             values, flags, line = empty, {"roi_failure"}, "no face found (roi_failure)"
         except SignalTooShort as e:
             values, flags, line = empty, {"too_short"}, f"{e} (too_short)"
-        except FormatError as e:
-            raise FormatError(f"trial {entry.trial_id}: {e}") from e
         except ValueError as e:
             raise ValueError(f"trial {entry.trial_id}: {e}") from e
         if entry.is_hold_breath:
@@ -242,7 +240,7 @@ def cmd_estimate(args):
                  track_roi(clip, cascade, cfg.scale_factor, cfg.min_neighbors, cfg.min_size))
         # each trace computed and filtered once: the rate estimates and the
         # plots share them
-        raw_pulse = pulse_trace(clip, [hr_roi(f) for f in faces], cfg)
+        raw_pulse = pulse_trace(clip, [hr_roi(f) for f in faces])
         filt_pulse = bandpass(raw_pulse, cfg.hr_bandpass)
         hr_est, hr_flags = filtered_rate(filt_pulse, cfg.hr_bandpass, cfg.video_stft)
         raw_chest = mean_gray_trace(clip, [rr_roi(f, clip.height, clip.width) for f in faces])

@@ -9,8 +9,6 @@ from .detect import DEFAULT_MIN_NEIGHBORS, DEFAULT_SCALE_FACTOR, check_scale_fac
 from .dsp import PHYSIO_STFT, VIDEO_STFT, DEFAULT_FILTER_ORDER, BandpassSpec, StftSpec
 from .ingest import named, not_ascii
 
-SCALARIZATIONS = ("spherical_log_map", "green_chromaticity")
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -40,9 +38,6 @@ class PipelineConfig:
     physio_hop: int = PHYSIO_STFT.hop
     physio_fft: int = PHYSIO_STFT.fft_size
 
-    # pulse feature
-    scalarization: str = "spherical_log_map"
-
     # ECG peak detection
     ecg_detrend_s: float = 0.5
     ecg_refractory_s: float = 0.25
@@ -50,9 +45,6 @@ class PipelineConfig:
     ecg_threshold_factor: float = 0.5
 
     def __post_init__(self):
-        if self.scalarization not in SCALARIZATIONS:
-            raise ValueError(f"scalarization must be one of {SCALARIZATIONS}, "
-                             f"got {self.scalarization!r}")
         check_scale_factor(self.scale_factor)
         # written as `not (x >= 0)` so that a NaN fails too
         if not (0 <= self.ecg_percentile <= 100):

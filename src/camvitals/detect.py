@@ -16,6 +16,9 @@ from .ingest import not_ascii, to_grayscale
 DEFAULT_SCALE_FACTOR = 1.1
 DEFAULT_MIN_NEIGHBORS = 3
 GROUP_EPS = 0.2
+# most scales one frame's scan may slide over: the default scale_factor
+# needs 40 for a 24-px window in a 1080-px frame
+MAX_SCALES = 1000
 
 
 class DetectionError(RuntimeError):
@@ -274,9 +277,22 @@ def scan_sizes(c, img_w, img_h, scale_factor, min_size):
     """(scale, window w, window h) of each scale the scan slides over: the
     window grows geometrically by scale_factor from the cascade's base size
     while it fits the frame; windows narrower or shorter than min_size are
-    skipped."""
+    skipped. Raises ValueError, before the first scale, when the scan
+    would step through more than MAX_SCALES scales."""
+    # scales before the unrounded window reaches a pixel past the frame,
+    # where the loop below stops at the latest
+    reach = min((img_w + 1) / c.window_w, (img_h + 1) / c.window_h)
+    n_scales = math.floor(math.log(reach) / math.log(scale_factor)) + 1
+    if n_scales > MAX_SCALES:
+        raise ValueError(f"scale_factor {scale_factor} makes a scan of {n_scales} scales "
+                         f"of the {c.window_w}x{c.window_h} cascade in a {img_w}x{img_h} "
+                         f"frame, more than {MAX_SCALES}")
     scale = 1.0
     while True:
+        # such a window cannot round to one that fits, and an overflowed
+        # scale would make int() raise
+        if c.window_w * scale >= img_w + 1 or c.window_h * scale >= img_h + 1:
+            return
         ww = int(round(c.window_w * scale))
         wh = int(round(c.window_h * scale))
         if ww > img_w or wh > img_h:
@@ -373,8 +389,7 @@ def group_rects(candidates, min_neighbors):
     return out
 
 
-def track_roi(clip, cascade, scale_factor=DEFAULT_SCALE_FACTOR,
-              min_neighbors=DEFAULT_MIN_NEIGHBORS, min_size=0):
+def track_roi(clip, cascade, scale_factor, min_neighbors, min_size):
     """One face box per frame: the largest detection of the cascade.
 
     Frames with no detection reuse the last successful box, leading

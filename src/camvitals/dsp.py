@@ -129,7 +129,8 @@ def detrend(ts, window_s):
     TimeSeries at the input sample rate.
     """
     check_detrend_window(window_s, ts.sample_rate)
-    x = ts.samples
+    e = _max_exponent(ts.samples)
+    x = np.ldexp(ts.samples, -e)
     n = len(x)
     # any half-span >= n - 1 averages the whole series at every sample
     half = int(round(min(window_s * ts.sample_rate, n)))
@@ -138,7 +139,16 @@ def detrend(ts, window_s):
     lo = np.maximum(0, idx - half)
     hi = np.minimum(n, idx + half + 1)
     means = (csum[hi] - csum[lo]) / (hi - lo)
-    return TimeSeries(x - means, ts.sample_rate)
+    return TimeSeries(np.ldexp(x - means, e), ts.sample_rate)
+
+
+def _max_exponent(x):
+    """The binary exponent e of the largest |x| (np.frexp's, 0 for an
+    all-zero x). Scaling x by 2**-e brings its peak into [0.5, 1), so sums
+    and squares of it cannot overflow; a power-of-two scale is exact, and
+    so leaves every later rounding as it was unless a value falls
+    subnormal."""
+    return int(np.frexp(np.max(np.abs(x), initial=0.0))[1])
 
 
 def check_nyquist(spec, sample_rate):
@@ -349,7 +359,10 @@ def stft_peak_freqs(ts, spec, band):
     k_lo, k_hi = band_bins(band, ts.sample_rate, spec)
     df = ts.sample_rate / spec.fft_size
 
-    segments = sliding_window_view(ts.samples, spec.window_len)[::spec.hop]
+    # common factors cancel in the ratios below, so the scaled signal
+    # needs no scale-back
+    x = np.ldexp(ts.samples, -_max_exponent(ts.samples))
+    segments = sliding_window_view(x, spec.window_len)[::spec.hop]
     spectra = np.fft.rfft(segments * np.hanning(spec.window_len), spec.fft_size, axis=1)
     # squared magnitudes of the band's bins: the log-parabola vertex is the
     # same as over plain magnitudes, and the add/multiply-only path keeps

@@ -365,13 +365,6 @@ def write_trials_csv(path, records):
          r.rr_gt, r.skin_gray, r.flags) for r in records])
 
 
-def read_trials_csv(path):
-    # the number columns follow TrialRecord's field order
-    return [TrialRecord(trial_id, condition, task, *numbers, flags=flags)
-            for _, trial_id, condition, task, numbers, flags
-            in _read_results_csv(path, TRIALS_HEADER)]
-
-
 def write_summary_csv(path, report):
     rows = []
     for summ in report.hr_summaries + report.rr_summaries:

@@ -11,9 +11,8 @@ import numpy as np
 from .dsp import TimeSeries
 from .geometry import Rect
 from .ingest import (HOLD_BREATH_TASK, MANIFEST_FILE, PHYSIO_FILE, PhysioRecord,
-                     TrialEntry, TrialManifest, VideoClip, _finite_float, _parse_row,
-                     frame_path, read_csv, write_csv, write_manifest, write_physio_csv,
-                     write_ppm, LUMA_R, LUMA_G, LUMA_B)
+                     TrialEntry, TrialManifest, VideoClip, frame_path, write_csv,
+                     write_manifest, write_physio_csv, write_ppm, LUMA_R, LUMA_G, LUMA_B)
 
 BACKGROUND_GRAY = 40.0
 BASE_SKIN = (200.0, 150.0, 130.0)
@@ -26,7 +25,6 @@ TRUTH_FILE = "truth.csv"
 
 TRUTH_HEADER = ["trial_id", "hr_bpm", "rr_brpm", "face_x", "face_y",
                 "face_w", "face_h", "mean_face_gray"]
-_TRUTH_TYPES = (int, _finite_float, _finite_float, int, int, int, int, _finite_float)
 
 
 @dataclass(frozen=True)
@@ -280,14 +278,3 @@ def synth_dataset(protocol, base_cfg, out_dir, seed=0, rates=None):
     write_physio_csv(out_dir / PHYSIO_FILE, record)
     write_csv(out_dir / TRUTH_FILE, TRUTH_HEADER, truth_rows)
     return manifest, injected
-
-
-def read_truth_csv(path):
-    """Parse truth.csv back into a {trial_id: SynthTruth} mapping."""
-    out = {}
-    for line, row in read_csv(path, TRUTH_HEADER):
-        tid, hr, rr, x, y, w, h, gray = _parse_row(_TRUTH_TYPES, row, TRUTH_HEADER,
-                                                   f"{path}:{line}")
-        out[tid] = SynthTruth(hr_bpm=hr, rr_brpm=rr, face_box=Rect(x, y, w, h),
-                              mean_face_gray=gray)
-    return out

@@ -8,22 +8,12 @@ onto the first principal tangent direction. Respiration uses the mean
 grayscale of the area below the face.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # bandpass is unused here: the benchmark's tracer test reads vitals.bandpass
 from .dsp import TimeSeries, bandpass  # noqa: F401
 from .geometry import Rect
 from .ingest import _roi_blocks, to_grayscale
-
-
-@dataclass
-class PulseTrace:
-    """Per-frame unit mean color directions and their scalar projection."""
-
-    unit_means: np.ndarray   # (T, 3), rows unit length
-    scalar: TimeSeries
 
 
 def hr_roi(face):
@@ -39,32 +29,44 @@ def rr_roi(face, frame_h, frame_w):
     return Rect(0, top, frame_w, frame_h - top)
 
 
-def spherical_mean_trace(clip, rois):
-    """Pulse trace from per-pixel color directions.
+def _unit_means(clip, rois):
+    """(T, 3) per-frame mean color directions, rows unit length.
 
     Per frame: pixels with nonzero norm are unit-normalized and averaged;
     the mean is renormalized to the sphere. Black pixels are skipped
     (undefined direction); a frame whose ROI is entirely black is an
-    error. Scalarization: log-map the per-frame means at their normalized
-    temporal mean direction, project the 2-D tangent coordinates onto the
-    eigenvector of the larger tangent-covariance eigenvalue, and fix the
-    sign so the first nonzero sample is non-negative. A constant-color
-    clip has zero tangent variance and yields an all-zero scalar.
+    error.
     """
-    n = clip.n_frames
-    means = np.empty((n, 3))
+    means = np.empty((clip.n_frames, 3))
     for t0, block in _roi_blocks(clip, rois):
         px = block.astype(np.float64)
         norms = np.linalg.norm(px, axis=2)
         keep = norms > 0
         counts = keep.sum(axis=1)
-        _check_not_black(counts, t0)
+        black = np.flatnonzero(counts == 0)
+        if black.size:
+            raise ValueError(f"ROI entirely black in frame {t0 + black[0]}")
         # black pixels add 0.0 to the sums, which leaves them unchanged
         units = np.divide(px, norms[..., None], out=np.zeros_like(px), where=keep[..., None])
         bm = units.sum(axis=1) / counts[:, None]
         # matmul takes each frame's squared norm through the dot kernel of
         # m.dot(m); einsum or (bm * bm).sum(1) round differently
         means[t0:t0 + len(bm)] = bm / np.sqrt(np.matmul(bm[:, None, :], bm[:, :, None]))[:, 0]
+    return means
+
+
+def pulse_trace(clip, rois):
+    """Scalar pulse signal from the per-frame mean color directions of
+    `_unit_means`.
+
+    Scalarization: log-map the per-frame means at their normalized
+    temporal mean direction, project the 2-D tangent coordinates onto the
+    eigenvector of the larger tangent-covariance eigenvalue, and fix the
+    sign so the first nonzero sample is non-negative. A constant-color
+    clip has zero tangent variance and yields an all-zero scalar.
+    """
+    n = clip.n_frames
+    means = _unit_means(clip, rois)
 
     mu = means.mean(axis=0)
     mu /= np.linalg.norm(mu)
@@ -92,31 +94,7 @@ def spherical_mean_trace(clip, rois):
         nonzero = np.flatnonzero(np.abs(scalar) > 1e-12)
         if nonzero.size and scalar[nonzero[0]] < 0:
             scalar = -scalar
-    return PulseTrace(unit_means=means, scalar=TimeSeries(scalar, clip.fps))
-
-
-def _check_not_black(counts, t0):
-    black = np.flatnonzero(counts == 0)
-    if black.size:
-        raise ValueError(f"ROI entirely black in frame {t0 + black[0]}")
-
-
-def green_chromaticity_trace(clip, rois):
-    """Fallback pulse feature: per-frame mean of G / (R + G + B)."""
-    out = np.empty(clip.n_frames)
-    for t0, block in _roi_blocks(clip, rois):
-        px = block.astype(np.float64)
-        sums = px.sum(axis=2)
-        keep = sums > 0
-        _check_not_black(keep.sum(axis=1), t0)
-        ratio = np.divide(px[..., 1], sums, out=np.zeros_like(sums), where=keep)
-        full = keep.all(axis=1)
-        out[t0:t0 + len(block)][full] = ratio[full].mean(axis=1)
-        # a frame with black pixels averages only the others, in the same
-        # summation order as a 1-D mean over them
-        for t in np.flatnonzero(~full):
-            out[t0 + t] = ratio[t, keep[t]].mean()
-    return TimeSeries(out, clip.fps)
+    return TimeSeries(scalar, clip.fps)
 
 
 def mean_gray_trace(clip, rois):
@@ -127,11 +105,4 @@ def mean_gray_trace(clip, rois):
         # integer gray levels: their float64 sums are exact in any order
         out[t0:t0 + len(block)] = to_grayscale(block).mean(axis=1)
     return TimeSeries(out, clip.fps)
-
-
-def pulse_trace(clip, rois, cfg):
-    """Scalar pulse signal under the configured scalarization."""
-    if cfg.scalarization == "green_chromaticity":
-        return green_chromaticity_trace(clip, rois)
-    return spherical_mean_trace(clip, rois).scalar
 

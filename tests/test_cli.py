@@ -1,5 +1,10 @@
 import csv
+import dataclasses
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,15 +14,16 @@ from camvitals import cli, dsp, vitals
 from camvitals.cli import main
 from camvitals.config import PipelineConfig
 from camvitals.detect import Cascade, Stage, Tree, load_cascade, save_cascade
-from camvitals.dsp import bandpass
+from camvitals.dsp import TimeSeries, bandpass
 from camvitals.evaluation import EST_HEADER, render_signals
 from camvitals.geometry import Rect
-from camvitals.ingest import (TrialEntry, TrialManifest, frame_path,
+from camvitals.ingest import (TrialEntry, TrialManifest, frame_path, load_physio_csv,
                               parse_manifest, read_frame_range, write_manifest,
-                              write_ppm)
+                              write_physio_csv, write_ppm)
 from camvitals.synth import SynthConfig, TrialPlan, synth_dataset
 from test_detect import OPENCV_XML
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 ROI = "manual:12,5,8,10"   # the synthetic face box at 32x32
 NOCROP = "0,0,0,0"
 
@@ -153,7 +159,7 @@ def test_plots_reuse_each_trace_and_leave_estimates_alone(dataset, tmp_path, mon
     clip = read_frame_range(dataset, manifest, 0, manifest.entries[0].frame_count)
     cfg = PipelineConfig()
     faces = [Rect(12, 5, 8, 10)] * clip.n_frames
-    raw_pulse = originals["pulse_trace"](clip, [vitals.hr_roi(f) for f in faces], cfg)
+    raw_pulse = originals["pulse_trace"](clip, [vitals.hr_roi(f) for f in faces])
     raw_chest = originals["mean_gray_trace"](
         clip, [vitals.rr_roi(f, clip.height, clip.width) for f in faces])
     want = render_signals(
@@ -518,8 +524,11 @@ def test_setting_that_does_not_fit_the_rate_is_not_blamed_on_a_trial(
     ("estimate", "min_size = 40", (8, 8),
      ": min_size 40 leaves no window of the 8x8 cascade to scan in a 32x32 frame"),
     ("estimate", "min_size = 30", (8, 10),
-     ": min_size 30 leaves no window of the 8x10 cascade to scan in a 32x32 frame")],
-    ids=["non-finite", "ecg-percentile", "min-size-above-frame", "min-size-between-scales"])
+     ": min_size 30 leaves no window of the 8x10 cascade to scan in a 32x32 frame"),
+    ("groundtruth", "scalarization = spherical_log_map", None,
+     ":1: unknown config key 'scalarization'")],
+    ids=["non-finite", "ecg-percentile", "min-size-above-frame", "min-size-between-scales",
+         "pulse-feature-key"])
 def test_bad_setting_names_the_config_before_trial_1(command, setting, window, message,
                                                      dataset, tmp_path, capsys):
     out, cfg, cascade = tmp_path / "out.csv", tmp_path / "pipeline.cfg", tmp_path / "cascade.json"
@@ -536,6 +545,79 @@ def test_bad_setting_names_the_config_before_trial_1(command, setting, window, m
     assert captured.err == f"error: {cfg}{message}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def _estimate_in_a_child(dataset, cfg, cascade, out):
+    """(exit code, stdout, stderr) of a cascade `estimate` in a fresh
+    interpreter, killed, failing the test, if it runs past 10 s."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-m", "camvitals.cli", "estimate", "--data",
+                           str(dataset), "--out", str(out), "--cascade", str(cascade),
+                           "--crop", NOCROP, "--config", str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=10)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("setting,message", [
+    ("scale_factor = 1.000000001",
+     "scale_factor 1.000000001 makes a scan of 1417065904 scales of the 8x8 cascade "
+     "in a 32x32 frame, more than 1000"),
+    ("scale_factor = 1.000000001\nmin_size = 20",
+     "scale_factor 1.000000001 makes a scan of 1417065904 scales of the 8x8 cascade "
+     "in a 32x32 frame, more than 1000"),
+    ("scale_factor = 1e308\nmin_size = 20",
+     "min_size 20 leaves no window of the 8x8 cascade to scan in a 32x32 frame")],
+    ids=["near-one", "near-one-min-size", "huge-min-size"])
+def test_extreme_scale_factor_is_a_setting_error_in_seconds(setting, message, dataset,
+                                                            tmp_path):
+    # each of these scanned about 1.4e9 scales, or overflowed int()
+    out, cfg, cascade = tmp_path / "out.csv", tmp_path / "pipeline.cfg", tmp_path / "cascade.json"
+    cfg.write_text(setting + "\n")
+    save_cascade(cascade, make_toy_cascade())
+    assert _estimate_in_a_child(dataset, cfg, cascade, out) == (1, "", f"error: {cfg}: {message}\n")
+    assert not out.exists()
+
+
+def test_huge_scale_factor_scans_the_base_window_only(dataset, tmp_path):
+    # 5 already takes the 30x30 window past the 32x32 frame in one step
+    cascade = tmp_path / "cascade.json"
+    save_cascade(cascade, _window_cascade(30))
+    runs = []
+    for value in ("5", "1e308"):
+        cfg, out = tmp_path / f"{value}.cfg", tmp_path / f"{value}.csv"
+        cfg.write_text(f"scale_factor = {value}\n")
+        rc, stdout, stderr = _estimate_in_a_child(dataset, cfg, cascade, out)
+        runs.append((rc, stdout.replace(str(out), "OUT"), stderr, out.read_bytes()))
+    assert runs[0][0] == 0 and runs[0][2] == ""
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("column,factor", [("ecg", 1e307), ("resp", 1e160)],
+                         ids=["ecg", "belt"])
+def test_physio_near_the_float_limit_gives_the_unscaled_rates(column, factor, dataset,
+                                                              tmp_path, capsys):
+    # the ECG's moving-mean sum and the belt's squared spectra overflowed
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    (ds / "manifest.txt").write_bytes((dataset / "manifest.txt").read_bytes())
+    record = load_physio_csv(dataset / "physio.csv")
+    channel = getattr(record, column)
+    write_physio_csv(ds / "physio.csv", dataclasses.replace(
+        record, **{column: TimeSeries(channel.samples * factor, channel.sample_rate)}))
+    runs = []
+    for data in (dataset, ds):
+        out = tmp_path / f"{data.name}.csv"
+        capsys.readouterr()
+        assert main(["groundtruth", "--data", str(data), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        runs.append((captured.out.replace(str(out), "OUT"), captured.err, read_rows(out)))
+    (want_out, want_err, [want]), (got_out, got_err, [got]) = runs
+    assert (got_out, got_err) == (want_out, want_err)
+    rates = ("hr_gt", "rr_gt")
+    assert {k: got[k] for k in got if k not in rates} == {k: want[k] for k in want if k not in rates}
+    assert [float(got[k]) for k in rates] == pytest.approx([float(want[k]) for k in rates],
+                                                           rel=1e-12)
 
 
 def test_missing_physio_exits_one(tmp_path, capsys):

@@ -12,7 +12,6 @@ def test_defaults_match_reference_setup():
     assert (cfg.scale_factor, cfg.min_neighbors, cfg.min_size) == (1.1, 3, 0)
     assert (cfg.video_window, cfg.video_hop, cfg.video_fft) == (256, 30, 4096)
     assert (cfg.physio_window, cfg.physio_hop, cfg.physio_fft) == (1024, 128, 8192)
-    assert cfg.scalarization == "spherical_log_map"
 
 
 def test_stft_properties_build_specs():
@@ -28,13 +27,11 @@ def test_load_config_overrides_and_coerces(tmp_path):
         "crop_left = 0\n"
         "crop_right=0   # trailing comment\n"
         "\n"
-        "hr_high = 3.0\n"
-        "scalarization = green_chromaticity\n")
+        "hr_high = 3.0\n")
     cfg = load_config(p)
     assert cfg.crop_left == 0 and isinstance(cfg.crop_left, int)
     assert cfg.crop_right == 0
     assert cfg.hr_high == 3.0 and isinstance(cfg.hr_high, float)
-    assert cfg.scalarization == "green_chromaticity"
     # untouched keys keep defaults
     assert cfg.crop_top == 200
 
@@ -62,8 +59,6 @@ def test_load_config_rejects_missing_equals(tmp_path):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PipelineConfig(scalarization="principal_component")
     with pytest.raises(ValueError):
         PipelineConfig(hr_low=2.5, hr_high=0.7)
     with pytest.raises(ValueError):

@@ -4,9 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from camvitals.detect import (Cascade, CascadeFormatError, DetectionError,
-                              Stage, Tree, canonical_cascade_json,
-                              cascade_from_dict, cascade_to_dict,
+from camvitals.detect import (DEFAULT_MIN_NEIGHBORS, DEFAULT_SCALE_FACTOR, Cascade,
+                              CascadeFormatError, DetectionError, Stage, Tree,
+                              canonical_cascade_json, cascade_from_dict, cascade_to_dict,
                               convert_opencv_xml, detect_faces,
                               evaluate_window, group_rects, integral_image,
                               load_cascade, rect_sum, save_cascade, scale_plan,
@@ -132,6 +132,18 @@ def test_detect_min_size_skips_small_scales():
     assert detect_faces(cascade, img, min_neighbors=1, min_size=16) == []
 
 
+def test_detect_bounds_the_number_of_scales(toy_cascade):
+    img = blob_frame(24, 24, Rect(10, 10, 4, 4))
+    # about 1.1e9 scales lie between the 8-px window and the 24-px frame
+    with pytest.raises(ValueError, match=r"^scale_factor 1\.000000001 makes a scan of "
+                                         r"\d+ scales .* more than 1000$"):
+        detect_faces(toy_cascade, img, scale_factor=1.000000001)
+    # a factor too large to round its second window scans the base one only
+    base_only = detect_faces(toy_cascade, img, min_neighbors=1, scale_factor=4.0)
+    assert base_only
+    assert detect_faces(toy_cascade, img, min_neighbors=1, scale_factor=1e308) == base_only
+
+
 # ------------------------- grouping -------------------------
 
 def test_group_rects_merges_cluster_to_mean():
@@ -166,7 +178,7 @@ def test_group_rects_keeps_distant_clusters_apart():
 def test_track_roi_hold_last_and_leading_inherit(toy_cascade):
     blob = Rect(8, 8, 4, 4)
     clip = blob_clip(24, 24, [None, blob, None, blob])
-    rois = track_roi(clip, cascade=toy_cascade, min_neighbors=1)
+    rois = track_roi(clip, toy_cascade, DEFAULT_SCALE_FACTOR, 1, 0)
     assert len(rois) == 4
     assert rois[0] == rois[1]          # leading gap inherits first success
     assert rois[2] == rois[1]          # hold-last over the dropout
@@ -177,7 +189,7 @@ def test_track_roi_hold_last_and_leading_inherit(toy_cascade):
 def test_track_roi_all_frames_fail(toy_cascade):
     clip = blob_clip(24, 24, [None, None])
     with pytest.raises(DetectionError):
-        track_roi(clip, cascade=toy_cascade)
+        track_roi(clip, toy_cascade, DEFAULT_SCALE_FACTOR, DEFAULT_MIN_NEIGHBORS, 0)
 
 
 # ------------------------- serialization -------------------------

@@ -409,8 +409,10 @@ def test_batched_stft_peaks_equal_the_per_window_loop(spec, rate):
             ts = TimeSeries(x, rate)
             assert np.array_equal(stft_peak_freqs(ts, spec, (0.7, 2.5)),
                                   per_window_peak_freqs(ts, spec, (0.7, 2.5))), n
-    # peaks on either band edge, a band from bin 0, and squared magnitudes
-    # that overflow to inf (inf/inf refinements give nan peaks)
+    # peaks on either band edge, a band from bin 0, and signals so large
+    # that the loop's refinement overflows to inf (inf/inf gives it nan
+    # peaks): stft_peak_freqs first scales each signal by a power of two,
+    # so it gives them the loop's peaks of an exactly scaled-down copy
     n = 2560
     t = np.arange(n) / rate
     tone = np.sin(2 * np.pi * 1.3 * t)
@@ -420,13 +422,33 @@ def test_batched_stft_peaks_equal_the_per_window_loop(spec, rate):
         for x in (np.sin(2 * np.pi * (band[0] - 0.15) * t), np.sin(2 * np.pi * (band[1] + 0.15) * t),
                   3.0 + tone, 1e77 * tone, 1e100 * (tone + rng.normal(size=n)),
                   1e160 * tone, 1e300 * (tone + rng.normal(size=n))):
-            ts = TimeSeries(x, rate)
-            got = _peaks_or_error(stft_peak_freqs, ts, spec, band)
-            assert got == _peaks_or_error(per_window_peak_freqs, ts, spec, band), band
+            got = _peaks_or_error(stft_peak_freqs, TimeSeries(x, rate), spec, band)
+            peak = np.max(np.abs(x))
+            small = np.ldexp(x, -int(np.log2(peak))) if peak > 1e50 else x
+            assert got == _peaks_or_error(per_window_peak_freqs, TimeSeries(small, rate),
+                                          spec, band), band
             freqs = np.frombuffer(got)
             nan_peaks += int(np.isnan(freqs).sum())
             edges |= {(band, k) for k in (k_lo, k_hi) if np.any(freqs == k * rate / spec.fft_size)}
-    assert len(edges) == 4 and nan_peaks > 0
+    assert len(edges) == 4 and nan_peaks == 0
+
+
+@pytest.mark.parametrize("spec,rate", [(VIDEO_STFT, 30.0), (PHYSIO_STFT, 128.0)],
+                         ids=["video", "physio"])
+def test_power_of_two_multiples_keep_every_bit(spec, rate):
+    # up to 2**1015 the multiples stay finite, and down to 2**-900 none of
+    # these samples falls subnormal: the exponents where the scale is exact
+    rng = np.random.default_rng(int(rate) + 17)
+    for _ in range(4):
+        n = int(rng.integers(spec.window_len, 3 * spec.window_len))
+        t = np.arange(n) / rate
+        x = np.sin(2 * np.pi * rng.uniform(0.8, 2.3) * t) + rng.normal(size=n)
+        peaks = stft_peak_freqs(TimeSeries(x, rate), spec, (0.7, 2.5))
+        detrended = detrend(TimeSeries(x, rate), 0.5).samples
+        for k in [-900, 1015, *rng.integers(-900, 1016, size=6).tolist()]:
+            scaled = TimeSeries(np.ldexp(x, k), rate)
+            assert np.array_equal(stft_peak_freqs(scaled, spec, (0.7, 2.5)), peaks), k
+            assert np.array_equal(detrend(scaled, 0.5).samples, np.ldexp(detrended, k)), k
 
 
 def test_stft_peaks_errors():

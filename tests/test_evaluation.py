@@ -13,13 +13,15 @@ from camvitals import evaluation
 from camvitals.dsp import TimeSeries
 from camvitals.evaluation import (BoxplotStats, TrialRecord, _ci95, _ols,
                                   boxplot_stats, build_report, emit_report,
-                                  read_trials_csv, render_signals, rmse,
+                                  render_signals, rmse,
                                   segment_trials, skin_tone_gray,
                                   write_trials_csv)
 from camvitals.geometry import Rect
 from camvitals.ingest import (FormatError, PhysioRecord, TrialEntry,
                               TrialManifest, VideoClip)
 from camvitals.synth import SynthConfig, synth_clip
+
+from readers import read_trials_csv
 
 FS = 128.0
 

@@ -8,8 +8,7 @@ from camvitals import ingest
 from camvitals.config import load_config
 from camvitals.detect import CascadeFormatError, load_cascade
 from camvitals.dsp import TimeSeries
-from camvitals.evaluation import (EST_HEADER, GT_HEADER, TRIALS_HEADER, join_results,
-                                  read_trials_csv)
+from camvitals.evaluation import EST_HEADER, GT_HEADER, TRIALS_HEADER, join_results
 from camvitals.ingest import (LUMA_B, LUMA_G, LUMA_R, PHYSIO_HEADER, FormatError,
                               PhysioRecord, TrialEntry,
                               TrialManifest, VideoClip, crop_clip,
@@ -17,7 +16,9 @@ from camvitals.ingest import (LUMA_B, LUMA_G, LUMA_R, PHYSIO_HEADER, FormatError
                               parse_manifest, read_frame_range, read_ppm,
                               to_grayscale, write_manifest, write_physio_csv,
                               write_ppm)
-from camvitals.synth import TRUTH_HEADER, read_truth_csv
+from camvitals.synth import TRUTH_HEADER
+
+from readers import read_trials_csv, read_truth_csv
 
 
 def rand_frames(rng, n, h, w):

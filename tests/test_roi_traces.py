@@ -12,8 +12,7 @@ import pytest
 from camvitals.evaluation import skin_tone_gray
 from camvitals.geometry import Rect
 from camvitals.ingest import VideoClip, to_grayscale
-from camvitals.vitals import (green_chromaticity_trace, hr_roi, mean_gray_trace,
-                              rr_roi, spherical_mean_trace)
+from camvitals.vitals import _unit_means, hr_roi, mean_gray_trace, pulse_trace, rr_roi
 
 from conftest import quick_clip
 
@@ -34,18 +33,6 @@ def ref_unit_means(clip, rois):
         m = (px[keep] / norms[keep, None]).mean(axis=0)
         means[t] = m / np.linalg.norm(m)
     return means
-
-
-def ref_green_chromaticity(clip, rois):
-    out = np.empty(clip.n_frames)
-    for t in range(clip.n_frames):
-        px = _pixels(clip, rois, t)
-        sums = px.sum(axis=1)
-        keep = sums > 0
-        if not np.any(keep):
-            raise ValueError(f"ROI entirely black in frame {t}")
-        out[t] = np.mean(px[keep, 1] / sums[keep])
-    return out
 
 
 def ref_mean_gray(clip, rois):
@@ -79,10 +66,8 @@ def hold_last(face, n, changes):
 def assert_traces_match(clip, faces):
     hr = [hr_roi(f) for f in faces]
     rr = [rr_roi(f, clip.height, clip.width) for f in faces]
-    # the scalar of spherical_mean_trace is a function of unit_means alone
-    assert np.array_equal(spherical_mean_trace(clip, hr).unit_means, ref_unit_means(clip, hr))
-    assert np.array_equal(green_chromaticity_trace(clip, hr).samples,
-                          ref_green_chromaticity(clip, hr))
+    # the scalar of pulse_trace is a function of _unit_means alone
+    assert np.array_equal(_unit_means(clip, hr), ref_unit_means(clip, hr))
     assert np.array_equal(mean_gray_trace(clip, rr).samples, ref_mean_gray(clip, rr))
     assert skin_tone_gray(clip, faces) == ref_skin_tone_gray(clip, faces)
 
@@ -122,7 +107,7 @@ def test_rois_with_some_black_pixels():
     assert_traces_match(clip, hold_last(face, clip.n_frames, {64: (1, 0), 150: (0, 1)}))
 
 
-@pytest.mark.parametrize("trace", [spherical_mean_trace, green_chromaticity_trace])
+@pytest.mark.parametrize("trace", [pytest.param(pulse_trace, id="spherical_mean_trace")])
 def test_all_black_roi_in_a_later_block_names_its_frame(trace):
     frames = np.full((200, 8, 8, 3), 120, dtype=np.uint8)
     frames[150, 2:6, 2:6] = 0
@@ -139,8 +124,8 @@ def test_all_black_roi_in_a_later_block_names_its_frame(trace):
     ([Rect(2, 2, 4, 4)] * 70 + [Rect(2, 2, 0, 4)] * 130,
      r"^ROI of frame 70 has non-positive size: Rect\(x=2, y=2, w=0, h=4\)$"),
 ], ids=["count", "outside", "empty"])
-@pytest.mark.parametrize("function", [spherical_mean_trace, green_chromaticity_trace,
-                                      mean_gray_trace, skin_tone_gray])
+@pytest.mark.parametrize("function", [pulse_trace, mean_gray_trace, skin_tone_gray],
+                         ids=["spherical_mean_trace", "mean_gray_trace", "skin_tone_gray"])
 def test_every_roi_function_checks_its_rois(function, rois, message):
     clip = VideoClip(np.full((200, 8, 8, 3), 120, dtype=np.uint8), 30.0)
     with pytest.raises(ValueError, match=message):
@@ -159,4 +144,4 @@ def test_unit_means_renormalise_as_the_per_frame_loop_on_random_frames(dtype):
     frames[:, 1, 1] = rng.integers(1, 256, size=(3000, 3))
     clip = VideoClip(frames, 30.0)
     rois = [Rect(0, 0, 3, 3)] * clip.n_frames
-    assert np.array_equal(spherical_mean_trace(clip, rois).unit_means, ref_unit_means(clip, rois))
+    assert np.array_equal(_unit_means(clip, rois), ref_unit_means(clip, rois))

@@ -5,8 +5,10 @@ from camvitals.geometry import Rect
 from camvitals.ingest import (frame_path, parse_manifest, read_frame_range,
                               load_physio_csv, to_grayscale)
 from camvitals.synth import (RATE_RANGES, SynthConfig, TrialPlan,
-                             paper_protocol, read_truth_csv, scene_geometry,
+                             paper_protocol, scene_geometry,
                              synth_clip, synth_dataset, synth_ecg, synth_resp)
+
+from readers import read_truth_csv
 
 
 # ------------------------- scene layout -------------------------

@@ -4,9 +4,7 @@ import pytest
 from camvitals.config import PipelineConfig
 from camvitals.geometry import Rect
 from camvitals.ingest import VideoClip
-from camvitals.vitals import (green_chromaticity_trace, hr_roi,
-                              mean_gray_trace, pulse_trace, rr_roi,
-                              spherical_mean_trace)
+from camvitals.vitals import _unit_means, hr_roi, mean_gray_trace, pulse_trace, rr_roi
 
 from conftest import hr_estimate, quick_clip, rr_estimate
 
@@ -36,10 +34,11 @@ def face_rois(clip, truth):
 
 def test_spherical_trace_shapes_and_sign():
     clip, truth = quick_clip(noise_sigma=1.0, quantize=False, seed=4)
-    trace = spherical_mean_trace(clip, face_rois(clip, truth))
-    assert trace.unit_means.shape == (clip.n_frames, 3)
-    assert np.allclose(np.linalg.norm(trace.unit_means, axis=1), 1.0, atol=1e-12)
-    scalar = trace.scalar
+    rois = face_rois(clip, truth)
+    unit_means = _unit_means(clip, rois)
+    assert unit_means.shape == (clip.n_frames, 3)
+    assert np.allclose(np.linalg.norm(unit_means, axis=1), 1.0, atol=1e-12)
+    scalar = pulse_trace(clip, rois)
     assert len(scalar) == clip.n_frames
     assert scalar.sample_rate == clip.fps
     nonzero = scalar.samples[np.abs(scalar.samples) > 1e-12]
@@ -50,23 +49,15 @@ def test_spherical_trace_constant_clip_is_zero():
     frames = np.zeros((10, 8, 8, 3), dtype=np.uint8)
     frames[:] = (200, 150, 130)
     clip = VideoClip(frames, 30.0)
-    trace = spherical_mean_trace(clip, [Rect(0, 0, 8, 8)] * 10)
-    assert np.all(trace.scalar.samples == 0.0)
+    trace = pulse_trace(clip, [Rect(0, 0, 8, 8)] * 10)
+    assert np.all(trace.samples == 0.0)
 
 
 def test_spherical_trace_rejects_all_black_roi():
     frames = np.zeros((3, 8, 8, 3), dtype=np.uint8)
     clip = VideoClip(frames, 30.0)
     with pytest.raises(ValueError):
-        spherical_mean_trace(clip, [Rect(0, 0, 8, 8)] * 3)
-
-
-def test_green_chromaticity_hand_case():
-    frames = np.zeros((2, 2, 2, 3), dtype=np.uint8)
-    frames[:] = (100, 50, 50)
-    clip = VideoClip(frames, 30.0)
-    ts = green_chromaticity_trace(clip, [Rect(0, 0, 2, 2)] * 2)
-    assert np.allclose(ts.samples, 0.25)
+        pulse_trace(clip, [Rect(0, 0, 8, 8)] * 3)
 
 
 def test_mean_gray_trace_matches_brute_force():
@@ -80,15 +71,6 @@ def test_mean_gray_trace_matches_brute_force():
         gray = np.clip(np.rint(0.299 * px[..., 0] + 0.587 * px[..., 1]
                                + 0.114 * px[..., 2]), 0, 255)
         assert ts.samples[t] == pytest.approx(gray.mean(), abs=1e-12)
-
-
-def test_pulse_trace_respects_scalarization_config():
-    clip, truth = quick_clip(duration=2.0)
-    rois = face_rois(clip, truth)
-    green_cfg = PipelineConfig(scalarization="green_chromaticity")
-    direct = green_chromaticity_trace(clip, rois)
-    via_cfg = pulse_trace(clip, rois, green_cfg)
-    assert np.array_equal(direct.samples, via_cfg.samples)
 
 
 # ------------------- traces through dsp.estimate_rate -------------------
