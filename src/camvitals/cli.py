@@ -9,14 +9,13 @@ Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 import argparse
 import dataclasses
 import sys
-from contextlib import nullcontext
 from pathlib import Path
 
 from .config import PipelineConfig, load_config
 from .detect import (DetectionError, check_frame_fits, check_min_size, convert_opencv_xml,
                      load_cascade, save_cascade, track_roi)
-from .dsp import (SignalTooShort, TimeSeries, band_bins, bandpass, check_detrend_window,
-                  check_nyquist, estimate_rate, filtered_rate)
+from .dsp import (SignalTooShort, TimeSeries, band_bins, bandpass, check_bandpass,
+                  check_detrend_window, estimate_rate, filtered_rate)
 from .evaluation import (EST_HEADER, GT_HEADER, emit_report, join_results,
                          render_signals, segment_trials, skin_tone_gray)
 from .geometry import Rect, validate_rect
@@ -171,9 +170,10 @@ def _load_pipeline_config(args):
 
 def _check_bands(cfg, sample_rate, stft_spec):
     """Raise ValueError unless estimate_rate can filter and peak-track both
-    bands of cfg at sample_rate: the checks each of its calls makes."""
+    bands of cfg at sample_rate: the checks each of its calls makes, on
+    the filter designs it uses, built here."""
     for spec in (cfg.hr_bandpass, cfg.rr_bandpass):
-        check_nyquist(spec, sample_rate)
+        check_bandpass(spec, sample_rate)
         band_bins((spec.low, spec.high), sample_rate, stft_spec)
 
 
@@ -217,7 +217,7 @@ def cmd_estimate(args):
     manifest = parse_manifest(data_dir / MANIFEST_FILE)
     # settings that do not fit the frames are setting errors, not one trial's;
     # margins from --crop or the defaults and a box from --roi name no file
-    with named(args.config) if args.config and args.crop is None else nullcontext():
+    with named(args.config if args.crop is None else None):
         width, height = check_crop(manifest.width, manifest.height, *cfg.crop)
     if args.roi is not None:
         rr_roi(validate_rect(args.roi, width, height, "manual ROI"), height, width)
@@ -227,7 +227,7 @@ def cmd_estimate(args):
         with named(args.cascade):
             check_frame_fits(cascade, width, height)
         # min_size comes from --config; the default 0 keeps the base window
-        with named(args.config) if args.config else nullcontext():
+        with named(args.config):
             check_min_size(cascade, width, height, cfg.scale_factor, cfg.min_size)
     if args.plots is not None:
         Path(args.plots).mkdir(parents=True, exist_ok=True)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 
 from .detect import DEFAULT_MIN_NEIGHBORS, DEFAULT_SCALE_FACTOR, check_scale_factor
 from .dsp import PHYSIO_STFT, VIDEO_STFT, DEFAULT_FILTER_ORDER, BandpassSpec, StftSpec
-from .ingest import named, not_ascii
+from .ingest import FormatError, named, not_ascii
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,6 @@ def load_config(path):
                     raise ValueError(
                         f"{path}:{lineno}: config key {key}: {value!r} is not a number")
     except UnicodeDecodeError as e:
-        raise ValueError(not_ascii(path, e)) from None
+        raise FormatError(not_ascii(path, e)) from None
     with named(path):
         return PipelineConfig(**updates)

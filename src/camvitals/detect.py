@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Rect
-from .ingest import not_ascii, to_grayscale
+from .ingest import FormatError, named, not_ascii, to_grayscale
 
 DEFAULT_SCALE_FACTOR = 1.1
 DEFAULT_MIN_NEIGHBORS = 3
@@ -23,10 +23,6 @@ MAX_SCALES = 1000
 
 class DetectionError(RuntimeError):
     """Face tracking failed on every frame of a clip."""
-
-
-class CascadeFormatError(ValueError):
-    """Cascade file violates the documented schema."""
 
 
 # ------------------------- integral images -------------------------
@@ -82,18 +78,18 @@ class Cascade:
 
     def __post_init__(self):
         if self.window_w <= 0 or self.window_h <= 0:
-            raise CascadeFormatError("window dimensions must be positive")
+            raise FormatError("window dimensions must be positive")
         if not self.stages:
-            raise CascadeFormatError("cascade has no stages")
+            raise FormatError("cascade has no stages")
         for si, stage in enumerate(self.stages):
             if not stage.trees:
-                raise CascadeFormatError(f"stage {si} has no trees")
+                raise FormatError(f"stage {si} has no trees")
             for ti, tree in enumerate(stage.trees):
                 if not tree.rects:
-                    raise CascadeFormatError(f"stage {si} tree {ti} has no rects")
+                    raise FormatError(f"stage {si} tree {ti} has no rects")
                 for r, _w in tree.rects:
                     if r.w <= 0 or r.h <= 0 or not r.inside(self.window_w, self.window_h):
-                        raise CascadeFormatError(
+                        raise FormatError(
                             f"stage {si} tree {ti}: rect {tuple(r)} outside "
                             f"{self.window_w}x{self.window_h} base window")
 
@@ -121,18 +117,18 @@ def cascade_to_dict(c):
 
 def cascade_from_dict(d):
     if not isinstance(d, dict):
-        raise CascadeFormatError("cascade must be a JSON object")
+        raise FormatError("cascade must be a JSON object")
     try:
         window = d["window"]
         stages_raw = d["stages"]
     except KeyError as e:
-        raise CascadeFormatError(f"missing cascade key: {e}") from None
+        raise FormatError(f"missing cascade key: {e}") from None
     if not (isinstance(window, list) and len(window) == 2):
-        raise CascadeFormatError(f"window must be [w, h], got {window!r}")
+        raise FormatError(f"window must be [w, h], got {window!r}")
     try:
         window_w, window_h = int(window[0]), int(window[1])
     except (TypeError, ValueError, OverflowError):
-        raise CascadeFormatError(f"window must be two integers, got {window!r}") from None
+        raise FormatError(f"window must be two integers, got {window!r}") from None
     stages = []
     try:
         for s in stages_raw:
@@ -144,7 +140,7 @@ def cascade_from_dict(d):
                                   pass_value=float(t["pass"]), fail_value=float(t["fail"])))
             stages.append(Stage(threshold=float(s["threshold"]), trees=tuple(trees)))
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as e:
-        raise CascadeFormatError(f"malformed cascade structure: {e}") from None
+        raise FormatError(f"malformed cascade structure: {e}") from None
     return Cascade(window_w=window_w, window_h=window_h, stages=tuple(stages))
 
 
@@ -153,13 +149,11 @@ def load_cascade(path):
     try:
         d = json.loads(Path(path).read_text(encoding="ascii"))
     except json.JSONDecodeError as e:
-        raise CascadeFormatError(f"{path}: invalid JSON: {e}") from None
+        raise FormatError(f"{path}: invalid JSON: {e}") from None
     except UnicodeDecodeError as e:
-        raise CascadeFormatError(not_ascii(path, e)) from None
-    try:
+        raise FormatError(not_ascii(path, e)) from None
+    with named(path):
         return cascade_from_dict(d)
-    except CascadeFormatError as e:
-        raise CascadeFormatError(f"{path}: {e}") from None
 
 
 def save_cascade(path, c):
@@ -420,7 +414,7 @@ def track_roi(clip, cascade, scale_factor, min_neighbors, min_size):
 def _child_text(el, tag, what, path):
     text = el.findtext(tag)
     if text is None:
-        raise CascadeFormatError(f"{path}: {what} without <{tag}>")
+        raise FormatError(f"{path}: {what} without <{tag}>")
     return text
 
 
@@ -428,7 +422,7 @@ def _number(convert, text, tag, path):
     try:
         return convert(text)
     except ValueError:
-        raise CascadeFormatError(f"{path}: non-numeric value {text!r} in <{tag}>") from None
+        raise FormatError(f"{path}: non-numeric value {text!r} in <{tag}>") from None
 
 
 def convert_opencv_xml(path):
@@ -443,28 +437,28 @@ def convert_opencv_xml(path):
     try:
         root = ET.parse(path).getroot()
     except ET.ParseError as e:
-        raise CascadeFormatError(f"{path}: invalid XML: {e}") from None
+        raise FormatError(f"{path}: invalid XML: {e}") from None
     casc = root.find("cascade")
     if casc is None:
-        raise CascadeFormatError(f"{path}: no <cascade> element")
+        raise FormatError(f"{path}: no <cascade> element")
     window_w = _number(int, casc.findtext("width", "0"), "width", path)
     window_h = _number(int, casc.findtext("height", "0"), "height", path)
 
     features = []
     feats_el = casc.find("features")
     if feats_el is None:
-        raise CascadeFormatError(f"{path}: no <features> element")
+        raise FormatError(f"{path}: no <features> element")
     for feat in feats_el:
         if feat.findtext("tilted", "0").strip() == "1":
-            raise CascadeFormatError(f"{path}: tilted features unsupported")
+            raise FormatError(f"{path}: tilted features unsupported")
         rects = []
         rects_el = feat.find("rects")
         if rects_el is None:
-            raise CascadeFormatError(f"{path}: feature without <rects>")
+            raise FormatError(f"{path}: feature without <rects>")
         for r_el in rects_el:
             parts = (r_el.text or "").split()
             if len(parts) != 5:
-                raise CascadeFormatError(f"{path}: rect needs 5 fields, got {r_el.text!r}")
+                raise FormatError(f"{path}: rect needs 5 fields, got {r_el.text!r}")
             x, y, w, h = (_number(int, p, "rects", path) for p in parts[:4])
             rects.append((Rect(x, y, w, h), _number(float, parts[4], "rects", path)))
         features.append(tuple(rects))
@@ -472,22 +466,22 @@ def convert_opencv_xml(path):
     stages = []
     stages_el = casc.find("stages")
     if stages_el is None:
-        raise CascadeFormatError(f"{path}: no <stages> element")
+        raise FormatError(f"{path}: no <stages> element")
     for st in stages_el:
         threshold = _number(float, _child_text(st, "stageThreshold", "stage", path),
                             "stageThreshold", path)
         weak_el = st.find("weakClassifiers")
         if weak_el is None:
-            raise CascadeFormatError(f"{path}: stage without <weakClassifiers>")
+            raise FormatError(f"{path}: stage without <weakClassifiers>")
         trees = []
         for weak in weak_el:
             nodes = _child_text(weak, "internalNodes", "classifier", path).split()
             leaves = _child_text(weak, "leafValues", "classifier", path).split()
             if len(nodes) != 4 or len(leaves) != 2:
-                raise CascadeFormatError(f"{path}: only stump classifiers supported")
+                raise FormatError(f"{path}: only stump classifiers supported")
             feat_idx = _number(int, nodes[2], "internalNodes", path)
             if not (0 <= feat_idx < len(features)):
-                raise CascadeFormatError(f"{path}: feature index {feat_idx} out of range")
+                raise FormatError(f"{path}: feature index {feat_idx} out of range")
             split = _number(float, nodes[3], "internalNodes", path)
             fail_value, pass_value = (_number(float, v, "leafValues", path) for v in leaves)
             # leaf order: value when the feature falls below the split, then above
@@ -495,7 +489,5 @@ def convert_opencv_xml(path):
                               fail_value=fail_value, pass_value=pass_value))
         stages.append(Stage(threshold=threshold, trees=tuple(trees)))
 
-    try:
+    with named(path):
         return Cascade(window_w=window_w, window_h=window_h, stages=tuple(stages))
-    except CascadeFormatError as e:
-        raise CascadeFormatError(f"{path}: {e}") from None

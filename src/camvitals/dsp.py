@@ -18,6 +18,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_FILTER_ORDER = 3
+# highest filter order: a zero-phase pass of order n pads each end with
+# 3 (2n + 1) samples, so order 100 already needs more than 1,809 samples,
+# and the design's gain overflows a float near order 250 at the default
+# bands; building a design of order n takes O(n) memory
+MAX_FILTER_ORDER = 100
+# largest fft_size: 8 times the physio default. Each window's spectrum
+# holds fft_size / 2 + 1 complex bins (0.5 MB at 2**16), one per window
+MAX_FFT_SIZE = 2 ** 16
 
 # floor for squared magnitudes entering log ratios, so empty bins do not
 # produce -inf or 0/0
@@ -76,6 +84,8 @@ class BandpassSpec:
             raise ValueError(f"need 0 < low < high, got ({self.low}, {self.high})")
         if self.order < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
+        if self.order > MAX_FILTER_ORDER:
+            raise ValueError(f"order must be <= {MAX_FILTER_ORDER}, got {self.order}")
 
 
 @dataclass(frozen=True)
@@ -96,6 +106,8 @@ class StftSpec:
             raise ValueError("fft_size must be >= window_len")
         if self.fft_size & (self.fft_size - 1):
             raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
+        if self.fft_size > MAX_FFT_SIZE:
+            raise ValueError(f"fft_size must be <= {MAX_FFT_SIZE}, got {self.fft_size}")
 
 
 # Rate estimates are reported as the median spectral peak over sliding
@@ -156,6 +168,21 @@ def check_nyquist(spec, sample_rate):
     frequency of sample_rate."""
     if spec.high >= sample_rate / 2:
         raise ValueError(f"band high {spec.high} Hz >= Nyquist at {sample_rate} Hz")
+
+
+def check_bandpass(spec, sample_rate):
+    """Raise ValueError unless bandpass can filter by spec at sample_rate:
+    the band lies below Nyquist, and the design bandpass caches, built
+    here, is finite."""
+    check_nyquist(spec, sample_rate)
+    try:
+        with np.errstate(all="ignore"):
+            design = (_cached_sos(spec, sample_rate), _cached_zi(spec, sample_rate))
+    except (ArithmeticError, ValueError):   # an overflowed gain, a singular section
+        design = (np.nan,)
+    if not all(np.isfinite(d).all() for d in design):
+        raise ValueError(f"band ({spec.low}, {spec.high}) Hz of order {spec.order} "
+                         f"has no finite filter design at {sample_rate} Hz")
 
 
 def _poly(roots):

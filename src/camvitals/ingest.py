@@ -39,12 +39,15 @@ def not_ascii(path, err):
 
 @contextlib.contextmanager
 def named(source):
-    """Prefix a ValueError raised in the block with `source`, the file of
-    the setting or data it concerns."""
+    """Raise a ValueError from the block as a FormatError prefixed with
+    `source`, the file of the setting or data it concerns; with source
+    None, as it is."""
     try:
         yield
     except ValueError as e:
-        raise ValueError(f"{source}: {e}") from None
+        if source is None:
+            raise
+        raise FormatError(f"{source}: {e}") from None
 
 
 @dataclass
@@ -252,10 +255,8 @@ def parse_manifest(path):
         raise FormatError(f"{path}: non-numeric manifest header value") from None
     if not entries:
         raise FormatError(f"{path}: no trials")
-    try:
+    with named(path):
         return TrialManifest(fps=fps, width=width, height=height, entries=entries)
-    except ValueError as e:
-        raise FormatError(f"{path}: {e}") from None
 
 
 def write_manifest(path, manifest):
@@ -468,7 +469,10 @@ def _physio_columns(data):
     conversion per column and block of lines; None unless read_csv would
     return the same rows and every cell converts to a finite float (an
     int64 trigger). Without quotes or \r, a csv row is the line split at
-    its commas, and numpy converts a cell as float() and int() do."""
+    its commas, and numpy converts a cell as float() and int() do; csv
+    reads \r\n as one line end, so \r\n lines are read as \n lines."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
     if not (data.startswith(_PHYSIO_HEAD) and data.endswith(b"\n") and data.isascii()):
         return None
     if b'"' in data or b"\r" in data:
@@ -501,25 +505,14 @@ def _physio_columns(data):
 
 
 def _checked_physio_columns(path):
-    """The columns of physio.csv, row by row through read_csv; a cell that
-    is not a finite number (an int64 trigger) raises FormatError naming its
-    line and column."""
-    t, ecg, resp, trig = [], [], [], []
-    for line, row in read_csv(path, PHYSIO_HEADER):
-        try:
-            t.append(float(row[0]))
-            ecg.append(float(row[1]))
-            resp.append(float(row[2]))
-            trig.append(_int64(row[3]))
-        except ValueError:
-            # cell by cell, to name the column; this raises
-            _parse_row(_PHYSIO_TYPES, row, PHYSIO_HEADER, f"{path}:{line}")
-    columns = np.array([t, ecg, resp])
-    if not np.isfinite(columns).all():
-        # read again cell by cell, to name the line and column; this raises
-        for line, row in read_csv(path, PHYSIO_HEADER):
-            _parse_row(_PHYSIO_TYPES, row, PHYSIO_HEADER, f"{path}:{line}")
-    return (*columns, np.array(trig, dtype=np.int64))
+    """The columns of physio.csv, row by row through read_csv; the first
+    cell that is not a finite number (an int64 trigger) raises FormatError
+    naming its line and column."""
+    rows = [_parse_row(_PHYSIO_TYPES, row, PHYSIO_HEADER, f"{path}:{line}")
+            for line, row in read_csv(path, PHYSIO_HEADER)]
+    t, ecg, resp, trig = zip(*rows) if rows else [()] * 4
+    return (*(np.array(c, dtype=np.float64) for c in (t, ecg, resp)),
+            np.array(trig, dtype=np.int64))
 
 
 def load_physio_csv(path):

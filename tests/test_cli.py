@@ -516,6 +516,7 @@ def test_setting_that_does_not_fit_the_rate_is_not_blamed_on_a_trial(
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command,setting,window,message", [
     ("groundtruth", "ecg_refractory_s = nan", None,
      ":1: config key ecg_refractory_s: 'nan' is not a number"),
@@ -526,9 +527,32 @@ def test_setting_that_does_not_fit_the_rate_is_not_blamed_on_a_trial(
     ("estimate", "min_size = 30", (8, 10),
      ": min_size 30 leaves no window of the 8x10 cascade to scan in a 32x32 frame"),
     ("groundtruth", "scalarization = spherical_log_map", None,
-     ":1: unknown config key 'scalarization'")],
+     ":1: unknown config key 'scalarization'"),
+    # the band designs failed in trial 1 with "Singular matrix", and the
+    # FFT sizes with a memory error or "array is too big"
+    ("estimate", "hr_low = 1e-8", (8, 8),
+     ": band (1e-08, 2.5) Hz of order 3 has no finite filter design at 30.0 Hz"),
+    ("groundtruth", "hr_low = 1e-8", None,
+     ": band (1e-08, 2.5) Hz of order 3 has no finite filter design at 128.0 Hz"),
+    ("groundtruth", "hr_low = 1e-7", None,
+     ": band (1e-07, 2.5) Hz of order 3 has no finite filter design at 128.0 Hz"),
+    ("estimate", "rr_low = 1e-8", (8, 8),
+     ": band (1e-08, 0.5) Hz of order 3 has no finite filter design at 30.0 Hz"),
+    ("groundtruth", "rr_low = 1e-8", None,
+     ": band (1e-08, 0.5) Hz of order 3 has no finite filter design at 128.0 Hz"),
+    ("groundtruth", "filter_order = 101", None, ": order must be <= 100, got 101"),
+    ("estimate", "video_fft = 2147483648", (8, 8),
+     ": fft_size must be <= 65536, got 2147483648"),
+    ("groundtruth", "physio_fft = 2147483648", None,
+     ": fft_size must be <= 65536, got 2147483648"),
+    ("estimate", f"video_fft = {2 ** 63}", (8, 8),
+     f": fft_size must be <= 65536, got {2 ** 63}"),
+    ("groundtruth", f"physio_fft = {2 ** 63}", None,
+     f": fft_size must be <= 65536, got {2 ** 63}")],
     ids=["non-finite", "ecg-percentile", "min-size-above-frame", "min-size-between-scales",
-         "pulse-feature-key"])
+         "pulse-feature-key", "video-hr-low", "physio-hr-low", "physio-hr-low-1e-7",
+         "video-rr-low", "physio-rr-low", "filter-order", "video-fft-2**31",
+         "physio-fft-2**31", "video-fft-2**63", "physio-fft-2**63"])
 def test_bad_setting_names_the_config_before_trial_1(command, setting, window, message,
                                                      dataset, tmp_path, capsys):
     out, cfg, cascade = tmp_path / "out.csv", tmp_path / "pipeline.cfg", tmp_path / "cascade.json"

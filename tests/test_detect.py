@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from camvitals.detect import (DEFAULT_MIN_NEIGHBORS, DEFAULT_SCALE_FACTOR, Cascade,
-                              CascadeFormatError, DetectionError, Stage, Tree,
+                              DetectionError, Stage, Tree,
                               canonical_cascade_json, cascade_from_dict, cascade_to_dict,
                               convert_opencv_xml, detect_faces,
                               evaluate_window, group_rects, integral_image,
                               load_cascade, rect_sum, save_cascade, scale_plan,
                               track_roi)
 from camvitals.geometry import Rect
+from camvitals.ingest import FormatError
 
 from conftest import blob_clip, blob_frame, make_toy_cascade
 
@@ -211,10 +212,10 @@ def test_canonical_json_is_stable(toy_cascade):
 def test_load_cascade_rejects_bad_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
-    with pytest.raises(CascadeFormatError):
+    with pytest.raises(FormatError):
         load_cascade(p)
     p.write_text(json.dumps({"window": [8, 8]}))
-    with pytest.raises(CascadeFormatError):
+    with pytest.raises(FormatError):
         load_cascade(p)
 
 
@@ -232,7 +233,7 @@ def test_load_cascade_rejects_bad_json(tmp_path):
 def test_load_cascade_names_the_file_of_a_structural_error(tmp_path, text, message):
     p = tmp_path / "c.json"
     p.write_text(text)
-    with pytest.raises(CascadeFormatError) as e:
+    with pytest.raises(FormatError) as e:
         load_cascade(p)
     assert str(e.value) == f"{p}: {message}"
 
@@ -240,7 +241,7 @@ def test_load_cascade_names_the_file_of_a_structural_error(tmp_path, text, messa
 def test_cascade_rejects_rect_outside_window():
     tree = Tree(rects=((Rect(4, 4, 8, 8), 1.0),), threshold=0.0,
                 pass_value=1.0, fail_value=0.0)
-    with pytest.raises(CascadeFormatError):
+    with pytest.raises(FormatError):
         Cascade(window_w=8, window_h=8, stages=(Stage(0.0, (tree,)),))
 
 
@@ -297,7 +298,7 @@ def test_convert_opencv_xml_rejects_tilted(tmp_path):
     xml = OPENCV_XML.replace("</rects>", "</rects>\n      <tilted>1</tilted>")
     p = tmp_path / "tilted.xml"
     p.write_text(xml)
-    with pytest.raises(CascadeFormatError):
+    with pytest.raises(FormatError):
         convert_opencv_xml(p)
 
 
@@ -306,7 +307,7 @@ def test_convert_opencv_xml_rejects_non_stump(tmp_path):
                              "0 1 2 0 4.0e+01 5.0e+01")
     p = tmp_path / "deep.xml"
     p.write_text(xml)
-    with pytest.raises(CascadeFormatError):
+    with pytest.raises(FormatError):
         convert_opencv_xml(p)
 
 
@@ -321,7 +322,7 @@ def test_convert_opencv_xml_rejects_non_stump(tmp_path):
 def test_convert_opencv_xml_names_missing_element(tmp_path, element, what):
     p = tmp_path / "partial.xml"
     p.write_text(OPENCV_XML.replace(element, ""))
-    with pytest.raises(CascadeFormatError, match=f"^{re.escape(str(p))}: {what}$"):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: {what}$"):
         convert_opencv_xml(p)
 
 
@@ -340,7 +341,7 @@ def test_convert_opencv_xml_names_non_numeric_value(tmp_path, old, new, tag):
     p = tmp_path / "garbled.xml"
     assert old in OPENCV_XML
     p.write_text(OPENCV_XML.replace(old, new))
-    with pytest.raises(CascadeFormatError,
+    with pytest.raises(FormatError,
                        match=f"^{re.escape(str(p))}: non-numeric value '.*' in <{tag}>$"):
         convert_opencv_xml(p)
 
@@ -358,12 +359,12 @@ def test_convert_opencv_xml_names_the_file_of_a_cascade_check(tmp_path, old, new
     p = tmp_path / "haar.xml"
     assert old in OPENCV_XML
     p.write_text(OPENCV_XML.replace(old, new))
-    with pytest.raises(CascadeFormatError, match=f"^{re.escape(f'{p}: {what}')}$"):
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{p}: {what}')}$"):
         convert_opencv_xml(p)
 
 
 def test_convert_opencv_xml_rejects_empty_rect(tmp_path):
     p = tmp_path / "partial.xml"
     p.write_text(OPENCV_XML.replace("<_>2 2 4 4 4.</_>", "<_></_>"))
-    with pytest.raises(CascadeFormatError, match="rect needs 5 fields"):
+    with pytest.raises(FormatError, match="rect needs 5 fields"):
         convert_opencv_xml(p)

@@ -6,7 +6,7 @@ import pytest
 
 from camvitals import ingest
 from camvitals.config import load_config
-from camvitals.detect import CascadeFormatError, load_cascade
+from camvitals.detect import load_cascade
 from camvitals.dsp import TimeSeries
 from camvitals.evaluation import EST_HEADER, GT_HEADER, TRIALS_HEADER, join_results
 from camvitals.ingest import (LUMA_B, LUMA_G, LUMA_R, PHYSIO_HEADER, FormatError,
@@ -468,8 +468,8 @@ NON_ASCII_FILES = {
                b"t,ecg,resp,trigger\n0.0,0.5,caf\xe9,1\n"),
     "manifest": ("manifest.txt", parse_manifest, FormatError,
                  b"fps=30\nwidth=32\nheight=32\n# caf\xe9\n"),
-    "config": ("pipeline.cfg", load_config, ValueError, b"hr_low = 0.7  # caf\xe9\n"),
-    "cascade": ("cascade.json", load_cascade, CascadeFormatError,
+    "config": ("pipeline.cfg", load_config, FormatError, b"hr_low = 0.7  # caf\xe9\n"),
+    "cascade": ("cascade.json", load_cascade, FormatError,
                 b'{"window": [8, 8], "note": "caf\xe9"}\n'),
 }
 
@@ -537,7 +537,7 @@ PHYSIO_MUTATIONS = {
     "blank line": (lambda s: _edit_line(s, 8, lambda r: r + "\n"), False),
     "no final newline": (lambda s: s[:-1], False),
     "quote": (lambda s: _set_cell(s, 4, 1, '"0.25"'), False),
-    "crlf": (lambda s: s.replace("\n", "\r\n"), False),
+    "crlf": (lambda s: s.replace("\n", "\r\n"), True),
     "non-ascii": (lambda s: _set_cell(s, 7, 2, "caf\xe9"), False),
     "nul": (lambda s: _set_cell(s, 7, 2, "1\0"), False),
     "nan": (lambda s: _set_cell(s, 9, 1, "nan"), False),
@@ -592,6 +592,29 @@ def test_physio_array_pass_equals_the_checked_reader_on_random_edits(tmp_path, m
     assert outcomes == {True, False}
 
 
+def test_row_reader_names_the_first_bad_cell(tmp_path):
+    # the reader that read the file twice named line 9, the first cell
+    # that is not a number, before line 4, the first that is not finite
+    path = tmp_path / "physio.csv"
+    path.write_text(_set_cell(_set_cell(_physio_text(12), 3, 1, "nan"), 8, 1, "abc"))
+    with pytest.raises(FormatError,
+                       match=f"^{re.escape(f'{path}:4: ecg ' + repr('nan'))} is not a number$"):
+        load_physio_csv(path)
+
+
+def _no_row_reader(*args):
+    raise AssertionError("read_csv called")
+
+
+def test_crlf_physio_needs_no_row_reader(tmp_path, monkeypatch):
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    lf.write_text(_physio_text())
+    crlf.write_bytes(_physio_text().replace("\n", "\r\n").encode("ascii"))
+    want = _load_or_error(lf)
+    monkeypatch.setattr(ingest, "read_csv", _no_row_reader)
+    assert _load_or_error(crlf) == want
+
+
 def test_paper_size_physio_needs_no_row_reader(tmp_path, monkeypatch):
     # 1100 s at 128 Hz: the paper protocol's record
     rng = np.random.default_rng(31)
@@ -603,10 +626,7 @@ def test_paper_size_physio_needs_no_row_reader(tmp_path, monkeypatch):
     path = tmp_path / "physio.csv"
     write_physio_csv(path, rec)
 
-    def no_row_reader(*args):
-        raise AssertionError("read_csv called")
-
-    monkeypatch.setattr(ingest, "read_csv", no_row_reader)
+    monkeypatch.setattr(ingest, "read_csv", _no_row_reader)
     back = load_physio_csv(path)
     assert back.sample_rate == 128.0
     assert back.ecg.samples.tobytes() == rec.ecg.samples.tobytes()
