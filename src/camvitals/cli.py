@@ -216,11 +216,12 @@ def cmd_estimate(args):
     data_dir = Path(args.data)
     manifest = parse_manifest(data_dir / MANIFEST_FILE)
     # settings that do not fit the frames are setting errors, not one trial's;
-    # margins from --crop or the defaults and a box from --roi name no file
+    # margins from --crop or the defaults name no file, and a --roi box that
+    # misses the cropped frame names the file of the margins
     with named(args.config if args.crop is None else None):
         width, height = check_crop(manifest.width, manifest.height, *cfg.crop)
-    if args.roi is not None:
-        rr_roi(validate_rect(args.roi, width, height, "manual ROI"), height, width)
+        if args.roi is not None:
+            rr_roi(validate_rect(args.roi, width, height, "manual ROI"), height, width)
     with named(args.config or data_dir / MANIFEST_FILE):
         _check_bands(cfg, manifest.fps, cfg.video_stft)
     if cascade is not None:

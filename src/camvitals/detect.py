@@ -6,6 +6,7 @@ import json
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -192,24 +193,34 @@ def _scaled_rects(tree, scale, room_w, room_h):
     return tuple(scaled)
 
 
+def _corner_offsets(scaled, stride):
+    """`_scaled_rects` as (top-left, top-right, bottom-left, bottom-right,
+    weight): each corner's offset from the window origin in a row-major
+    integral image `stride` entries wide."""
+    return tuple((t * stride + l, t * stride + r, b * stride + l, b * stride + r, w)
+                 for l, t, r, b, w in scaled)
+
+
 def scale_plan(c, scale, img_w, img_h):
     """Tree geometry shared by every window of one scale.
 
-    One (stage threshold, trees) pair per stage, with one
-    (tree, x_limit, y_limit, rects) entry per tree: rects are the tree's
-    unclipped `_scaled_rects`, valid for every window whose origin lies
-    at or before (x_limit, y_limit); a window further right or down
-    clips some rect at the image edge.
+    Returns (img_w, img_h, stages), with one (stage threshold, trees)
+    pair per stage and one (tree, x_limit, y_limit, rects) entry per tree:
+    rects are the tree's unclipped `_scaled_rects` as `_corner_offsets`
+    into the img_w + 1 wide integral image, valid for every window whose
+    origin lies at or before (x_limit, y_limit); a window further right or
+    down clips some rect at the image edge.
     """
-    plan = []
+    stages = []
     for stage in c.stages:
         trees = []
         for tree in stage.trees:
             rects = _scaled_rects(tree, scale, math.inf, math.inf)
             trees.append((tree, img_w - max(r[2] for r in rects),
-                          img_h - max(r[3] for r in rects), rects))
-        plan.append((stage.threshold, tuple(trees)))
-    return tuple(plan)
+                          img_h - max(r[3] for r in rects),
+                          _corner_offsets(rects, img_w + 1)))
+        stages.append((stage.threshold, tuple(trees)))
+    return img_w, img_h, tuple(stages)
 
 
 def evaluate_window(c, ii, ii_sq, win, scale, plan):
@@ -221,29 +232,35 @@ def evaluate_window(c, ii, ii_sq, win, scale, plan):
     Rects are scaled and rebalanced by `_scaled_rects`. A window passes
     when every stage's summed tree outputs reach that stage's threshold.
 
-    ii and ii_sq are the integral images, as arrays or as nested lists
-    (`detect_faces` passes lists: indexing them is faster). plan is this
-    scale's `scale_plan`.
+    ii and ii_sq are the integral images flattened row-major
+    (`integral_image(...).ravel()`; `detect_faces` passes them as lists,
+    whose items are faster to read). win is any (x, y, w, h) sequence, a
+    Rect or a plain tuple. plan is this scale's `scale_plan`.
     """
-    x, y = win.x, win.y
-    x1, y1 = x + win.w, y + win.h
-    n = win.w * win.h
-    s1 = ii[y1][x1] - ii[y][x1] - ii[y1][x] + ii[y][x]
-    s2 = ii_sq[y1][x1] - ii_sq[y][x1] - ii_sq[y1][x] + ii_sq[y][x]
+    x, y, w, h = win
+    img_w, img_h, stages = plan
+    stride = img_w + 1
+    p = y * stride + x
+    q = p + h * stride
+    n = w * h
+    s1 = ii[q + w] - ii[p + w] - ii[q] + ii[p]
+    s2 = ii_sq[q + w] - ii_sq[p + w] - ii_sq[q] + ii_sq[p]
     mean = s1 / n
-    sigma = math.sqrt(max(0.0, s2 / n - mean * mean))
-    if sigma == 0.0:
-        sigma = 1.0
+    var = s2 / n - mean * mean
+    sigma = math.sqrt(var) if var > 0.0 else 1.0
     inv_norm = 1.0 / (scale * scale * sigma)
 
-    for stage_threshold, trees in plan:
+    for stage_threshold, trees in stages:
         total = 0.0
         for tree, x_limit, y_limit, rects in trees:
             if x > x_limit or y > y_limit:
-                rects = _scaled_rects(tree, scale, len(ii[0]) - 1 - x, len(ii) - 1 - y)
-            raw = sum(w * (ii[y + b][x + r] - ii[y + t][x + r]
-                           - ii[y + b][x + l] + ii[y + t][x + l])
-                      for l, t, r, b, w in rects)
+                rects = _corner_offsets(
+                    _scaled_rects(tree, scale, img_w - x, img_h - y), stride)
+            # a loop, not sum() over a generator per tree: the same
+            # additions, from the same int 0, in the same order
+            raw = 0
+            for tl, tr, bl, br, weight in rects:
+                raw += weight * (ii[p + br] - ii[p + tr] - ii[p + bl] + ii[p + tl])
             if raw * inv_norm >= tree.threshold:
                 total += tree.pass_value
             else:
@@ -305,6 +322,15 @@ def check_min_size(c, img_w, img_h, scale_factor, min_size):
                          f"{img_w}x{img_h} frame")
 
 
+# every frame of a clip shares one entry
+@lru_cache(maxsize=4)
+def _scan_plans(c, img_w, img_h, scale_factor, min_size):
+    """(scale, window w, window h, slide step, `scale_plan`) of each scale
+    of `scan_sizes`."""
+    return tuple((scale, ww, wh, max(1, int(round(scale))), scale_plan(c, scale, img_w, img_h))
+                 for scale, ww, wh in scan_sizes(c, img_w, img_h, scale_factor, min_size))
+
+
 def detect_faces(c, gray, scale_factor=DEFAULT_SCALE_FACTOR,
                  min_neighbors=DEFAULT_MIN_NEIGHBORS, min_size=0):
     """Multiscale sliding-window detection over one grayscale frame.
@@ -317,17 +343,17 @@ def detect_faces(c, gray, scale_factor=DEFAULT_SCALE_FACTOR,
     check_scale_factor(scale_factor)
     img_h, img_w = gray.shape
     check_frame_fits(c, img_w, img_h)
-    # nested lists: indexing them per window is faster than the arrays
-    ii = integral_image(gray).tolist()
-    ii_sq = integral_image(gray, squared=True).tolist()
+    # flat lists: reading their items per window is faster than the arrays
+    ii = integral_image(gray).ravel().tolist()
+    ii_sq = integral_image(gray, squared=True).ravel().tolist()
 
     candidates = []
-    for scale, ww, wh in scan_sizes(c, img_w, img_h, scale_factor, min_size):
-        step = max(1, int(round(scale)))
-        plan = scale_plan(c, scale, img_w, img_h)
+    for scale, ww, wh, step, plan in _scan_plans(c, img_w, img_h, scale_factor, min_size):
         for y in range(0, img_h - wh + 1, step):
             for x in range(0, img_w - ww + 1, step):
-                if evaluate_window(c, ii, ii_sq, Rect(x, y, ww, wh), scale, plan):
+                # a plain tuple: a Rect per window costs more than most
+                # windows' evaluation
+                if evaluate_window(c, ii, ii_sq, (x, y, ww, wh), scale, plan):
                     candidates.append(Rect(x, y, ww, wh))
 
     grouped = group_rects(candidates, min_neighbors)

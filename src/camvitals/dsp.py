@@ -26,6 +26,9 @@ MAX_FILTER_ORDER = 100
 # largest fft_size: 8 times the physio default. Each window's spectrum
 # holds fft_size / 2 + 1 complex bins (0.5 MB at 2**16), one per window
 MAX_FFT_SIZE = 2 ** 16
+# bytes of window spectra `stft_peak_freqs` holds at once: 16 windows at
+# MAX_FFT_SIZE; a 20 s trial at the default settings takes one block
+_STFT_BLOCK_BYTES = 2 ** 23
 
 # floor for squared magnitudes entering log ratios, so empty bins do not
 # produce -inf or 0/0
@@ -390,27 +393,33 @@ def stft_peak_freqs(ts, spec, band):
     # needs no scale-back
     x = np.ldexp(ts.samples, -_max_exponent(ts.samples))
     segments = sliding_window_view(x, spec.window_len)[::spec.hop]
-    spectra = np.fft.rfft(segments * np.hanning(spec.window_len), spec.fft_size, axis=1)
-    # squared magnitudes of the band's bins: the log-parabola vertex is the
-    # same as over plain magnitudes, and the add/multiply-only path keeps
-    # argmax and refinement bit-stable when the input is scaled by a power
-    # of two
-    band_spectra = spectra[:, k_lo:k_hi + 1]
-    mag2s = band_spectra.real ** 2 + band_spectra.imag ** 2
+    hann = np.hanning(spec.window_len)
+    # the spectra are taken in blocks of windows, so memory stays bounded
+    # however many windows the signal has; numpy's rfft gives each row the
+    # same bits in a block as in one batched call
+    block = max(1, _STFT_BLOCK_BYTES // (16 * (spec.fft_size // 2 + 1)))
     last = k_hi - k_lo
     freqs = []
-    for j, mag2 in zip(np.argmax(mag2s, axis=1).tolist(), mag2s.tolist()):
-        delta = 0.0
-        if 0 < j < last:
-            left, mid, right = (max(m, _LOG_FLOOR) for m in mag2[j - 1:j + 2])
-            # log-ratio form: any common scale factor cancels in the
-            # quotients before log rounds it in; math.log, not np.log,
-            # which may differ in the last bit
-            denom = math.log((left * right) / (mid * mid))
-            if denom != 0.0:
-                # np.clip's order: max, then min; a nan stays nan
-                delta = min(max(0.5 * math.log(left / right) / denom, -0.5), 0.5)
-        freqs.append((k_lo + j + delta) * df)
+    for start in range(0, len(segments), block):
+        spectra = np.fft.rfft(segments[start:start + block] * hann, spec.fft_size, axis=1)
+        # squared magnitudes of the band's bins: the log-parabola vertex is
+        # the same as over plain magnitudes, and the add/multiply-only path
+        # keeps argmax and refinement bit-stable when the input is scaled
+        # by a power of two
+        band_spectra = spectra[:, k_lo:k_hi + 1]
+        mag2s = band_spectra.real ** 2 + band_spectra.imag ** 2
+        for j, mag2 in zip(np.argmax(mag2s, axis=1).tolist(), mag2s.tolist()):
+            delta = 0.0
+            if 0 < j < last:
+                left, mid, right = (max(m, _LOG_FLOOR) for m in mag2[j - 1:j + 2])
+                # log-ratio form: any common scale factor cancels in the
+                # quotients before log rounds it in; math.log, not np.log,
+                # which may differ in the last bit
+                denom = math.log((left * right) / (mid * mid))
+                if denom != 0.0:
+                    # np.clip's order: max, then min; a nan stays nan
+                    delta = min(max(0.5 * math.log(left / right) / denom, -0.5), 0.5)
+            freqs.append((k_lo + j + delta) * df)
     return np.array(freqs)
 
 

@@ -444,6 +444,21 @@ def test_roi_that_does_not_fit_the_frame_is_not_blamed_on_a_trial(roi, message, 
     assert not out.exists()
 
 
+def test_roi_outside_a_frame_cropped_by_the_config_names_the_config(dataset, tmp_path,
+                                                                    capsys):
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("crop_left = 0\ncrop_right = 20\ncrop_top = 0\n")
+    out = tmp_path / "e.csv"
+    capsys.readouterr()
+    assert main(["estimate", "--data", str(dataset), "--out", str(out), "--roi", ROI,
+                 "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {cfg}: manual ROI Rect(x=12, y=5, w=8, h=10) "
+                            "outside 12x32 frame\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["config", "crop"])
 def test_bad_crop_names_the_config_only_when_it_came_from_there(source, dataset, tmp_path,
                                                                 capsys):

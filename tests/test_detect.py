@@ -59,8 +59,8 @@ def test_rect_sum_rejects_bad_rects():
 def test_evaluate_window_zero_on_flat_patch():
     # sigma = 0 falls back to 1, raw feature sums cancel -> value 0
     img = np.full((8, 8), 77, dtype=np.uint8)
-    ii = integral_image(img)
-    ii_sq = integral_image(img, squared=True)
+    ii = integral_image(img).ravel()
+    ii_sq = integral_image(img, squared=True).ravel()
     passing = make_toy_cascade(threshold=-0.5)
     failing = make_toy_cascade(threshold=0.5)
     win = Rect(0, 0, 8, 8)
@@ -73,8 +73,8 @@ def test_evaluate_window_normalized_value_frozen():
     9600, window variance = 12400 - 70^2 = 7500, so the normalized value
     is 9600/sqrt(7500) = 110.85125168440815."""
     img = blob_frame(8, 8, Rect(2, 2, 4, 4))
-    ii = integral_image(img)
-    ii_sq = integral_image(img, squared=True)
+    ii = integral_image(img).ravel()
+    ii_sq = integral_image(img, squared=True).ravel()
     win = Rect(0, 0, 8, 8)
     below = make_toy_cascade(threshold=110.85125168440815 - 1e-9)
     above = make_toy_cascade(threshold=110.85125168440815 + 1e-9)
@@ -87,8 +87,8 @@ def test_stage_threshold_can_reject_despite_tree_pass():
                 threshold=0.0, pass_value=1.0, fail_value=0.0)
     c = Cascade(window_w=8, window_h=8, stages=(Stage(2.0, (tree,)),))
     img = blob_frame(8, 8, Rect(2, 2, 4, 4))
-    ii = integral_image(img)
-    ii_sq = integral_image(img, squared=True)
+    ii = integral_image(img).ravel()
+    ii_sq = integral_image(img, squared=True).ravel()
     assert not evaluate_window(c, ii, ii_sq, Rect(0, 0, 8, 8), 1.0, scale_plan(c, 1.0, 8, 8))
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -449,6 +450,39 @@ def test_power_of_two_multiples_keep_every_bit(spec, rate):
             scaled = TimeSeries(np.ldexp(x, k), rate)
             assert np.array_equal(stft_peak_freqs(scaled, spec, (0.7, 2.5)), peaks), k
             assert np.array_equal(detrend(scaled, 0.5).samples, np.ldexp(detrended, k)), k
+
+
+@pytest.mark.parametrize("windows_per_block", [1, 2, 5, 16])
+def test_stft_peaks_in_blocks_equal_one_batched_fft(monkeypatch, windows_per_block):
+    rng = np.random.default_rng(windows_per_block)
+    for spec, rate in ((VIDEO_STFT, 30.0), (PHYSIO_STFT, 128.0), (StftSpec(64, 3, 256), 30.0)):
+        lengths = (spec.window_len, spec.window_len + 16 * spec.hop,
+                   *rng.integers(spec.window_len, 6 * spec.window_len, size=3))
+        for n in lengths:
+            t = np.arange(n) / rate
+            x = np.sin(2 * np.pi * rng.uniform(0.8, 2.3) * t) + rng.normal(size=n)
+            ts = TimeSeries(x, rate)
+            peaks = {}
+            for n_windows in (10 ** 9, windows_per_block):
+                monkeypatch.setattr(dsp, "_STFT_BLOCK_BYTES",
+                                    n_windows * 16 * (spec.fft_size // 2 + 1))
+                peaks[n_windows] = stft_peak_freqs(ts, spec, (0.7, 2.5))
+            assert np.array_equal(peaks[windows_per_block], peaks[10 ** 9]), (spec, n)
+
+
+def test_stft_peaks_hold_one_block_of_spectra():
+    # 977 windows: one batched FFT held 977 spectra of 32,769 complex bins,
+    # 506 MB
+    spec = StftSpec(1024, 1, 65536)
+    ts = TimeSeries(np.random.default_rng(3).normal(size=2000), 128.0)
+    tracemalloc.start()
+    try:
+        freqs = stft_peak_freqs(ts, spec, (0.7, 2.5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(freqs) == 977
+    assert peak < 64 * 2 ** 20
 
 
 def test_stft_peaks_errors():

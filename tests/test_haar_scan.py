@@ -114,8 +114,8 @@ def clipped_windows(c, shape, scale_factor):
         if ww > img_w or wh > img_h:
             return count
         step = max(1, int(round(scale)))
-        limits = [(xl, yl) for _, trees in scale_plan(c, scale, img_w, img_h)
-                  for _, xl, yl, _ in trees]
+        _, _, stages = scale_plan(c, scale, img_w, img_h)
+        limits = [(xl, yl) for _, trees in stages for _, xl, yl, _ in trees]
         count += sum(any(x > xl or y > yl for xl, yl in limits)
                      for y in range(0, img_h - wh + 1, step)
                      for x in range(0, img_w - ww + 1, step))
@@ -270,3 +270,33 @@ def test_random_cascades_reach_clipped_windows(monkeypatch):
             assert_same_scan(monkeypatch, c, frames(rng, shape)["noisy"], scale_factor)
     assert clipped > 0
 
+
+def test_scan_plans_reused_across_calls_match_a_fresh_scan(monkeypatch):
+    # the scan builds its plans once per (cascade, frame size, scale
+    # factor, min_size): a call that alternates any one of them must not
+    # reuse another's plans
+    rng = np.random.default_rng(36)
+    cascades = (random_cascade(rng), random_cascade(rng))
+    shapes = ((14, 17), (16, 12))
+    scale_factors = (1.1, 1.25)
+    min_sizes = (0, 7)
+    detect._scan_plans.cache_clear()
+    keys = [(ci, si, fi, mi) for ci in (0, 1) for si in (0, 1)
+            for fi in (0, 1) for mi in (0, 1)]
+    # each key once, then four keys, each alternated with every key
+    # that differs from it in one place
+    sequence = keys + [key for base in keys[:4] for d in range(4)
+                       for key in (base, tuple(v ^ (i == d) for i, v in enumerate(base))) * 2]
+    for ci, si, fi, mi in sequence:
+        gray = frames(rng, shapes[si])["noisy"]
+        assert assert_same_scan(monkeypatch, cascades[ci], gray, scale_factors[fi],
+                                min_sizes[mi]) > 0
+    assert detect._scan_plans.cache_info().hits > 0
+
+
+def test_clipped_windows_far_from_the_origin(monkeypatch):
+    rng = np.random.default_rng(45)
+    c = random_cascade(rng)
+    gray = frames(rng, (40, 48))["noisy"]
+    assert clipped_windows(c, gray.shape, 1.1) > 0
+    assert assert_same_scan(monkeypatch, c, gray, 1.1) > 0
