@@ -1,12 +1,12 @@
-"""On-disk formats: P6 PPM frame sequences with a plain-text trial manifest,
-the physio CSV (t,ecg,resp,trigger), and the CSV dialect that it shares with
-truth.csv and the result files."""
+"""On-disk formats: a dataset's frames as one stream of P6 PPM records of
+one fixed size, the plain-text trial manifest, the physio CSV
+(t,ecg,resp,trigger), and the CSV dialect that it shares with truth.csv and
+the result files."""
 
 import contextlib
 import csv
 import math
 import os
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +19,7 @@ CONDITIONS = ("respiration", "workout", "gaze")
 HOLD_BREATH_TASK = 2
 
 # a dataset directory: one global frame sequence, the manifest, the physio CSV
-FRAME_PATTERN = "frame_%06d.ppm"
+FRAMES_FILE = "frames.ppm"
 MANIFEST_FILE = "manifest.txt"
 PHYSIO_FILE = "physio.csv"
 
@@ -155,62 +155,27 @@ class TrialManifest:
 
 # ------------------------- PPM frames -------------------------
 
-_SEPARATORS = re.compile(rb"(?:\s|#[^\n]*\n?)*")
-_TOKEN = re.compile(rb"[^\s#]+")
-# ends the last header token: one whitespace byte, or a comment and its newline
-_HEADER_END = re.compile(rb"\s|#[^\n]*\n?")
+def ppm_header(width, height):
+    """The header write_ppm writes before each width x height frame: the
+    only record header a frames.ppm stream may carry."""
+    return b"P6\n%d %d\n255\n" % (width, height)
 
 
-def _parse_ppm_header(buf, path):
-    """(magic, width, height, maxval tokens, offset of the pixel data).
-
-    Header tokens may be separated by any whitespace and '#' comments."""
-    tokens = []
-    pos = 0
-    while len(tokens) < 4:
-        tok = _TOKEN.match(buf, _SEPARATORS.match(buf, pos).end())
-        if tok is None:
-            raise FormatError(f"{path}: truncated PPM header")
-        tokens.append(tok.group())
-        pos = tok.end()
-    end = _HEADER_END.match(buf, pos)
-    return (*tokens, end.end() if end else pos)
-
-
-def read_ppm(path):
-    """Read one binary (P6) PPM file into an (H, W, 3) uint8 array."""
-    with open(path, "rb") as f:
-        buf = f.read()
-    magic, w_tok, h_tok, maxval_tok, offset = _parse_ppm_header(buf, path)
-    if magic != b"P6":
-        raise FormatError(f"{path}: not a binary P6 PPM (magic {magic!r})")
-    try:
-        width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
-    except ValueError:
-        raise FormatError(f"{path}: malformed PPM header") from None
-    if maxval != 255:
-        raise FormatError(f"{path}: maxval {maxval} unsupported (need 255)")
-    if width <= 0 or height <= 0:
-        raise FormatError(f"{path}: non-positive dimensions")
-    size = width * height * 3
-    if len(buf) - offset < size:
-        raise FormatError(f"{path}: truncated pixel data")
-    return np.frombuffer(buf, dtype=np.uint8, count=size, offset=offset).reshape(height, width, 3)
-
-
-def write_ppm(path, frame):
-    """Write an (H, W, 3) uint8 array as binary P6 PPM, maxval 255."""
-    frame = np.asarray(frame)
-    if frame.dtype != np.uint8 or frame.ndim != 3 or frame.shape[2] != 3:
-        raise ValueError("frame must be (H, W, 3) uint8")
-    h, w = frame.shape[:2]
-    with open(path, "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (w, h))
-        f.write(frame.tobytes())
-
-
-def frame_path(dataset_dir, index):
-    return Path(dataset_dir) / (FRAME_PATTERN % index)
+def write_ppm(target, frames):
+    """Write an (H, W, 3) uint8 frame, or each frame of an (N, H, W, 3)
+    stack in order, as binary P6 PPM records of maxval 255, each with its
+    own ppm_header. `target` is a path, which is overwritten, or a binary
+    file open for writing, which gets the records appended."""
+    frames = np.asarray(frames)
+    if frames.dtype != np.uint8 or frames.ndim not in (3, 4) or frames.shape[-1] != 3:
+        raise ValueError("frames must be (H, W, 3) or (N, H, W, 3) uint8")
+    frames = np.ascontiguousarray(frames.reshape(-1, *frames.shape[-3:]))
+    header = ppm_header(frames.shape[2], frames.shape[1])
+    opened = contextlib.nullcontext(target) if hasattr(target, "write") else open(target, "wb")
+    with opened as f:
+        for frame in frames:
+            f.write(header)
+            f.write(frame)
 
 
 def parse_manifest(path):
@@ -270,40 +235,62 @@ def write_manifest(path, manifest):
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+# (header, pixels) buffer pairs per os.readv call, within IOV_MAX; 512 a
+# call raised estimate's peak RSS by about 0.13 MB
+_READV_FRAMES = min(64, os.sysconf("SC_IOV_MAX") // 2)
+
+
 def read_frame_range(dataset_dir, manifest, start_frame, frame_count):
     """Load a contiguous frame range of a dataset as a VideoClip.
 
     This is the streaming unit: callers load one trial's range at a time
-    instead of the whole recording. A frame whose header is exactly the one
-    write_ppm writes for the manifest's size is read with one readv, its
-    pixels straight into the clip; any other frame goes through read_ppm.
+    instead of the whole recording. Every record of frames.ppm is the
+    ppm_header of the manifest's size and the frame's pixels, so frame i
+    starts at byte i * record size. The range is read with one seek and
+    os.readv calls that put the pixels straight into the clip; then one
+    comparison checks every record header. A record that is short,
+    missing or headed otherwise raises FormatError naming the file, the
+    frame index and its byte offset.
     """
     w, h = manifest.width, manifest.height
+    header = ppm_header(w, h)
+    record = len(header) + w * h * 3
+    path = os.path.join(dataset_dir, FRAMES_FILE)
     frames = np.empty((frame_count, h, w, 3), dtype=np.uint8)
-    header = b"P6\n%d %d\n255\n" % (w, h)
-    head = bytearray(len(header))
-    size = len(header) + w * h * 3
-    prefix = os.path.join(dataset_dir, "")
-    for i in range(frame_count):
-        p = prefix + FRAME_PATTERN % (start_frame + i)
+    heads = np.empty((frame_count, len(header)), dtype=np.uint8)
+
+    def where(i):
+        return f"{path}: frame {start_frame + i} (byte {(start_frame + i) * record})"
+
+    got = 0
+    try:
+        fd = os.open(path, os.O_RDONLY)
         try:
-            fd = os.open(p, os.O_RDONLY)
-            try:
-                n = os.readv(fd, [head, frames[i]])
-            finally:
-                os.close(fd)
-        except OSError as e:
-            raise FormatError(f"{p}: cannot read frame ({e.strerror})") from None
-        # read_ppm would take the same pixels from a file that starts with
-        # `header` and holds them all, trailing bytes or not; any other
-        # file it parses in full, and names what is wrong with it
-        if n < size or head != header:
-            frame = read_ppm(p)
-            if frame.shape != (h, w, 3):
-                raise FormatError(
-                    f"{p}: frame is {frame.shape[1]}x{frame.shape[0]}, "
-                    f"manifest declares {w}x{h}")
-            frames[i] = frame
+            os.lseek(fd, start_frame * record, os.SEEK_SET)
+            for i in range(0, frame_count, _READV_FRAMES):
+                j = min(frame_count, i + _READV_FRAMES)
+                n = os.readv(fd, [b for pair in zip(heads[i:j], frames[i:j]) for b in pair])
+                got += n
+                if n < (j - i) * record:
+                    break
+        finally:
+            os.close(fd)
+    except OSError as e:
+        raise FormatError(f"{where(got // record)}: cannot read ({e.strerror})") from None
+    whole, have = divmod(got, record)
+    # a bytes comparison: a first numpy comparison and reduction in the
+    # process would raise estimate's peak RSS by a quarter of a megabyte
+    if whole < frame_count or heads.tobytes() != header * frame_count:
+        # the first bad record, or the one the file cuts short, and the
+        # header bytes read of it
+        i = next((i for i in range(whole) if heads[i].tobytes() != header), whole)
+        head = heads[i, :have if i == whole else None].tobytes()
+        if not header.startswith(head):
+            raise FormatError(f"{where(i)}: record header {head!r}, "
+                              f"expected {header!r} for the manifest's {w}x{h}")
+        raise FormatError(f"{where(i)}: " + (
+            f"truncated record, {have} of {record} bytes" if have else
+            f"past the end of the file, expected a {record}-byte record"))
     return VideoClip(frames, manifest.fps)
 
 

@@ -10,8 +10,8 @@ import numpy as np
 
 from .dsp import TimeSeries
 from .geometry import Rect
-from .ingest import (HOLD_BREATH_TASK, MANIFEST_FILE, PHYSIO_FILE, PhysioRecord,
-                     TrialEntry, TrialManifest, VideoClip, frame_path, write_csv,
+from .ingest import (FRAMES_FILE, HOLD_BREATH_TASK, MANIFEST_FILE, PHYSIO_FILE,
+                     PhysioRecord, TrialEntry, TrialManifest, VideoClip, write_csv,
                      write_manifest, write_physio_csv, write_ppm, LUMA_R, LUMA_G, LUMA_B)
 
 BACKGROUND_GRAY = 40.0
@@ -94,20 +94,32 @@ def synth_clip(cfg):
 
     n = int(round(cfg.duration * cfg.fps))
     t = np.arange(n) / cfg.fps
-    frames = np.full((n, h, w, 3), BACKGROUND_GRAY, dtype=np.float64)
-
     skin = np.array(BASE_SKIN) * cfg.tone
     pulse = 1.0 + cfg.pulse_amp * np.sin(2 * np.pi * cfg.hr_bpm / 60.0 * t)
-    frames[:, face.y:face.bottom, face.x:face.right, 0] = skin[0] * pulse[:, None, None]
-    frames[:, face.y:face.bottom, face.x:face.right, 1] = skin[1]
-    frames[:, face.y:face.bottom, face.x:face.right, 2] = skin[2]
 
     # chest edge: per-frame fractional row coverage, zero above the face bottom
     edge = chest_top + cfg.chest_amp * np.sin(2 * np.pi * cfg.rr_brpm / 60.0 * t)
     rows = np.arange(h, dtype=np.float64)
     coverage = np.clip(rows[None, :] + 1.0 - edge[:, None], 0.0, 1.0)
+
+    # without blur the noise is drawn first, into the frame array, and the
+    # scene added to it: noise + scene is the same sum as scene + noise.
+    # Only a noisy clip makes a generator: numpy imports np.random on first
+    # use, and its 6 MB would add to a noise-free clip's peak RSS
+    if cfg.noise_sigma > 0 and cfg.blur_radius == 0:
+        frames = np.random.default_rng(cfg.seed).standard_normal((n, h, w, 3))
+        frames *= cfg.noise_sigma
+    else:
+        frames = np.zeros((n, h, w, 3))
+    face_rows, face_cols = slice(face.y, face.bottom), slice(face.x, face.right)
+    outside = ((slice(0, face.y), slice(None)), (slice(face.bottom, None), slice(None)),
+               (face_rows, slice(0, face.x)), (face_rows, slice(face.right, None)))
+    # one channel at a time: a broadcast over the channel axis runs slower
     for c in range(3):
-        frames[:, :, :, c] += coverage[:, :, None] * (CHEST_COLOR[c] - BACKGROUND_GRAY)
+        row = BACKGROUND_GRAY + coverage * (CHEST_COLOR[c] - BACKGROUND_GRAY)
+        for ys, xs in outside:
+            frames[:, ys, xs, c] += row[:, ys, None]
+        frames[:, face_rows, face_cols, c] += (skin[0] * pulse)[:, None, None] if c == 0 else skin[c]
 
     if cfg.blur_radius > 0:
         from scipy import ndimage
@@ -115,13 +127,12 @@ def synth_clip(cfg):
         k = 2 * cfg.blur_radius + 1
         for i in range(n):
             frames[i] = ndimage.uniform_filter(frames[i], size=(k, k, 1), mode="nearest")
-    if cfg.noise_sigma > 0:
-        rng = np.random.default_rng(cfg.seed)
-        frames += rng.normal(0.0, cfg.noise_sigma, frames.shape)
+        if cfg.noise_sigma > 0:
+            frames += np.random.default_rng(cfg.seed).normal(0.0, cfg.noise_sigma, frames.shape)
 
     np.clip(frames, 0.0, 255.0, out=frames)
     if cfg.quantize:
-        frames = np.rint(frames).astype(np.uint8)
+        frames = np.rint(frames, out=frames).astype(np.uint8)
 
     mean_gray = LUMA_R * skin[0] + LUMA_G * skin[1] + LUMA_B * skin[2]
     truth = SynthTruth(hr_bpm=cfg.hr_bpm, rr_brpm=cfg.rr_brpm,
@@ -217,7 +228,8 @@ def _trial_rates(plan, seed):
 def synth_dataset(protocol, base_cfg, out_dir, seed=0, rates=None):
     """Write a full dataset directory for a protocol.
 
-    Layout: frame_%06d.ppm files (one global sequence), manifest.txt,
+    Layout: frames.ppm (the global frame sequence as one stream of PPM
+    records, each trial's frames appended as rendered), manifest.txt,
     physio.csv (ECG/belt/trigger at PHYSIO_RATE, trigger code = trial_id
     at each trial's start sample), and truth.csv with the injected rates
     and face geometry per trial. Hold-breath trials (task 2) get zero
@@ -237,36 +249,36 @@ def synth_dataset(protocol, base_cfg, out_dir, seed=0, rates=None):
     truth_rows = []
     ecg_parts, resp_parts, trig_parts = [], [], []
     next_frame = 0
-    for plan in protocol:
-        override = (rates or {}).get(plan.trial_id)
-        hr, rr = override if override is not None else _trial_rates(plan, seed)
-        injected[plan.trial_id] = (hr, rr)
-        hold_breath = plan.task_id == HOLD_BREATH_TASK
-        cfg = replace(base_cfg, duration=plan.duration, hr_bpm=hr, rr_brpm=rr,
-                      chest_amp=0.0 if hold_breath else base_cfg.chest_amp,
-                      quantize=True, seed=seed + plan.trial_id)
-        clip, truth = synth_clip(cfg)
-        for i in range(clip.n_frames):
-            write_ppm(frame_path(out_dir, next_frame + i), clip.frames[i])
+    with open(out_dir / FRAMES_FILE, "wb") as frames_file:
+        for plan in protocol:
+            override = (rates or {}).get(plan.trial_id)
+            hr, rr = override if override is not None else _trial_rates(plan, seed)
+            injected[plan.trial_id] = (hr, rr)
+            hold_breath = plan.task_id == HOLD_BREATH_TASK
+            cfg = replace(base_cfg, duration=plan.duration, hr_bpm=hr, rr_brpm=rr,
+                          chest_amp=0.0 if hold_breath else base_cfg.chest_amp,
+                          quantize=True, seed=seed + plan.trial_id)
+            clip, truth = synth_clip(cfg)
+            write_ppm(frames_file, clip.frames)
 
-        n_phys = int(round(plan.duration * PHYSIO_RATE))
-        ecg = synth_ecg(hr, PHYSIO_RATE, plan.duration, jitter=0.05,
-                        seed=seed + plan.trial_id + 50_000)
-        resp = synth_resp(rr, PHYSIO_RATE, plan.duration,
-                          seed=seed + plan.trial_id + 100_000,
-                          amplitude=0.0 if hold_breath else 1.0)
-        trig = np.zeros(n_phys, dtype=np.int64)
-        trig[0] = plan.trial_id
-        ecg_parts.append(ecg.samples)
-        resp_parts.append(resp.samples)
-        trig_parts.append(trig)
+            n_phys = int(round(plan.duration * PHYSIO_RATE))
+            ecg = synth_ecg(hr, PHYSIO_RATE, plan.duration, jitter=0.05,
+                            seed=seed + plan.trial_id + 50_000)
+            resp = synth_resp(rr, PHYSIO_RATE, plan.duration,
+                              seed=seed + plan.trial_id + 100_000,
+                              amplitude=0.0 if hold_breath else 1.0)
+            trig = np.zeros(n_phys, dtype=np.int64)
+            trig[0] = plan.trial_id
+            ecg_parts.append(ecg.samples)
+            resp_parts.append(resp.samples)
+            trig_parts.append(trig)
 
-        entries.append(TrialEntry(trial_id=plan.trial_id, condition=plan.condition,
-                                  task_id=plan.task_id, start_frame=next_frame,
-                                  frame_count=clip.n_frames, trigger_code=plan.trial_id))
-        truth_rows.append([plan.trial_id, hr, rr, truth.face_box.x, truth.face_box.y,
-                           truth.face_box.w, truth.face_box.h, truth.mean_face_gray])
-        next_frame += clip.n_frames
+            entries.append(TrialEntry(trial_id=plan.trial_id, condition=plan.condition,
+                                      task_id=plan.task_id, start_frame=next_frame,
+                                      frame_count=clip.n_frames, trigger_code=plan.trial_id))
+            truth_rows.append([plan.trial_id, hr, rr, truth.face_box.x, truth.face_box.y,
+                               truth.face_box.w, truth.face_box.h, truth.mean_face_gray])
+            next_frame += clip.n_frames
 
     manifest = TrialManifest(fps=base_cfg.fps, width=base_cfg.width,
                              height=base_cfg.height, entries=entries)

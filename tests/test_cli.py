@@ -17,7 +17,7 @@ from camvitals.detect import Cascade, Stage, Tree, load_cascade, save_cascade
 from camvitals.dsp import TimeSeries, bandpass
 from camvitals.evaluation import EST_HEADER, render_signals
 from camvitals.geometry import Rect
-from camvitals.ingest import (TrialEntry, TrialManifest, frame_path, load_physio_csv,
+from camvitals.ingest import (FRAMES_FILE, TrialEntry, TrialManifest, load_physio_csv,
                               parse_manifest, read_frame_range, write_manifest,
                               write_physio_csv, write_ppm)
 from camvitals.synth import SynthConfig, TrialPlan, synth_dataset
@@ -107,9 +107,13 @@ def test_synth_is_deterministic(dataset, tmp_path):
                "--width", "32", "--height", "32", "--hr", "72", "--rr", "15",
                "--seed", "4"])
     assert rc == 0
-    for name in ("truth.csv", "manifest.txt", "physio.csv"):
+    for name in ("truth.csv", "manifest.txt", "physio.csv", FRAMES_FILE):
         assert (twin / name).read_bytes() == (dataset / name).read_bytes()
-    assert frame_path(twin, 0).read_bytes() == frame_path(dataset, 0).read_bytes()
+
+
+def test_synth_leaves_exactly_the_dataset_files(dataset):
+    assert sorted(os.listdir(dataset)) == [FRAMES_FILE, "manifest.txt", "physio.csv",
+                                           "truth.csv"]
 
 
 def test_estimate_honors_config_file(dataset, tmp_path):
@@ -244,31 +248,63 @@ def test_estimate_requires_exactly_one_roi_source(dataset, tmp_path, capsys):
     assert "exactly one of" in capsys.readouterr().err
 
 
-def test_corrupt_frame_exits_one(tmp_path, capsys):
+# one 32x32 record of frames.ppm: its header and 3,072 bytes of pixels
+RECORD_32 = len(b"P6\n32 32\n255\n") + 32 * 32 * 3
+
+
+def estimate_on_damaged_stream(tmp_path, capsys, damage):
+    """(exit code, stderr, path of frames.ppm) of estimate on a one-second
+    synth dataset whose frames.ppm `damage` has rewritten."""
     ds = tmp_path / "ds"
     assert main(["synth", "--out", str(ds), "--duration", "1", "--width", "32",
                  "--height", "32"]) == 0
-    victim = frame_path(ds, 5)
-    victim.write_bytes(victim.read_bytes()[:40])
+    stream = ds / FRAMES_FILE
+    damage(stream)
+    capsys.readouterr()
     rc = main(["estimate", "--data", str(ds), "--out", str(tmp_path / "e.csv"),
                "--roi", ROI, "--crop", NOCROP])
+    return rc, capsys.readouterr().err, stream
+
+
+def test_corrupt_frame_exits_one(tmp_path, capsys):
+    rc, err, stream = estimate_on_damaged_stream(
+        tmp_path, capsys, lambda p: p.write_bytes(p.read_bytes()[:5 * RECORD_32 + 40]))
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: trial 1: ")
-    assert "frame_000005.ppm" in err
+    assert err == (f"error: trial 1: {stream}: frame 5 (byte {5 * RECORD_32}): "
+                   f"truncated record, 40 of {RECORD_32} bytes\n")
 
 
 def test_missing_frame_exits_one(tmp_path, capsys):
+    rc, err, stream = estimate_on_damaged_stream(
+        tmp_path, capsys, lambda p: p.write_bytes(p.read_bytes()[:5 * RECORD_32]))
+    assert rc == 1
+    assert err == (f"error: trial 1: {stream}: frame 5 (byte {5 * RECORD_32}): "
+                   f"past the end of the file, expected a {RECORD_32}-byte record\n")
+
+
+def test_missing_stream_exits_one(tmp_path, capsys):
+    rc, err, stream = estimate_on_damaged_stream(tmp_path, capsys, Path.unlink)
+    assert rc == 1
+    assert err == (f"error: trial 1: {stream}: frame 0 (byte 0): "
+                   "cannot read (No such file or directory)\n")
+
+
+def test_bad_record_header_names_its_trial(tmp_path, capsys):
     ds = tmp_path / "ds"
-    assert main(["synth", "--out", str(ds), "--duration", "1", "--width", "32",
-                 "--height", "32"]) == 0
-    frame_path(ds, 5).unlink()
+    synth_dataset([TrialPlan(1, "gaze", 3, 1.0), TrialPlan(2, "gaze", 4, 1.0)],
+                  SynthConfig(width=32, height=32), ds)
+    stream = ds / FRAMES_FILE
+    raw = bytearray(stream.read_bytes())
+    raw[40 * RECORD_32 + 11] = ord("4")   # maxval 254
+    stream.write_bytes(bytes(raw))
     rc = main(["estimate", "--data", str(ds), "--out", str(tmp_path / "e.csv"),
                "--roi", ROI, "--crop", NOCROP])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: trial 1: ")
-    assert "frame_000005.ppm" in err
+    out, err = capsys.readouterr()
+    assert out.startswith("trial 1: ")
+    assert err == (f"error: trial 2: {stream}: frame 40 (byte {40 * RECORD_32}): "
+                   "record header b'P6\\n32 32\\n254\\n', expected "
+                   "b'P6\\n32 32\\n255\\n' for the manifest's 32x32\n")
 
 
 @pytest.fixture(scope="module")
@@ -866,8 +902,7 @@ def test_all_trials_failing_detection_exits_one(tmp_path, capsys):
     manifest = TrialManifest(fps=30.0, width=8, height=8,
                              entries=[TrialEntry(1, "gaze", 3, 0, 10, 1)])
     write_manifest(ds / "manifest.txt", manifest)
-    for i in range(10):
-        write_ppm(frame_path(ds, i), np.zeros((8, 8, 3), dtype=np.uint8))
+    write_ppm(ds / FRAMES_FILE, np.zeros((10, 8, 8, 3), dtype=np.uint8))
     cascade_json = tmp_path / "cascade.json"
     save_cascade(cascade_json, make_toy_cascade())
     out = tmp_path / "est.csv"

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from pathlib import Path
 
@@ -9,16 +10,16 @@ from camvitals.config import load_config
 from camvitals.detect import load_cascade
 from camvitals.dsp import TimeSeries
 from camvitals.evaluation import EST_HEADER, GT_HEADER, TRIALS_HEADER, join_results
-from camvitals.ingest import (LUMA_B, LUMA_G, LUMA_R, PHYSIO_HEADER, FormatError,
-                              PhysioRecord, TrialEntry,
+from camvitals.ingest import (FRAMES_FILE, LUMA_B, LUMA_G, LUMA_R, PHYSIO_HEADER,
+                              FormatError, PhysioRecord, TrialEntry,
                               TrialManifest, VideoClip, crop_clip,
-                              format_number, frame_path, load_physio_csv,
-                              parse_manifest, read_frame_range, read_ppm,
+                              format_number, load_physio_csv,
+                              parse_manifest, read_frame_range,
                               to_grayscale, write_manifest, write_physio_csv,
                               write_ppm)
-from camvitals.synth import TRUTH_HEADER
+from camvitals.synth import TRUTH_HEADER, SynthConfig, TrialPlan, synth_dataset
 
-from readers import read_trials_csv, read_truth_csv
+from readers import read_ppm, read_ppm_stream, read_trials_csv, read_truth_csv
 
 
 def rand_frames(rng, n, h, w):
@@ -26,6 +27,8 @@ def rand_frames(rng, n, h, w):
 
 
 # ------------------------- PPM -------------------------
+# read_ppm is the reference parser of tests/readers.py, which reads any
+# valid P6 header; the frame-range tests check read_frame_range against it
 
 def test_ppm_round_trip(tmp_path):
     rng = np.random.default_rng(11)
@@ -96,9 +99,31 @@ def test_ppm_ignores_bytes_after_pixels(tmp_path):
     assert read_ppm(p).tobytes() == body
 
 
-def test_frame_path_numbering(tmp_path):
-    assert frame_path(tmp_path, 42).name == "frame_000042.ppm"
-    assert frame_path(tmp_path, 0).name == "frame_000000.ppm"
+def test_write_ppm_stack_equals_single_frame_writes(tmp_path):
+    rng = np.random.default_rng(12)
+    for n, h, w in [(1, 1, 1), (3, 2, 5), (7, 9, 4), (4, 1, 33)]:
+        frames = rand_frames(rng, n, h, w)
+        singles = []
+        for i, frame in enumerate(frames):
+            write_ppm(tmp_path / f"single{i}.ppm", frame)
+            singles.append((tmp_path / f"single{i}.ppm").read_bytes())
+        write_ppm(tmp_path / "stack.ppm", frames)
+        assert (tmp_path / "stack.ppm").read_bytes() == b"".join(singles)
+        # an open file gets the records appended; a strided view is
+        # written as its contiguous copy
+        strided = np.repeat(frames[1:], 2, axis=2)[:, :, ::2]
+        assert not strided.flags.c_contiguous or n == 1
+        with open(tmp_path / "appended.ppm", "wb") as f:
+            write_ppm(f, frames[:1])
+            write_ppm(f, strided)
+        assert (tmp_path / "appended.ppm").read_bytes() == b"".join(singles)
+
+
+@pytest.mark.parametrize("shape, dtype", [((2, 2, 3), np.float64), ((2, 2), np.uint8),
+                                          ((2, 2, 4), np.uint8), ((1, 1, 2, 2, 3), np.uint8)])
+def test_write_ppm_rejects_what_is_not_uint8_rgb(tmp_path, shape, dtype):
+    with pytest.raises(ValueError, match="uint8"):
+        write_ppm(tmp_path / "x.ppm", np.zeros(shape, dtype=dtype))
 
 
 # ------------------------- VideoClip -------------------------
@@ -264,14 +289,23 @@ def test_parse_manifest_names_the_file_of_a_manifest_check(check, tmp_path):
 
 # ------------------------- frame ranges -------------------------
 
+def write_stream(ds, frames):
+    """Write `frames` as the dataset's frames.ppm; its path."""
+    write_ppm(ds / FRAMES_FILE, frames)
+    return ds / FRAMES_FILE
+
+
+def manifest_of(width, height, *ranges):
+    return TrialManifest(fps=30.0, width=width, height=height,
+                         entries=[TrialEntry(i + 1, "gaze", 3, start, count, i + 1)
+                                  for i, (start, count) in enumerate(ranges)])
+
+
 def test_read_frame_range_and_sequence(tmp_path):
     rng = np.random.default_rng(3)
     frames = rand_frames(rng, 6, 4, 4)
-    for i in range(6):
-        write_ppm(frame_path(tmp_path, i), frames[i])
-    entries = [TrialEntry(1, "gaze", 3, 0, 2, 1),
-               TrialEntry(2, "gaze", 4, 2, 4, 2)]
-    m = TrialManifest(fps=30.0, width=4, height=4, entries=entries)
+    write_stream(tmp_path, frames)
+    m = manifest_of(4, 4, (0, 2), (2, 4))
     part = read_frame_range(tmp_path, m, 2, 4)
     assert np.array_equal(part.frames, frames[2:6])
 
@@ -280,70 +314,146 @@ def test_read_frame_range_and_sequence(tmp_path):
 def test_read_frame_range_accepts_str_and_path(tmp_path, as_type):
     ds = tmp_path / "100%_ds"
     ds.mkdir()
-    frames = rand_frames(np.random.default_rng(4), 3, 2, 5)
-    for i in range(3):
-        write_ppm(frame_path(ds, 7 + i), frames[i])
-    m = TrialManifest(fps=30.0, width=5, height=2,
-                      entries=[TrialEntry(1, "gaze", 3, 7, 3, 1)])
+    frames = rand_frames(np.random.default_rng(4), 10, 2, 5)
+    write_stream(ds, frames)
+    m = manifest_of(5, 2, (7, 3))
     clip = read_frame_range(as_type(ds), m, 7, 3)
-    assert np.array_equal(clip.frames, frames)
+    assert np.array_equal(clip.frames, frames[7:])
 
 
 def test_read_frame_range_rejects_size_mismatch(tmp_path):
-    write_ppm(frame_path(tmp_path, 0), np.zeros((3, 4, 3), dtype=np.uint8))
-    m = TrialManifest(fps=30.0, width=8, height=8,
-                      entries=[TrialEntry(1, "gaze", 3, 0, 1, 1)])
-    with pytest.raises(FormatError, match="frame is 4x3, manifest declares 8x8"):
+    write_stream(tmp_path, np.zeros((5, 3, 4, 3), dtype=np.uint8))
+    m = manifest_of(8, 8, (0, 1))
+    with pytest.raises(FormatError, match=re.escape(
+            f"{tmp_path / FRAMES_FILE}: frame 0 (byte 0): record header "
+            "b'P6\\n4 3\\n255\\n', expected b'P6\\n8 8\\n255\\n' for the manifest's 8x8")):
         read_frame_range(tmp_path, m, 0, 1)
 
 
-# 3x2 frames, whose header as write_ppm writes it is this
+# 3x2 frames, whose header as write_ppm writes it is this; a record is 29 bytes
 HEADER_3X2 = b"P6\n3 2\n255\n"
+RECORD_3X2 = len(HEADER_3X2) + 18
 
 
 def test_read_frame_range_equals_read_ppm_per_frame(tmp_path):
+    """Random multi-trial streams, some of whose pixels start like a
+    header, read over random ranges: each equals the reference parse of
+    the stream, image after image."""
     rng = np.random.default_rng(23)
-    bodies = [rng.integers(0, 256, 18, dtype=np.uint8).tobytes() for _ in range(4)]
-    # pixel data that starts with header-like bytes
-    bodies += [b"\n3 2\n255\n#" + bytes(range(8)), HEADER_3X2 + bytes(range(7))]
-    files = [HEADER_3X2 + bodies[0],
-             b"P6\n# comment\n3 2\n255\n" + bodies[1],
-             b"P6  3\t2\r\n255 " + bodies[2],
-             HEADER_3X2 + bodies[3] + b"trailing bytes",
-             HEADER_3X2 + bodies[4],
-             HEADER_3X2 + bodies[5]]
-    for i, raw in enumerate(files):
-        frame_path(tmp_path, 10 + i).write_bytes(raw)
-    m = TrialManifest(fps=30.0, width=3, height=2,
-                      entries=[TrialEntry(1, "gaze", 3, 10, len(files), 1)])
-    clip = read_frame_range(tmp_path, m, 10, len(files))
-    ref = np.stack([read_ppm(frame_path(tmp_path, 10 + i)) for i in range(len(files))])
-    assert np.array_equal(clip.frames, ref)
-    assert [f.tobytes() for f in clip.frames] == bodies
+    for case in range(6):
+        w, h = (int(v) for v in rng.integers(1, 12, 2))
+        counts = rng.integers(1, 40, int(rng.integers(1, 6)))
+        frames = rand_frames(rng, int(counts.sum()), h, w)
+        header = b"P6\n%d %d\n255\n" % (w, h)
+        for i in rng.choice(len(frames), min(3, len(frames)), replace=False):
+            lead = (header + b"#\n \t")[:frames[i].size]
+            frames[i].reshape(-1)[:len(lead)] = np.frombuffer(lead, np.uint8)
+        ds = tmp_path / f"ds{case}"
+        ds.mkdir()
+        # one trial's frames after another, as synth appends them
+        with open(ds / FRAMES_FILE, "wb") as f:
+            for part in np.split(frames, np.cumsum(counts)[:-1]):
+                write_ppm(f, part)
+        ref = np.stack(read_ppm_stream(ds / FRAMES_FILE))
+        assert np.array_equal(ref, frames)
+        m = manifest_of(w, h, (0, len(frames)))
+        for _ in range(20):
+            start = int(rng.integers(0, len(frames)))
+            count = int(rng.integers(1, len(frames) - start + 1))
+            clip = read_frame_range(ds, m, start, count)
+            assert clip.frames.dtype == np.uint8
+            assert np.array_equal(clip.frames, ref[start:start + count])
+
+
+def test_read_frame_range_reads_more_frames_than_one_readv_takes(tmp_path):
+    frames = rand_frames(np.random.default_rng(24), 2 * ingest._READV_FRAMES + 5, 1, 2)
+    write_stream(tmp_path, frames)
+    m = manifest_of(2, 1, (0, len(frames)))
+    assert np.array_equal(read_frame_range(tmp_path, m, 3, len(frames) - 3).frames,
+                          frames[3:])
 
 
 @pytest.mark.parametrize("raw", [HEADER_3X2 + bytes(17), HEADER_3X2[:-1], b"P6\n3", b""],
                          ids=["truncated pixels", "header less its last byte",
                               "truncated header", "empty"])
 def test_read_frame_range_fails_as_read_ppm(tmp_path, raw):
-    frame_path(tmp_path, 0).write_bytes(HEADER_3X2 + bytes(18))
-    frame_path(tmp_path, 1).write_bytes(raw)
-    m = TrialManifest(fps=30.0, width=3, height=2,
-                      entries=[TrialEntry(1, "gaze", 3, 0, 2, 1)])
-    with pytest.raises(FormatError) as want:
-        read_ppm(frame_path(tmp_path, 1))
-    with pytest.raises(FormatError) as got:
-        read_frame_range(tmp_path, m, 0, 2)
-    assert str(got.value) == str(want.value)
+    """A stream whose second record is cut short: the reference parser
+    cannot read that record, and read_frame_range names it and its offset."""
+    (tmp_path / "record.ppm").write_bytes(raw)
+    with pytest.raises(FormatError):
+        read_ppm(tmp_path / "record.ppm")
+    path = tmp_path / FRAMES_FILE
+    path.write_bytes(HEADER_3X2 + bytes(18) + raw)
+    want = (f"truncated record, {len(raw)} of {RECORD_3X2} bytes" if raw else
+            f"past the end of the file, expected a {RECORD_3X2}-byte record")
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: frame 1 (byte 29): {want}')}$"):
+        read_frame_range(tmp_path, manifest_of(3, 2, (0, 2)), 0, 2)
 
 
 def test_read_frame_range_names_a_missing_frame(tmp_path):
-    write_ppm(frame_path(tmp_path, 0), np.zeros((2, 3, 3), dtype=np.uint8))
-    m = TrialManifest(fps=30.0, width=3, height=2,
-                      entries=[TrialEntry(1, "gaze", 3, 0, 2, 1)])
-    with pytest.raises(FormatError, match=re.escape(
-            f"{frame_path(tmp_path, 1)}: cannot read frame (No such file or directory)")):
-        read_frame_range(tmp_path, m, 0, 2)
+    """A range that runs past the end of the stream."""
+    path = write_stream(tmp_path, np.zeros((4, 2, 3, 3), dtype=np.uint8))
+    m = manifest_of(3, 2, (2, 3))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: frame 4 \\(byte 116\\): "
+                       "past the end of the file, expected a 29-byte record$"):
+        read_frame_range(tmp_path, m, 2, 3)
+    with pytest.raises(FormatError, match=r": frame 9 \(byte 261\): past the end"):
+        read_frame_range(tmp_path, m, 9, 1)
+
+
+def test_read_frame_range_names_a_truncated_tail(tmp_path):
+    path = write_stream(tmp_path, np.zeros((6, 2, 3, 3), dtype=np.uint8))
+    path.write_bytes(path.read_bytes()[:-5])
+    m = manifest_of(3, 2, (0, 2), (2, 4))
+    assert read_frame_range(tmp_path, m, 0, 2).n_frames == 2
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: frame 5 \\(byte 145\\): "
+                       "truncated record, 24 of 29 bytes$"):
+        read_frame_range(tmp_path, m, 2, 4)
+
+
+@pytest.mark.parametrize("head", [b"P5\n3 2\n255\n", b"P6\n3 2\n254\n", b"P6\n2 3\n255\n",
+                                  b"P6 3 2\n255\n", b"P6\n3 2 255\n", b"P6\n#\n3 2\n255"],
+                         ids=["magic", "maxval", "size", "space", "other whitespace",
+                              "comment"])
+def test_read_frame_range_names_a_bad_record_header(tmp_path, head):
+    """A record header mid-trial that is not ppm_header's bytes, valid
+    PPM or not: a stream of variable-length records cannot be seeked."""
+    frames = rand_frames(np.random.default_rng(25), 6, 2, 3)
+    path = write_stream(tmp_path, frames)
+    raw = bytearray(path.read_bytes())
+    raw[3 * RECORD_3X2:3 * RECORD_3X2 + len(head)] = head
+    path.write_bytes(bytes(raw))
+    m = manifest_of(3, 2, (0, 6))
+    assert np.array_equal(read_frame_range(tmp_path, m, 4, 2).frames, frames[4:])
+    with pytest.raises(FormatError, match="^" + re.escape(
+            f"{path}: frame 3 (byte 87): record header {head[:len(HEADER_3X2)]!r}, "
+            f"expected {HEADER_3X2!r} for the manifest's 3x2") + "$"):
+        read_frame_range(tmp_path, m, 1, 5)
+
+
+def test_read_frame_range_names_a_missing_stream(tmp_path):
+    m = manifest_of(3, 2, (7, 2))
+    with pytest.raises(FormatError, match="^" + re.escape(
+            f"{tmp_path / FRAMES_FILE}: frame 7 (byte 203): "
+            "cannot read (No such file or directory)") + "$"):
+        read_frame_range(tmp_path, m, 7, 2)
+
+
+def test_synth_stream_equals_the_per_frame_files_concatenated(tmp_path):
+    """frames.ppm of a small dataset against digests frozen when synth wrote
+    one frame_%06d.ppm file per frame: the stream is those files'
+    bytes in frame order, and the other files are unchanged."""
+    synth_dataset([TrialPlan(1, "respiration", 2, 1.0), TrialPlan(2, "gaze", 5, 0.5)],
+                  SynthConfig(width=19, height=24, noise_sigma=1.5), tmp_path, seed=7)
+    frozen = {
+        FRAMES_FILE: "dc99a8333187bf4d9b21c5fc7119a737fec823dcded746cb1c024f6fbc9ceea2",
+        "manifest.txt": "f5535c5008939a03cd9c34c521ca27abd9ce48c86c5041daa837d3d22455ab25",
+        "physio.csv": "2e0e12d4beff5d6ca9b023bfeba0527735b8719986e9d54eb69db068f00d4a02",
+        "truth.csv": "0d5e6b046fab1f6ab8ad7179d024308de67f64522f00e6c373bec8ec3d8e2efd",
+    }
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in frozen} == frozen
+    assert len(read_ppm_stream(tmp_path / FRAMES_FILE)) == 45
 
 
 # ------------------------- physio CSV -------------------------

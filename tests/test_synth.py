@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from camvitals.geometry import Rect
-from camvitals.ingest import (frame_path, parse_manifest, read_frame_range,
+from camvitals.ingest import (FRAMES_FILE, parse_manifest, read_frame_range,
                               load_physio_csv, to_grayscale)
-from camvitals.synth import (RATE_RANGES, SynthConfig, TrialPlan,
-                             paper_protocol, scene_geometry,
+from camvitals.synth import (BACKGROUND_GRAY, BASE_SKIN, CHEST_COLOR, RATE_RANGES,
+                             SynthConfig, TrialPlan, paper_protocol, scene_geometry,
                              synth_clip, synth_dataset, synth_ecg, synth_resp)
 
 from readers import read_truth_csv
@@ -137,6 +137,67 @@ def test_blur_smooths_the_face_edge():
     edge_soft = abs(float(soft.frames[0, row, face.x, 0])
                     - float(soft.frames[0, row, face.x - 1, 0]))
     assert edge_soft < edge_sharp
+
+
+# ------------------------- one-pass renderer -------------------------
+
+def reference_frames(cfg):
+    """synth_clip's frames as the renderer drew them before it drew the
+    noise into the frame array: the scene in full, then a second
+    full-size noise array added to it."""
+    w, h = cfg.width, cfg.height
+    face, chest_top = scene_geometry(w, h)
+    n = int(round(cfg.duration * cfg.fps))
+    t = np.arange(n) / cfg.fps
+    frames = np.full((n, h, w, 3), BACKGROUND_GRAY, dtype=np.float64)
+
+    skin = np.array(BASE_SKIN) * cfg.tone
+    pulse = 1.0 + cfg.pulse_amp * np.sin(2 * np.pi * cfg.hr_bpm / 60.0 * t)
+    frames[:, face.y:face.bottom, face.x:face.right, 0] = skin[0] * pulse[:, None, None]
+    frames[:, face.y:face.bottom, face.x:face.right, 1] = skin[1]
+    frames[:, face.y:face.bottom, face.x:face.right, 2] = skin[2]
+
+    edge = chest_top + cfg.chest_amp * np.sin(2 * np.pi * cfg.rr_brpm / 60.0 * t)
+    rows = np.arange(h, dtype=np.float64)
+    coverage = np.clip(rows[None, :] + 1.0 - edge[:, None], 0.0, 1.0)
+    for c in range(3):
+        frames[:, :, :, c] += coverage[:, :, None] * (CHEST_COLOR[c] - BACKGROUND_GRAY)
+
+    if cfg.blur_radius > 0:
+        from scipy import ndimage
+
+        k = 2 * cfg.blur_radius + 1
+        for i in range(n):
+            frames[i] = ndimage.uniform_filter(frames[i], size=(k, k, 1), mode="nearest")
+    if cfg.noise_sigma > 0:
+        rng = np.random.default_rng(cfg.seed)
+        frames += rng.normal(0.0, cfg.noise_sigma, frames.shape)
+
+    np.clip(frames, 0.0, 255.0, out=frames)
+    if cfg.quantize:
+        frames = np.rint(frames).astype(np.uint8)
+    return frames
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.7, 40.0])
+@pytest.mark.parametrize("blur_radius", [0, 1])
+@pytest.mark.parametrize("quantize", [True, False])
+def test_synth_clip_equals_the_reference_renderer(noise_sigma, blur_radius, quantize):
+    """Bit for bit, over seeded scenes of odd and even sizes; sigma 40
+    clips at both ends of [0, 255]."""
+    rng = np.random.default_rng(int(noise_sigma * 10) + 2 * blur_radius + quantize)
+    for width, height in [(32, 32), (19, 24), (33, 41), (8, 30)]:
+        cfg = SynthConfig(width=width, height=height, fps=float(rng.uniform(10, 40)),
+                          duration=float(rng.uniform(0.2, 1.5)),
+                          hr_bpm=float(rng.uniform(40, 200)), rr_brpm=float(rng.uniform(6, 60)),
+                          tone=float(rng.uniform(0.2, 1.0)), pulse_amp=float(rng.uniform(0, 0.2)),
+                          chest_amp=float(rng.uniform(0, 1.0)), noise_sigma=noise_sigma,
+                          quantize=quantize, blur_radius=blur_radius,
+                          seed=int(rng.integers(0, 2 ** 31)))
+        frames = synth_clip(cfg)[0].frames
+        want = reference_frames(cfg)
+        assert frames.dtype == want.dtype
+        assert frames.tobytes() == want.tobytes()
 
 
 # ------------------------- physiological channels -------------------------
@@ -297,6 +358,5 @@ def test_dataset_regeneration_is_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     synth_dataset(protocol, base, a, seed=3)
     synth_dataset(protocol, base, b, seed=3)
-    for name in ("manifest.txt", "physio.csv", "truth.csv",
-                 frame_path(a, 0).name):
+    for name in ("manifest.txt", "physio.csv", "truth.csv", FRAMES_FILE):
         assert (a / name).read_bytes() == (b / name).read_bytes()
