@@ -16,11 +16,11 @@ from .detect import (DetectionError, check_frame_fits, check_min_size, convert_o
                      load_cascade, save_cascade, track_roi)
 from .dsp import (SignalTooShort, TimeSeries, band_bins, bandpass, check_bandpass,
                   check_detrend_window, estimate_rate, filtered_rate)
-from .evaluation import (EST_HEADER, GT_HEADER, emit_report, join_results,
+from .evaluation import (EST_HEADER, GT_HEADER, emit_report, flags_cell, join_results,
                          render_signals, segment_trials, skin_tone_gray)
 from .geometry import Rect, validate_rect
 from .groundtruth import gt_hr_flagged
-from .ingest import (MANIFEST_FILE, PHYSIO_FILE, check_crop,
+from .ingest import (MANIFEST_FILE, PHYSIO_FILE, check_crop, check_frames_file,
                      crop_clip, load_physio_csv, named, parse_manifest,
                      read_frame_range, write_csv)
 from .synth import SynthConfig, TrialPlan, paper_protocol, synth_dataset
@@ -186,7 +186,7 @@ def _run_trials(entries, analyse, header, out, describe):
     one too short for its analysis windows too_short, both with empty
     values; any other data error ends the command, prefixed with the trial."""
     empty = [None] * (len(header) - 4)   # all but trial_id, condition, task_id, flags
-    rows = []
+    rows, flag_sets = [], []
     for entry in entries:
         line = None
         try:
@@ -200,9 +200,10 @@ def _run_trials(entries, analyse, header, out, describe):
         if entry.is_hold_breath:
             flags = flags | {"hold_breath_excluded"}
         print(f"trial {entry.trial_id}: {line or describe(*values, flags)}")
-        rows.append((entry.trial_id, entry.condition, entry.task_id, *values, flags))
+        rows.append((entry.trial_id, entry.condition, entry.task_id, *values, flags_cell(flags)))
+        flag_sets.append(flags)
     write_csv(out, header, rows)
-    return [flags for *_, flags in rows]
+    return flag_sets
 
 
 # ------------------------- estimate -------------------------
@@ -215,6 +216,7 @@ def cmd_estimate(args):
     cascade = load_cascade(args.cascade) if args.cascade else None
     data_dir = Path(args.data)
     manifest = parse_manifest(data_dir / MANIFEST_FILE)
+    check_frames_file(data_dir, manifest)
     # settings that do not fit the frames are setting errors, not one trial's;
     # margins from --crop or the defaults name no file, and a --roi box that
     # misses the cropped frame names the file of the margins
@@ -262,7 +264,7 @@ def cmd_estimate(args):
         return hr_est, rr_est, skin_gray, hr_flags | rr_flags
 
     def describe(hr_est, rr_est, _skin_gray, flags):
-        return f"hr={hr_est:.2f} rr={rr_est:.2f} flags={';'.join(sorted(flags))}"
+        return f"hr={hr_est:.2f} rr={rr_est:.2f} flags={flags_cell(flags)}"
 
     # serial: the per-trial work holds the interpreter lock, and threads
     # measured slower than this loop

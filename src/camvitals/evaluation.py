@@ -14,7 +14,13 @@ from .ingest import (FormatError, _optional_float, _parse_row, _roi_blocks, name
 
 FLAGS = frozenset({"out_of_band", "hold_breath_excluded", "roi_failure", "too_short"})
 
-# result CSVs: trial_id, condition, task, optional numbers, then flags
+
+def flags_cell(flags):
+    """The flags cell of a result CSV, which _read_results_csv splits: sorted, ";"-joined."""
+    return ";".join(sorted(flags))
+
+
+# result CSVs: trial_id, condition, task, optional numbers, then flags_cell
 EST_HEADER = ["trial_id", "condition", "task", "hr_est", "rr_est",
               "skin_gray", "flags"]
 GT_HEADER = ["trial_id", "condition", "task", "hr_gt", "rr_gt", "flags"]
@@ -360,7 +366,7 @@ def join_results(est_path, gt_path):
 def write_trials_csv(path, records):
     write_csv(path, TRIALS_HEADER, [
         (r.trial_id, r.condition, r.task_id, r.hr_est, r.hr_gt, r.rr_est,
-         r.rr_gt, r.skin_gray, r.flags) for r in records])
+         r.rr_gt, r.skin_gray, flags_cell(r.flags)) for r in records])
 
 
 def write_summary_csv(path, report):

@@ -87,10 +87,6 @@ class VideoClip:
     def width(self):
         return self.frames.shape[2]
 
-    @property
-    def duration(self):
-        return self.n_frames / self.fps
-
 
 @dataclass
 class PhysioRecord:
@@ -240,6 +236,39 @@ def write_manifest(path, manifest):
 _READV_FRAMES = min(64, os.sysconf("SC_IOV_MAX") // 2)
 
 
+def _frames_file(dataset_dir, manifest):
+    """(path of frames.ppm, record header, record size) of a dataset."""
+    header = ppm_header(manifest.width, manifest.height)
+    record = len(header) + manifest.width * manifest.height * 3
+    return os.path.join(dataset_dir, FRAMES_FILE), header, record
+
+
+def _frame_error(path, frame, record, problem):
+    return FormatError(f"{path}: frame {frame} (byte {frame * record}): {problem}")
+
+
+def _cut_short(path, frame, record, have):
+    """The FormatError of a frame of which the file holds `have` bytes."""
+    return _frame_error(path, frame, record, (
+        f"truncated record, {have} of {record} bytes" if have else
+        f"past the end of the file, expected a {record}-byte record"))
+
+
+def check_frames_file(dataset_dir, manifest):
+    """Raise FormatError unless frames.ppm is whole records of the manifest's
+    size up to at least the end of its last frame. A record cut out of the
+    middle shifts every later frame under headers that still match, which
+    read_frame_range alone sees only at the end of the stream."""
+    path, _, record = _frames_file(dataset_dir, manifest)
+    try:
+        size = os.stat(path).st_size
+    except OSError as e:
+        raise _frame_error(path, 0, record, f"cannot read ({e.strerror})") from None
+    whole, have = divmod(size, record)
+    if have or whole < max(e.start_frame + e.frame_count for e in manifest.entries):
+        raise _cut_short(path, whole, record, have)
+
+
 def read_frame_range(dataset_dir, manifest, start_frame, frame_count):
     """Load a contiguous frame range of a dataset as a VideoClip.
 
@@ -253,14 +282,9 @@ def read_frame_range(dataset_dir, manifest, start_frame, frame_count):
     frame index and its byte offset.
     """
     w, h = manifest.width, manifest.height
-    header = ppm_header(w, h)
-    record = len(header) + w * h * 3
-    path = os.path.join(dataset_dir, FRAMES_FILE)
+    path, header, record = _frames_file(dataset_dir, manifest)
     frames = np.empty((frame_count, h, w, 3), dtype=np.uint8)
     heads = np.empty((frame_count, len(header)), dtype=np.uint8)
-
-    def where(i):
-        return f"{path}: frame {start_frame + i} (byte {(start_frame + i) * record})"
 
     got = 0
     try:
@@ -276,7 +300,8 @@ def read_frame_range(dataset_dir, manifest, start_frame, frame_count):
         finally:
             os.close(fd)
     except OSError as e:
-        raise FormatError(f"{where(got // record)}: cannot read ({e.strerror})") from None
+        raise _frame_error(path, start_frame + got // record, record,
+                           f"cannot read ({e.strerror})") from None
     whole, have = divmod(got, record)
     # a bytes comparison: a first numpy comparison and reduction in the
     # process would raise estimate's peak RSS by a quarter of a megabyte
@@ -286,11 +311,9 @@ def read_frame_range(dataset_dir, manifest, start_frame, frame_count):
         i = next((i for i in range(whole) if heads[i].tobytes() != header), whole)
         head = heads[i, :have if i == whole else None].tobytes()
         if not header.startswith(head):
-            raise FormatError(f"{where(i)}: record header {head!r}, "
-                              f"expected {header!r} for the manifest's {w}x{h}")
-        raise FormatError(f"{where(i)}: " + (
-            f"truncated record, {have} of {record} bytes" if have else
-            f"past the end of the file, expected a {record}-byte record"))
+            raise _frame_error(path, start_frame + i, record, f"record header {head!r}, "
+                               f"expected {header!r} for the manifest's {w}x{h}")
+        raise _cut_short(path, start_frame + i, record, have)
     return VideoClip(frames, manifest.fps)
 
 
@@ -363,30 +386,21 @@ def to_grayscale(clip):
 # ------------------------- CSV dialect -------------------------
 # Every CSV the package writes or reads: ASCII, "\n" line ends, a fixed
 # header checked verbatim, the header's cell count on every row, floats in
-# shortest round-trip form, an empty cell for a missing value, and flags
-# ";"-joined in sorted order. Every error names the file and line.
+# shortest round-trip form and an empty cell for a missing value. Every
+# error names the file and line.
 
 def format_number(x):
     """Shortest decimal string that round-trips to the same float."""
     return repr(float(x))
 
 
-def _csv_cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, (float, np.floating)):
-        return format_number(v)
-    if isinstance(v, (set, frozenset)):
-        return ";".join(sorted(v))
-    return v
-
-
 def write_csv(path, header, rows):
-    """Write `header` and `rows` in this dialect; other cells as csv writes them."""
+    """Write `header` and `rows` in this dialect: csv writes None as an empty
+    cell, and a float or numpy float64 as str(), which is format_number's text."""
     with open(path, "w", newline="", encoding="ascii") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
-        w.writerows([_csv_cell(v) for v in row] for row in rows)
+        w.writerows(rows)
 
 
 def read_csv(path, header):

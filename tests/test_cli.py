@@ -270,7 +270,7 @@ def test_corrupt_frame_exits_one(tmp_path, capsys):
     rc, err, stream = estimate_on_damaged_stream(
         tmp_path, capsys, lambda p: p.write_bytes(p.read_bytes()[:5 * RECORD_32 + 40]))
     assert rc == 1
-    assert err == (f"error: trial 1: {stream}: frame 5 (byte {5 * RECORD_32}): "
+    assert err == (f"error: {stream}: frame 5 (byte {5 * RECORD_32}): "
                    f"truncated record, 40 of {RECORD_32} bytes\n")
 
 
@@ -278,15 +278,47 @@ def test_missing_frame_exits_one(tmp_path, capsys):
     rc, err, stream = estimate_on_damaged_stream(
         tmp_path, capsys, lambda p: p.write_bytes(p.read_bytes()[:5 * RECORD_32]))
     assert rc == 1
-    assert err == (f"error: trial 1: {stream}: frame 5 (byte {5 * RECORD_32}): "
+    assert err == (f"error: {stream}: frame 5 (byte {5 * RECORD_32}): "
                    f"past the end of the file, expected a {RECORD_32}-byte record\n")
 
 
 def test_missing_stream_exits_one(tmp_path, capsys):
     rc, err, stream = estimate_on_damaged_stream(tmp_path, capsys, Path.unlink)
     assert rc == 1
-    assert err == (f"error: trial 1: {stream}: frame 0 (byte 0): "
+    assert err == (f"error: {stream}: frame 0 (byte 0): "
                    "cannot read (No such file or directory)\n")
+
+
+def test_record_cut_from_the_middle_stops_before_trial_one(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    synth_dataset([TrialPlan(1, "gaze", 3, 1.0), TrialPlan(2, "gaze", 4, 1.0)],
+                  SynthConfig(width=32, height=32), ds)
+    stream = ds / FRAMES_FILE
+    raw = stream.read_bytes()
+    stream.write_bytes(raw[:10 * RECORD_32] + raw[11 * RECORD_32:])
+    rc = main(["estimate", "--data", str(ds), "--out", str(tmp_path / "e.csv"),
+               "--roi", ROI, "--crop", NOCROP])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert "trial" not in out
+    assert err == (f"error: {stream}: frame 59 (byte {59 * RECORD_32}): "
+                   f"past the end of the file, expected a {RECORD_32}-byte record\n")
+
+
+def test_oversized_manifest_is_one_error_line(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    synth_dataset([TrialPlan(1, "gaze", 3, 1.0)], SynthConfig(width=32, height=32), ds)
+    manifest = ds / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("width=32", "width=1000000")
+                        .replace("height=32", "height=1000000"))
+    capsys.readouterr()
+    rc = main(["estimate", "--data", str(ds), "--out", str(tmp_path / "e.csv"),
+               "--roi", ROI, "--crop", NOCROP])
+    assert rc == 1
+    record = len(b"P6\n1000000 1000000\n255\n") + 3 * 10 ** 12
+    assert capsys.readouterr().err == (
+        f"error: {ds / FRAMES_FILE}: frame 0 (byte 0): "
+        f"truncated record, {30 * RECORD_32} of {record} bytes\n")
 
 
 def test_bad_record_header_names_its_trial(tmp_path, capsys):

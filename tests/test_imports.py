@@ -54,9 +54,9 @@ def test_estimate_and_groundtruth_load_no_scipy(tmp_path):
 def test_evaluate_loads_no_signal_stats_or_interpolate(tmp_path):
     est, gt = tmp_path / "est.csv", tmp_path / "gt.csv"
     # four scored trials with distinct skin gray, so the skin regression runs
-    write_csv(est, EST_HEADER, [(i, "gaze", 3, 70.0 + i, 15.0, 100.0 + 10 * i, set())
+    write_csv(est, EST_HEADER, [(i, "gaze", 3, 70.0 + i, 15.0, 100.0 + 10 * i, "")
                                 for i in range(1, 5)])
-    write_csv(gt, GT_HEADER, [(i, "gaze", 3, 71.0, 15.5 + i, set()) for i in range(1, 5)])
+    write_csv(gt, GT_HEADER, [(i, "gaze", 3, 71.0, 15.5 + i, "") for i in range(1, 5)])
     rc, loaded = fresh_python(
         "import json, sys\n"
         "from camvitals import cli\n"
@@ -72,9 +72,9 @@ def test_evaluate_loads_no_signal_stats_or_interpolate(tmp_path):
 def test_evaluate_of_the_paper_protocol_size_loads_no_scipy(tmp_path):
     est, gt = tmp_path / "est.csv", tmp_path / "gt.csv"
     # 80 scored trials with distinct skin gray: a 78-df t quantile
-    write_csv(est, EST_HEADER, [(i, "gaze", 3, 70.0 + (i % 7), 15.0, 40.0 + 2 * i, set())
+    write_csv(est, EST_HEADER, [(i, "gaze", 3, 70.0 + (i % 7), 15.0, 40.0 + 2 * i, "")
                                 for i in range(1, 81)])
-    write_csv(gt, GT_HEADER, [(i, "gaze", 3, 71.0, 15.5, set()) for i in range(1, 81)])
+    write_csv(gt, GT_HEADER, [(i, "gaze", 3, 71.0, 15.5, "") for i in range(1, 81)])
     rc, loaded = fresh_python(
         "import json, sys\n"
         "from camvitals import cli\n"

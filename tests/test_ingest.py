@@ -9,13 +9,14 @@ from camvitals import ingest
 from camvitals.config import load_config
 from camvitals.detect import load_cascade
 from camvitals.dsp import TimeSeries
-from camvitals.evaluation import EST_HEADER, GT_HEADER, TRIALS_HEADER, join_results
+from camvitals.evaluation import (EST_HEADER, GT_HEADER, TRIALS_HEADER, _read_results_csv,
+                                  flags_cell, join_results)
 from camvitals.ingest import (FRAMES_FILE, LUMA_B, LUMA_G, LUMA_R, PHYSIO_HEADER,
                               FormatError, PhysioRecord, TrialEntry,
-                              TrialManifest, VideoClip, crop_clip,
+                              TrialManifest, VideoClip, _finite_float, crop_clip,
                               format_number, load_physio_csv,
-                              parse_manifest, read_frame_range,
-                              to_grayscale, write_manifest, write_physio_csv,
+                              parse_manifest, read_csv, read_frame_range,
+                              to_grayscale, write_csv, write_manifest, write_physio_csv,
                               write_ppm)
 from camvitals.synth import TRUTH_HEADER, SynthConfig, TrialPlan, synth_dataset
 
@@ -136,7 +137,6 @@ def test_clip_validates_shape_and_range():
     with pytest.raises(ValueError):
         VideoClip(np.zeros((2, 4, 4, 3), dtype=np.uint8), 0.0)
     clip = VideoClip(np.full((2, 4, 6, 3), 254.5), 25.0)
-    assert clip.duration == pytest.approx(0.08)
     assert (clip.n_frames, clip.height, clip.width) == (2, 4, 6)
 
 
@@ -504,6 +504,34 @@ def test_format_number_round_trips_floats():
         x = float(rng.normal(scale=10.0 ** rng.integers(-6, 7)))
         assert float(format_number(x)) == x
     assert format_number(72.0) == "72.0"
+
+
+def test_csv_writer_formats_each_cell_as_the_dialect_says(tmp_path):
+    rng = np.random.default_rng(22)
+    bits = rng.integers(0, 2 ** 64, size=2000, dtype=np.uint64).view(np.float64)
+    values = [x for x in bits if np.isfinite(x)]
+    values += [float(x) for x in values]
+    assert {type(v) for v in values} == {np.float64, float}
+    others = [None, 0, -7, 2 ** 70, "gaze"]
+    path = tmp_path / "cells.csv"
+    write_csv(path, ["x"], [[v] for v in values + others])
+    rows = [row for _, row in read_csv(path, ["x"])]
+    assert [row[0] for row in rows] == [repr(float(v)) for v in values] + [
+        "", "0", "-7", str(2 ** 70), "gaze"]
+    back = np.array([_finite_float(row[0]) for row in rows[:len(values)]])
+    assert back.tobytes() == np.array(values, dtype=np.float64).tobytes()
+
+
+def test_flags_cell_round_trips_through_a_result_csv(tmp_path):
+    flag_sets = [set(), {"too_short"}, {"roi_failure", "hold_breath_excluded"},
+                 {"out_of_band", "too_short", "hold_breath_excluded", "roi_failure"}]
+    path = tmp_path / "gt.csv"
+    write_csv(path, GT_HEADER, [(i, "gaze", 3, 70.0, None, flags_cell(f))
+                                for i, f in enumerate(flag_sets, 1)])
+    cells = [row[-1] for _, row in read_csv(path, GT_HEADER)]
+    assert cells == ["", "too_short", "hold_breath_excluded;roi_failure",
+                     "hold_breath_excluded;out_of_band;roi_failure;too_short"]
+    assert [flags for *_, flags in _read_results_csv(path, GT_HEADER)] == flag_sets
 
 
 # ------------------------- CSV dialect -------------------------
