@@ -394,12 +394,17 @@ def format_number(x):
     return repr(float(x))
 
 
-def write_csv(path, header, rows):
-    """Write `header` and `rows` in this dialect: csv writes None as an empty
-    cell, and a float or numpy float64 as str(), which is format_number's text."""
-    with open(path, "w", newline="", encoding="ascii") as f:
+def write_csv(target, header, rows):
+    """Write `header` (unless None) and `rows` in this dialect: csv writes
+    None as an empty cell, and a float or numpy float64 as str(), which is
+    format_number's text. `target` is a path, which is overwritten, or a
+    text file open for writing, which gets the lines appended."""
+    opened = (contextlib.nullcontext(target) if hasattr(target, "write")
+              else open(target, "w", newline="", encoding="ascii"))
+    with opened as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
+        if header is not None:
+            w.writerow(header)
         w.writerows(rows)
 
 
@@ -537,8 +542,12 @@ def load_physio_csv(path):
                         trigger=trig)
 
 
-def write_physio_csv(path, record):
+def write_physio_csv(target, record, start=0):
+    """Write `record` as physio.csv at the path `target`, or append its rows
+    without the header to `target` open for writing, the first at global
+    sample `start`: t of global sample i is i * (1 / sample_rate)."""
     dt = 1.0 / record.sample_rate
-    write_csv(path, PHYSIO_HEADER, zip(
-        [i * dt for i in range(len(record.ecg))], record.ecg.samples.tolist(),
+    header = None if hasattr(target, "write") else PHYSIO_HEADER
+    write_csv(target, header, zip(
+        [i * dt for i in range(start, start + len(record.ecg))], record.ecg.samples.tolist(),
         record.resp.samples.tolist(), record.trigger.tolist()))

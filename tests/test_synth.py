@@ -1,10 +1,16 @@
+import hashlib
+import os
+import threading
+
 import numpy as np
 import pytest
+
+from camvitals import synth
 
 from camvitals.geometry import Rect
 from camvitals.ingest import (FRAMES_FILE, parse_manifest, read_frame_range,
                               load_physio_csv, to_grayscale)
-from camvitals.synth import (BACKGROUND_GRAY, BASE_SKIN, CHEST_COLOR, RATE_RANGES,
+from camvitals.synth import (BACKGROUND_GRAY, BASE_SKIN, BLOCK_BYTES, CHEST_COLOR, RATE_RANGES,
                              SynthConfig, TrialPlan, paper_protocol, scene_geometry,
                              synth_clip, synth_dataset, synth_ecg, synth_resp)
 
@@ -179,21 +185,34 @@ def reference_frames(cfg):
     return frames
 
 
+def _random_scene(rng, width, height, fps, duration, **kwargs):
+    return SynthConfig(width=width, height=height, fps=fps, duration=duration,
+                       hr_bpm=float(rng.uniform(40, 200)), rr_brpm=float(rng.uniform(6, 60)),
+                       tone=float(rng.uniform(0.2, 1.0)), pulse_amp=float(rng.uniform(0, 0.2)),
+                       chest_amp=float(rng.uniform(0, 1.0)),
+                       seed=int(rng.integers(0, 2 ** 31)), **kwargs)
+
+
 @pytest.mark.parametrize("noise_sigma", [0.0, 0.7, 40.0])
 @pytest.mark.parametrize("blur_radius", [0, 1])
 @pytest.mark.parametrize("quantize", [True, False])
 def test_synth_clip_equals_the_reference_renderer(noise_sigma, blur_radius, quantize):
-    """Bit for bit, over seeded scenes of odd and even sizes; sigma 40
-    clips at both ends of [0, 255]."""
+    """Bit for bit, over seeded scenes of odd and even sizes, and over clip
+    lengths at synth_clip's frame-block boundaries; sigma 40 clips at both
+    ends of [0, 255]."""
     rng = np.random.default_rng(int(noise_sigma * 10) + 2 * blur_radius + quantize)
-    for width, height in [(32, 32), (19, 24), (33, 41), (8, 30)]:
-        cfg = SynthConfig(width=width, height=height, fps=float(rng.uniform(10, 40)),
-                          duration=float(rng.uniform(0.2, 1.5)),
-                          hr_bpm=float(rng.uniform(40, 200)), rr_brpm=float(rng.uniform(6, 60)),
-                          tone=float(rng.uniform(0.2, 1.0)), pulse_amp=float(rng.uniform(0, 0.2)),
-                          chest_amp=float(rng.uniform(0, 1.0)), noise_sigma=noise_sigma,
-                          quantize=quantize, blur_radius=blur_radius,
-                          seed=int(rng.integers(0, 2 ** 31)))
+    knobs = dict(noise_sigma=noise_sigma, quantize=quantize, blur_radius=blur_radius)
+    cfgs = [_random_scene(rng, width, height, float(rng.uniform(10, 40)),
+                          float(rng.uniform(0.2, 1.5)), **knobs)
+            for width, height in [(32, 32), (19, 24), (33, 41), (8, 30)]]
+    # exactly one block, one frame more, a partial last block, and frames
+    # that are each larger than a block
+    step = BLOCK_BYTES // (32 * 32 * 3 * 8)
+    assert step > 1 and 256 * 256 * 3 * 8 > BLOCK_BYTES
+    cfgs += [_random_scene(rng, width, height, 30.0, n / 30.0, **knobs)
+             for width, height, n in [(32, 32, step), (32, 32, step + 1),
+                                      (32, 32, 3 * step - 5), (256, 256, 3)]]
+    for cfg in cfgs:
         frames = synth_clip(cfg)[0].frames
         want = reference_frames(cfg)
         assert frames.dtype == want.dtype
@@ -352,6 +371,13 @@ def test_dataset_truth_file_and_rate_override(tmp_path):
     assert truth[1].mean_face_gray == pytest.approx(162.67, rel=1e-12)
 
 
+def test_trial_shorter_than_a_physio_sample_is_a_value_error(tmp_path):
+    # one frame at 1000 fps, but no 128 Hz sample to carry the trigger
+    with pytest.raises(ValueError, match="trial 1: 0.001 s holds no physio sample"):
+        synth_dataset([TrialPlan(1, "gaze", 3, 0.001)],
+                      SynthConfig(width=32, height=32, fps=1000.0), tmp_path)
+
+
 def test_dataset_regeneration_is_byte_identical(tmp_path):
     protocol = [TrialPlan(1, "workout", 1, 2.0)]
     base = SynthConfig(width=32, height=32, noise_sigma=1.5)
@@ -360,3 +386,52 @@ def test_dataset_regeneration_is_byte_identical(tmp_path):
     synth_dataset(protocol, base, b, seed=3)
     for name in ("manifest.txt", "physio.csv", "truth.csv", FRAMES_FILE):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# ------------------------- trials on a thread pool -------------------------
+
+# six trials, more than the pool's at most four workers, of mixed lengths
+# (the 90-frame trial spans two frame blocks), trial 2 holding its breath
+POOL_PROTOCOL = [TrialPlan(1, "respiration", 1, 2.5), TrialPlan(2, "respiration", 2, 1.0),
+                 TrialPlan(3, "workout", 7, 3.0), TrialPlan(4, "gaze", 3, 0.5),
+                 TrialPlan(5, "gaze", 4, 2.0), TrialPlan(6, "gaze", 5, 1.5)]
+
+# sha256 of each file as the renderer wrote it before trials ran on threads
+POOL_DIGESTS = {
+    FRAMES_FILE: "9ff595dfb51f3b0f5799e71a39c86df2ab8b525969318ecc5138ca0ce2c7f05c",
+    "physio.csv": "6caeb63b6e1b0686b936cde4d9bd41ee6d363d50f6ba3c8ef83e3572f54fec54",
+    "manifest.txt": "5278fa86e0e4193fec7003df2ba71f70a5ce0568544c4d8b26dc9a9b4bb75086",
+    "truth.csv": "52f8021bbc66ea58e49a81a625461fe6f3f2f83b90c377bfaa4e84b52e75de76",
+}
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 4])
+def test_dataset_bytes_do_not_depend_on_the_cpu_count(cpus, tmp_path, monkeypatch):
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    threads = set()
+
+    def render(cfg):
+        threads.add(threading.get_ident())
+        return synth_clip(cfg)
+
+    monkeypatch.setattr(synth, "synth_clip", render)
+    synth_dataset(POOL_PROTOCOL, SynthConfig(width=32, height=32, noise_sigma=1.0),
+                  tmp_path, seed=5)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in POOL_DIGESTS}
+    assert digests == POOL_DIGESTS
+    if cpus == 1:
+        assert threads == {threading.get_ident()}
+    elif cpus == 4:
+        assert threading.get_ident() not in threads
+
+
+def test_a_failing_trial_stops_the_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    before = threading.active_count()
+    protocol = [TrialPlan(i, "gaze", 3, 1.0) for i in range(1, 6)]
+    with pytest.raises(ValueError, match="hr_bpm 500.0 outside"):
+        synth_dataset(protocol, SynthConfig(width=32, height=32, noise_sigma=1.0),
+                      tmp_path, seed=0, rates={3: (500.0, 15.0)})
+    assert threading.active_count() == before
