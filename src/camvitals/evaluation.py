@@ -412,10 +412,10 @@ class SvgCanvas:
             f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" '
             f'stroke="{stroke}" stroke-width="{_f(width)}"/>')
 
-    def rect(self, x, y, w, h, fill="none", stroke="#000000", width=1.0):
+    def rect(self, x, y, w, h, fill="none", stroke="#000000"):
         self.parts.append(
             f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" '
-            f'fill="{fill}" stroke="{stroke}" stroke-width="{_f(width)}"/>')
+            f'fill="{fill}" stroke="{stroke}" stroke-width="1.00"/>')
 
     def circle(self, cx, cy, r, fill="#000000"):
         self.parts.append(

@@ -52,11 +52,8 @@ def named(source):
 
 @dataclass
 class VideoClip:
-    """Frame stack (T, H, W, 3) with a fixed frame rate.
-
-    Frames are uint8 for file-backed clips; synthetic clips may carry
-    float frames (still bounded to [0, 255]) when quantization is off.
-    """
+    """Frame stack (T, H, W, 3) of uint8 RGB with a fixed frame rate: the
+    8-bit frames a webcam, a frames.ppm stream and synth_clip all give."""
 
     frames: np.ndarray
     fps: float
@@ -70,9 +67,7 @@ class VideoClip:
         if not (self.fps > 0):
             raise ValueError(f"fps must be positive, got {self.fps}")
         if self.frames.dtype != np.uint8:
-            lo, hi = self.frames.min(), self.frames.max()
-            if lo < 0 or hi > 255:
-                raise ValueError(f"channel values outside [0, 255]: [{lo}, {hi}]")
+            raise ValueError(f"frames must be uint8, got {self.frames.dtype}")
         self.fps = float(self.fps)
 
     @property
@@ -542,12 +537,11 @@ def load_physio_csv(path):
                         trigger=trig)
 
 
-def write_physio_csv(target, record, start=0):
-    """Write `record` as physio.csv at the path `target`, or append its rows
-    without the header to `target` open for writing, the first at global
-    sample `start`: t of global sample i is i * (1 / sample_rate)."""
+def write_physio_csv(f, record, start):
+    """Append the rows of `record` to physio.csv open for writing as `f`,
+    the first at global sample `start`: t of global sample i is
+    i * (1 / sample_rate)."""
     dt = 1.0 / record.sample_rate
-    header = None if hasattr(target, "write") else PHYSIO_HEADER
-    write_csv(target, header, zip(
+    write_csv(f, None, zip(
         [i * dt for i in range(start, start + len(record.ecg))], record.ecg.samples.tolist(),
         record.resp.samples.tolist(), record.trigger.tolist()))

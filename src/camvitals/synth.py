@@ -51,7 +51,6 @@ class SynthConfig:
     pulse_amp: float = 0.01
     chest_amp: float = 1.5
     noise_sigma: float = 0.0
-    quantize: bool = True
     blur_radius: int = 0
     seed: int = 0
 
@@ -66,6 +65,19 @@ class SynthConfig:
             raise ValueError("noise_sigma, blur_radius and chest_amp must be >= 0")
         if not (0 < self.fps < math.inf and 0 <= self.duration < math.inf):
             raise ValueError("fps must be positive and duration non-negative, both finite")
+        w, h = self.width, self.height
+        face, chest_top = scene_geometry(w, h)
+        if not face.inside(w, h) or face.h < 2:
+            raise ValueError(f"face {face} does not fit a {w}x{h} frame")
+        if chest_top - self.chest_amp < face.bottom or chest_top + self.chest_amp > h - 1:
+            raise ValueError(
+                f"chest band (top {chest_top} +- {self.chest_amp}px) does not fit "
+                f"between face bottom {face.bottom} and frame bottom {h}")
+
+    @property
+    def n_frames(self):
+        """Frames of the clip: duration * fps, rounded."""
+        return int(round(self.duration * self.fps))
 
 
 @dataclass(frozen=True)
@@ -93,20 +105,12 @@ def synth_clip(cfg):
     a color-direction oscillation that intensity-normalizing features can
     see. The chest band's top edge moves as chest_amp sin(2π rr t), drawn
     with linear coverage blending on the boundary row. Then optional box
-    blur, seeded Gaussian noise, and optional 8-bit quantization.
+    blur, seeded Gaussian noise, and rounding to the clip's uint8 frames.
     """
-    w, h = cfg.width, cfg.height
+    w, h, n = cfg.width, cfg.height, cfg.n_frames
     face, chest_top = scene_geometry(w, h)
-    if not face.inside(w, h) or face.h < 2:
-        raise ValueError(f"face {face} does not fit a {w}x{h} frame")
-    if chest_top - cfg.chest_amp < face.bottom or chest_top + cfg.chest_amp > h - 1:
-        raise ValueError(
-            f"chest band (top {chest_top} +- {cfg.chest_amp}px) does not fit "
-            f"between face bottom {face.bottom} and frame bottom {h}")
-
-    n = int(round(cfg.duration * cfg.fps))
     try:
-        frames = np.empty((n, h, w, 3), np.uint8 if cfg.quantize else np.float64)
+        frames = np.empty((n, h, w, 3), np.uint8)
     except (MemoryError, ValueError):
         raise ValueError(f"{cfg.duration:g} s at {cfg.fps:g} fps is {n:.6g} frames of "
                          f"{w}x{h}, more than fit in memory") from None
@@ -125,14 +129,14 @@ def synth_clip(cfg):
     face_rows, face_cols = slice(face.y, face.bottom), slice(face.x, face.right)
     outside = ((slice(0, face.y), slice(None)), (slice(face.bottom, None), slice(None)),
                (face_rows, slice(0, face.x)), (face_rows, slice(face.right, None)))
-    # the float64 frames are rendered a BLOCK_BYTES block at a time; a
-    # quantized clip's block is a reused buffer, cast into the uint8 frames.
-    # A block's draw continues the generator's stream where the last ended
+    # the frames are rendered in float64 a BLOCK_BYTES block at a time, in
+    # a reused buffer rounded into the uint8 frames. A block's draw
+    # continues the generator's stream where the last ended
     step = max(1, BLOCK_BYTES // (h * w * 3 * 8))
-    buffer = np.empty((min(step, n), h, w, 3)) if cfg.quantize else None
+    buffer = np.empty((min(step, n), h, w, 3))
     for i0 in range(0, n, step):
         i1 = min(n, i0 + step)
-        block = buffer[:i1 - i0] if cfg.quantize else frames[i0:i1]
+        block = buffer[:i1 - i0]
         # without blur the noise is drawn first, into the block, and the
         # scene added to it: noise + scene is the same sum as scene + noise
         if rng is not None and cfg.blur_radius == 0:
@@ -158,8 +162,7 @@ def synth_clip(cfg):
                 block += rng.normal(0.0, cfg.noise_sigma, block.shape)
 
         np.clip(block, 0.0, 255.0, out=block)
-        if cfg.quantize:
-            frames[i0:i1] = np.rint(block, out=block)
+        frames[i0:i1] = np.rint(block, out=block)
 
     mean_gray = LUMA_R * skin[0] + LUMA_G * skin[1] + LUMA_B * skin[2]
     truth = SynthTruth(hr_bpm=cfg.hr_bpm, rr_brpm=cfg.rr_brpm,
@@ -167,7 +170,7 @@ def synth_clip(cfg):
     return VideoClip(frames, cfg.fps), truth
 
 
-def synth_ecg(hr_bpm, fs, duration, jitter=0.0, seed=0, amp_jitter=0.0):
+def synth_ecg(hr_bpm, fs, duration, jitter=0.0, seed=0):
     """ECG stand-in: zero baseline with unit Gaussian bumps (sigma 10 ms)
     at beat times; intervals are 60/hr_bpm * (1 + jitter*u), u ~ U[-1, 1].
     The train starts half a period in so every bump has both flanks
@@ -186,11 +189,10 @@ def synth_ecg(hr_bpm, fs, duration, jitter=0.0, seed=0, amp_jitter=0.0):
     x = np.zeros(n)
     half_support = 5.0 * ECG_BUMP_SIGMA_S
     for tb in beats:
-        amp = 1.0 + amp_jitter * rng.uniform(-1.0, 1.0)
         i0 = max(0, int(np.floor((tb - half_support) * fs)))
         i1 = min(n, int(np.ceil((tb + half_support) * fs)) + 1)
         ts = np.arange(i0, i1) / fs
-        x[i0:i1] += amp * np.exp(-((ts - tb) ** 2) / (2.0 * ECG_BUMP_SIGMA_S ** 2))
+        x[i0:i1] += np.exp(-((ts - tb) ** 2) / (2.0 * ECG_BUMP_SIGMA_S ** 2))
     return TimeSeries(x, fs)
 
 
@@ -252,21 +254,12 @@ def _trial_rates(plan, seed):
     return rng.uniform(*hr_range), rng.uniform(*rr_range)
 
 
-def _render_trial(plan, base_cfg, seed, hr, rr):
+def _render_trial(plan, cfg):
     """(clip, truth, physio record) of one trial of synth_dataset."""
-    hold_breath = plan.task_id == HOLD_BREATH_TASK
-    cfg = replace(base_cfg, duration=plan.duration, hr_bpm=hr, rr_brpm=rr,
-                  chest_amp=0.0 if hold_breath else base_cfg.chest_amp,
-                  quantize=True, seed=seed + plan.trial_id)
     clip, truth = synth_clip(cfg)
-    ecg = synth_ecg(hr, PHYSIO_RATE, plan.duration, jitter=0.05,
-                    seed=seed + plan.trial_id + 50_000)
-    resp = synth_resp(rr, PHYSIO_RATE, plan.duration,
-                      seed=seed + plan.trial_id + 100_000,
-                      amplitude=0.0 if hold_breath else 1.0)
-    if len(ecg) == 0:
-        raise ValueError(f"trial {plan.trial_id}: {plan.duration:g} s holds no physio "
-                         f"sample at {PHYSIO_RATE:g} Hz for its trigger")
+    ecg = synth_ecg(cfg.hr_bpm, PHYSIO_RATE, cfg.duration, jitter=0.05, seed=cfg.seed + 50_000)
+    resp = synth_resp(cfg.rr_brpm, PHYSIO_RATE, cfg.duration, seed=cfg.seed + 100_000,
+                      amplitude=0.0 if plan.task_id == HOLD_BREATH_TASK else 1.0)
     trig = np.zeros(len(ecg), dtype=np.int64)
     trig[0] = plan.trial_id
     return clip, truth, PhysioRecord(sample_rate=PHYSIO_RATE, ecg=ecg, resp=resp, trigger=trig)
@@ -309,42 +302,53 @@ def synth_dataset(protocol, base_cfg, out_dir, seed=0, rates=None):
     draw and whole-array arithmetic release the GIL. Each trial draws
     from its own generator, so the files do not depend on the CPU count.
 
+    Each trial's config, frame range and physio length are checked, and
+    the manifest built from them, before any file is opened: a plan that
+    fails them leaves `out_dir` as it was.
+
     Returns the dataset's TrialManifest and the {trial_id: (hr, rr)} rates
     it injected.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    trial_rates = []
+    configs, entries = [], []
+    next_frame = 0
     for plan in protocol:
         override = (rates or {}).get(plan.trial_id)
         hr, rr = override if override is not None else _trial_rates(plan, seed)
-        trial_rates.append((hr, rr))
-    jobs = (partial(_render_trial, plan, base_cfg, seed, hr, rr)
-            for plan, (hr, rr) in zip(protocol, trial_rates))
+        cfg = replace(base_cfg, duration=plan.duration, hr_bpm=hr, rr_brpm=rr,
+                      chest_amp=0.0 if plan.task_id == HOLD_BREATH_TASK else base_cfg.chest_amp,
+                      seed=seed + plan.trial_id)
+        if round(plan.duration * PHYSIO_RATE) == 0:
+            raise ValueError(f"trial {plan.trial_id}: {plan.duration:g} s holds no physio "
+                             f"sample at {PHYSIO_RATE:g} Hz for its trigger")
+        configs.append(cfg)
+        entries.append(TrialEntry(trial_id=plan.trial_id, condition=plan.condition,
+                                  task_id=plan.task_id, start_frame=next_frame,
+                                  frame_count=cfg.n_frames, trigger_code=plan.trial_id))
+        next_frame += cfg.n_frames
+    manifest = TrialManifest(fps=base_cfg.fps, width=base_cfg.width,
+                             height=base_cfg.height, entries=entries)
+
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    jobs = (partial(_render_trial, plan, cfg) for plan, cfg in zip(protocol, configs))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(4, cpus or 1, len(protocol))
 
-    entries = []
     truth_rows = []
-    next_frame = next_sample = 0
+    next_sample = 0
     with (open(out_dir / FRAMES_FILE, "wb") as frames_file,
           open(out_dir / PHYSIO_FILE, "w", newline="", encoding="ascii") as physio_file,
           closing(_in_order(jobs, workers)) as rendered):
         write_csv(physio_file, PHYSIO_HEADER, ())
-        for plan, (hr, rr), (clip, truth, physio) in zip(protocol, trial_rates, rendered):
+        for plan, cfg, (clip, truth, physio) in zip(protocol, configs, rendered):
             write_ppm(frames_file, clip.frames)
             write_physio_csv(physio_file, physio, next_sample)
-            entries.append(TrialEntry(trial_id=plan.trial_id, condition=plan.condition,
-                                      task_id=plan.task_id, start_frame=next_frame,
-                                      frame_count=clip.n_frames, trigger_code=plan.trial_id))
-            truth_rows.append([plan.trial_id, hr, rr, truth.face_box.x, truth.face_box.y,
-                               truth.face_box.w, truth.face_box.h, truth.mean_face_gray])
-            next_frame += clip.n_frames
+            truth_rows.append([plan.trial_id, cfg.hr_bpm, cfg.rr_brpm, truth.face_box.x,
+                               truth.face_box.y, truth.face_box.w, truth.face_box.h,
+                               truth.mean_face_gray])
             next_sample += len(physio.trigger)
 
-    manifest = TrialManifest(fps=base_cfg.fps, width=base_cfg.width,
-                             height=base_cfg.height, entries=entries)
     write_manifest(out_dir / MANIFEST_FILE, manifest)
     write_csv(out_dir / TRUTH_FILE, TRUTH_HEADER, truth_rows)
-    return manifest, {plan.trial_id: r for plan, r in zip(protocol, trial_rates)}
+    return manifest, {plan.trial_id: (cfg.hr_bpm, cfg.rr_brpm)
+                      for plan, cfg in zip(protocol, configs)}

@@ -31,9 +31,9 @@ PASSBAND_PROBE_HZ = 1.2
 STOPBAND_PROBE_HZ = 3.5
 
 
-def _hr_error(hr, duration, noise_sigma, seed, tone=1.0, quantize=True):
+def _hr_error(hr, duration, noise_sigma, seed, tone=1.0):
     cfg = SynthConfig(hr_bpm=hr, duration=duration, tone=tone,
-                      noise_sigma=noise_sigma, quantize=quantize, seed=seed)
+                      noise_sigma=noise_sigma, seed=seed)
     clip, truth = synth_clip(cfg)
     rois = [hr_roi(truth.face_box)] * clip.n_frames
     return abs(hr_estimate(clip, rois)[0] - hr), clip, truth
@@ -98,8 +98,7 @@ def test_criterion_4_skin_tone_error_trend(tmp_path):
     for tone in (0.3, 0.5, 0.7, 0.9, 1.0):
         for seed in range(20):
             hr = 60.0 + (seed * 7) % 60
-            err, clip, truth = _hr_error(hr, 20.0, 2.0, seed=seed, tone=tone,
-                                         quantize=True)
+            err, clip, truth = _hr_error(hr, 20.0, 2.0, seed=seed, tone=tone)
             records.append(TrialRecord(
                 trial_id, "respiration", 1, hr_est=hr + err, hr_gt=hr,
                 skin_gray=skin_tone_gray(clip, [truth.face_box] * clip.n_frames)))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_toy_cascade
+from conftest import make_toy_cascade, write_physio
 
 from camvitals import cli, dsp, vitals
 from camvitals.cli import main
@@ -18,8 +18,7 @@ from camvitals.dsp import TimeSeries, bandpass
 from camvitals.evaluation import EST_HEADER, render_signals
 from camvitals.geometry import Rect
 from camvitals.ingest import (FRAMES_FILE, TrialEntry, TrialManifest, load_physio_csv,
-                              parse_manifest, read_frame_range, write_manifest,
-                              write_physio_csv, write_ppm)
+                              parse_manifest, read_frame_range, write_manifest, write_ppm)
 from camvitals.synth import SynthConfig, TrialPlan, synth_dataset
 from test_detect import OPENCV_XML
 
@@ -235,6 +234,22 @@ def test_help_exits_zero(command, capsys):
         main([command, "--help"])
     assert exc.value.code == 0
     assert "usage" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--hr", "500"], "hr_bpm 500.0 outside [30, 220]"),
+    (["--width", "16", "--height", "4"], "face Rect(x=7, y=0, w=2, h=1) does not fit a 16x4 frame"),
+    (["--task", "9"], "trial 1: task_id 9 outside 1..7"),
+    (["--duration", "0"], "trial 1: 0 s holds no physio sample at 128 Hz for its trigger"),
+    (["--fps", "1000", "--duration", "0.001"],
+     "trial 1: 0.001 s holds no physio sample at 128 Hz for its trigger"),
+], ids=["rate", "geometry", "task", "no-duration", "no-physio"])
+def test_synth_writes_nothing_on_a_bad_plan(args, message, tmp_path, capsys):
+    out = tmp_path / "ds"
+    out.mkdir()
+    assert main(["synth", "--out", str(out), *args]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_estimate_requires_exactly_one_roi_source(dataset, tmp_path, capsys):
@@ -710,7 +725,7 @@ def test_physio_near_the_float_limit_gives_the_unscaled_rates(column, factor, da
     (ds / "manifest.txt").write_bytes((dataset / "manifest.txt").read_bytes())
     record = load_physio_csv(dataset / "physio.csv")
     channel = getattr(record, column)
-    write_physio_csv(ds / "physio.csv", dataclasses.replace(
+    write_physio(ds / "physio.csv", dataclasses.replace(
         record, **{column: TimeSeries(channel.samples * factor, channel.sample_rate)}))
     runs = []
     for data in (dataset, ds):

@@ -11,8 +11,7 @@ CFG = PipelineConfig()
 
 
 def generated_beats(hr_bpm, duration, jitter, seed):
-    """Reproduce the beat times the ECG generator lays down (its interval
-    draws come first in the stream, so amplitude jitter never shifts them)."""
+    """Reproduce the beat times the ECG generator lays down."""
     rng = np.random.default_rng(seed)
     period = 60.0 / hr_bpm
     beats = []
@@ -35,7 +34,14 @@ def test_ecg_peak_count_matches_generated_beats(hr, jitter):
 
 def test_ecg_peaks_invariant_to_amplitude_jitter():
     clean = synth_ecg(70, FS, 20.0, jitter=0.05, seed=1)
-    wobbly = synth_ecg(70, FS, 20.0, jitter=0.05, seed=1, amp_jitter=0.1)
+    # each beat's bump scaled by its own factor in [0.9, 1.1]: the bumps
+    # are far narrower than a beat interval, so every sample is scaled by
+    # its nearest beat's factor
+    beats = np.array(generated_beats(70, 20.0, 0.05, seed=1))
+    amps = np.random.default_rng(2).uniform(0.9, 1.1, len(beats))
+    t = np.arange(len(clean)) / FS
+    nearest = np.abs(t[:, None] - beats[None, :]).argmin(axis=1)
+    wobbly = TimeSeries(clean.samples * amps[nearest], FS)
     assert len(ecg_peaks(clean, CFG)) == len(ecg_peaks(wobbly, CFG))
 
 

@@ -16,10 +16,10 @@ from camvitals.ingest import (FRAMES_FILE, LUMA_B, LUMA_G, LUMA_R, PHYSIO_HEADER
                               TrialManifest, VideoClip, _finite_float, crop_clip,
                               format_number, load_physio_csv,
                               parse_manifest, read_csv, read_frame_range,
-                              to_grayscale, write_csv, write_manifest, write_physio_csv,
-                              write_ppm)
+                              to_grayscale, write_csv, write_manifest, write_ppm)
 from camvitals.synth import TRUTH_HEADER, SynthConfig, TrialPlan, synth_dataset
 
+from conftest import write_physio
 from readers import read_ppm, read_ppm_stream, read_trials_csv, read_truth_csv
 
 
@@ -133,15 +133,22 @@ def test_clip_validates_shape_and_range():
     with pytest.raises(ValueError):
         VideoClip(np.zeros((2, 4, 4), dtype=np.uint8), 30.0)
     with pytest.raises(ValueError):
-        VideoClip(np.zeros((2, 4, 4, 3)) - 1.0, 30.0)
+        VideoClip(np.zeros((0, 4, 4, 3), dtype=np.uint8), 30.0)
     with pytest.raises(ValueError):
         VideoClip(np.zeros((2, 4, 4, 3), dtype=np.uint8), 0.0)
-    clip = VideoClip(np.full((2, 4, 6, 3), 254.5), 25.0)
+    clip = VideoClip(np.full((2, 4, 6, 3), 255, dtype=np.uint8), 25.0)
     assert (clip.n_frames, clip.height, clip.width) == (2, 4, 6)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.uint16])
+def test_clip_rejects_frames_that_are_not_uint8(dtype):
+    # values inside [0, 255] too: a clip is 8-bit, not merely in range
+    with pytest.raises(ValueError, match=f"^frames must be uint8, got {np.dtype(dtype)}$"):
+        VideoClip(np.full((2, 4, 4, 3), 128, dtype=dtype), 30.0)
+
+
 def test_crop_clip_slices_margins():
-    frames = np.arange(2 * 6 * 8 * 3, dtype=np.float64).reshape(2, 6, 8, 3) % 255
+    frames = (np.arange(2 * 6 * 8 * 3).reshape(2, 6, 8, 3) % 255).astype(np.uint8)
     clip = VideoClip(frames, 30.0)
     out = crop_clip(clip, 1, 2, 3, 0)
     assert (out.height, out.width) == (3, 5)
@@ -190,7 +197,7 @@ def test_to_grayscale_matches_reference_on_float_frames(dtype):
     # channel values whose weighted sum lands on or near a .5 rounding tie
     frames[0, 0, :4] = [[0.5 / LUMA_R, 0, 0], [0, 0, 2.5 / LUMA_B], [127.5, 127.5, 127.5],
                         [255, 255, 255]]
-    gray = to_grayscale(VideoClip(frames, 30.0))
+    gray = to_grayscale(frames)
     assert gray.dtype == np.uint8
     assert np.array_equal(gray, gray_reference(frames))
 
@@ -468,7 +475,7 @@ def test_physio_round_trip(tmp_path):
     rec.trigger[0] = 1
     rec.trigger[128] = 2
     p = tmp_path / "physio.csv"
-    write_physio_csv(p, rec)
+    write_physio(p, rec)
     back = load_physio_csv(p)
     assert back.sample_rate == 128.0
     assert np.array_equal(back.ecg.samples, rec.ecg.samples)
@@ -762,7 +769,7 @@ def test_paper_size_physio_needs_no_row_reader(tmp_path, monkeypatch):
                        resp=TimeSeries(rng.normal(size=n), 128.0),
                        trigger=rng.integers(0, 81, size=n))
     path = tmp_path / "physio.csv"
-    write_physio_csv(path, rec)
+    write_physio(path, rec)
 
     monkeypatch.setattr(ingest, "read_csv", _no_row_reader)
     back = load_physio_csv(path)

@@ -35,15 +35,14 @@ def test_synth_clip_frame_count_and_dtype():
     clip, _ = synth_clip(SynthConfig(duration=2.0, fps=30.0))
     assert clip.n_frames == 60
     assert clip.frames.dtype == np.uint8
-    clip_f, _ = synth_clip(SynthConfig(duration=2.0, fps=30.0, quantize=False))
-    assert clip_f.frames.dtype == np.float64
 
 
 def test_synth_clip_rejects_unfittable_geometry():
-    with pytest.raises(ValueError):
-        synth_clip(SynthConfig(width=16, height=4))  # face thinner than 2 px
-    with pytest.raises(ValueError):
-        synth_clip(SynthConfig(width=64, height=64, chest_amp=20.0))
+    # the config rejects it, before synth_clip or synth_dataset draws anything
+    with pytest.raises(ValueError, match="^face .* does not fit a 16x4 frame$"):
+        SynthConfig(width=16, height=4)  # face thinner than 2 px
+    with pytest.raises(ValueError, match="^chest band .* does not fit"):
+        SynthConfig(width=64, height=64, chest_amp=20.0)
 
 
 def test_config_validation():
@@ -61,12 +60,12 @@ def test_config_validation():
 
 def test_red_channel_peak_to_peak_matches_pulse_amp():
     # 90 bpm at 30 fps puts samples exactly on the sine extrema, and 20 s
-    # holds a whole number of cycles, so the relative swing is exact
-    cfg = SynthConfig(hr_bpm=90.0, pulse_amp=0.02, duration=20.0, fps=30.0,
-                      quantize=False)
-    clip, truth = synth_clip(cfg)
-    box = truth.face_box
-    red = clip.frames[:, box.y:box.bottom, box.x:box.right, 0].mean(axis=(1, 2))
+    # holds a whole number of cycles, so the relative swing of the scene
+    # before rounding (which synth_clip rounds bit for bit, see the
+    # reference renderer below) is exact
+    cfg = SynthConfig(hr_bpm=90.0, pulse_amp=0.02, duration=20.0, fps=30.0)
+    box, _ = scene_geometry(cfg.width, cfg.height)
+    red = reference_frames(cfg)[:, box.y:box.bottom, box.x:box.right, 0].mean(axis=(1, 2))
     p2p_rel = (red.max() - red.min()) / red.mean()
     assert abs(p2p_rel - 2 * cfg.pulse_amp) < 1e-6
 
@@ -80,8 +79,7 @@ def test_truth_gray_tracks_tone():
 def test_rendered_face_gray_matches_truth_and_tone_order():
     grays = []
     for tone in (0.4, 0.7, 1.0):
-        clip, truth = synth_clip(SynthConfig(duration=1.0, tone=tone,
-                                             quantize=False))
+        clip, truth = synth_clip(SynthConfig(duration=1.0, tone=tone))
         box = truth.face_box
         gray = to_grayscale(clip.frames[:, box.y:box.bottom, box.x:box.right])
         measured = float(gray.mean())
@@ -93,17 +91,16 @@ def test_rendered_face_gray_matches_truth_and_tone_order():
 
 
 def test_chest_band_static_without_breathing():
-    # the face still pulses, so only rows below it must freeze
-    clip, _ = synth_clip(SynthConfig(duration=2.0, chest_amp=0.0,
-                                     quantize=False))
+    # the face still pulses, so only rows below it must freeze; equal
+    # values before rounding round equal
+    clip, _ = synth_clip(SynthConfig(duration=2.0, chest_amp=0.0))
     face, _ = scene_geometry(64, 64)
     chest = clip.frames[:, face.bottom:, :, :]
     assert np.all(chest == chest[0])
 
 
 def test_chest_band_oscillates_at_breathing_rate():
-    cfg = SynthConfig(duration=20.0, rr_brpm=15.0, chest_amp=1.5,
-                      quantize=False, pulse_amp=0.0)
+    cfg = SynthConfig(duration=20.0, rr_brpm=15.0, chest_amp=1.5, pulse_amp=0.0)
     clip, truth = synth_clip(cfg)
     face = truth.face_box
     band = clip.frames[:, face.bottom:, :, :].mean(axis=(1, 2, 3))
@@ -113,8 +110,7 @@ def test_chest_band_oscillates_at_breathing_rate():
 
 
 def test_face_rows_untouched_by_chest_motion():
-    cfg = SynthConfig(duration=4.0, chest_amp=1.5, pulse_amp=0.0,
-                      quantize=False)
+    cfg = SynthConfig(duration=4.0, chest_amp=1.5, pulse_amp=0.0)
     clip, truth = synth_clip(cfg)
     face = truth.face_box
     above = clip.frames[:, :face.bottom, :, :]
@@ -132,9 +128,8 @@ def test_noise_is_seeded_and_applied():
 
 
 def test_blur_smooths_the_face_edge():
-    sharp, truth = synth_clip(SynthConfig(duration=0.5, quantize=False))
-    soft, _ = synth_clip(SynthConfig(duration=0.5, blur_radius=2,
-                                     quantize=False))
+    sharp, truth = synth_clip(SynthConfig(duration=0.5))
+    soft, _ = synth_clip(SynthConfig(duration=0.5, blur_radius=2))
     face = truth.face_box
     # horizontal gradient across the face's left edge shrinks under blur
     row = face.y + face.h // 2
@@ -148,8 +143,8 @@ def test_blur_smooths_the_face_edge():
 # ------------------------- one-pass renderer -------------------------
 
 def reference_frames(cfg):
-    """synth_clip's frames as the renderer drew them before it drew the
-    noise into the frame array: the scene in full, then a second
+    """synth_clip's frames before rounding, drawn as the renderer drew
+    them before it rendered in blocks: the scene in full, then a second
     full-size noise array added to it."""
     w, h = cfg.width, cfg.height
     face, chest_top = scene_geometry(w, h)
@@ -179,10 +174,7 @@ def reference_frames(cfg):
         rng = np.random.default_rng(cfg.seed)
         frames += rng.normal(0.0, cfg.noise_sigma, frames.shape)
 
-    np.clip(frames, 0.0, 255.0, out=frames)
-    if cfg.quantize:
-        frames = np.rint(frames).astype(np.uint8)
-    return frames
+    return np.clip(frames, 0.0, 255.0, out=frames)
 
 
 def _random_scene(rng, width, height, fps, duration, **kwargs):
@@ -195,13 +187,15 @@ def _random_scene(rng, width, height, fps, duration, **kwargs):
 
 @pytest.mark.parametrize("noise_sigma", [0.0, 0.7, 40.0])
 @pytest.mark.parametrize("blur_radius", [0, 1])
-@pytest.mark.parametrize("quantize", [True, False])
-def test_synth_clip_equals_the_reference_renderer(noise_sigma, blur_radius, quantize):
-    """Bit for bit, over seeded scenes of odd and even sizes, and over clip
-    lengths at synth_clip's frame-block boundaries; sigma 40 clips at both
-    ends of [0, 255]."""
-    rng = np.random.default_rng(int(noise_sigma * 10) + 2 * blur_radius + quantize)
-    knobs = dict(noise_sigma=noise_sigma, quantize=quantize, blur_radius=blur_radius)
+@pytest.mark.parametrize("one_frame_blocks", [True, False])
+def test_synth_clip_equals_the_reference_renderer(noise_sigma, blur_radius, one_frame_blocks,
+                                                  monkeypatch):
+    """Bit for bit against the rounded reference frames, over seeded scenes
+    of odd and even sizes, and over clip lengths at synth_clip's
+    frame-block boundaries, with its blocks and with blocks of one frame;
+    sigma 40 clips at both ends of [0, 255]."""
+    rng = np.random.default_rng(int(noise_sigma * 10) + 2 * blur_radius + one_frame_blocks)
+    knobs = dict(noise_sigma=noise_sigma, blur_radius=blur_radius)
     cfgs = [_random_scene(rng, width, height, float(rng.uniform(10, 40)),
                           float(rng.uniform(0.2, 1.5)), **knobs)
             for width, height in [(32, 32), (19, 24), (33, 41), (8, 30)]]
@@ -212,10 +206,11 @@ def test_synth_clip_equals_the_reference_renderer(noise_sigma, blur_radius, quan
     cfgs += [_random_scene(rng, width, height, 30.0, n / 30.0, **knobs)
              for width, height, n in [(32, 32, step), (32, 32, step + 1),
                                       (32, 32, 3 * step - 5), (256, 256, 3)]]
+    if one_frame_blocks:
+        monkeypatch.setattr(synth, "BLOCK_BYTES", 1)
     for cfg in cfgs:
         frames = synth_clip(cfg)[0].frames
-        want = reference_frames(cfg)
-        assert frames.dtype == want.dtype
+        want = np.rint(reference_frames(cfg)).astype(np.uint8)
         assert frames.tobytes() == want.tobytes()
 
 
@@ -429,9 +424,34 @@ def test_dataset_bytes_do_not_depend_on_the_cpu_count(cpus, tmp_path, monkeypatc
 
 def test_a_failing_trial_stops_the_pool(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+
+    def render(cfg):
+        if cfg.seed == 3:  # trial 3 of seed 0
+            raise ValueError("trial 3 cannot be rendered")
+        return synth_clip(cfg)
+
+    monkeypatch.setattr(synth, "synth_clip", render)
     before = threading.active_count()
     protocol = [TrialPlan(i, "gaze", 3, 1.0) for i in range(1, 6)]
-    with pytest.raises(ValueError, match="hr_bpm 500.0 outside"):
+    with pytest.raises(ValueError, match="trial 3 cannot be rendered"):
         synth_dataset(protocol, SynthConfig(width=32, height=32, noise_sigma=1.0),
-                      tmp_path, seed=0, rates={3: (500.0, 15.0)})
+                      tmp_path, seed=0)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("plan, rates, message", [
+    (TrialPlan(2, "gaze", 3, 1.0), {2: (500.0, 15.0)}, r"^hr_bpm 500.0 outside \[30, 220\]$"),
+    (TrialPlan(2, "gaze", 9, 1.0), None, "^trial 2: task_id 9 outside 1..7$"),
+    (TrialPlan(2, "gaze", 3, 0.0), None,
+     "^trial 2: 0 s holds no physio sample at 128 Hz for its trigger$"),
+    (TrialPlan(2, "gaze", 3, 0.01), None, "^trial 2: bad frame range$"),
+], ids=["rate", "task", "no-physio", "no-frame"])
+def test_a_bad_plan_writes_nothing(plan, rates, message, tmp_path, monkeypatch):
+    # a good trial ahead of the bad one: nothing renders before the plan is checked
+    rendered = []
+    monkeypatch.setattr(synth, "synth_clip", lambda cfg: rendered.append(cfg))
+    out = tmp_path / "ds"
+    with pytest.raises(ValueError, match=message):
+        synth_dataset([TrialPlan(1, "gaze", 3, 1.0), plan], SynthConfig(width=32, height=32),
+                      out, seed=0, rates=rates)
+    assert not out.exists() and rendered == []

@@ -33,7 +33,7 @@ def face_rois(clip, truth):
 
 
 def test_spherical_trace_shapes_and_sign():
-    clip, truth = quick_clip(noise_sigma=1.0, quantize=False, seed=4)
+    clip, truth = quick_clip(noise_sigma=1.0, seed=4)
     rois = face_rois(clip, truth)
     unit_means = _unit_means(clip, rois)
     assert unit_means.shape == (clip.n_frames, 3)
