@@ -151,6 +151,8 @@ def load_cascade(path):
         d = json.loads(Path(path).read_text(encoding="ascii"))
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: invalid JSON: {e}") from None
+    except RecursionError:
+        raise FormatError(f"{path}: invalid JSON: nested too deeply") from None
     except UnicodeDecodeError as e:
         raise FormatError(not_ascii(path, e)) from None
     with named(path):

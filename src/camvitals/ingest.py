@@ -389,17 +389,13 @@ def format_number(x):
     return repr(float(x))
 
 
-def write_csv(target, header, rows):
-    """Write `header` (unless None) and `rows` in this dialect: csv writes
-    None as an empty cell, and a float or numpy float64 as str(), which is
-    format_number's text. `target` is a path, which is overwritten, or a
-    text file open for writing, which gets the lines appended."""
-    opened = (contextlib.nullcontext(target) if hasattr(target, "write")
-              else open(target, "w", newline="", encoding="ascii"))
-    with opened as f:
+def write_csv(path, header, rows):
+    """Write `header` and `rows` to `path` in this dialect: csv writes None
+    as an empty cell, and a float or numpy float64 as str(), which is
+    format_number's text."""
+    with open(path, "w", newline="", encoding="ascii") as f:
         w = csv.writer(f, lineterminator="\n")
-        if header is not None:
-            w.writerow(header)
+        w.writerow(header)
         w.writerows(rows)
 
 
@@ -420,6 +416,8 @@ def read_csv(path, header):
                 yield reader.line_num, row
     except UnicodeDecodeError as e:
         raise FormatError(not_ascii(path, e)) from None
+    except csv.Error as e:
+        raise FormatError(f"{path}:{reader.line_num}: {e}") from None
 
 
 def _parse_cell(convert, cell, column, where):
@@ -539,9 +537,13 @@ def load_physio_csv(path):
 
 def write_physio_csv(f, record, start):
     """Append the rows of `record` to physio.csv open for writing as `f`,
-    the first at global sample `start`: t of global sample i is
-    i * (1 / sample_rate)."""
+    the first at global sample `start`, after the header when `start` is 0:
+    t of global sample i is i * (1 / sample_rate). A row is the text
+    write_csv gives it, floats as repr and the trigger as str."""
     dt = 1.0 / record.sample_rate
-    write_csv(f, None, zip(
-        [i * dt for i in range(start, start + len(record.ecg))], record.ecg.samples.tolist(),
-        record.resp.samples.tolist(), record.trigger.tolist()))
+    if start == 0:
+        f.write(_PHYSIO_HEAD.decode("ascii"))
+    f.writelines(map("{!r},{!r},{!r},{}\n".format,
+                     [i * dt for i in range(start, start + len(record.ecg))],
+                     record.ecg.samples.tolist(), record.resp.samples.tolist(),
+                     record.trigger.tolist()))

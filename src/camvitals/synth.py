@@ -5,20 +5,19 @@ behavioral test, including the skin-tone sweep."""
 
 import math
 import os
-from collections import deque
+import tempfile
 from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .dsp import TimeSeries
 from .geometry import Rect
-from .ingest import (FRAMES_FILE, HOLD_BREATH_TASK, MANIFEST_FILE, PHYSIO_FILE, PHYSIO_HEADER,
-                     PhysioRecord, TrialEntry, TrialManifest, VideoClip, write_csv,
-                     write_manifest, write_physio_csv, write_ppm, LUMA_R, LUMA_G, LUMA_B)
+from .ingest import (HOLD_BREATH_TASK, MANIFEST_FILE, PHYSIO_FILE, PhysioRecord, TrialEntry,
+                     TrialManifest, VideoClip, _frames_file, write_csv, write_manifest,
+                     write_physio_csv, write_ppm, LUMA_R, LUMA_G, LUMA_B)
 
 BACKGROUND_GRAY = 40.0
 BASE_SKIN = (200.0, 150.0, 130.0)
@@ -254,41 +253,39 @@ def _trial_rates(plan, seed):
     return rng.uniform(*hr_range), rng.uniform(*rr_range)
 
 
-def _render_trial(plan, cfg):
-    """(clip, truth, physio record) of one trial of synth_dataset."""
+def _render_trial(cfg, entry, path, record):
+    """Render a trial of synth_dataset into its `record`-byte records of the
+    frames.ppm at `path`; return its (truth, physio record)."""
     clip, truth = synth_clip(cfg)
+    with open(path, "r+b") as f:
+        f.seek(entry.start_frame * record)
+        write_ppm(f, clip.frames)
     ecg = synth_ecg(cfg.hr_bpm, PHYSIO_RATE, cfg.duration, jitter=0.05, seed=cfg.seed + 50_000)
     resp = synth_resp(cfg.rr_brpm, PHYSIO_RATE, cfg.duration, seed=cfg.seed + 100_000,
-                      amplitude=0.0 if plan.task_id == HOLD_BREATH_TASK else 1.0)
+                      amplitude=0.0 if entry.is_hold_breath else 1.0)
     trig = np.zeros(len(ecg), dtype=np.int64)
-    trig[0] = plan.trial_id
-    return clip, truth, PhysioRecord(sample_rate=PHYSIO_RATE, ecg=ecg, resp=resp, trigger=trig)
+    trig[0] = entry.trigger_code
+    return truth, PhysioRecord(sample_rate=PHYSIO_RATE, ecg=ecg, resp=resp, trigger=trig)
 
 
-def _in_order(jobs, workers):
-    """Yield the result of each callable in `jobs`, in order. With more than
-    one worker the jobs run on a pool of that many threads, at most that
-    many ahead of the consumer; a job's exception, or closing the
-    generator, stops the pool once its running jobs end."""
+def _in_order(fn, workers, *iterables):
+    """Yield map(fn, *iterables), on a pool of `workers` threads if more than
+    one. A call's exception, or closing the generator, cancels the calls not
+    yet started; the pool stops once its running calls end."""
     if workers <= 1:
-        yield from (job() for job in jobs)
+        yield from map(fn, *iterables)
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    jobs = iter(jobs)
     with ThreadPoolExecutor(workers) as pool:
-        pending = deque(pool.submit(job) for job in islice(jobs, workers))
-        while pending:
-            result = pending.popleft().result()
-            pending.extend(pool.submit(job) for job in islice(jobs, 1))
-            yield result
+        yield from pool.map(fn, *iterables)
 
 
 def synth_dataset(protocol, base_cfg, out_dir, seed=0, rates=None):
     """Write a full dataset directory for a protocol.
 
     Layout: frames.ppm (the global frame sequence as one stream of PPM
-    records, each trial's frames appended as rendered), manifest.txt,
+    records, each trial's frames at its start_frame), manifest.txt,
     physio.csv (ECG/belt/trigger at PHYSIO_RATE, trigger code = trial_id
     at each trial's start sample), and truth.csv with the injected rates
     and face geometry per trial. Hold-breath trials (task 2) get zero
@@ -298,13 +295,15 @@ def synth_dataset(protocol, base_cfg, out_dir, seed=0, rates=None):
     regeneration is bit-identical.
 
     The trials render on up to 4 threads, one per CPU this process may
-    run on, while this thread writes them in plan order; numpy's noise
-    draw and whole-array arithmetic release the GIL. Each trial draws
+    run on; numpy's noise draw and whole-array arithmetic release the GIL.
+    Each thread writes its trial's frames at start_frame * record size,
+    this thread the physio and truth rows in plan order. Each trial draws
     from its own generator, so the files do not depend on the CPU count.
 
     Each trial's config, frame range and physio length are checked, and
-    the manifest built from them, before any file is opened: a plan that
-    fails them leaves `out_dir` as it was.
+    the manifest built from them, before any file is opened. The files
+    are moved into `out_dir` from a temporary directory there after the
+    last trial, so a bad plan or a failing trial leaves its files as they were.
 
     Returns the dataset's TrialManifest and the {trial_id: (hr, rr)} rates
     it injected.
@@ -330,25 +329,27 @@ def synth_dataset(protocol, base_cfg, out_dir, seed=0, rates=None):
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = (partial(_render_trial, plan, cfg) for plan, cfg in zip(protocol, configs))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(4, cpus or 1, len(protocol))
 
     truth_rows = []
     next_sample = 0
-    with (open(out_dir / FRAMES_FILE, "wb") as frames_file,
-          open(out_dir / PHYSIO_FILE, "w", newline="", encoding="ascii") as physio_file,
-          closing(_in_order(jobs, workers)) as rendered):
-        write_csv(physio_file, PHYSIO_HEADER, ())
-        for plan, cfg, (clip, truth, physio) in zip(protocol, configs, rendered):
-            write_ppm(frames_file, clip.frames)
-            write_physio_csv(physio_file, physio, next_sample)
-            truth_rows.append([plan.trial_id, cfg.hr_bpm, cfg.rr_brpm, truth.face_box.x,
-                               truth.face_box.y, truth.face_box.w, truth.face_box.h,
-                               truth.mean_face_gray])
-            next_sample += len(physio.trigger)
-
-    write_manifest(out_dir / MANIFEST_FILE, manifest)
-    write_csv(out_dir / TRUTH_FILE, TRUTH_HEADER, truth_rows)
+    with tempfile.TemporaryDirectory(prefix=".synth-", dir=out_dir) as staging:
+        staging = Path(staging)
+        frames_path, _, record = _frames_file(staging, manifest)
+        open(frames_path, "wb").close()
+        render = partial(_render_trial, path=frames_path, record=record)
+        with (open(staging / PHYSIO_FILE, "w", newline="", encoding="ascii") as physio_file,
+              closing(_in_order(render, workers, configs, entries)) as rendered):
+            for plan, cfg, (truth, physio) in zip(protocol, configs, rendered):
+                write_physio_csv(physio_file, physio, next_sample)
+                truth_rows.append([plan.trial_id, cfg.hr_bpm, cfg.rr_brpm, truth.face_box.x,
+                                   truth.face_box.y, truth.face_box.w, truth.face_box.h,
+                                   truth.mean_face_gray])
+                next_sample += len(physio.trigger)
+        write_manifest(staging / MANIFEST_FILE, manifest)
+        write_csv(staging / TRUTH_FILE, TRUTH_HEADER, truth_rows)
+        for file in staging.iterdir():
+            os.replace(file, out_dir / file.name)
     return manifest, {plan.trial_id: (cfg.hr_bpm, cfg.rr_brpm)
                       for plan, cfg in zip(protocol, configs)}

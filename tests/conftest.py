@@ -5,7 +5,7 @@ from camvitals.config import PipelineConfig
 from camvitals.detect import Cascade, Stage, Tree
 from camvitals.dsp import estimate_rate
 from camvitals.geometry import Rect
-from camvitals.ingest import PHYSIO_HEADER, VideoClip, write_csv, write_physio_csv
+from camvitals.ingest import VideoClip, write_physio_csv
 from camvitals.synth import SynthConfig, synth_clip
 from camvitals.vitals import mean_gray_trace, pulse_trace
 
@@ -48,7 +48,6 @@ def quick_clip(hr=72.0, rr=15.0, duration=20.0, seed=0, **kw):
 def write_physio(path, record):
     """Write `record` as a whole physio.csv, header included, at `path`."""
     with open(path, "w", newline="", encoding="ascii") as f:
-        write_csv(f, PHYSIO_HEADER, ())
         write_physio_csv(f, record, 0)
 
 

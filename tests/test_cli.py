@@ -943,6 +943,40 @@ def test_groundtruth_names_a_physio_file_that_is_not_ascii(dataset, tmp_path, ca
     assert capsys.readouterr().err == f"error: {physio}: not ASCII text (byte 0xe9)\n"
 
 
+def test_groundtruth_names_the_line_of_an_oversized_physio_cell(dataset, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    (ds / "manifest.txt").write_bytes((dataset / "manifest.txt").read_bytes())
+    header, first, rest = (dataset / "physio.csv").read_bytes().split(b"\n", 2)
+    t, ecg, resp, trigger = first.split(b",")
+    physio = ds / "physio.csv"
+    physio.write_bytes(b"\n".join([header, b",".join([t, ecg, b"1" * 200_000, trigger]), rest]))
+    capsys.readouterr()
+    assert main(["groundtruth", "--data", str(ds), "--out", str(tmp_path / "gt.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {physio}:2: field larger than field limit (131072)\n")
+
+
+def test_evaluate_names_the_line_of_an_oversized_cell(estimates_csv, groundtruth_csv,
+                                                      tmp_path, capsys):
+    est = tmp_path / "est.csv"
+    header, row = estimates_csv.read_text().splitlines()
+    est.write_text(f"{header}\n{row}{'x' * 200_000}\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--estimates", str(est),
+                 "--groundtruth", str(groundtruth_csv), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == f"error: {est}:2: field larger than field limit (131072)\n"
+
+
+def test_estimate_names_a_cascade_nested_too_deeply(dataset, tmp_path, capsys):
+    cascade = tmp_path / "deep.json"
+    cascade.write_text("[" * 200_000 + "]" * 200_000)
+    capsys.readouterr()
+    assert main(["estimate", "--data", str(dataset), "--out", str(tmp_path / "est.csv"),
+                 "--cascade", str(cascade)]) == 1
+    assert capsys.readouterr().err == f"error: {cascade}: invalid JSON: nested too deeply\n"
+
+
 def test_all_trials_failing_detection_exits_one(tmp_path, capsys):
     ds = tmp_path / "blank"
     ds.mkdir()

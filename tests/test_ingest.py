@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import re
 from pathlib import Path
 
@@ -16,7 +18,8 @@ from camvitals.ingest import (FRAMES_FILE, LUMA_B, LUMA_G, LUMA_R, PHYSIO_HEADER
                               TrialManifest, VideoClip, _finite_float, crop_clip,
                               format_number, load_physio_csv,
                               parse_manifest, read_csv, read_frame_range,
-                              to_grayscale, write_csv, write_manifest, write_ppm)
+                              to_grayscale, write_csv, write_manifest, write_physio_csv,
+                              write_ppm)
 from camvitals.synth import TRUTH_HEADER, SynthConfig, TrialPlan, synth_dataset
 
 from conftest import write_physio
@@ -527,6 +530,26 @@ def test_csv_writer_formats_each_cell_as_the_dialect_says(tmp_path):
         "", "0", "-7", str(2 ** 70), "gaze"]
     back = np.array([_finite_float(row[0]) for row in rows[:len(values)]])
     assert back.tobytes() == np.array(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("start", [0, 7])
+def test_physio_rows_are_the_text_csv_writer_gives(start):
+    ecg = [-0.0, 5e-324, 1.7976931348623157e308, 0.1]
+    resp = [1.7976931348623157e308, -5e-324, 0.0, -1.5]
+    trigger = [-2 ** 63, 2 ** 63 - 1, 0, 3]
+    rate = 128.0
+    rec = PhysioRecord(sample_rate=rate, ecg=TimeSeries(ecg, rate), resp=TimeSeries(resp, rate),
+                       trigger=trigger)
+    got = io.StringIO()
+    write_physio_csv(got, rec, start)
+    want = io.StringIO()
+    w = csv.writer(want, lineterminator="\n")
+    if start == 0:
+        w.writerow(PHYSIO_HEADER)
+    w.writerows(zip([i * (1.0 / rate) for i in range(start, start + 4)], ecg, resp, trigger))
+    assert got.getvalue() == want.getvalue()
+    assert got.getvalue().splitlines()[-4].split(",")[1:] == ["-0.0", "1.7976931348623157e+308",
+                                                             str(-2 ** 63)]
 
 
 def test_flags_cell_round_trips_through_a_result_csv(tmp_path):

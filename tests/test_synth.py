@@ -400,6 +400,11 @@ POOL_DIGESTS = {
 }
 
 
+def _digests(out):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in POOL_DIGESTS}
+
+
 @pytest.mark.parametrize("cpus", [None, 1, 4])
 def test_dataset_bytes_do_not_depend_on_the_cpu_count(cpus, tmp_path, monkeypatch):
     if cpus is not None:
@@ -413,30 +418,92 @@ def test_dataset_bytes_do_not_depend_on_the_cpu_count(cpus, tmp_path, monkeypatc
     monkeypatch.setattr(synth, "synth_clip", render)
     synth_dataset(POOL_PROTOCOL, SynthConfig(width=32, height=32, noise_sigma=1.0),
                   tmp_path, seed=5)
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in POOL_DIGESTS}
-    assert digests == POOL_DIGESTS
+    assert _digests(tmp_path) == POOL_DIGESTS
     if cpus == 1:
         assert threads == {threading.get_ident()}
     elif cpus == 4:
         assert threading.get_ident() not in threads
 
 
+def _failing_at_trial(n, seed):
+    """synth_clip, except that trial n of a dataset of `seed` raises."""
+    def render(cfg):
+        if cfg.seed == seed + n:
+            raise ValueError(f"trial {n} cannot be rendered")
+        return synth_clip(cfg)
+    return render
+
+
 def test_a_failing_trial_stops_the_pool(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-
-    def render(cfg):
-        if cfg.seed == 3:  # trial 3 of seed 0
-            raise ValueError("trial 3 cannot be rendered")
-        return synth_clip(cfg)
-
-    monkeypatch.setattr(synth, "synth_clip", render)
+    monkeypatch.setattr(synth, "synth_clip", _failing_at_trial(3, seed=0))
     before = threading.active_count()
     protocol = [TrialPlan(i, "gaze", 3, 1.0) for i in range(1, 6)]
     with pytest.raises(ValueError, match="trial 3 cannot be rendered"):
         synth_dataset(protocol, SynthConfig(width=32, height=32, noise_sigma=1.0),
                       tmp_path, seed=0)
     assert threading.active_count() == before
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_each_trial_places_its_records_at_its_start_frame(tmp_path, monkeypatch):
+    # trial 1 renders last, so the later trials write first and off the main thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    later_written = threading.Event()
+    writes = []  # (trial's first byte, writing thread)
+    write_ppm = synth.write_ppm
+
+    def write_and_count(f, frames):
+        writes.append((f.tell(), threading.get_ident()))
+        write_ppm(f, frames)
+        if len(writes) == len(POOL_PROTOCOL) - 1:
+            later_written.set()
+
+    def render(cfg):
+        if cfg.seed == 5 + 1:  # trial 1 of seed 5
+            assert later_written.wait(10), "trials 2-6 did not write ahead of trial 1"
+        return synth_clip(cfg)
+
+    monkeypatch.setattr(synth, "write_ppm", write_and_count)
+    monkeypatch.setattr(synth, "synth_clip", render)
+    synth_dataset(POOL_PROTOCOL, SynthConfig(width=32, height=32, noise_sigma=1.0),
+                  tmp_path, seed=5)
+    assert _digests(tmp_path) == POOL_DIGESTS
+    assert writes[-1][0] == 0
+    assert threading.get_ident() not in {thread for _, thread in writes}
+
+
+def test_a_failing_trial_cancels_the_trials_not_started(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    started = []
+    never = threading.Event()
+
+    def render(cfg):
+        started.append(cfg.seed)  # the trial id at seed 0
+        if cfg.seed == 3:
+            raise ValueError("trial 3 cannot be rendered")
+        if cfg.seed > 3:
+            never.wait(0.5)
+        return synth_clip(cfg)
+
+    monkeypatch.setattr(synth, "synth_clip", render)
+    protocol = [TrialPlan(i, "gaze", 3, 0.5) for i in range(1, 13)]
+    with pytest.raises(ValueError, match="trial 3 cannot be rendered"):
+        synth_dataset(protocol, SynthConfig(width=32, height=32), tmp_path, seed=0)
+    # the four workers may each have taken one trial after trial 3 before it failed
+    assert max(started) <= 3 + 4
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_a_failing_trial_keeps_the_dataset_already_there(cpus, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    synth_dataset(POOL_PROTOCOL, SynthConfig(width=32, height=32, noise_sigma=1.0),
+                  tmp_path, seed=5)
+    monkeypatch.setattr(synth, "synth_clip", _failing_at_trial(4, seed=5))
+    with pytest.raises(ValueError, match="trial 4 cannot be rendered"):
+        synth_dataset(POOL_PROTOCOL, SynthConfig(width=32, height=32), tmp_path, seed=5)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(POOL_DIGESTS)
+    assert _digests(tmp_path) == POOL_DIGESTS
 
 
 @pytest.mark.parametrize("plan, rates, message", [

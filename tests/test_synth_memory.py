@@ -1,14 +1,15 @@
 """Memory guard for the renderer: synth_clip renders a clip in float64
 blocks of a bounded size, so a clip whose float64 frames alone would pass
 the address-space limit still renders, and `synth` sizes that cannot be
-allocated at all end in one error line that names the frame count.
+allocated at all end in one error line that names the frame count and
+leave no file in --out.
 
 The checks run in one child process under an address-space limit, so
 that a renderer that allocates the whole clip as float64 fails the test
 instead of filling the machine. Run as a script, this file is that child:
 `python tests/test_synth_memory.py OUT_DIR` prints a JSON object with the
 rendered clip's shape and dtype and, for each `synth` call of SYNTH_CALLS,
-[exit code, stderr].
+[exit code, stderr, files in --out].
 """
 
 import json
@@ -49,9 +50,10 @@ def test_renderer_stays_inside_an_address_space_limit(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert result["clip"] == [[4000, 128, 128, 3], "uint8", True]
-    for (args, want), (rc, err) in zip(SYNTH_CALLS, result["synth"], strict=True):
+    for (args, want), (rc, err, files) in zip(SYNTH_CALLS, result["synth"], strict=True):
         assert rc == 1, (args, err)
         assert re.fullmatch(want + "\n", err), (args, err)
+        assert files == [], (args, files)
 
 
 def _child(out_dir):
@@ -72,11 +74,12 @@ def _child(out_dir):
     del frames
 
     calls = []
+    out = Path(out_dir) / "ds"
     for args in SYNTH_CALLS:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main(["synth", "--out", str(Path(out_dir) / "ds"), *args[0]])
-        calls.append([rc, err.getvalue()])
+            rc = main(["synth", "--out", str(out), *args[0]])
+        calls.append([rc, err.getvalue(), sorted(os.listdir(out)) if out.exists() else []])
     print(json.dumps({"clip": clip, "synth": calls}))
 
 
