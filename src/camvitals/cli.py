@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 import argparse
 import dataclasses
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from .config import PipelineConfig, load_config
@@ -21,7 +22,7 @@ from .evaluation import (EST_HEADER, GT_HEADER, emit_report, flags_cell, join_re
 from .geometry import Rect, validate_rect
 from .groundtruth import gt_hr_flagged
 from .ingest import (MANIFEST_FILE, PHYSIO_FILE, check_crop, check_frames_file,
-                     crop_clip, load_physio_csv, named, parse_manifest,
+                     crop_clip, in_order, load_physio_csv, named, parse_manifest,
                      read_frame_range, write_csv)
 from .synth import SynthConfig, TrialPlan, paper_protocol, synth_dataset
 from .vitals import hr_roi, mean_gray_trace, pulse_trace, rr_roi
@@ -178,30 +179,39 @@ def _check_bands(cfg, sample_rate, stft_spec):
 
 
 def _run_trials(entries, analyse, header, out, describe):
-    """Analyse each trial, print its line, write one row per trial under
-    `header` to `out`, and return each row's flags.
+    """Analyse each trial in ingest.in_order's worker processes, print its
+    line, write one row per trial under `header` to `out`, and return each
+    row's flags.
 
     analyse(entry) -> (*values, flags), and the line of such a trial is
     describe(*values, flags). A trial with no face found gets roi_failure,
     one too short for its analysis windows too_short, both with empty
     values; any other data error ends the command, prefixed with the trial."""
     empty = [None] * (len(header) - 4)   # all but trial_id, condition, task_id, flags
-    rows, flag_sets = [], []
-    for entry in entries:
-        line = None
+
+    def attempt(entry):
+        """(values, flags, the line if describe does not give it) of a trial."""
         try:
             *values, flags = analyse(entry)
+            return values, flags, None
         except DetectionError:
-            values, flags, line = empty, {"roi_failure"}, "no face found (roi_failure)"
+            return empty, {"roi_failure"}, "no face found (roi_failure)"
         except SignalTooShort as e:
-            values, flags, line = empty, {"too_short"}, f"{e} (too_short)"
-        except ValueError as e:
-            raise ValueError(f"trial {entry.trial_id}: {e}") from e
-        if entry.is_hold_breath:
-            flags = flags | {"hold_breath_excluded"}
-        print(f"trial {entry.trial_id}: {line or describe(*values, flags)}")
-        rows.append((entry.trial_id, entry.condition, entry.task_id, *values, flags_cell(flags)))
-        flag_sets.append(flags)
+            return empty, {"too_short"}, f"{e} (too_short)"
+
+    rows, flag_sets = [], []
+    with closing(in_order(attempt, entries)) as outcomes:
+        for entry in entries:
+            try:
+                values, flags, line = next(outcomes)
+            except ValueError as e:
+                raise ValueError(f"trial {entry.trial_id}: {e}") from e
+            if entry.is_hold_breath:
+                flags = flags | {"hold_breath_excluded"}
+            print(f"trial {entry.trial_id}: {line or describe(*values, flags)}")
+            rows.append((entry.trial_id, entry.condition, entry.task_id, *values,
+                         flags_cell(flags)))
+            flag_sets.append(flags)
     write_csv(out, header, rows)
     return flag_sets
 
@@ -266,8 +276,6 @@ def cmd_estimate(args):
     def describe(hr_est, rr_est, _skin_gray, flags):
         return f"hr={hr_est:.2f} rr={rr_est:.2f} flags={flags_cell(flags)}"
 
-    # serial: the per-trial work holds the interpreter lock, and threads
-    # measured slower than this loop
     flags = _run_trials(manifest.entries, analyse, EST_HEADER, args.out, describe)
     ok = sum(not f & {"roi_failure", "too_short"} for f in flags)
     print(f"estimated {ok}/{len(flags)} trials -> {args.out}")

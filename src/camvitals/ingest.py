@@ -7,6 +7,8 @@ import contextlib
 import csv
 import math
 import os
+import pickle
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,6 +144,102 @@ class TrialManifest:
         for (s0, e0, id0), (s1, e1, id1) in zip(spans, spans[1:]):
             if s1 < e0:
                 raise FormatError(f"trials {id0} and {id1} overlap in frame ranges")
+
+
+# ------------------------- trials in worker processes -------------------------
+
+def in_order(fn, entries):
+    """Yield fn(entry) for each of a manifest's `entries`, in their order.
+
+    Where this process may run on more than one CPU (Linux), the calls run
+    in min(4, CPUs, entries) forked worker processes: worker k computes
+    entries k, k + workers, ... and sends each result, or the exception
+    that stops it, through its own pipe as a length-prefixed pickle. The
+    workers inherit `fn` with everything it reads; only results and
+    exceptions cross, and must pickle. An exception is raised here at its
+    entry's place; a worker that ends without its result raises
+    ChildProcessError naming the trial. However the generator ends, every
+    worker is killed and reaped. Otherwise the calls run here, one by one.
+    """
+    entries = list(entries)
+    workers = (min(4, len(os.sched_getaffinity(0)), len(entries))
+               if hasattr(os, "sched_getaffinity") else 1)
+    if workers <= 1:
+        yield from map(fn, entries)
+        return
+    import signal
+
+    # a worker that flushes a stream must not write again what this
+    # process had buffered before the fork
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pipes, running = [], []
+    try:
+        for k in range(workers):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, entries[k::workers], w)
+            finally:
+                # in this process only: a worker never returns from _work.
+                # Closed before the next fork, so a dead worker reads as EOF
+                os.close(w)
+            running.append(pid)
+        for i, entry in enumerate(entries):
+            message = _receive(pipes[i % workers])
+            if message is None:
+                code = os.waitstatus_to_exitcode(os.waitpid(running[i % workers], 0)[1])
+                running[i % workers] = None
+                raise ChildProcessError(
+                    f"trial {entry.trial_id}: worker process ended without its result "
+                    f"({f'signal {-code}' if code < 0 else f'exit status {code}'})")
+            ok, value = pickle.loads(message)
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for pid in running:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
+def _work(fn, entries, fd):
+    """A worker process of in_order: send (True, fn(entry)) for each entry
+    to the pipe `fd`, or (False, the exception) and stop. Never returns."""
+    code = 1
+    try:
+        with open(fd, "wb") as pipe:
+            for entry in entries:
+                try:
+                    outcome = True, fn(entry)
+                    message = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+                except BaseException as e:
+                    outcome = False, e
+                    message = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+                pipe.write(len(message).to_bytes(8, "little") + message)
+                pipe.flush()
+                if not outcome[0]:
+                    break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(pipe):
+    """The next message a worker of in_order sent through `pipe`, or None
+    if it ended first."""
+    head = pipe.read(8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "little")
+        message = pipe.read(size)
+        if len(message) == size:
+            return message
+    return None
 
 
 # ------------------------- PPM frames -------------------------

@@ -8,7 +8,6 @@ import os
 import tempfile
 from contextlib import closing
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from .dsp import TimeSeries
 from .geometry import Rect
 from .ingest import (HOLD_BREATH_TASK, MANIFEST_FILE, PHYSIO_FILE, PhysioRecord, TrialEntry,
-                     TrialManifest, VideoClip, _frames_file, write_csv, write_manifest,
+                     TrialManifest, VideoClip, _frames_file, in_order, write_csv, write_manifest,
                      write_physio_csv, write_ppm, LUMA_R, LUMA_G, LUMA_B)
 
 BACKGROUND_GRAY = 40.0
@@ -268,19 +267,6 @@ def _render_trial(cfg, entry, path, record):
     return truth, PhysioRecord(sample_rate=PHYSIO_RATE, ecg=ecg, resp=resp, trigger=trig)
 
 
-def _in_order(fn, workers, *iterables):
-    """Yield map(fn, *iterables), on a pool of `workers` threads if more than
-    one. A call's exception, or closing the generator, cancels the calls not
-    yet started; the pool stops once its running calls end."""
-    if workers <= 1:
-        yield from map(fn, *iterables)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool:
-        yield from pool.map(fn, *iterables)
-
-
 def synth_dataset(protocol, base_cfg, out_dir, seed=0, rates=None):
     """Write a full dataset directory for a protocol.
 
@@ -294,11 +280,11 @@ def synth_dataset(protocol, base_cfg, out_dir, seed=0, rates=None):
     pair. All randomness derives from `seed` and the trial id, so
     regeneration is bit-identical.
 
-    The trials render on up to 4 threads, one per CPU this process may
-    run on; numpy's noise draw and whole-array arithmetic release the GIL.
-    Each thread writes its trial's frames at start_frame * record size,
-    this thread the physio and truth rows in plan order. Each trial draws
-    from its own generator, so the files do not depend on the CPU count.
+    The trials render in ingest.in_order's worker processes, up to 4, one
+    per CPU this process may run on. Each worker writes its trial's frames
+    at start_frame * record size, this process the physio and truth rows
+    in plan order. Each trial draws from its own generator, so the files
+    do not depend on the CPU count.
 
     Each trial's config, frame range and physio length are checked, and
     the manifest built from them, before any file is opened. The files
@@ -329,8 +315,7 @@ def synth_dataset(protocol, base_cfg, out_dir, seed=0, rates=None):
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(4, cpus or 1, len(protocol))
+    config_of = dict(zip(entries, configs))
 
     truth_rows = []
     next_sample = 0
@@ -338,9 +323,12 @@ def synth_dataset(protocol, base_cfg, out_dir, seed=0, rates=None):
         staging = Path(staging)
         frames_path, _, record = _frames_file(staging, manifest)
         open(frames_path, "wb").close()
-        render = partial(_render_trial, path=frames_path, record=record)
+
+        def render(entry):
+            return _render_trial(config_of[entry], entry, frames_path, record)
+
         with (open(staging / PHYSIO_FILE, "w", newline="", encoding="ascii") as physio_file,
-              closing(_in_order(render, workers, configs, entries)) as rendered):
+              closing(in_order(render, entries)) as rendered):
             for plan, cfg, (truth, physio) in zip(protocol, configs, rendered):
                 write_physio_csv(physio_file, physio, next_sample)
                 truth_rows.append([plan.trial_id, cfg.hr_bpm, cfg.rr_brpm, truth.face_box.x,

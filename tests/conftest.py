@@ -1,3 +1,6 @@
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -59,3 +62,35 @@ def hr_estimate(clip, rois, cfg=PipelineConfig()):
 def rr_estimate(clip, rois, cfg=PipelineConfig()):
     """(brpm, flags) of a chest ROI sequence, as `camvitals estimate` computes it."""
     return estimate_rate(mean_gray_trace(clip, rois), cfg.rr_bandpass, cfg.video_stft)
+
+
+# ------------------------- worker processes -------------------------
+# A function that runs in a worker process of ingest.in_order leaves its
+# traces in files: its memory ends with the worker.
+
+def log_line(path, *fields):
+    """Append one line of `fields` to `path`."""
+    with open(path, "a") as f:
+        f.write(" ".join(map(str, fields)) + "\n")
+
+
+def logged(path):
+    """The lines log_line appended to `path`, each split into its fields."""
+    return [line.split() for line in path.read_text().splitlines()] if path.exists() else []
+
+
+def wait_for_lines(path, n, why):
+    """Wait up to 10 s until `path` holds at least n lines."""
+    deadline = time.monotonic() + 10.0
+    while len(logged(path)) < n:
+        assert time.monotonic() < deadline, why
+        time.sleep(0.005)
+
+
+def assert_ended(pids):
+    """Every one of `pids` has ended and been reaped: none is left running
+    or as a zombie."""
+    assert pids and os.getpid() not in pids
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)

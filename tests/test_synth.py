@@ -1,6 +1,6 @@
 import hashlib
 import os
-import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,12 +8,13 @@ import pytest
 from camvitals import synth
 
 from camvitals.geometry import Rect
-from camvitals.ingest import (FRAMES_FILE, parse_manifest, read_frame_range,
+from camvitals.ingest import (FRAMES_FILE, parse_manifest, ppm_header, read_frame_range,
                               load_physio_csv, to_grayscale)
 from camvitals.synth import (BACKGROUND_GRAY, BASE_SKIN, BLOCK_BYTES, CHEST_COLOR, RATE_RANGES,
                              SynthConfig, TrialPlan, paper_protocol, scene_geometry,
                              synth_clip, synth_dataset, synth_ecg, synth_resp)
 
+from conftest import assert_ended, log_line, logged, wait_for_lines
 from readers import read_truth_csv
 
 
@@ -383,15 +384,15 @@ def test_dataset_regeneration_is_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-# ------------------------- trials on a thread pool -------------------------
+# ------------------------- trials in worker processes -------------------------
 
-# six trials, more than the pool's at most four workers, of mixed lengths
-# (the 90-frame trial spans two frame blocks), trial 2 holding its breath
+# six trials, more than the at most four workers, of mixed lengths (the
+# 90-frame trial spans two frame blocks), trial 2 holding its breath
 POOL_PROTOCOL = [TrialPlan(1, "respiration", 1, 2.5), TrialPlan(2, "respiration", 2, 1.0),
                  TrialPlan(3, "workout", 7, 3.0), TrialPlan(4, "gaze", 3, 0.5),
                  TrialPlan(5, "gaze", 4, 2.0), TrialPlan(6, "gaze", 5, 1.5)]
 
-# sha256 of each file as the renderer wrote it before trials ran on threads
+# sha256 of each file as the renderer wrote it before trials ran in parallel
 POOL_DIGESTS = {
     FRAMES_FILE: "9ff595dfb51f3b0f5799e71a39c86df2ab8b525969318ecc5138ca0ce2c7f05c",
     "physio.csv": "6caeb63b6e1b0686b936cde4d9bd41ee6d363d50f6ba3c8ef83e3572f54fec54",
@@ -405,24 +406,32 @@ def _digests(out):
             for name in POOL_DIGESTS}
 
 
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 @pytest.mark.parametrize("cpus", [None, 1, 4])
 def test_dataset_bytes_do_not_depend_on_the_cpu_count(cpus, tmp_path, monkeypatch):
     if cpus is not None:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    threads = set()
+        _cpus(monkeypatch, cpus)
+    workers = (min(4, len(os.sched_getaffinity(0)), len(POOL_PROTOCOL))
+               if hasattr(os, "sched_getaffinity") else 1)
+    log = tmp_path / "pids"
 
     def render(cfg):
-        threads.add(threading.get_ident())
+        log_line(log, os.getpid())
         return synth_clip(cfg)
 
     monkeypatch.setattr(synth, "synth_clip", render)
     synth_dataset(POOL_PROTOCOL, SynthConfig(width=32, height=32, noise_sigma=1.0),
-                  tmp_path, seed=5)
-    assert _digests(tmp_path) == POOL_DIGESTS
-    if cpus == 1:
-        assert threads == {threading.get_ident()}
-    elif cpus == 4:
-        assert threading.get_ident() not in threads
+                  tmp_path / "ds", seed=5)
+    assert _digests(tmp_path / "ds") == POOL_DIGESTS
+    pids = {int(pid) for pid, in logged(log)}
+    if workers == 1:
+        assert pids == {os.getpid()}
+    else:
+        assert len(pids) == workers
+        assert_ended(pids)
 
 
 def _failing_at_trial(n, seed):
@@ -435,68 +444,81 @@ def _failing_at_trial(n, seed):
 
 
 def test_a_failing_trial_stops_the_pool(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setattr(synth, "synth_clip", _failing_at_trial(3, seed=0))
-    before = threading.active_count()
+    _cpus(monkeypatch, 4)
+    log = tmp_path / "pids"
+    failing = _failing_at_trial(3, seed=0)
+
+    def render(cfg):
+        log_line(log, os.getpid())
+        return failing(cfg)
+
+    monkeypatch.setattr(synth, "synth_clip", render)
     protocol = [TrialPlan(i, "gaze", 3, 1.0) for i in range(1, 6)]
     with pytest.raises(ValueError, match="trial 3 cannot be rendered"):
         synth_dataset(protocol, SynthConfig(width=32, height=32, noise_sigma=1.0),
-                      tmp_path, seed=0)
-    assert threading.active_count() == before
-    assert list(tmp_path.iterdir()) == []
+                      tmp_path / "ds", seed=0)
+    assert_ended({int(pid) for pid, in logged(log)})
+    assert list((tmp_path / "ds").iterdir()) == []
 
 
 def test_each_trial_places_its_records_at_its_start_frame(tmp_path, monkeypatch):
-    # trial 1 renders last, so the later trials write first and off the main thread
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    later_written = threading.Event()
-    writes = []  # (trial's first byte, writing thread)
+    # four workers own trials (1, 5), (2, 6), (3) and (4). Trial 1 renders
+    # once the other workers' trials 2, 3, 4 and 6 have written, so records
+    # reach the file out of plan order, and none from this process
+    _cpus(monkeypatch, 4)
+    log = tmp_path / "writes"   # (trial's first byte, writing pid) per trial
     write_ppm = synth.write_ppm
 
-    def write_and_count(f, frames):
-        writes.append((f.tell(), threading.get_ident()))
+    def write_and_log(f, frames):
+        first = f.tell()
         write_ppm(f, frames)
-        if len(writes) == len(POOL_PROTOCOL) - 1:
-            later_written.set()
+        log_line(log, first, os.getpid())
 
     def render(cfg):
         if cfg.seed == 5 + 1:  # trial 1 of seed 5
-            assert later_written.wait(10), "trials 2-6 did not write ahead of trial 1"
+            wait_for_lines(log, 4, "trials 2, 3, 4 and 6 did not write ahead of trial 1")
         return synth_clip(cfg)
 
-    monkeypatch.setattr(synth, "write_ppm", write_and_count)
+    monkeypatch.setattr(synth, "write_ppm", write_and_log)
     monkeypatch.setattr(synth, "synth_clip", render)
-    synth_dataset(POOL_PROTOCOL, SynthConfig(width=32, height=32, noise_sigma=1.0),
-                  tmp_path, seed=5)
-    assert _digests(tmp_path) == POOL_DIGESTS
-    assert writes[-1][0] == 0
-    assert threading.get_ident() not in {thread for _, thread in writes}
+    manifest, _ = synth_dataset(POOL_PROTOCOL, SynthConfig(width=32, height=32, noise_sigma=1.0),
+                                tmp_path / "ds", seed=5)
+    assert _digests(tmp_path / "ds") == POOL_DIGESTS
+    writes = logged(log)
+    record = len(ppm_header(32, 32)) + 32 * 32 * 3
+    assert sorted(int(first) for first, _ in writes) == [e.start_frame * record
+                                                         for e in manifest.entries]
+    assert writes[4][0] == "0"   # trial 1, after the other workers' four trials
+    assert_ended({int(pid) for _, pid in writes})
 
 
 def test_a_failing_trial_cancels_the_trials_not_started(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    started = []
-    never = threading.Event()
+    # four workers own trials (1, 5, 9), (2, 6, 10), (3, 7, 11) and (4, 8, 12)
+    _cpus(monkeypatch, 4)
+    log = tmp_path / "started"   # (trial id, pid) of each trial begun
 
     def render(cfg):
-        started.append(cfg.seed)  # the trial id at seed 0
+        log_line(log, cfg.seed, os.getpid())  # the trial id at seed 0
         if cfg.seed == 3:
             raise ValueError("trial 3 cannot be rendered")
         if cfg.seed > 3:
-            never.wait(0.5)
+            time.sleep(0.5)
         return synth_clip(cfg)
 
     monkeypatch.setattr(synth, "synth_clip", render)
     protocol = [TrialPlan(i, "gaze", 3, 0.5) for i in range(1, 13)]
     with pytest.raises(ValueError, match="trial 3 cannot be rendered"):
-        synth_dataset(protocol, SynthConfig(width=32, height=32), tmp_path, seed=0)
-    # the four workers may each have taken one trial after trial 3 before it failed
-    assert max(started) <= 3 + 4
+        synth_dataset(protocol, SynthConfig(width=32, height=32), tmp_path / "ds", seed=0)
+    started = logged(log)
+    # trial 3's worker takes no trial after it, and each other worker at
+    # most the one it was rendering when trial 3 failed
+    assert max(int(trial) for trial, _ in started) <= 6
+    assert_ended({int(pid) for _, pid in started})
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_a_failing_trial_keeps_the_dataset_already_there(cpus, tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    _cpus(monkeypatch, cpus)
     synth_dataset(POOL_PROTOCOL, SynthConfig(width=32, height=32, noise_sigma=1.0),
                   tmp_path, seed=5)
     monkeypatch.setattr(synth, "synth_clip", _failing_at_trial(4, seed=5))
@@ -514,11 +536,12 @@ def test_a_failing_trial_keeps_the_dataset_already_there(cpus, tmp_path, monkeyp
     (TrialPlan(2, "gaze", 3, 0.01), None, "^trial 2: bad frame range$"),
 ], ids=["rate", "task", "no-physio", "no-frame"])
 def test_a_bad_plan_writes_nothing(plan, rates, message, tmp_path, monkeypatch):
-    # a good trial ahead of the bad one: nothing renders before the plan is checked
-    rendered = []
-    monkeypatch.setattr(synth, "synth_clip", lambda cfg: rendered.append(cfg))
+    # a good trial ahead of the bad one: nothing renders before the plan is
+    # checked, in this process or in a worker
+    rendered = tmp_path / "rendered"
+    monkeypatch.setattr(synth, "synth_clip", lambda cfg: log_line(rendered, cfg.seed))
     out = tmp_path / "ds"
     with pytest.raises(ValueError, match=message):
         synth_dataset([TrialPlan(1, "gaze", 3, 1.0), plan], SynthConfig(width=32, height=32),
                       out, seed=0, rates=rates)
-    assert not out.exists() and rendered == []
+    assert not out.exists() and logged(rendered) == []
