@@ -4,7 +4,6 @@ cascade format (plus a converter from the OpenCV XML layout)."""
 
 import json
 import math
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -462,6 +461,9 @@ def convert_opencv_xml(path):
     values differently, so converted models may need threshold
     recalibration before use here.
     """
+    # here, not at the top: only convert-cascade reads XML
+    import xml.etree.ElementTree as ET
+
     try:
         root = ET.parse(path).getroot()
     except ET.ParseError as e:

@@ -1,17 +1,24 @@
 """Signal toolbox: detrending, zero-phase bandpass, windowed spectral peak
 tracking, and the rate estimator shared by the video and physio paths."""
 
-# The Butterworth design, the zero-phase filter and the natural cubic
-# spline below are numpy/Python ports of scipy.signal.butter,
-# scipy.signal.sosfiltfilt and scipy.interpolate.CubicSpline. Each does
-# scipy's floating-point operations in scipy's order, so its results are
-# bit-equal to scipy's; tests/test_dsp.py checks that against scipy.
-# Importing scipy.signal and scipy.interpolate takes over a second, more
-# than the signal work of a whole `groundtruth` run.
+# The Butterworth design and the natural cubic spline below are
+# numpy/Python ports of scipy.signal.butter and
+# scipy.interpolate.CubicSpline, and the zero-phase filter is
+# scipy.signal.sosfiltfilt's padding and passes around scipy's own
+# compiled sosfilt loop. Each does scipy's floating-point operations in
+# scipy's order, so its results are bit-equal to scipy's;
+# tests/test_dsp.py checks that against scipy. Importing scipy.signal and
+# scipy.interpolate takes over a second, more than the signal work of a
+# whole `groundtruth` run, so the loop is loaded from its extension file
+# and scipy.signal's package init never runs.
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import statistics
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,7 +183,9 @@ def check_nyquist(spec, sample_rate):
 def check_bandpass(spec, sample_rate):
     """Raise ValueError unless bandpass can filter by spec at sample_rate:
     the band lies below Nyquist, and the design bandpass caches, built
-    here, is finite."""
+    here, is finite. Also load the compiled filter loop bandpass runs,
+    once per process (FileNotFoundError if scipy has none), so that
+    worker processes forked later inherit it."""
     check_nyquist(spec, sample_rate)
     try:
         with np.errstate(all="ignore"):
@@ -186,6 +195,7 @@ def check_bandpass(spec, sample_rate):
     if not all(np.isfinite(d).all() for d in design):
         raise ValueError(f"band ({spec.low}, {spec.high}) Hz of order {spec.order} "
                          f"has no finite filter design at {sample_rate} Hz")
+    _sosfilt_kernel()
 
 
 def _poly(roots):
@@ -298,20 +308,44 @@ def _cached_zi(spec, sample_rate):
     return zi
 
 
-def _sosfilt(sos, x, zi):
-    """signal.sosfilt's transposed direct-form II recurrence over the list
-    of floats x from section states zi, one section after the other (each
-    section's output depends only on its input, so this equals scipy's
-    sample-major loop)."""
-    for (b0, b1, b2, _, a1, a2), (z0, z1) in zip(sos.tolist(), zi.tolist()):
-        y = []
-        for xn in x:
-            yn = b0 * xn + z0
-            z0 = b1 * xn - a1 * yn + z1
-            z1 = b2 * xn - a2 * yn
-            y.append(yn)
-        x = y
-    return x
+# scipy's compiled sosfilt loop, in scipy/signal/_sosfilt<extension suffix>
+_KERNEL_MODULE = "scipy.signal._sosfilt"
+
+
+def _load_extension(name, path):
+    """The extension module `name` loaded from the file `path`, left out of
+    sys.modules (Cython's init enters its module there)."""
+    registered = name in sys.modules
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    if not registered:
+        sys.modules.pop(name, None)
+    return module
+
+
+@functools.cache
+def _sosfilt_kernel():
+    """scipy.signal's compiled sosfilt loop, `_sosfilt(sos, x, zi)`, loaded
+    once per process from its extension file in the installed scipy, so
+    that scipy.signal's package init never runs. It filters the rows of
+    the C-contiguous float64 array x through the sections of sos, in
+    place, from the section states zi of shape (rows, sections, 2), which
+    it also updates; every argument must be writable. FileNotFoundError,
+    naming the file and scipy's version, if scipy has no such loop."""
+    import scipy
+    base = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin),
+                        *_KERNEL_MODULE.split(".")[1:])
+    paths = [base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise FileNotFoundError(f"{paths[0]}: no such file; the bandpass filter needs "
+                                f"scipy's compiled sosfilt loop (scipy {scipy.__version__})")
+    kernel = getattr(_load_extension(_KERNEL_MODULE, path), "_sosfilt", None)
+    if kernel is None:
+        raise FileNotFoundError(f"{path}: no _sosfilt in it; the bandpass filter needs "
+                                f"scipy's compiled sosfilt loop (scipy {scipy.__version__})")
+    return kernel
 
 
 def bandpass(ts, spec):
@@ -334,14 +368,18 @@ def bandpass(ts, spec):
     padlen = 3 * (2 * spec.order + 1)
     if len(ts) <= 3 * padlen:
         raise SignalTooShort(f"signal of {len(ts)} samples too short for padding of {padlen}")
-    sos = _cached_sos(spec, ts.sample_rate)
+    sosfilt = _sosfilt_kernel()
+    # the loop filters in place and takes only writable arrays: a copy of
+    # the shared design, and fresh signal and state arrays for each pass
+    sos = _cached_sos(spec, ts.sample_rate).copy()
+    zi = _cached_zi(spec, ts.sample_rate)
     # signal.sosfiltfilt(sos, x, padtype="even", padlen=padlen)
     x = ts.samples
-    ext = np.concatenate((x[padlen:0:-1], x, x[-2:-(padlen + 2):-1]))
-    zi = _cached_zi(spec, ts.sample_rate)
-    y = _sosfilt(sos, ext.tolist(), zi * ext[0])
-    y = _sosfilt(sos, y[::-1], zi * y[-1])
-    return TimeSeries(np.array(y[::-1][padlen:-padlen]), ts.sample_rate)
+    y = np.concatenate((x[padlen:0:-1], x, x[-2:-(padlen + 2):-1]))[np.newaxis]
+    sosfilt(sos, y, (zi * y[0, 0])[np.newaxis])
+    y = y[:, ::-1].copy()
+    sosfilt(sos, y, (zi * y[0, 0])[np.newaxis])
+    return TimeSeries(y[0, ::-1][padlen:-padlen].copy(), ts.sample_rate)
 
 
 def check_window(n, spec):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib.machinery
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from conftest import make_toy_cascade, write_physio
 
 from camvitals import cli, dsp, vitals
@@ -665,6 +667,28 @@ def test_bad_setting_names_the_config_before_trial_1(command, setting, window, m
     assert main(args) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {cfg}{message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "groundtruth"])
+def test_missing_filter_loop_is_one_error_line_before_trial_1(command, dataset, tmp_path,
+                                                               capsys, monkeypatch):
+    # a scipy without the compiled sosfilt loop; the failed load is not
+    # cached, so the next test loads the real loop
+    monkeypatch.setattr(dsp, "_KERNEL_MODULE", "scipy.signal._no_sosfilt")
+    dsp._sosfilt_kernel.cache_clear()
+    out = tmp_path / "out.csv"
+    args = [command, "--data", str(dataset), "--out", str(out)]
+    if command == "estimate":
+        args += ["--roi", ROI, "--crop", NOCROP]
+    capsys.readouterr()
+    assert main(args) == 1
+    path = os.path.join(os.path.dirname(scipy.__file__), "signal",
+                        "_no_sosfilt" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {path}: no such file; the bandpass filter needs "
+                            f"scipy's compiled sosfilt loop (scipy {scipy.__version__})\n")
     assert captured.out == ""
     assert not out.exists()
 

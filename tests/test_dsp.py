@@ -1,5 +1,7 @@
 import math
+import os
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -252,6 +254,86 @@ def test_bandpass_matches_sosfiltfilt_bit_for_bit(order):
                 want = scipy.signal.sosfiltfilt(sos, x, padtype="even", padlen=padlen)
                 assert same_bits(bandpass(TimeSeries(x, rate), spec).samples, want), \
                     (low, high, rate, n)
+
+
+# ------------------------- the compiled filter loop -------------------------
+# bandpass runs scipy's compiled sosfilt loop; this Python recurrence, its
+# former pure-Python filter, is the reference it must match bit for bit.
+
+def reference_sosfilt(sos, x, zi):
+    """signal.sosfilt's transposed direct-form II recurrence over the list
+    of floats x from section states zi, one section after the other (each
+    section's output depends only on its input, so this equals scipy's
+    sample-major loop)."""
+    for (b0, b1, b2, _, a1, a2), (z0, z1) in zip(sos.tolist(), zi.tolist()):
+        y = []
+        for xn in x:
+            yn = b0 * xn + z0
+            z0 = b1 * xn - a1 * yn + z1
+            z1 = b2 * xn - a2 * yn
+            y.append(yn)
+        x = y
+    return x
+
+
+def reference_bandpass(x, spec, rate):
+    """bandpass's zero-phase filtering of the samples x through
+    reference_sosfilt."""
+    padlen = 3 * (2 * spec.order + 1)
+    sos, zi = dsp._cached_sos(spec, rate), dsp._cached_zi(spec, rate)
+    ext = np.concatenate((x[padlen:0:-1], x, x[-2:-(padlen + 2):-1]))
+    y = reference_sosfilt(sos, ext.tolist(), zi * ext[0])
+    y = reference_sosfilt(sos, y[::-1], zi * y[-1])
+    return np.array(y[::-1][padlen:-padlen])
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_bandpass_matches_the_python_recurrence_bit_for_bit(order):
+    rng = np.random.default_rng(30 + order)
+    padlen = 3 * (2 * order + 1)
+    for low, high, rate in (_COMPLEX_POLE_BANDS[0], _COMPLEX_POLE_BANDS[3],
+                            _REAL_POLE_BANDS[0], _REAL_POLE_BANDS[3]):
+        spec = BandpassSpec(low, high, order)
+        design = (dsp._cached_sos(spec, rate), dsp._cached_zi(spec, rate))
+        want_design = [d.tobytes() for d in design]
+        cases = [(n, x) for n in (3 * padlen + 1, 600, 2560)
+                 for x in (rng.normal(size=n), np.full(n, 3.7), 1e6 + rng.normal(size=n))]
+        if rate == 30.0:
+            # the long case on one complex-pole and one real-pole band, on
+            # the input most prone to rounding
+            cases.append((200_000, 1e6 + rng.normal(size=200_000)))
+        for n, x in cases:
+            ts = TimeSeries(x, rate)
+            x_bytes = ts.samples.tobytes()
+            got = bandpass(ts, spec).samples
+            assert same_bits(got, reference_bandpass(ts.samples, spec, rate)), \
+                (low, high, rate, n)
+            assert ts.samples.tobytes() == x_bytes
+            assert [d.tobytes() for d in design] == want_design
+            assert not any(d.flags.writeable for d in design)
+
+
+@pytest.fixture
+def uncached_kernel():
+    """Load the compiled loop anew in the test, and again after it."""
+    dsp._sosfilt_kernel.cache_clear()
+    yield
+    dsp._sosfilt_kernel.cache_clear()
+
+
+def test_kernel_without_sosfilt_names_the_file_and_scipy_version(monkeypatch,
+                                                                   uncached_kernel):
+    monkeypatch.setattr(dsp, "_load_extension", lambda name, path: types.ModuleType(name))
+    with pytest.raises(FileNotFoundError) as e:
+        dsp.check_bandpass(BandpassSpec(0.7, 2.5, 3), 30.0)
+    path = os.path.join(os.path.dirname(scipy.__file__), "signal", "_sosfilt")
+    assert str(e.value).startswith(path)
+    assert f"(scipy {scipy.__version__})" in str(e.value)
+
+
+def test_kernel_is_scipy_signals_own_loop(uncached_kernel):
+    # this process has imported scipy.signal itself; both hold one loop
+    assert dsp._sosfilt_kernel() is scipy.signal._sosfilt._sosfilt
 
 
 def peak_train_knots(peaks):

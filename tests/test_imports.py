@@ -1,7 +1,9 @@
-"""Start-up cost: `import camvitals.cli`, `estimate` and `groundtruth` load
-no scipy module, and `evaluate` loads none of the slow scipy subpackages;
-the modules import scipy inside the functions that use it. Each case runs
-in a fresh interpreter, since this process has long since imported scipy."""
+"""Start-up cost: `import camvitals.cli` loads no scipy module, `estimate`
+and `groundtruth` load only scipy's top level and its compiled sosfilt
+loop, and `evaluate` loads none of the slow scipy subpackages; the modules
+import scipy inside the functions that use it. None of the three loads the
+XML parser, which only `convert-cascade` needs. Each case runs in a fresh
+interpreter, since this process has long since imported scipy."""
 
 import json
 import os
@@ -14,6 +16,9 @@ from camvitals.ingest import write_csv
 from camvitals.synth import SynthConfig, TrialPlan, synth_dataset
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# scipy subpackages whose imports cost up to seconds
+SLOW_SUBPACKAGES = ("scipy.signal", "scipy.interpolate", "scipy.linalg", "scipy.special",
+                    "scipy.stats", "scipy.fft", "scipy.ndimage")
 
 
 def fresh_python(code):
@@ -34,20 +39,51 @@ def test_importing_the_cli_loads_no_scipy():
     assert loaded == []
 
 
-def test_estimate_and_groundtruth_load_no_scipy(tmp_path):
+def estimate_and_groundtruth_args(tmp_path):
+    """`estimate` and `groundtruth` arguments over a one-trial synth dataset
+    in tmp_path, writing est.csv and gt.csv there."""
     data = tmp_path / "data"
     synth_dataset([TrialPlan(1, "respiration", 1, 10.0)], SynthConfig(width=32, height=32),
                   data, seed=2, rates={1: (72.0, 15.0)})
     estimate = ["estimate", "--data", str(data), "--out", str(tmp_path / "est.csv"),
                 "--roi", "manual:12,5,8,10", "--crop", "0,0,0,0"]
     groundtruth = ["groundtruth", "--data", str(data), "--out", str(tmp_path / "gt.csv")]
+    return estimate, groundtruth
+
+
+def test_estimate_and_groundtruth_load_no_scipy_subpackage(tmp_path):
+    estimate, groundtruth = estimate_and_groundtruth_args(tmp_path)
     rcs, loaded = fresh_python(
         "import json, sys\n"
         "from camvitals import cli\n"
         f"rcs = [cli.main({estimate!r}), cli.main({groundtruth!r})]\n"
         "print(json.dumps([rcs, sorted(m for m in sys.modules\n"
         "                              if m == 'scipy' or m.startswith('scipy.'))]))\n")
+    # what `import scipy` and the filter loop's own load bring in anyway
+    floor = fresh_python(
+        "import json, sys\n"
+        "import scipy\n"
+        "from camvitals import dsp\n"
+        "dsp._sosfilt_kernel()\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m == 'scipy' or m.startswith('scipy.'))))\n")
     assert rcs == [0, 0]
+    assert [m for m in loaded
+            if (m + ".").startswith(tuple(p + "." for p in SLOW_SUBPACKAGES))] == []
+    assert set(loaded) <= set(floor)
+
+
+def test_estimate_groundtruth_and_evaluate_load_no_xml_parser(tmp_path):
+    estimate, groundtruth = estimate_and_groundtruth_args(tmp_path)
+    evaluate = ["evaluate", "--estimates", str(tmp_path / "est.csv"),
+                "--groundtruth", str(tmp_path / "gt.csv"), "--out", str(tmp_path / "report")]
+    rcs, loaded = fresh_python(
+        "import json, sys\n"
+        "from camvitals import cli\n"
+        f"rcs = [cli.main(args) for args in ({estimate!r}, {groundtruth!r}, {evaluate!r})]\n"
+        "print(json.dumps([rcs, sorted(m for m in sys.modules\n"
+        "                              if m == 'xml.etree' or m.startswith('xml.etree.'))]))\n")
+    assert rcs == [0, 0, 0]
     assert loaded == []
 
 
