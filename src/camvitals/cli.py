@@ -4,6 +4,13 @@ Subcommands: synth (generate a dataset), estimate (video to HR/RR
 estimates), groundtruth (physio channels to reference rates), evaluate
 (join + report), convert-cascade (OpenCV XML to the JSON cascade format).
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.
+
+Each subcommand imports the modules it runs inside its `cmd_` function,
+so a process loads only those: `evaluate` loads no detector, signal
+toolbox or renderer, and `groundtruth` no detector or renderer. At module
+level this file imports only what the parser and the trial loop need:
+`geometry` (the ROI box and DetectionError), `ingest`, and `scene` (the
+synth option defaults, without the renderer).
 """
 
 import argparse
@@ -12,20 +19,11 @@ import sys
 from contextlib import closing
 from pathlib import Path
 
-from .config import PipelineConfig, load_config
-from .detect import (DetectionError, check_frame_fits, check_min_size, convert_opencv_xml,
-                     load_cascade, save_cascade, track_roi)
-from .dsp import (SignalTooShort, TimeSeries, band_bins, bandpass, check_bandpass,
-                  check_detrend_window, estimate_rate, filtered_rate)
-from .evaluation import (EST_HEADER, GT_HEADER, emit_report, flags_cell, join_results,
-                         render_signals, segment_trials, skin_tone_gray)
-from .geometry import Rect, validate_rect
-from .groundtruth import gt_hr_flagged
+from .geometry import DetectionError, Rect, validate_rect
 from .ingest import (MANIFEST_FILE, PHYSIO_FILE, check_crop, check_frames_file,
                      crop_clip, in_order, load_physio_csv, named, parse_manifest,
                      read_frame_range, write_csv)
-from .synth import SynthConfig, TrialPlan, paper_protocol, synth_dataset
-from .vitals import hr_roi, mean_gray_trace, pulse_trace, rr_roi
+from .scene import SynthConfig
 
 
 def _four_ints(text, what):
@@ -134,6 +132,8 @@ def build_parser():
 # ------------------------- synth -------------------------
 
 def cmd_synth(args):
+    from .synth import TrialPlan, paper_protocol, synth_dataset
+
     base_cfg = SynthConfig(width=args.width, height=args.height, fps=args.fps,
                            tone=args.tone, pulse_amp=args.pulse_amp,
                            chest_amp=args.chest_amp, noise_sigma=args.noise_sigma,
@@ -161,6 +161,8 @@ def cmd_synth(args):
 # ------------------------- trials -------------------------
 
 def _load_pipeline_config(args):
+    from .config import PipelineConfig, load_config
+
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if getattr(args, "crop", None) is not None:
         left, right, top, bottom = args.crop
@@ -173,6 +175,8 @@ def _check_bands(cfg, sample_rate, stft_spec):
     """Raise ValueError unless estimate_rate can filter and peak-track both
     bands of cfg at sample_rate: the checks each of its calls makes, on
     the filter designs it uses, built here."""
+    from .dsp import band_bins, check_bandpass
+
     for spec in (cfg.hr_bandpass, cfg.rr_bandpass):
         check_bandpass(spec, sample_rate)
         band_bins((spec.low, spec.high), sample_rate, stft_spec)
@@ -187,6 +191,9 @@ def _run_trials(entries, analyse, header, out, describe):
     describe(*values, flags). A trial with no face found gets roi_failure,
     one too short for its analysis windows too_short, both with empty
     values; any other data error ends the command, prefixed with the trial."""
+    from .dsp import SignalTooShort
+    from .evaluation import flags_cell
+
     empty = [None] * (len(header) - 4)   # all but trial_id, condition, task_id, flags
 
     def attempt(entry):
@@ -219,11 +226,20 @@ def _run_trials(entries, analyse, header, out, describe):
 # ------------------------- estimate -------------------------
 
 def cmd_estimate(args):
+    from .dsp import bandpass, filtered_rate
+    from .evaluation import EST_HEADER, flags_cell, render_signals, skin_tone_gray
+    from .vitals import hr_roi, mean_gray_trace, pulse_trace, rr_roi
+
     if (args.cascade is None) == (args.roi is None):
         print("error: exactly one of --cascade / --roi is required", file=sys.stderr)
         return 2
     cfg = _load_pipeline_config(args)
-    cascade = load_cascade(args.cascade) if args.cascade else None
+    if args.cascade is not None:
+        from .detect import check_frame_fits, check_min_size, load_cascade, track_roi
+
+        cascade = load_cascade(args.cascade)
+    else:
+        cascade = None
     data_dir = Path(args.data)
     manifest = parse_manifest(data_dir / MANIFEST_FILE)
     check_frames_file(data_dir, manifest)
@@ -291,6 +307,11 @@ def cmd_estimate(args):
 # ------------------------- groundtruth -------------------------
 
 def cmd_groundtruth(args):
+    from .dsp import check_detrend_window, estimate_rate
+    from .evaluation import GT_HEADER, segment_trials
+    from .groundtruth import gt_hr_flagged
+    from .series import TimeSeries
+
     cfg = _load_pipeline_config(args)
     data_dir = Path(args.data)
     manifest = parse_manifest(data_dir / MANIFEST_FILE)
@@ -327,6 +348,8 @@ def cmd_groundtruth(args):
 # ------------------------- evaluate -------------------------
 
 def cmd_evaluate(args):
+    from .evaluation import emit_report, join_results
+
     report = emit_report(join_results(args.estimates, args.groundtruth), args.out)
     for summ in report.hr_summaries + report.rr_summaries:
         print(f"{summ.signal} {summ.condition}: n={summ.n} "
@@ -342,6 +365,8 @@ def cmd_evaluate(args):
 # ------------------------- convert-cascade -------------------------
 
 def cmd_convert_cascade(args):
+    from .detect import convert_opencv_xml, save_cascade
+
     cascade = convert_opencv_xml(args.xml)
     save_cascade(args.out, cascade)
     n_trees = sum(len(s.trees) for s in cascade.stages)

@@ -5,8 +5,8 @@ flat `key = value` file format and CLI override."""
 import math
 from dataclasses import dataclass, fields
 
-from .detect import DEFAULT_MIN_NEIGHBORS, DEFAULT_SCALE_FACTOR, check_scale_factor
 from .dsp import PHYSIO_STFT, VIDEO_STFT, DEFAULT_FILTER_ORDER, BandpassSpec, StftSpec
+from .geometry import DEFAULT_MIN_NEIGHBORS, DEFAULT_SCALE_FACTOR, check_scale_factor
 from .ingest import FormatError, named, not_ascii
 
 

@@ -10,19 +10,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Rect
+from .geometry import (DEFAULT_MIN_NEIGHBORS, DEFAULT_SCALE_FACTOR, DetectionError, Rect,
+                       check_scale_factor)
 from .ingest import FormatError, named, not_ascii, to_grayscale
 
-DEFAULT_SCALE_FACTOR = 1.1
-DEFAULT_MIN_NEIGHBORS = 3
 GROUP_EPS = 0.2
 # most scales one frame's scan may slide over: the default scale_factor
 # needs 40 for a 24-px window in a 1080-px frame
 MAX_SCALES = 1000
-
-
-class DetectionError(RuntimeError):
-    """Face tracking failed on every frame of a clip."""
 
 
 # ------------------------- integral images -------------------------
@@ -269,12 +264,6 @@ def evaluate_window(c, ii, ii_sq, win, scale, plan):
         if total < stage_threshold:
             return False
     return True
-
-
-def check_scale_factor(scale_factor):
-    """Raise ValueError unless the window grows by scale_factor > 1."""
-    if not scale_factor > 1:
-        raise ValueError(f"scale_factor must be > 1, got {scale_factor}")
 
 
 def check_frame_fits(c, img_w, img_h):

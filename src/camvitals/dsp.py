@@ -17,12 +17,13 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-import statistics
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .series import TimeSeries, median
 
 DEFAULT_FILTER_ORDER = 3
 # highest filter order: a zero-phase pass of order n pads each end with
@@ -44,39 +45,6 @@ _LOG_FLOOR = 1e-300
 
 class SignalTooShort(ValueError):
     """A signal has fewer samples than an analysis step needs."""
-
-
-@dataclass
-class TimeSeries:
-    """Uniformly sampled scalar signal.
-
-    Parameters
-    ----------
-    samples : array_like
-        1-D float samples, all finite.
-    sample_rate : float
-        Samples per second, > 0.
-    """
-
-    samples: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1:
-            raise ValueError(f"samples must be 1-D, got shape {self.samples.shape}")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("samples contain non-finite values")
-        if not (self.sample_rate > 0):
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        self.sample_rate = float(self.sample_rate)
-
-    def __len__(self):
-        return len(self.samples)
-
-    @property
-    def duration(self):
-        return len(self.samples) / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -466,9 +434,7 @@ def median_rate(freqs):
 
     Even-length inputs use the mean of the two middle values.
     """
-    if len(freqs) == 0:
-        raise ValueError("no frequencies to take a median of")
-    return statistics.median(np.asarray(freqs, dtype=np.float64)) * 60.0
+    return median(freqs) * 60.0
 
 
 def _gtsv(dl, d, du, b):
@@ -556,7 +522,7 @@ def rate_flags(freqs, band, stft_spec, sample_rate):
     freqs = np.asarray(freqs, dtype=np.float64)
     low, high = band
     df = sample_rate / stft_spec.fft_size
-    med = float(np.median(freqs))
+    med = float(median(freqs))
     flags = set()
     if med <= low + 2 * df or med >= high - 2 * df:
         flags.add("out_of_band")

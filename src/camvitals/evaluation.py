@@ -3,7 +3,6 @@ condition, the skin-brightness error regression, and deterministic SVG
 figures. All numbers in CSVs use shortest round-trip formatting so a
 re-parse reproduces the records bit for bit."""
 
-import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -11,6 +10,7 @@ import numpy as np
 
 from .ingest import (FormatError, _optional_float, _parse_row, _roi_blocks, named,
                      read_csv, to_grayscale, write_csv)
+from .series import median, percentile
 
 FLAGS = frozenset({"out_of_band", "hold_breath_excluded", "roi_failure", "too_short"})
 
@@ -240,15 +240,14 @@ def boxplot_stats(values):
     vals = sorted(float(v) for v in values)
     if not vals:
         raise ValueError("boxplot of an empty list")
-    median = float(statistics.median(vals))
-    q1, q3 = (float(q) for q in np.percentile(vals, [25.0, 75.0]))
+    q1, q3 = (float(percentile(vals, q)) for q in (25.0, 75.0))
     iqr = q3 - q1
     lo_fence, hi_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr
     inside = [v for v in vals if lo_fence <= v <= hi_fence]
     # quartiles are interpolated, so they always bracket at least one point
     whisker_lo, whisker_hi = inside[0], inside[-1]
     outliers = tuple(v for v in vals if v < lo_fence or v > hi_fence)
-    return BoxplotStats(median, q1, q3, whisker_lo, whisker_hi, outliers)
+    return BoxplotStats(float(median(vals)), q1, q3, whisker_lo, whisker_hi, outliers)
 
 
 def _scored_pairs(records, signal):

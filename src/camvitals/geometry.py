@@ -1,6 +1,16 @@
-"""Axis-aligned pixel rectangles shared by detection, ROI selection and synth."""
+"""Axis-aligned pixel rectangles shared by detection, ROI selection and
+synth, and the face search's shared terms: its default scale step and
+neighbour count, the scale check and DetectionError. The config and the
+CLI read these without loading the detector."""
 
 from typing import NamedTuple
+
+DEFAULT_SCALE_FACTOR = 1.1
+DEFAULT_MIN_NEIGHBORS = 3
+
+
+class DetectionError(RuntimeError):
+    """Face tracking failed on every frame of a clip."""
 
 
 class Rect(NamedTuple):
@@ -32,3 +42,9 @@ def validate_rect(r, width, height, what):
     if not r.inside(width, height):
         raise ValueError(f"{what} {r} outside {width}x{height} frame")
     return r
+
+
+def check_scale_factor(scale_factor):
+    """Raise ValueError unless the window grows by scale_factor > 1."""
+    if not scale_factor > 1:
+        raise ValueError(f"scale_factor must be > 1, got {scale_factor}")

@@ -9,6 +9,7 @@ spectral estimator as the video path. RR: the belt channel goes through
 import numpy as np
 
 from .dsp import SignalTooShort, check_window, cubic_spline, detrend, estimate_rate
+from .series import percentile
 
 
 def ecg_peaks(ecg, cfg):
@@ -23,7 +24,7 @@ def ecg_peaks(ecg, cfg):
         raise SignalTooShort(f"need >= 2 s of ECG, got {ecg.duration:.3f} s")
     corrected = detrend(ecg, cfg.ecg_detrend_s)
     d = np.diff(corrected.samples)
-    theta = cfg.ecg_threshold_factor * np.percentile(np.abs(d), cfg.ecg_percentile)
+    theta = cfg.ecg_threshold_factor * percentile(np.abs(d), cfg.ecg_percentile)
     # a span past the record acts as one past every peak gap
     refractory = int(round(min(cfg.ecg_refractory_s * ecg.sample_rate, len(d))))
 

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import TimeSeries
 from .geometry import validate_rect
+from .series import TimeSeries
 
 CONDITIONS = ("respiration", "workout", "gaze")
 HOLD_BREATH_TASK = 2

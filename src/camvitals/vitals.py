@@ -11,9 +11,10 @@ grayscale of the area below the face.
 import numpy as np
 
 # bandpass is unused here: the benchmark's tracer test reads vitals.bandpass
-from .dsp import TimeSeries, bandpass  # noqa: F401
+from .dsp import bandpass  # noqa: F401
 from .geometry import Rect
 from .ingest import _roi_blocks, to_grayscale
+from .series import TimeSeries
 
 
 def hr_roi(face):

@@ -12,8 +12,8 @@ import pytest
 import scipy
 from conftest import make_toy_cascade, write_physio
 
-from camvitals import cli, dsp, vitals
-from camvitals.cli import main
+from camvitals import dsp, vitals
+from camvitals.cli import build_parser, main
 from camvitals.config import PipelineConfig
 from camvitals.detect import Cascade, Stage, Tree, load_cascade, save_cascade
 from camvitals.dsp import TimeSeries, bandpass
@@ -149,7 +149,6 @@ def test_plots_reuse_each_trace_and_leave_estimates_alone(dataset, tmp_path, mon
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(cli, name, counting(name))
         monkeypatch.setattr(vitals, name, counting(name))
     plain, plotted, plots = tmp_path / "plain.csv", tmp_path / "plotted.csv", tmp_path / "plots"
     base = ["estimate", "--data", str(dataset), "--roi", ROI, "--crop", NOCROP]
@@ -183,7 +182,6 @@ def test_plots_filter_each_trace_once(dataset, tmp_path, monkeypatch):
         calls.append(args[1])
         return bandpass(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "bandpass", counting)
     monkeypatch.setattr(dsp, "bandpass", counting)
     plain, plotted = tmp_path / "plain.csv", tmp_path / "plotted.csv"
     base = ["estimate", "--data", str(dataset), "--roi", ROI, "--crop", NOCROP]
@@ -236,6 +234,23 @@ def test_help_exits_zero(command, capsys):
         main([command, "--help"])
     assert exc.value.code == 0
     assert "usage" in capsys.readouterr().out
+
+
+# the SynthConfig field each `synth` option sets; the other options are
+# the plan's, not the scene's
+SYNTH_OPTION_FIELDS = {"seed": "seed", "width": "width", "height": "height", "fps": "fps",
+                       "tone": "tone", "pulse_amp": "pulse_amp", "chest_amp": "chest_amp",
+                       "noise_sigma": "noise_sigma", "blur": "blur_radius", "hr": "hr_bpm",
+                       "rr": "rr_brpm", "duration": "duration"}
+
+
+def test_synth_option_defaults_are_synth_config_defaults():
+    args = vars(build_parser().parse_args(["synth", "--out", "ds"]))
+    plan_options = {"command", "func", "out", "protocol", "task", "condition"}
+    assert set(args) - plan_options == set(SYNTH_OPTION_FIELDS)
+    defaults = SynthConfig()
+    assert {option: args[option] for option in SYNTH_OPTION_FIELDS} == {
+        option: getattr(defaults, field) for option, field in SYNTH_OPTION_FIELDS.items()}
 
 
 @pytest.mark.parametrize("args, message", [

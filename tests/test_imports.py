@@ -2,8 +2,10 @@
 and `groundtruth` load only scipy's top level and its compiled sosfilt
 loop, and `evaluate` loads none of the slow scipy subpackages; the modules
 import scipy inside the functions that use it. None of the three loads the
-XML parser, which only `convert-cascade` needs. Each case runs in a fresh
-interpreter, since this process has long since imported scipy."""
+XML parser, which only `convert-cascade` needs. Each subcommand loads only
+the package modules it runs, and none loads numpy.ma or statistics. Each
+case runs in a fresh interpreter, since this process has long since
+imported scipy."""
 
 import json
 import os
@@ -11,6 +13,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from camvitals.cli import main
 from camvitals.evaluation import EST_HEADER, GT_HEADER
 from camvitals.ingest import write_csv
 from camvitals.synth import SynthConfig, TrialPlan, synth_dataset
@@ -121,3 +126,40 @@ def test_evaluate_of_the_paper_protocol_size_loads_no_scipy(tmp_path):
     assert rc == 0
     assert loaded == []
     assert (tmp_path / "report" / "summary.csv").read_text().count("skin_regression") == 1
+
+
+# package modules that a subcommand does not run, and so must not load
+NOT_RUN = {
+    "synth": ("detect", "dsp", "config", "vitals", "evaluation", "groundtruth"),
+    "estimate": ("detect", "synth", "groundtruth"),   # with a manual ROI
+    "groundtruth": ("detect", "synth", "vitals"),
+    "evaluate": ("detect", "dsp", "config", "synth", "vitals", "groundtruth"),
+}
+
+
+@pytest.fixture(scope="module")
+def round_trip(tmp_path_factory):
+    """{subcommand: its arguments} over a one-trial synth dataset, with the
+    est.csv and gt.csv that `evaluate` reads already written."""
+    tmp = tmp_path_factory.mktemp("trip")
+    estimate, groundtruth = estimate_and_groundtruth_args(tmp)
+    assert main(estimate) == main(groundtruth) == 0
+    return {"synth": ["synth", "--out", str(tmp / "synth"), "--duration", "2",
+                      "--width", "32", "--height", "32"],
+            "estimate": estimate, "groundtruth": groundtruth,
+            "evaluate": ["evaluate", "--estimates", str(tmp / "est.csv"),
+                         "--groundtruth", str(tmp / "gt.csv"), "--out", str(tmp / "report")]}
+
+
+@pytest.mark.parametrize("command", sorted(NOT_RUN))
+def test_each_subcommand_loads_only_what_it_runs(command, round_trip):
+    rc, loaded = fresh_python(
+        "import json, sys\n"
+        "from camvitals import cli\n"
+        f"rc = cli.main({round_trip[command]!r})\n"
+        "print(json.dumps([rc, sorted(sys.modules)]))\n")
+    assert rc == 0
+    assert [m for m in NOT_RUN[command] if f"camvitals.{m}" in loaded] == []
+    # the first np.median or np.percentile call imports numpy.ma, and
+    # statistics imports fractions and decimal; camvitals.series stands in
+    assert [m for m in ("numpy.ma", "statistics") if m in loaded] == []

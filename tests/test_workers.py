@@ -142,7 +142,7 @@ def test_estimate_with_a_killed_worker_prints_one_error_line(tmp_path, monkeypat
 
 def test_synth_with_a_killed_worker_prints_one_error_line(tmp_path, monkeypatch, capsys):
     log = tmp_path / "pids"
-    monkeypatch.setattr(cli, "paper_protocol", lambda seed: FOUR_TRIALS)
+    monkeypatch.setattr(synth, "paper_protocol", lambda seed: FOUR_TRIALS)
     monkeypatch.setattr(synth, "synth_clip",
                         _killing(synth_clip, lambda cfg: cfg.seed == 7 + 2, log))
     _cpus(monkeypatch, 2)
