@@ -104,7 +104,10 @@ def segment_trials(physio, manifest):
             raise ValueError(
                 f"trigger code {entry.trigger_code} occurs {hits.size} times")
         s0 = int(hits[0])
-        n = int(round(entry.frame_count / manifest.fps * physio.sample_rate))
+        # capped, as a subnormal fps overflows the span to inf: a span past
+        # the record's length fails the check below all the same
+        n = int(round(min(entry.frame_count / manifest.fps * physio.sample_rate,
+                          len(physio.trigger) + 1)))
         if s0 + n > len(physio.trigger):
             raise ValueError(
                 f"trial {entry.trial_id}: physio record ends before trial does")

@@ -5,6 +5,7 @@ the result files."""
 
 import contextlib
 import csv
+import io
 import math
 import os
 import pickle
@@ -127,6 +128,8 @@ class TrialManifest:
     def __post_init__(self):
         if not (self.fps > 0 and self.width > 0 and self.height > 0):
             raise ValueError("manifest header values must be positive")
+        if not math.isfinite(self.fps):
+            raise ValueError("manifest fps must be finite")
         seen = set()
         spans = []
         for e in self.entries:
@@ -154,7 +157,7 @@ def in_order(fn, entries):
     Where this process may run on more than one CPU (Linux), the calls run
     in min(4, CPUs, entries) forked worker processes: worker k computes
     entries k, k + workers, ... and sends each result, or the exception
-    that stops it, through its own pipe as a length-prefixed pickle. The
+    that stops it, through its own pipe as one pickle after another. The
     workers inherit `fn` with everything it reads; only results and
     exceptions cross, and must pickle. An exception is raised here at its
     entry's place; a worker that ends without its result raises
@@ -188,14 +191,15 @@ def in_order(fn, entries):
                 os.close(w)
             running.append(pid)
         for i, entry in enumerate(entries):
-            message = _receive(pipes[i % workers])
-            if message is None:
+            try:
+                ok, value = pickle.load(pipes[i % workers])
+            except (EOFError, pickle.UnpicklingError):
+                # the pipe ended before, or part-way through, the pickle
                 code = os.waitstatus_to_exitcode(os.waitpid(running[i % workers], 0)[1])
                 running[i % workers] = None
                 raise ChildProcessError(
                     f"trial {entry.trial_id}: worker process ended without its result "
-                    f"({f'signal {-code}' if code < 0 else f'exit status {code}'})")
-            ok, value = pickle.loads(message)
+                    f"({f'signal {-code}' if code < 0 else f'exit status {code}'})") from None
             if not ok:
                 raise value
             yield value
@@ -221,25 +225,13 @@ def _work(fn, entries, fd):
                 except BaseException as e:
                     outcome = False, e
                     message = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
-                pipe.write(len(message).to_bytes(8, "little") + message)
+                pipe.write(message)
                 pipe.flush()
                 if not outcome[0]:
                     break
         code = 0
     finally:
         os._exit(code)
-
-
-def _receive(pipe):
-    """The next message a worker of in_order sent through `pipe`, or None
-    if it ended first."""
-    head = pipe.read(8)
-    if len(head) == 8:
-        size = int.from_bytes(head, "little")
-        message = pipe.read(size)
-        if len(message) == size:
-            return message
-    return None
 
 
 # ------------------------- PPM frames -------------------------
@@ -324,11 +316,6 @@ def write_manifest(path, manifest):
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-# (header, pixels) buffer pairs per os.readv call, within IOV_MAX; 512 a
-# call raised estimate's peak RSS by about 0.13 MB
-_READV_FRAMES = min(64, os.sysconf("SC_IOV_MAX") // 2)
-
-
 def _frames_file(dataset_dir, manifest):
     """(path of frames.ppm, record header, record size) of a dataset."""
     header = ppm_header(manifest.width, manifest.height)
@@ -368,34 +355,31 @@ def read_frame_range(dataset_dir, manifest, start_frame, frame_count):
     This is the streaming unit: callers load one trial's range at a time
     instead of the whole recording. Every record of frames.ppm is the
     ppm_header of the manifest's size and the frame's pixels, so frame i
-    starts at byte i * record size. The range is read with one seek and
-    os.readv calls that put the pixels straight into the clip; then one
-    comparison checks every record header. A record that is short,
-    missing or headed otherwise raises FormatError naming the file, the
-    frame index and its byte offset.
+    starts at byte i * record size. The range is read with one seek into
+    one buffer of its records; one comparison checks every record header,
+    and the clip is a view of the pixels. A record that is short, missing
+    or headed otherwise raises FormatError naming the file, the frame
+    index and its byte offset.
     """
     w, h = manifest.width, manifest.height
     path, header, record = _frames_file(dataset_dir, manifest)
-    frames = np.empty((frame_count, h, w, 3), dtype=np.uint8)
-    heads = np.empty((frame_count, len(header)), dtype=np.uint8)
+    records = np.empty((frame_count, record), dtype=np.uint8)
+    flat = records.reshape(-1)
 
     got = 0
     try:
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            os.lseek(fd, start_frame * record, os.SEEK_SET)
-            for i in range(0, frame_count, _READV_FRAMES):
-                j = min(frame_count, i + _READV_FRAMES)
-                n = os.readv(fd, [b for pair in zip(heads[i:j], frames[i:j]) for b in pair])
-                got += n
-                if n < (j - i) * record:
+        with open(path, "rb", buffering=0) as f:
+            f.seek(start_frame * record)
+            while got < flat.size:
+                n = f.readinto(flat[got:])
+                if not n:
                     break
-        finally:
-            os.close(fd)
+                got += n
     except OSError as e:
         raise _frame_error(path, start_frame + got // record, record,
                            f"cannot read ({e.strerror})") from None
     whole, have = divmod(got, record)
+    heads = records[:, :len(header)]
     # a bytes comparison: a first numpy comparison and reduction in the
     # process would raise estimate's peak RSS by a quarter of a megabyte
     if whole < frame_count or heads.tobytes() != header * frame_count:
@@ -407,7 +391,7 @@ def read_frame_range(dataset_dir, manifest, start_frame, frame_count):
             raise _frame_error(path, start_frame + i, record, f"record header {head!r}, "
                                f"expected {header!r} for the manifest's {w}x{h}")
         raise _cut_short(path, start_frame + i, record, have)
-    return VideoClip(frames, manifest.fps)
+    return VideoClip(records[:, len(header):].reshape(frame_count, h, w, 3), manifest.fps)
 
 
 # ------------------------- pixel operations -------------------------
@@ -556,49 +540,38 @@ def _int64(cell):
 
 _PHYSIO_TYPES = (_finite_float, _finite_float, _finite_float, _int64)
 _PHYSIO_HEAD = (",".join(PHYSIO_HEADER) + "\n").encode("ascii")
-# bytes of whole lines per array pass of _physio_columns; bounds the size
-# of its cell lists and position arrays
-_PHYSIO_BLOCK_BYTES = 1 << 17
+_PHYSIO_DTYPE = np.dtype({"names": PHYSIO_HEADER, "formats": ["f8", "f8", "f8", "i8"]})
 
 
 def _physio_columns(data):
-    """The t, ecg, resp and trigger columns of physio.csv's bytes, one array
-    conversion per column and block of lines; None unless read_csv would
-    return the same rows and every cell converts to a finite float (an
-    int64 trigger). Without quotes or \r, a csv row is the line split at
-    its commas, and numpy converts a cell as float() and int() do; csv
+    """The t, ecg, resp and trigger columns of physio.csv's bytes, through
+    one np.loadtxt; None unless read_csv would return the same rows and
+    every cell converts to a finite float (an int64 trigger). Without
+    quotes, \r or NUL, a csv row is the line split at its commas, and
+    loadtxt converts a cell as float() and int() do or refuses it; csv
     reads \r\n as one line end, so \r\n lines are read as \n lines."""
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n")
     if not (data.startswith(_PHYSIO_HEAD) and data.endswith(b"\n") and data.isascii()):
         return None
-    if b'"' in data or b"\r" in data:
+    if b'"' in data or b"\r" in data or b"\0" in data:
         return None
-    floats, ints = ([], [], []), []
-    start = len(_PHYSIO_HEAD)
-    while start < len(data):
-        stop = data.index(b"\n", min(start + _PHYSIO_BLOCK_BYTES, len(data)) - 1) + 1
-        block = data[start:stop]
-        start = stop
-        # 3 commas before the first newline, 6 before the second, ...
-        codes = np.frombuffer(block, dtype=np.uint8)
-        ends = np.flatnonzero(codes == ord("\n"))
-        commas = np.flatnonzero(codes == ord(","))
-        if not np.array_equal(np.searchsorted(commas, ends),
-                              np.arange(3, 3 * len(ends) + 1, 3)):
-            return None
-        cells = block.replace(b"\n", b",").split(b",")
-        cells.pop()  # after the last newline
-        try:
-            for i, column in enumerate(floats):
-                column.append(np.array(cells[i::4], dtype=np.float64))
-            ints.append(np.array(cells[3::4], dtype=np.int64))
-        except (ValueError, OverflowError):
-            return None
-    columns = [np.concatenate(c) if c else np.empty(0) for c in floats]
-    if not all(np.isfinite(c).all() for c in columns):
+    lines = data.count(b"\n") - 1
+    if not lines:
+        return None  # loadtxt warns on a file without rows
+    try:
+        rows = np.loadtxt(io.BytesIO(data), dtype=_PHYSIO_DTYPE, delimiter=",",
+                          comments=None, skiprows=1, ndmin=1)
+    except ValueError:
         return None
-    return (*columns, np.concatenate(ints) if ints else np.empty(0, dtype=np.int64))
+    # loadtxt skips a blank line, which csv reads as a row of no cells
+    if len(rows) != lines:
+        return None
+    # contiguous columns, as the row reader gives, not strided field views
+    columns = [rows[name].copy() for name in PHYSIO_HEADER]
+    if not all(np.isfinite(c).all() for c in columns[:3]):
+        return None
+    return columns
 
 
 def _checked_physio_columns(path):
@@ -614,8 +587,8 @@ def _checked_physio_columns(path):
 
 def load_physio_csv(path):
     """Parse `t,ecg,resp,trigger` CSV; the sample rate is inferred from the
-    (strictly uniform) time column. A file the array pass cannot vouch
-    for is read again row by row, which names what is wrong with it."""
+    (strictly uniform) time column. A file np.loadtxt cannot vouch for is
+    read again row by row, which names what is wrong with it."""
     with open(path, "rb") as f:
         columns = _physio_columns(f.read())
     t, ecg, resp, trig = columns or _checked_physio_columns(path)

@@ -834,6 +834,24 @@ def test_groundtruth_names_the_physio_file_of_a_segmentation_error(edit, message
     assert not out.exists()
 
 
+def test_groundtruth_names_a_trial_that_a_subnormal_fps_makes_endless(dataset, tmp_path,
+                                                                        capsys):
+    """fps=5e-324 is finite, but a trial's span in samples overflows to inf."""
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    manifest = (dataset / "manifest.txt").read_text()
+    assert manifest.startswith("fps=30.0\n")
+    (ds / "manifest.txt").write_text(manifest.replace("fps=30.0", "fps=5e-324", 1))
+    physio = ds / "physio.csv"
+    physio.write_bytes((dataset / "physio.csv").read_bytes())
+    out = tmp_path / "gt.csv"
+    capsys.readouterr()
+    assert main(["groundtruth", "--data", str(ds), "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {physio}: trial 1: physio record ends before trial does\n")
+    assert not out.exists()
+
+
 def test_groundtruth_names_a_trigger_beyond_int64(dataset, tmp_path, capsys):
     ds = tmp_path / "ds"
     ds.mkdir()

@@ -1,7 +1,7 @@
 """`src/` keeps only what the package itself uses: every public top-level
 function and class of camvitals is referenced somewhere in src/ outside
-its own definition, and every parameter with a default is passed by some
-call in src/. Readers and helpers that only tests need live under tests/
+its own definition, every module-level constant is read somewhere in
+src/, and every parameter with a default is passed by some call in src/. Readers and helpers that only tests need live under tests/
 (see readers.py), and so do modes that only tests would set."""
 
 import ast
@@ -22,6 +22,12 @@ ALLOWED_PARAMETERS = {
 }
 
 
+def _parsed_modules():
+    """{module name: its AST} of every module of the package."""
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+            for p in sorted(PACKAGE.glob("*.py"))}
+
+
 def _referenced_names(node):
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
@@ -31,8 +37,7 @@ def _referenced_names(node):
 
 
 def unreferenced_public_names():
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(PACKAGE.glob("*.py"))}
+    trees = _parsed_modules()
     tops = [(mod, node) for mod, tree in trees.items() for node in tree.body]
     unused = []
     for mod, node in tops:
@@ -46,6 +51,29 @@ def unreferenced_public_names():
 
 def test_every_public_function_and_class_is_used_in_src():
     assert unreferenced_public_names() == sorted(ALLOWED)
+
+
+def unread_module_constants():
+    """Each name bound by a module-level assignment in src/ that no
+    expression in src/ reads, as "module.NAME": a sizing constant must
+    not outlive the code that it sized."""
+    trees = _parsed_modules()
+    read = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute)}
+    unread = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                unread += [f"{mod}.{n.id}" for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name) and n.id not in read]
+    return sorted(unread)
+
+
+def test_every_module_constant_is_read_in_src():
+    assert unread_module_constants() == []
 
 
 def _called_name(call):
@@ -80,8 +108,7 @@ def _passes(call, arg, position):
 def unpassed_default_parameters():
     """Each parameter with a default that no call in src/ of a function of
     its name passes, by position or keyword, as "module.function(parameter)"."""
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(PACKAGE.glob("*.py"))}
+    trees = _parsed_modules()
     calls = {}
     for tree in trees.values():
         for node in ast.walk(tree):

@@ -4,6 +4,7 @@ workers, a worker that dies must end its command with one error line,
 and no worker may outlive the call that forked it."""
 
 import os
+import pickle
 import shutil
 import signal
 
@@ -90,6 +91,32 @@ def test_a_worker_that_ends_early_names_its_trial(end, reason, monkeypatch):
     assert [next(results), next(results), next(results)] == [1, 2, 3]
     with pytest.raises(ChildProcessError,
                        match=f"^trial 4: worker process ended without its result \\({reason}\\)$"):
+        next(results)
+
+
+def test_a_worker_that_ends_part_way_through_a_result_names_its_trial(monkeypatch):
+    """Trial 2's worker writes half of its result's pickle, then dies in
+    trial 4: the pipe ends inside the pickle."""
+    _cpus(monkeypatch, 2)
+    parent = os.getpid()
+    dumps = pickle.dumps
+
+    def half_of_trial_2(outcome, protocol):
+        message = dumps(outcome, protocol)
+        if os.getpid() != parent and outcome == (True, [2] * 50):
+            return message[:len(message) // 2]
+        return message
+
+    def killed_at_trial_4(entry):
+        if entry.trial_id == 4:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return [entry.trial_id] * 50
+
+    monkeypatch.setattr(pickle, "dumps", half_of_trial_2)
+    results = in_order(killed_at_trial_4, ENTRIES)
+    assert next(results) == [1] * 50
+    with pytest.raises(ChildProcessError,
+                       match="^trial 2: worker process ended without its result \\(signal 9\\)$"):
         next(results)
 
 
