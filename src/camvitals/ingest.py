@@ -10,6 +10,7 @@ import math
 import os
 import pickle
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -556,16 +557,18 @@ def _physio_columns(data):
         return None
     if b'"' in data or b"\r" in data or b"\0" in data:
         return None
-    lines = data.count(b"\n") - 1
-    if not lines:
-        return None  # loadtxt warns on a file without rows
-    try:
-        rows = np.loadtxt(io.BytesIO(data), dtype=_PHYSIO_DTYPE, delimiter=",",
-                          comments=None, skiprows=1, ndmin=1)
-    except ValueError:
-        return None
+    # a warning refuses the file too: loadtxt warns on a file without rows,
+    # and some numpy versions read an integer cell such as 1.0 through
+    # float, with a DeprecationWarning, where int() refuses it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(io.BytesIO(data), dtype=_PHYSIO_DTYPE, delimiter=",",
+                              comments=None, skiprows=1, ndmin=1)
+        except (ValueError, Warning):
+            return None
     # loadtxt skips a blank line, which csv reads as a row of no cells
-    if len(rows) != lines:
+    if len(rows) != data.count(b"\n") - 1:
         return None
     # contiguous columns, as the row reader gives, not strided field views
     columns = [rows[name].copy() for name in PHYSIO_HEADER]

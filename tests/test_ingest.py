@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -730,9 +731,10 @@ PHYSIO_MUTATIONS = {
 }
 
 
-# Each edit in a clean file of 300 rows (one block) and of 3,000 (many
-# blocks). Any warning fails: loadtxt warns on a file of no rows, such as
-# "header only".
+# Each edit in a clean file of 300 rows ("one-block") and of 3,000
+# ("many-blocks"; the ids predate the loadtxt reader and stay so that test
+# ids stay stable). Any warning fails: the array pass must refuse, not warn
+# about, a file that loadtxt warns on, such as "header only".
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("rows", [300, 3000], ids=["one-block", "many-blocks"])
 @pytest.mark.parametrize("name", sorted(PHYSIO_MUTATIONS))
@@ -742,6 +744,29 @@ def test_physio_array_pass_equals_the_checked_reader(name, rows, tmp_path, monke
     path.write_bytes(edit(_physio_text(rows)).encode("latin-1"))
     _assert_same_as_checked_reader(path, monkeypatch)
     assert (ingest._physio_columns(path.read_bytes()) is not None) == vouched
+
+
+def test_physio_array_pass_refuses_a_cell_that_loadtxt_only_warns_about(tmp_path, monkeypatch):
+    # numpy versions that read an integer cell through float warn and return
+    # the cast value; with warnings ignored, as outside tests, the file must
+    # still go to the row reader, which names the cell
+    real_loadtxt = np.loadtxt
+    as_floats = np.dtype({"names": PHYSIO_HEADER, "formats": ["f8"] * 4})
+
+    def lenient_loadtxt(*args, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return real_loadtxt(*args, dtype=as_floats, **kwargs).astype(dtype)
+
+    path = tmp_path / "physio.csv"
+    path.write_text(_set_cell(_physio_text(20), 3, 3, "1.0"))
+    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert ingest._physio_columns(path.read_bytes()) is None
+        with pytest.raises(FormatError,
+                           match=f"^{re.escape(f'{path}:4: trigger ' + repr('1.0'))} is not"):
+            load_physio_csv(path)
 
 
 def test_physio_array_pass_equals_the_checked_reader_on_random_edits(tmp_path, monkeypatch):
