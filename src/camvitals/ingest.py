@@ -542,20 +542,24 @@ def _int64(cell):
 _PHYSIO_TYPES = (_finite_float, _finite_float, _finite_float, _int64)
 _PHYSIO_HEAD = (",".join(PHYSIO_HEADER) + "\n").encode("ascii")
 _PHYSIO_DTYPE = np.dtype({"names": PHYSIO_HEADER, "formats": ["f8", "f8", "f8", "i8"]})
+# the bytes write_physio_csv writes: "\n" and printable ASCII
+_PHYSIO_BYTES = b"\n" + bytes(range(0x20, 0x7f))
 
 
 def _physio_columns(data):
     """The t, ecg, resp and trigger columns of physio.csv's bytes, through
     one np.loadtxt; None unless read_csv would return the same rows and
-    every cell converts to a finite float (an int64 trigger). Without
-    quotes, \r or NUL, a csv row is the line split at its commas, and
-    loadtxt converts a cell as float() and int() do or refuses it; csv
-    reads \r\n as one line end, so \r\n lines are read as \n lines."""
+    every cell converts to a finite float (an int64 trigger). In a file of
+    "\n" and printable ASCII without quotes, a csv row is the line split
+    at its commas, and loadtxt converts a cell as float() and int() do or
+    refuses it. Any other byte takes the row reader: loadtxt strips the
+    bytes 0x1c to 0x1f around a cell, where float() and int() refuse them.
+    csv reads \r\n as one line end, so \r\n lines are read as \n lines."""
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n")
-    if not (data.startswith(_PHYSIO_HEAD) and data.endswith(b"\n") and data.isascii()):
+    if not (data.startswith(_PHYSIO_HEAD) and data.endswith(b"\n")):
         return None
-    if b'"' in data or b"\r" in data or b"\0" in data:
+    if data.translate(None, _PHYSIO_BYTES) or b'"' in data:
         return None
     # a warning refuses the file too: loadtxt warns on a file without rows,
     # and some numpy versions read an integer cell such as 1.0 through

@@ -6,6 +6,7 @@ their expectations instead of importing them from the unit suites.
 """
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from camvitals.evaluation import (TrialRecord, build_report, emit_report,
                                   skin_tone_gray)
 from camvitals.geometry import Rect
 from camvitals.groundtruth import ecg_peaks, gt_hr_flagged
-from camvitals.ingest import parse_manifest
+from camvitals.ingest import in_order, parse_manifest
 from camvitals.synth import SynthConfig, synth_clip, synth_ecg, synth_resp
 from camvitals.vitals import hr_roi, rr_roi
 
@@ -39,6 +40,14 @@ def _hr_error(hr, duration, noise_sigma, seed, tone=1.0):
     return abs(hr_estimate(clip, rois)[0] - hr), clip, truth
 
 
+def _in_workers(fn, cases):
+    """[fn(*case) for case in cases], with the calls spread over the worker
+    processes of ingest.in_order, which runs the CLI's trials. Each case is
+    an independent clip, so this only changes how long the test takes."""
+    entries = [SimpleNamespace(trial_id=i, case=case) for i, case in enumerate(cases, 1)]
+    return list(in_order(lambda entry: fn(*entry.case), entries))
+
+
 def test_criterion_1_synthetic_hr_recovery():
     started = time.monotonic()
     for hr in (60.0, 72.0, 90.0, 120.0):
@@ -50,16 +59,19 @@ def test_criterion_1_synthetic_hr_recovery():
     assert time.monotonic() - started < 60.0
 
 
+def _rr_error(rr, seed):
+    cfg = SynthConfig(rr_brpm=rr, duration=20.0, noise_sigma=1.0, seed=seed)
+    clip, truth = synth_clip(cfg)
+    rois = [rr_roi(truth.face_box, clip.height, clip.width)] * clip.n_frames
+    return abs(rr_estimate(clip, rois)[0] - rr)
+
+
 def test_criterion_2_synthetic_rr_recovery():
-    for rr in (12.0, 15.0, 20.0, 24.0):
-        hits = 0
-        for seed in range(20):
-            cfg = SynthConfig(rr_brpm=rr, duration=20.0, noise_sigma=1.0,
-                              seed=int(rr) * 100 + seed)
-            clip, truth = synth_clip(cfg)
-            rois = [rr_roi(truth.face_box, clip.height, clip.width)] * clip.n_frames
-            err = abs(rr_estimate(clip, rois)[0] - rr)
-            hits += err <= 1.0
+    rrs = (12.0, 15.0, 20.0, 24.0)
+    errs = _in_workers(_rr_error, [(rr, int(rr) * 100 + seed)
+                                   for rr in rrs for seed in range(20)])
+    for i, rr in enumerate(rrs):
+        hits = sum(err <= 1.0 for err in errs[20 * i:20 * (i + 1)])
         assert hits >= 19, f"rr={rr}: only {hits}/20 trials within 1 brpm"
 
     # a motionless chest yields an undefined estimate, which the estimator
@@ -92,17 +104,18 @@ def test_criterion_3_ground_truth_agreement():
         assert abs(brpm - rr) <= 0.5
 
 
+def _hr_error_and_skin_gray(hr, seed, tone):
+    err, clip, truth = _hr_error(hr, 20.0, 2.0, seed=seed, tone=tone)
+    return err, skin_tone_gray(clip, [truth.face_box] * clip.n_frames)
+
+
 def test_criterion_4_skin_tone_error_trend(tmp_path):
-    records = []
-    trial_id = 1
-    for tone in (0.3, 0.5, 0.7, 0.9, 1.0):
-        for seed in range(20):
-            hr = 60.0 + (seed * 7) % 60
-            err, clip, truth = _hr_error(hr, 20.0, 2.0, seed=seed, tone=tone)
-            records.append(TrialRecord(
-                trial_id, "respiration", 1, hr_est=hr + err, hr_gt=hr,
-                skin_gray=skin_tone_gray(clip, [truth.face_box] * clip.n_frames)))
-            trial_id += 1
+    cases = [(60.0 + (seed * 7) % 60, seed, tone)
+             for tone in (0.3, 0.5, 0.7, 0.9, 1.0) for seed in range(20)]
+    results = _in_workers(_hr_error_and_skin_gray, cases)
+    records = [TrialRecord(trial_id, "respiration", 1, hr_est=hr + err, hr_gt=hr,
+                           skin_gray=skin_gray)
+               for trial_id, ((hr, _, _), (err, skin_gray)) in enumerate(zip(cases, results), 1)]
     report = emit_report(records, tmp_path)
     slope = report.skin_fit[0]
     assert slope < 0.0, f"error should fall with brightness, slope={slope}"
@@ -114,10 +127,11 @@ def test_criterion_4_skin_tone_error_trend(tmp_path):
 def test_criterion_5_short_trials_are_harder():
     rng = np.random.default_rng(42)
     hrs = rng.uniform(60.0, 100.0, 20)
-    err_10 = [_hr_error(float(hr), 10.0, 6.0, seed=i)[0]
-              for i, hr in enumerate(hrs)]
-    err_20 = [_hr_error(float(hr), 20.0, 6.0, seed=100 + i)[0]
-              for i, hr in enumerate(hrs)]
+    errs = _in_workers(lambda *case: _hr_error(*case)[0],
+                       [(float(hr), duration, 6.0, offset + i)
+                        for duration, offset in ((10.0, 0), (20.0, 100))
+                        for i, hr in enumerate(hrs)])
+    err_10, err_20 = errs[:20], errs[20:]
     assert np.mean(err_10) >= np.mean(err_20)
 
 

@@ -12,7 +12,7 @@ from camvitals.detect import (DEFAULT_MIN_NEIGHBORS, DEFAULT_SCALE_FACTOR, Casca
                               load_cascade, rect_sum, save_cascade, scale_plan,
                               track_roi)
 from camvitals.geometry import Rect
-from camvitals.ingest import FormatError
+from camvitals.ingest import FormatError, VideoClip, to_grayscale
 
 from conftest import blob_clip, blob_frame, make_toy_cascade
 
@@ -191,6 +191,62 @@ def test_track_roi_all_frames_fail(toy_cascade):
     clip = blob_clip(24, 24, [None, None])
     with pytest.raises(DetectionError):
         track_roi(clip, toy_cascade, DEFAULT_SCALE_FACTOR, DEFAULT_MIN_NEIGHBORS, 0)
+
+
+def whole_clip_track_roi(clip, cascade, scale_factor, min_neighbors, min_size):
+    """The reference: track_roi as it was when it converted the whole clip
+    to gray before it scanned the first frame."""
+    grays = to_grayscale(clip)
+    raw = []
+    for t in range(clip.n_frames):
+        boxes = detect_faces(cascade, grays[t], scale_factor=scale_factor,
+                             min_neighbors=min_neighbors, min_size=min_size)
+        raw.append(boxes[0] if boxes else None)
+
+    first_hit = next((b for b in raw if b is not None), None)
+    if first_hit is None:
+        raise DetectionError("no face detected in any frame")
+    out = []
+    last = first_hit
+    for b in raw:
+        if b is not None:
+            last = b
+        out.append(last)
+    return out
+
+
+def tinted_blob_clip(rng, blobs):
+    """conftest's blob_clip of 24x24 in a seeded tint: each channel is the
+    scene times its own factor, so that the gray of a pixel is rounded from
+    three different values. (Noise would make the toy cascade fire on
+    blank frames: it normalises windows by their spread.)"""
+    frames = blob_clip(24, 24, blobs).frames * rng.uniform(0.5, 1.0, 3)
+    return VideoClip(np.rint(frames).astype(np.uint8), 30.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_track_roi_equals_the_whole_clip_reference(seed, toy_cascade):
+    rng = np.random.default_rng(seed)
+    # two leading misses, then a blob of 4 or 8 px that moves, dropping out
+    # on about a third of the frames
+    blobs = [None, None] + [
+        None if rng.random() < 0.3
+        else Rect(*rng.integers(0, 16, 2), *[int(rng.choice([4, 8]))] * 2)
+        for _ in range(10)]
+    clip = tinted_blob_clip(rng, blobs)
+    want = whole_clip_track_roi(clip, toy_cascade, DEFAULT_SCALE_FACTOR, 1, 0)
+    assert track_roi(clip, toy_cascade, DEFAULT_SCALE_FACTOR, 1, 0) == want
+    # the clip holds a leading miss, a held frame and a box that moves
+    assert want[0] == want[1] == want[2]
+    assert any(b is None for b in blobs[3:])
+    assert len(set(want)) > 1
+
+
+def test_track_roi_without_a_face_raises_as_the_whole_clip_reference(toy_cascade):
+    clip = tinted_blob_clip(np.random.default_rng(7), [None] * 6)
+    for track in (whole_clip_track_roi, track_roi):
+        with pytest.raises(DetectionError, match="^no face detected in any frame$"):
+            track(clip, toy_cascade, DEFAULT_SCALE_FACTOR, 1, 0)
 
 
 # ------------------------- serialization -------------------------
