@@ -20,9 +20,9 @@ from contextlib import closing
 from pathlib import Path
 
 from .geometry import DetectionError, Rect, validate_rect
-from .ingest import (MANIFEST_FILE, PHYSIO_FILE, check_crop, check_frames_file,
-                     crop_clip, in_order, load_physio_csv, named, parse_manifest,
-                     read_frame_range, write_csv)
+from .ingest import (CONDITIONS, MANIFEST_FILE, PHYSIO_FILE, check_crop,
+                     check_frames_file, crop_clip, in_order, load_physio_csv, named,
+                     parse_manifest, read_frame_range, write_csv)
 from .scene import SynthConfig
 
 
@@ -88,8 +88,7 @@ def build_parser():
                    help="trial length in seconds (single protocol)")
     p.add_argument("--task", type=int, default=1,
                    help="task id 1-7; 2 = hold breath (single protocol)")
-    p.add_argument("--condition", default="respiration",
-                   choices=["respiration", "workout", "gaze"],
+    p.add_argument("--condition", default="respiration", choices=CONDITIONS,
                    help="condition label (single protocol)")
     p.set_defaults(func=cmd_synth)
 
@@ -261,21 +260,35 @@ def cmd_estimate(args):
     if args.plots is not None:
         Path(args.plots).mkdir(parents=True, exist_ok=True)
 
-    def analyse(entry):
-        """(hr_est, rr_est, skin_gray, flags) of one trial."""
+    def pixel_stage(entry):
+        """(pulse trace, chest gray trace, skin gray) of one trial: all
+        that estimate computes from its frames, which die with this call.
+        A face with no chest region below it gives its ValueError in
+        place of the chest trace, for analyse to raise."""
         clip = read_frame_range(data_dir, manifest, entry.start_frame, entry.frame_count)
         clip = crop_clip(clip, *cfg.crop)
         faces = ([args.roi] * clip.n_frames if cascade is None else
                  track_roi(clip, cascade, cfg.scale_factor, cfg.min_neighbors, cfg.min_size))
-        # each trace computed and filtered once: the rate estimates and the
-        # plots share them
         raw_pulse = pulse_trace(clip, [hr_roi(f) for f in faces])
+        try:
+            chest_rois = [rr_roi(f, clip.height, clip.width) for f in faces]
+        except ValueError as e:
+            # without its traceback, whose frames hold the clip
+            return raw_pulse, e.with_traceback(None), None
+        return raw_pulse, mean_gray_trace(clip, chest_rois), skin_tone_gray(clip, faces)
+
+    def analyse(entry):
+        """(hr_est, rr_est, skin_gray, flags) of one trial."""
+        raw_pulse, raw_chest, skin_gray = pixel_stage(entry)
+        # each trace filtered once: the rate estimates and the plots share it
         filt_pulse = bandpass(raw_pulse, cfg.hr_bandpass)
         hr_est, hr_flags = filtered_rate(filt_pulse, cfg.hr_bandpass, cfg.video_stft)
-        raw_chest = mean_gray_trace(clip, [rr_roi(f, clip.height, clip.width) for f in faces])
+        if isinstance(raw_chest, ValueError):
+            # after the pulse's rate, so that a trial too short for it is
+            # too_short whatever its chest
+            raise raw_chest
         filt_chest = bandpass(raw_chest, cfg.rr_bandpass)
         rr_est, rr_flags = filtered_rate(filt_chest, cfg.rr_bandpass, cfg.video_stft)
-        skin_gray = skin_tone_gray(clip, faces)
 
         if args.plots is not None:
             svg = render_signals(

@@ -416,16 +416,26 @@ def crop_clip(clip, left, right, top, bottom):
     return VideoClip(frames, clip.fps)
 
 
-# frames per array expression in _roi_blocks; bounds the size of the
-# float64 temporaries the ROI traces build from a block
+# A block of _roi_blocks, one array expression of the ROI traces, ends at
+# _ROI_BLOCK_FRAMES frames, or sooner where its float64 (frames, box
+# pixels, 3) copy, the largest temporary of _unit_means, would pass
+# _ROI_BLOCK_BYTES. `estimate --roi` of a 10 s 640x480 trial, whose
+# 153,600-pixel chest box takes one frame a block at 4 MiB, peaked at
+# 314 MB, against 300 MB (and 0.3 s slower) at 1 MiB, 359 MB at 16 MiB and
+# 456 MB under the frame cap alone. The frame cap stays for small boxes:
+# without it, the benchmark's 270-frame cascade-face trial took each face
+# box in one block and `estimate` peaked at 35.1 MB instead of 34.1 MB.
 _ROI_BLOCK_FRAMES = 64
+_ROI_BLOCK_BYTES = 1 << 22
 
 
 def _roi_blocks(clip, rois):
     """Split a clip's per-frame ROIs into blocks of frames that share one box.
 
     Yields (first frame index, pixels) in frame order, one block per
-    run of consecutive equal boxes, cut every _ROI_BLOCK_FRAMES frames.
+    run of consecutive equal boxes, cut every _ROI_BLOCK_FRAMES frames or
+    sooner, where a float64 copy of the block's pixels would pass
+    _ROI_BLOCK_BYTES (never below one frame).
     `pixels` is the (frames, box pixels, 3) array of the box in each frame
     of the block, in the clip's dtype. Raises ValueError unless there is
     one ROI per frame, each non-empty and inside the frame.
@@ -438,7 +448,8 @@ def _roi_blocks(clip, rois):
         box = rois[start]
         validate_rect(box, clip.width, clip.height, f"ROI of frame {start}")
         stop = start + 1
-        limit = min(n, start + _ROI_BLOCK_FRAMES)
+        frames = min(_ROI_BLOCK_FRAMES, max(1, _ROI_BLOCK_BYTES // (box.w * box.h * 24)))
+        limit = min(n, start + frames)
         while stop < limit and rois[stop] == box:
             stop += 1
         block = clip.frames[start:stop, box.y:box.y + box.h, box.x:box.x + box.w, :]

@@ -1,5 +1,10 @@
+import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +13,7 @@ from camvitals.config import PipelineConfig
 from camvitals.detect import Cascade, Stage, Tree
 from camvitals.dsp import estimate_rate
 from camvitals.geometry import Rect
-from camvitals.ingest import VideoClip, write_physio_csv
+from camvitals.ingest import VideoClip, in_order, write_physio_csv
 from camvitals.synth import SynthConfig, synth_clip
 from camvitals.vitals import mean_gray_trace, pulse_trace
 
@@ -94,3 +99,30 @@ def assert_ended(pids):
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+def run_cli_calls(script, argvs, tmp_path):
+    """[exit code, stdout, stderr] of each argument list of `argvs`, run
+    through cli.main by `script`, which reads the lists from the JSON file
+    named by its argument and prints the results as JSON. The lists are
+    split between two runs of the script, one per worker process of
+    ingest.in_order: the calls are independent, so this only changes how
+    long a test takes."""
+    children = 2
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+    def run(entry):
+        job_file = tmp_path / f"jobs{entry.trial_id}.json"
+        job_file.write_text(json.dumps(argvs[entry.trial_id - 1::children]))
+        done = subprocess.run([sys.executable, str(script), str(job_file)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    parts = list(in_order(run, [SimpleNamespace(trial_id=k) for k in range(1, children + 1)]))
+    # part k holds calls k, k + children, ...
+    results = [None] * len(argvs)
+    for k, part in enumerate(parts):
+        results[k::children] = part
+    return results

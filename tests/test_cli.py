@@ -544,6 +544,23 @@ def test_roi_that_does_not_fit_the_frame_is_not_blamed_on_a_trial(roi, message, 
     assert not out.exists()
 
 
+def test_detected_face_without_a_chest_region_fails_after_a_too_short_pulse(
+        short_and_long, tmp_path, capsys):
+    # a base window of the whole frame, kept without neighbours, finds a
+    # face whose bottom is the frame's: trial 1 is too short for the
+    # pulse's window before its chest is looked at, and trial 2 has no
+    # chest region
+    cascade, cfg = tmp_path / "cascade.json", tmp_path / "pipeline.cfg"
+    save_cascade(cascade, _window_cascade(32))
+    cfg.write_text("min_neighbors = 0\n")
+    capsys.readouterr()
+    assert main(["estimate", "--data", str(short_and_long), "--out", str(tmp_path / "e.csv"),
+                 "--cascade", str(cascade), "--config", str(cfg), "--crop", NOCROP]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "trial 1: signal of 180 samples shorter than window 256 (too_short)\n"
+    assert captured.err == "error: trial 2: face bottom 32 leaves no chest region in height 32\n"
+
+
 def test_roi_outside_a_frame_cropped_by_the_config_names_the_config(dataset, tmp_path,
                                                                     capsys):
     cfg = tmp_path / "r.cfg"

@@ -145,6 +145,28 @@ def test_detect_bounds_the_number_of_scales(toy_cascade):
     assert detect_faces(toy_cascade, img, min_neighbors=1, scale_factor=1e308) == base_only
 
 
+def test_a_cascade_is_hashed_once_not_on_every_detect_faces_call(toy_cascade):
+    # the scan plans' cache hashes its cascade on every call; a hash
+    # through every stage, tree and rect costs a large cascade 1.6 ms a frame
+    hashed = []
+
+    class CountedStage(Stage):
+        def __hash__(self):
+            hashed.append(self)
+            return super().__hash__()
+
+    stage = toy_cascade.stages[0]
+    c = Cascade(window_w=8, window_h=8, stages=(CountedStage(stage.threshold, stage.trees),))
+    img = blob_frame(24, 24, Rect(10, 10, 4, 4))
+    first = detect_faces(c, img, min_neighbors=1)
+    assert first
+    for _ in range(3):
+        assert detect_faces(c, img, min_neighbors=1) == first
+    assert len(hashed) == 1
+    # the hash is still that of the cascade's fields
+    assert hash(c) == hash(toy_cascade) == hash(make_toy_cascade())
+
+
 # ------------------------- grouping -------------------------
 
 def test_group_rects_merges_cluster_to_mean():

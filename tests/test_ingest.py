@@ -795,15 +795,15 @@ def test_physio_array_pass_refuses_a_cell_that_loadtxt_only_warns_about(tmp_path
             load_physio_csv(path)
 
 
-def test_physio_array_pass_equals_the_checked_reader_on_random_edits(tmp_path, monkeypatch):
-    # seeded byte edits of a clean file: replace, insert or delete one byte
-    # from the alphabet of the dialect and of the ways a file goes wrong
-    rng = np.random.default_rng(23)
-    alphabet = b'0123456789,\n\r". _-+eE.nai\xe9\x00'
+def _assert_random_edits_read_alike(seed, alphabet, count, tmp_path, monkeypatch):
+    """`count` seeded edits of a clean file, each replacing, inserting or
+    deleting 1-3 bytes drawn from `alphabet`, read alike by load_physio_csv
+    and the checked reader; some must load and some fail."""
+    rng = np.random.default_rng(seed)
     clean = _physio_text(40).encode("ascii")
     path = tmp_path / "physio.csv"
     outcomes = set()
-    for _ in range(300):
+    for _ in range(count):
         data = bytearray(clean)
         for _ in range(int(rng.integers(1, 4))):
             at = int(rng.integers(len(ingest._PHYSIO_HEAD), len(data)))
@@ -818,6 +818,19 @@ def test_physio_array_pass_equals_the_checked_reader_on_random_edits(tmp_path, m
         path.write_bytes(bytes(data))
         outcomes.add(isinstance(_assert_same_as_checked_reader(path, monkeypatch), str))
     assert outcomes == {True, False}
+
+
+def test_physio_array_pass_equals_the_checked_reader_on_random_edits(tmp_path, monkeypatch):
+    # the alphabet of the dialect and of the ways a file goes wrong
+    _assert_random_edits_read_alike(23, b'0123456789,\n\r". _-+eE.nai\xe9\x00', 300,
+                                    tmp_path, monkeypatch)
+
+
+def test_physio_array_pass_equals_the_checked_reader_on_random_edits_of_any_byte(
+        tmp_path, monkeypatch):
+    # every byte value: one that the dialect never writes must send the
+    # file to the row reader, or give the row reader's arrays
+    _assert_random_edits_read_alike(29, bytes(range(256)), 600, tmp_path, monkeypatch)
 
 
 def test_row_reader_names_the_first_bad_cell(tmp_path):

@@ -11,9 +11,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from camvitals import ingest
 from camvitals.evaluation import skin_tone_gray
 from camvitals.geometry import Rect
-from camvitals.ingest import VideoClip, to_grayscale
+from camvitals.ingest import VideoClip, _roi_blocks, to_grayscale
 from camvitals.vitals import _unit_means, hr_roi, mean_gray_trace, pulse_trace, rr_roi
 
 from conftest import quick_clip
@@ -88,6 +89,31 @@ def test_hold_last_boxes_that_change_mid_clip(changes):
     clip, truth = quick_clip(duration=200 / 30.0, noise_sigma=2.0, seed=5)
     assert clip.n_frames == 200
     assert_traces_match(clip, hold_last(truth.face_box, clip.n_frames, changes))
+
+
+@pytest.mark.parametrize("budget", [1, 5000, 40000])
+def test_blocks_cut_by_their_bytes(budget, monkeypatch):
+    # budgets of one frame a block, and of blocks of a few frames that the
+    # box changes cut again
+    monkeypatch.setattr(ingest, "_ROI_BLOCK_BYTES", budget)
+    clip, truth = quick_clip(duration=200 / 30.0, noise_sigma=2.0, seed=5)
+    assert_traces_match(clip, hold_last(truth.face_box, clip.n_frames,
+                                        {30: (2, 1), 100: (-2, 0), 101: (0, 0)}))
+
+
+@pytest.mark.parametrize("budget,lengths", [
+    (0, [1] * 200),                   # never below one frame
+    (2400 * 5 - 1, [4] * 50),         # a float64 copy is 2,400 bytes a frame
+    (2400 * 5, [5] * 40),
+    (2400 * 64, [64, 64, 64, 8]),
+    (1 << 40, [64, 64, 64, 8]),       # the frame cap
+])
+def test_roi_blocks_end_at_the_byte_budget_or_the_frame_cap(budget, lengths, monkeypatch):
+    monkeypatch.setattr(ingest, "_ROI_BLOCK_BYTES", budget)
+    clip = VideoClip(np.zeros((200, 16, 16, 3), dtype=np.uint8), 30.0)
+    blocks = list(_roi_blocks(clip, [Rect(3, 2, 10, 10)] * 200))
+    assert [len(block) for _, block in blocks] == lengths
+    assert [t0 for t0, _ in blocks] == list(np.cumsum([0] + lengths[:-1]))
 
 
 def test_rois_with_some_black_pixels():

@@ -8,23 +8,21 @@ the config file before any trial line, unless its outcome is one of the
 per-trial ones in PER_TRIAL_OUTCOMES, each listed with the README
 sentence that documents it.
 
-The calls run in one child process under an address-space limit and a
+The calls run in child processes under an address-space limit and a
 per-call alarm, so that a missed check fails the test instead of filling
-the machine or hanging. Run as a script, this file is that child:
+the machine or hanging; two children split the calls and run at once
+where there is more than one CPU. Run as a script, this file is a child:
 `python tests/test_settings_fuzz.py JOBS.json` reads a JSON list of
 argument lists and prints a JSON list of [exit code, stdout, stderr].
 """
 
 import json
 import math
-import os
 import re
-import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 README = Path(__file__).resolve().parents[1] / "README.md"
 ROI = "manual:12,5,8,10"   # the synthetic face box at 32x32
 CHILD_AS_BYTES = 1 << 30
@@ -94,6 +92,8 @@ def _jobs(data, cascade, tmp_path):
 
 
 def test_every_setting_runs_or_fails_before_trial_1(tmp_path):
+    from conftest import run_cli_calls
+
     from camvitals.detect import Cascade, Stage, Tree, save_cascade
     from camvitals.geometry import Rect
     from camvitals.synth import SynthConfig, TrialPlan, synth_dataset
@@ -110,14 +110,7 @@ def test_every_setting_runs_or_fails_before_trial_1(tmp_path):
     save_cascade(cascade, Cascade(window_w=28, window_h=28, stages=(Stage(0.5, (tree,)),)))
 
     jobs = _jobs(data, str(cascade), tmp_path)
-    job_file = tmp_path / "jobs.json"
-    job_file.write_text(json.dumps([argv for _, argv, _ in jobs]))
-    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, __file__, str(job_file)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    results = json.loads(done.stdout)
+    results = run_cli_calls(__file__, [argv for _, argv, _ in jobs], tmp_path)
 
     failures = []
     for (what, _, cfg), (rc, out, err) in zip(jobs, results, strict=True):

@@ -8,8 +8,8 @@ import pytest
 from camvitals import synth
 
 from camvitals.geometry import Rect
-from camvitals.ingest import (FRAMES_FILE, parse_manifest, ppm_header, read_frame_range,
-                              load_physio_csv, to_grayscale)
+from camvitals.ingest import (CONDITIONS, FRAMES_FILE, parse_manifest, ppm_header,
+                              read_frame_range, load_physio_csv, to_grayscale)
 from camvitals.synth import (BACKGROUND_GRAY, BASE_SKIN, BLOCK_BYTES, CHEST_COLOR, RATE_RANGES,
                              SynthConfig, TrialPlan, paper_protocol, scene_geometry,
                              synth_clip, synth_dataset, synth_ecg, synth_resp)
@@ -288,6 +288,11 @@ def test_drawn_rates_stay_inside_condition_ranges(tmp_path):
         t = truth[plan.trial_id]
         assert hr_lo <= t.hr_bpm <= hr_hi
         assert rr_lo <= t.rr_brpm <= rr_hi
+
+
+def test_rate_ranges_cover_exactly_the_manifest_conditions():
+    # synth --condition offers the manifest's conditions; each needs a range
+    assert sorted(RATE_RANGES) == sorted(CONDITIONS)
 
 
 # ------------------------- dataset writer -------------------------
