@@ -1,16 +1,19 @@
 """Scoring and reporting: trial records, RMSE and boxplot summaries per
 condition, the skin-brightness error regression, and deterministic SVG
 figures. All numbers in CSVs use shortest round-trip formatting so a
-re-parse reproduces the records bit for bit."""
+re-parse reproduces the records bit for bit.
 
+The report's arithmetic runs on floats, with `series.total`, `mean` and
+`linspace` in numpy's order of operations: its bits are those of numpy's
+float64 array operations, and `evaluate` loads no numpy."""
+
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .ingest import (FormatError, _optional_float, _parse_row, _roi_blocks, named,
                      read_csv, to_grayscale, write_csv)
-from .series import median, percentile
+from .series import linspace, mean, median, percentile, total
 
 FLAGS = frozenset({"out_of_band", "hold_breath_excluded", "roi_failure", "too_short"})
 
@@ -97,7 +100,7 @@ def segment_trials(physio, manifest):
     """
     pairs = []
     for entry in manifest.entries:
-        hits = np.flatnonzero(physio.trigger == entry.trigger_code)
+        hits = (physio.trigger == entry.trigger_code).nonzero()[0]
         if hits.size == 0:
             raise ValueError(f"trigger code {entry.trigger_code} not found")
         if hits.size > 1:
@@ -118,8 +121,8 @@ def segment_trials(physio, manifest):
 def rmse(pairs):
     if not pairs:
         raise ValueError("rmse of an empty pair list")
-    diffs = np.array([est - truth for est, truth in pairs], dtype=np.float64)
-    return float(np.sqrt(np.mean(diffs ** 2)))
+    diffs = [est - truth for est, truth in pairs]
+    return math.sqrt(mean([d * d for d in diffs]))
 
 
 def skin_tone_gray(clip, rois):
@@ -214,17 +217,19 @@ def _t975(df):
 
 
 def _ols(x, y):
-    """(slope, intercept, xbar, sxx, s2, tcrit) of the OLS fit of float
-    arrays: s2 and the 97.5% t quantile tcrit are on n-2 degrees of freedom."""
+    """(slope, intercept, xbar, sxx, s2, tcrit) of the OLS fit of two float
+    sequences: s2 and the 97.5% t quantile tcrit are on n-2 degrees of
+    freedom."""
     n = len(x)
-    xbar, ybar = float(np.mean(x)), float(np.mean(y))
-    sxx = float(np.sum((x - xbar) ** 2))
+    xbar, ybar = mean(x), mean(y)
+    dx = [xi - xbar for xi in x]
+    sxx = total([d * d for d in dx])
     if sxx == 0.0:
         raise ValueError("x values are all equal; fit is degenerate")
-    slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
+    slope = total([d * (yi - ybar) for d, yi in zip(dx, y)]) / sxx
     intercept = ybar - slope * xbar
-    resid = y - (slope * x + intercept)
-    s2 = float(np.sum(resid ** 2)) / (n - 2)
+    resid = [yi - (slope * xi + intercept) for xi, yi in zip(x, y)]
+    s2 = total([r * r for r in resid]) / (n - 2)
     return slope, intercept, xbar, sxx, s2, _t975(n - 2)
 
 
@@ -232,9 +237,9 @@ def _ci95(n, ols):
     """(slope, intercept, ci95_slope, ci95_intercept) of an _ols result on
     n points: the line and the half-widths of its 95% intervals."""
     slope, intercept, xbar, sxx, s2, tcrit = ols
-    ci_slope = tcrit * np.sqrt(s2 / sxx)
-    ci_intercept = tcrit * np.sqrt(s2 * (1.0 / n + xbar ** 2 / sxx))
-    return slope, intercept, float(ci_slope), float(ci_intercept)
+    ci_slope = tcrit * math.sqrt(s2 / sxx)
+    ci_intercept = tcrit * math.sqrt(s2 * (1.0 / n + xbar ** 2 / sxx))
+    return slope, intercept, ci_slope, ci_intercept
 
 
 def boxplot_stats(values):
@@ -303,9 +308,7 @@ def build_report(records):
     xs = [p[0] for p in report.skin_points]
     if len(report.skin_points) >= 3 and len(set(xs)) > 1:
         # one fit: the summary row and the figure's band both use it
-        report.skin_ols = _ols(np.array(xs, dtype=np.float64),
-                               np.array([p[1] for p in report.skin_points],
-                                        dtype=np.float64))
+        report.skin_ols = _ols(xs, [p[1] for p in report.skin_points])
         report.skin_fit = _ci95(len(xs), report.skin_ols)
     return report
 
@@ -477,15 +480,15 @@ class _Axes:
 
     def y_ticks(self):
         c = self.canvas
-        for v in np.linspace(self.y0, self.y1, 5):
-            py = self.y(float(v))
+        for v in linspace(self.y0, self.y1, 5):
+            py = self.y(v)
             c.line(self.px0 - 4, py, self.px0, py, stroke="#333333")
             c.text(self.px0 - 7, py + 4, f"{v:.3g}", anchor="end", size=10)
 
     def x_ticks(self):
         c = self.canvas
-        for v in np.linspace(self.x0, self.x1, 5):
-            px = self.x(float(v))
+        for v in linspace(self.x0, self.x1, 5):
+            px = self.x(v)
             c.line(px, self.py0, px, self.py0 + 4, stroke="#333333")
             c.text(px, self.py0 + 16, f"{v:.3g}", anchor="middle", size=10)
 
@@ -529,35 +532,35 @@ def render_scatter(points, ols, title, xlabel, ylabel):
     if not points:
         canvas.text(canvas.width / 2, 170, "no data points", anchor="middle")
         return canvas.to_string()
-    xs = np.array([p[0] for p in points], dtype=np.float64)
-    ys = np.array([p[1] for p in points], dtype=np.float64)
-    x_lo, x_hi = float(xs.min()), float(xs.max())
+    xs = [p[0] for p in points]
+    x_lo, x_hi = min(xs), max(xs)
     pad = 0.05 * (x_hi - x_lo or 1.0)
     x_lo, x_hi = x_lo - pad, x_hi + pad
-    y_lo, y_hi = 0.0, float(ys.max()) * 1.15 + 1e-9
+    y_lo, y_hi = 0.0, max(p[1] for p in points) * 1.15 + 1e-9
 
     band = None
     if ols is not None:
         slope, intercept, xbar, sxx, s2, tcrit = ols
-        gx = np.linspace(x_lo, x_hi, 50)
-        gy = slope * gx + intercept
-        half = tcrit * np.sqrt(s2 * (1.0 / len(xs) + (gx - xbar) ** 2 / sxx))
-        band = (gx, gy, half)
-        y_hi = max(y_hi, float((gy + half).max()) * 1.05)
-        y_lo = min(y_lo, float((gy - half).min()))
+        gx = linspace(x_lo, x_hi, 50)
+        gy = [slope * x + intercept for x in gx]
+        half = [tcrit * math.sqrt(s2 * (1.0 / len(xs) + (x - xbar) * (x - xbar) / sxx))
+                for x in gx]
+        top = [y + h for y, h in zip(gy, half)]
+        bottom = [y - h for y, h in zip(gy, half)]
+        band = (gx, gy, top, bottom)
+        y_hi = max(y_hi, max(top) * 1.05)
+        y_lo = min(y_lo, min(bottom))
 
     ax = _Axes(canvas, (x_lo, x_hi), (y_lo, y_hi))
     ax.frame(title, xlabel, ylabel)
     ax.y_ticks()
     ax.x_ticks()
     if band is not None:
-        gx, gy, half = band
-        upper = [(ax.x(float(x)), ax.y(float(y + h)))
-                 for x, y, h in zip(gx, gy, half)]
-        lower = [(ax.x(float(x)), ax.y(float(y - h)))
-                 for x, y, h in zip(reversed(gx), reversed(gy), reversed(half))]
+        gx, gy, top, bottom = band
+        upper = [(ax.x(x), ax.y(y)) for x, y in zip(gx, top)]
+        lower = [(ax.x(x), ax.y(y)) for x, y in zip(reversed(gx), reversed(bottom))]
         canvas.poly(upper + lower, fill="#f4c7c3", stroke="none", closed=True)
-        canvas.poly([(ax.x(float(x)), ax.y(float(y))) for x, y in zip(gx, gy)],
+        canvas.poly([(ax.x(x), ax.y(y)) for x, y in zip(gx, gy)],
                     stroke="#c0392b", width=1.5)
     for x, y in points:
         canvas.circle(ax.x(float(x)), ax.y(float(y)), 3.0, fill="#2b5d8a")
@@ -573,8 +576,8 @@ def render_signals(labeled_series, title):
     canvas.text(canvas.width / 2, 20, title, size=13, anchor="middle")
     for i, (label, ts) in enumerate(labeled_series):
         top = 34 + i * panel_h
-        lo = float(np.min(ts.samples)) if len(ts) else 0.0
-        hi = float(np.max(ts.samples)) if len(ts) else 1.0
+        lo = float(ts.samples.min()) if len(ts) else 0.0
+        hi = float(ts.samples.max()) if len(ts) else 1.0
         if hi - lo < 1e-12:
             hi = lo + 1.0
         x0, x1 = 50.0, canvas.width - 15.0

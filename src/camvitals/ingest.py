@@ -1,7 +1,12 @@
 """On-disk formats: a dataset's frames as one stream of P6 PPM records of
 one fixed size, the plain-text trial manifest, the physio CSV
 (t,ecg,resp,trigger), and the CSV dialect that it shares with truth.csv and
-the result files."""
+the result files.
+
+`cli` imports this module at start-up, and `evaluate` runs only its CSV
+dialect, so each function that builds or reads arrays imports numpy where
+it runs: neither loads numpy.
+"""
 
 import contextlib
 import csv
@@ -13,8 +18,6 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .geometry import validate_rect
 from .series import TimeSeries
@@ -59,10 +62,12 @@ class VideoClip:
     """Frame stack (T, H, W, 3) of uint8 RGB with a fixed frame rate: the
     8-bit frames a webcam, a frames.ppm stream and synth_clip all give."""
 
-    frames: np.ndarray
+    frames: "np.ndarray"
     fps: float
 
     def __post_init__(self):
+        import numpy as np
+
         self.frames = np.asarray(self.frames)
         if self.frames.ndim != 4 or self.frames.shape[3] != 3:
             raise ValueError(f"frames must have shape (T, H, W, 3), got {self.frames.shape}")
@@ -94,9 +99,11 @@ class PhysioRecord:
     sample_rate: float
     ecg: TimeSeries
     resp: TimeSeries
-    trigger: np.ndarray
+    trigger: "np.ndarray"
 
     def __post_init__(self):
+        import numpy as np
+
         self.trigger = np.asarray(self.trigger, dtype=np.int64)
         if not (len(self.ecg) == len(self.resp) == len(self.trigger)):
             raise ValueError("physio channels differ in length")
@@ -248,6 +255,8 @@ def write_ppm(target, frames):
     stack in order, as binary P6 PPM records of maxval 255, each with its
     own ppm_header. `target` is a path, which is overwritten, or a binary
     file open for writing, which gets the records appended."""
+    import numpy as np
+
     frames = np.asarray(frames)
     if frames.dtype != np.uint8 or frames.ndim not in (3, 4) or frames.shape[-1] != 3:
         raise ValueError("frames must be (H, W, 3) or (N, H, W, 3) uint8")
@@ -362,6 +371,8 @@ def read_frame_range(dataset_dir, manifest, start_frame, frame_count):
     or headed otherwise raises FormatError naming the file, the frame
     index and its byte offset.
     """
+    import numpy as np
+
     w, h = manifest.width, manifest.height
     path, header, record = _frames_file(dataset_dir, manifest)
     records = np.empty((frame_count, record), dtype=np.uint8)
@@ -460,6 +471,8 @@ def _roi_blocks(clip, rois):
 def to_grayscale(clip):
     """Rec.601 grayscale: round(0.299 R + 0.587 G + 0.114 B) as uint8.
     Accepts a VideoClip or any (..., 3) RGB array."""
+    import numpy as np
+
     pixels = clip.frames if isinstance(clip, VideoClip) else np.asarray(clip)
     # the IEEE operations of (R*LUMA_R + G*LUMA_G) + B*LUMA_B on float64
     # channels, in that order, without a float64 copy of all three
@@ -552,7 +565,6 @@ def _int64(cell):
 
 _PHYSIO_TYPES = (_finite_float, _finite_float, _finite_float, _int64)
 _PHYSIO_HEAD = (",".join(PHYSIO_HEADER) + "\n").encode("ascii")
-_PHYSIO_DTYPE = np.dtype({"names": PHYSIO_HEADER, "formats": ["f8", "f8", "f8", "i8"]})
 # the bytes write_physio_csv writes: "\n" and printable ASCII
 _PHYSIO_BYTES = b"\n" + bytes(range(0x20, 0x7f))
 
@@ -566,19 +578,22 @@ def _physio_columns(data):
     refuses it. Any other byte takes the row reader: loadtxt strips the
     bytes 0x1c to 0x1f around a cell, where float() and int() refuse them.
     csv reads \r\n as one line end, so \r\n lines are read as \n lines."""
+    import numpy as np
+
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n")
     if not (data.startswith(_PHYSIO_HEAD) and data.endswith(b"\n")):
         return None
     if data.translate(None, _PHYSIO_BYTES) or b'"' in data:
         return None
+    dtype = np.dtype({"names": PHYSIO_HEADER, "formats": ["f8", "f8", "f8", "i8"]})
     # a warning refuses the file too: loadtxt warns on a file without rows,
     # and some numpy versions read an integer cell such as 1.0 through
     # float, with a DeprecationWarning, where int() refuses it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            rows = np.loadtxt(io.BytesIO(data), dtype=_PHYSIO_DTYPE, delimiter=",",
+            rows = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",",
                               comments=None, skiprows=1, ndmin=1)
         except (ValueError, Warning):
             return None
@@ -596,6 +611,8 @@ def _checked_physio_columns(path):
     """The columns of physio.csv, row by row through read_csv; the first
     cell that is not a finite number (an int64 trigger) raises FormatError
     naming its line and column."""
+    import numpy as np
+
     rows = [_parse_row(_PHYSIO_TYPES, row, PHYSIO_HEADER, f"{path}:{line}")
             for line, row in read_csv(path, PHYSIO_HEADER)]
     t, ecg, resp, trig = zip(*rows) if rows else [()] * 4
@@ -607,6 +624,8 @@ def load_physio_csv(path):
     """Parse `t,ecg,resp,trigger` CSV; the sample rate is inferred from the
     (strictly uniform) time column. A file np.loadtxt cannot vouch for is
     read again row by row, which names what is wrong with it."""
+    import numpy as np
+
     with open(path, "rb") as f:
         columns = _physio_columns(f.read())
     t, ecg, resp, trig = columns or _checked_physio_columns(path)

@@ -11,9 +11,9 @@ import scipy.stats
 
 from camvitals import evaluation
 from camvitals.dsp import TimeSeries
-from camvitals.evaluation import (BoxplotStats, TrialRecord, _ci95, _ols,
-                                  boxplot_stats, build_report, emit_report,
-                                  render_signals, rmse,
+from camvitals.evaluation import (BoxplotStats, SvgCanvas, TrialRecord, _Axes, _ci95,
+                                  _ols, boxplot_stats, build_report, emit_report,
+                                  render_scatter, render_signals, rmse,
                                   segment_trials, skin_tone_gray,
                                   write_trials_csv)
 from camvitals.geometry import Rect
@@ -201,6 +201,102 @@ def test_linear_fit_residuals_sum_to_zero():
         slope, intercept, _, _ = _ci95(n, _ols(x, y))
         resid = y - (slope * x + intercept)
         assert abs(resid.sum()) < 1e-9 * max(1.0, np.abs(y).sum())
+
+
+# ------------------------- float arithmetic against numpy -------------------------
+# The report's arithmetic as it ran on float64 arrays, kept as the
+# reference: the float code must give the same bits.
+
+def numpy_rmse(pairs):
+    diffs = np.array([est - truth for est, truth in pairs], dtype=np.float64)
+    return float(np.sqrt(np.mean(diffs ** 2)))
+
+
+def numpy_ols(x, y):
+    x, y = np.array(x, dtype=np.float64), np.array(y, dtype=np.float64)
+    n = len(x)
+    xbar, ybar = float(np.mean(x)), float(np.mean(y))
+    sxx = float(np.sum((x - xbar) ** 2))
+    slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
+    intercept = ybar - slope * xbar
+    resid = y - (slope * x + intercept)
+    s2 = float(np.sum(resid ** 2)) / (n - 2)
+    return slope, intercept, xbar, sxx, s2, float(scipy.special.stdtrit(n - 2, 0.975))
+
+
+def numpy_ci95(n, ols):
+    slope, intercept, xbar, sxx, s2, tcrit = ols
+    return (slope, intercept, float(tcrit * np.sqrt(s2 / sxx)),
+            float(tcrit * np.sqrt(s2 * (1.0 / n + xbar ** 2 / sxx))))
+
+
+class NumpyAxes(_Axes):
+    def y_ticks(self):
+        c = self.canvas
+        for v in np.linspace(self.y0, self.y1, 5):
+            py = self.y(float(v))
+            c.line(self.px0 - 4, py, self.px0, py, stroke="#333333")
+            c.text(self.px0 - 7, py + 4, f"{v:.3g}", anchor="end", size=10)
+
+    def x_ticks(self):
+        c = self.canvas
+        for v in np.linspace(self.x0, self.x1, 5):
+            px = self.x(float(v))
+            c.line(px, self.py0, px, self.py0 + 4, stroke="#333333")
+            c.text(px, self.py0 + 16, f"{v:.3g}", anchor="middle", size=10)
+
+
+def numpy_render_scatter(points, ols, title, xlabel, ylabel):
+    canvas = SvgCanvas(460, 340)
+    xs = np.array([p[0] for p in points], dtype=np.float64)
+    ys = np.array([p[1] for p in points], dtype=np.float64)
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    pad = 0.05 * (x_hi - x_lo or 1.0)
+    x_lo, x_hi = x_lo - pad, x_hi + pad
+    y_lo, y_hi = 0.0, float(ys.max()) * 1.15 + 1e-9
+    slope, intercept, xbar, sxx, s2, tcrit = ols
+    gx = np.linspace(x_lo, x_hi, 50)
+    gy = slope * gx + intercept
+    half = tcrit * np.sqrt(s2 * (1.0 / len(xs) + (gx - xbar) ** 2 / sxx))
+    y_hi = max(y_hi, float((gy + half).max()) * 1.05)
+    y_lo = min(y_lo, float((gy - half).min()))
+    ax = NumpyAxes(canvas, (x_lo, x_hi), (y_lo, y_hi))
+    ax.frame(title, xlabel, ylabel)
+    ax.y_ticks()
+    ax.x_ticks()
+    upper = [(ax.x(float(x)), ax.y(float(y + h))) for x, y, h in zip(gx, gy, half)]
+    lower = [(ax.x(float(x)), ax.y(float(y - h)))
+             for x, y, h in zip(reversed(gx), reversed(gy), reversed(half))]
+    canvas.poly(upper + lower, fill="#f4c7c3", stroke="none", closed=True)
+    canvas.poly([(ax.x(float(x)), ax.y(float(y))) for x, y in zip(gx, gy)],
+                stroke="#c0392b", width=1.5)
+    for x, y in points:
+        canvas.circle(ax.x(float(x)), ax.y(float(y)), 3.0, fill="#2b5d8a")
+    return canvas.to_string()
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def test_report_arithmetic_is_the_numpy_reference_bit_for_bit():
+    # 3 to 250 points crosses the sum's 8-, 128- and 256-value splits and,
+    # above 200 points, takes the t quantile from scipy.special
+    rng = np.random.default_rng(34)
+    for n in range(3, 251):
+        est, gt = rng.uniform(40.0, 180.0, size=(2, n)) * 10.0 ** rng.integers(-2, 3)
+        gray = rng.uniform(20.0, 235.0, size=n)
+        if n % 3 == 0:
+            gray = np.round(gray / 8.0) * 8.0     # ties in x
+        pairs = list(zip(est.tolist(), gt.tolist()))
+        points = [(g, abs(e - t)) for g, (e, t) in zip(gray.tolist(), pairs)]
+        xs, ys = [p[0] for p in points], [p[1] for p in points]
+        assert hexes([rmse(pairs)]) == hexes([numpy_rmse(pairs)]), n
+        ols = _ols(xs, ys)
+        assert hexes(ols) == hexes(numpy_ols(xs, ys)), n
+        assert hexes(_ci95(n, ols)) == hexes(numpy_ci95(n, ols)), n
+        assert (render_scatter(points, ols, "t", "x", "y")
+                == numpy_render_scatter(points, ols, "t", "x", "y")), n
 
 
 # ------------------------- box statistics -------------------------

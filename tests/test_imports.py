@@ -1,11 +1,12 @@
-"""Start-up cost: `import camvitals.cli` loads no scipy module, `estimate`
-and `groundtruth` load only scipy's top level and its compiled sosfilt
-loop, and `evaluate` loads none of the slow scipy subpackages; the modules
-import scipy inside the functions that use it. None of the three loads the
-XML parser, which only `convert-cascade` needs. Each subcommand loads only
-the package modules it runs, and none loads numpy.ma or statistics. Each
-case runs in a fresh interpreter, since this process has long since
-imported scipy."""
+"""Start-up cost: `import camvitals.cli` loads no numpy or scipy module,
+`estimate` and `groundtruth` load only scipy's top level and its compiled
+sosfilt loop, and `evaluate` loads none of the slow scipy subpackages and,
+for a report of the paper protocol's size, no numpy or scipy at all; the
+modules import numpy and scipy inside the functions that use them. None
+of the three loads the XML parser, which only `convert-cascade` needs.
+Each subcommand loads only the package modules it runs, and none loads
+numpy.ma or statistics. Each case runs in a fresh interpreter, since this
+process has long since imported numpy and scipy."""
 
 import json
 import os
@@ -41,6 +42,15 @@ def test_importing_the_cli_loads_no_scipy():
         "import camvitals.cli\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m == 'scipy' or m.startswith('scipy.'))))\n")
+    assert loaded == []
+
+
+def test_importing_the_cli_loads_no_numpy():
+    loaded = fresh_python(
+        "import json, sys\n"
+        "import camvitals.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m == 'numpy' or m.startswith('numpy.'))))\n")
     assert loaded == []
 
 
@@ -110,9 +120,11 @@ def test_evaluate_loads_no_signal_stats_or_interpolate(tmp_path):
     assert (tmp_path / "report" / "summary.csv").read_text().count("skin_regression") == 1
 
 
-def test_evaluate_of_the_paper_protocol_size_loads_no_scipy(tmp_path):
+def evaluate_of_the_paper_protocol_size(tmp_path, package):
+    """(exit code, loaded modules of `package`) of a fresh interpreter's
+    `evaluate` of 80 scored trials with distinct skin gray: a 78-df t
+    quantile."""
     est, gt = tmp_path / "est.csv", tmp_path / "gt.csv"
-    # 80 scored trials with distinct skin gray: a 78-df t quantile
     write_csv(est, EST_HEADER, [(i, "gaze", 3, 70.0 + (i % 7), 15.0, 40.0 + 2 * i, "")
                                 for i in range(1, 81)])
     write_csv(gt, GT_HEADER, [(i, "gaze", 3, 71.0, 15.5, "") for i in range(1, 81)])
@@ -122,10 +134,17 @@ def test_evaluate_of_the_paper_protocol_size_loads_no_scipy(tmp_path):
         f"rc = cli.main(['evaluate', '--estimates', {str(est)!r},\n"
         f"               '--groundtruth', {str(gt)!r}, '--out', {str(tmp_path / 'report')!r}])\n"
         "print(json.dumps([rc, sorted(m for m in sys.modules\n"
-        "                             if m == 'scipy' or m.startswith('scipy.'))]))\n")
-    assert rc == 0
-    assert loaded == []
+        f"                             if m.split('.')[0] == {package!r})]))\n")
     assert (tmp_path / "report" / "summary.csv").read_text().count("skin_regression") == 1
+    return rc, loaded
+
+
+def test_evaluate_of_the_paper_protocol_size_loads_no_scipy(tmp_path):
+    assert evaluate_of_the_paper_protocol_size(tmp_path, "scipy") == (0, [])
+
+
+def test_evaluate_of_the_paper_protocol_size_loads_no_numpy(tmp_path):
+    assert evaluate_of_the_paper_protocol_size(tmp_path, "numpy") == (0, [])
 
 
 # package modules that a subcommand does not run, and so must not load

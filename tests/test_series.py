@@ -1,5 +1,7 @@
 """The package's median and percentile give the bits of statistics.median,
-np.median and np.percentile, which they replace on the CLI path."""
+np.median and np.percentile, and its sum, mean and linspace those of
+np.sum, np.mean and np.linspace on float64, which they replace on the CLI
+path."""
 
 import statistics
 
@@ -8,7 +10,7 @@ import pytest
 
 from camvitals.config import PipelineConfig
 from camvitals.dsp import detrend
-from camvitals.series import median, percentile
+from camvitals.series import linspace, mean, median, percentile, total
 from camvitals.synth import PHYSIO_RATE, synth_ecg
 
 QS = (0, 25, 75, 95, 100)
@@ -60,6 +62,45 @@ def test_percentile_of_synth_ecg_derivatives_at_the_default_q():
         d = np.abs(np.diff(detrend(ecg, cfg.ecg_detrend_s).samples))
         assert bits(percentile(d, cfg.ecg_percentile)) == \
             bits(np.percentile(d, cfg.ecg_percentile))
+
+
+def test_median_and_percentile_of_a_list_are_those_of_its_array():
+    # evaluate passes lists, which are sorted as lists
+    for x in seeded_sets():
+        assert bits(median(x.tolist())) == bits(median(x)), x
+        for q in QS:
+            assert bits(percentile(x.tolist(), q)) == bits(percentile(x, q)), (x, q)
+
+
+def test_total_and_mean_are_numpy_sum_and_mean_bit_for_bit():
+    # every length from 1 to 400 crosses numpy's 8-, 128- and 256-value
+    # splits of its pairwise sum
+    rng = np.random.default_rng(34)
+    for n in range(1, 401):
+        for kind in range(4):
+            x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+            if kind == 1:
+                x[rng.random(n) < 0.3] = -0.0
+                x[rng.random(n) < 0.2] = 0.0
+            elif kind == 2:
+                x = -np.abs(x)
+            elif kind == 3:
+                x = np.full(n, -0.0)
+                x[rng.random(n) < 0.1] = 0.0
+            assert bits(total(x.tolist())) == bits(np.sum(x)), x
+            assert bits(mean(x.tolist())) == bits(np.mean(x)), x
+
+
+def test_linspace_is_numpy_linspace_bit_for_bit():
+    rng = np.random.default_rng(35)
+    ends = [tuple(rng.normal(size=2) * 10.0 ** rng.integers(-3, 4, size=2)) for _ in range(500)]
+    # equal ends, and a step that underflows to 0
+    ends += [(1.5, 1.5), (0.0, 5e-324), (-1e-322, 1e-322)]
+    for start, stop in ends:
+        for n in (5, 50):   # the report's tick and band counts
+            want = np.linspace(start, stop, n)
+            assert [bits(v) for v in linspace(start, stop, n)] == [bits(v) for v in want], \
+                (start, stop, n)
 
 
 @pytest.mark.parametrize("statistic", [median, lambda x: percentile(x, 50.0)])
