@@ -225,8 +225,14 @@ def _run_trials(entries, analyse, header, out, describe):
 # ------------------------- estimate -------------------------
 
 def cmd_estimate(args):
-    from .dsp import bandpass, filtered_rate
+    # evaluation first: it loads no numpy, and compiled before numpy's
+    # import (by detect or dsp) rather than after it, it left the peak RSS
+    # of `estimate --roi` on the benchmark's paper-manual dataset 0.6 MB lower
     from .evaluation import EST_HEADER, flags_cell, render_signals, skin_tone_gray
+
+    if args.cascade is not None:
+        from .detect import check_frame_fits, check_min_size, load_cascade, track_roi
+    from .dsp import bandpass, filtered_rate
     from .vitals import hr_roi, mean_gray_trace, pulse_trace, rr_roi
 
     if (args.cascade is None) == (args.roi is None):
@@ -234,8 +240,6 @@ def cmd_estimate(args):
         return 2
     cfg = _load_pipeline_config(args)
     if args.cascade is not None:
-        from .detect import check_frame_fits, check_min_size, load_cascade, track_roi
-
         cascade = load_cascade(args.cascade)
     else:
         cascade = None
