@@ -7,7 +7,9 @@ tracking, and the rate estimator shared by the video and physio paths."""
 # scipy.signal.sosfiltfilt's padding and passes around scipy's own
 # compiled sosfilt loop. Each does scipy's floating-point operations in
 # scipy's order, so its results are bit-equal to scipy's;
-# tests/test_dsp.py checks that against scipy. Importing scipy.signal and
+# tests/test_dsp.py checks that against scipy. The filter's initial states
+# are the exception: scipy solves them with LAPACK, whose kernel depends
+# on the CPU, and _cached_zi uses Cramer's rule. Importing scipy.signal and
 # scipy.interpolate takes over a second, more than the signal work of a
 # whole `groundtruth` run, so the loop is loaded from its extension file
 # and scipy.signal's package init never runs.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .series import TimeSeries, median
+from .series import TimeSeries, median, total
 
 DEFAULT_FILTER_ORDER = 3
 # highest filter order: a zero-phase pass of order n pads each end with
@@ -166,13 +168,14 @@ def check_bandpass(spec, sample_rate):
     _sosfilt_kernel()
 
 
-def _poly(roots):
-    """Coefficients of the monic polynomial with the given roots, real
-    part only (scipy.signal's zpk2tf for conjugate pairs and real roots)."""
-    a = np.ones(1, dtype=roots.dtype)
-    for r in roots:
-        a = np.convolve(a, np.array((1, -r)))
-    return a.real
+def _quadratic(r1, r2):
+    """(1, c1, c2): the real coefficients of the monic polynomial with the
+    roots r1 and r2, a conjugate pair or two reals, as scipy.signal's
+    zpk2tf gives them through np.poly. np.poly convolves by BLAS dot
+    calls; written out, the products by 1 and 0 drop, and the sum and the
+    product round once each."""
+    r1, r2 = complex(r1), complex(r2)
+    return 1.0, -r1.real - r2.real, r1.real * r2.real - r1.imag * r2.imag
 
 
 def _cplxreal(z):
@@ -239,8 +242,8 @@ def _butter_bandpass(order, low, high, sample_rate):
             z1_idx = np.argsort(np.abs(z - p1))[0]
             zeros.append(z[z1_idx])
             z = np.delete(z, z1_idx)
-        sos[si, :3] = _poly(np.array(zeros))
-        sos[si, 3:] = _poly(np.array([p1, p2]))
+        sos[si, :3] = _quadratic(*zeros)
+        sos[si, 3:] = _quadratic(p1, p2)
     sos[0, :3] *= k
     return sos
 
@@ -261,17 +264,22 @@ def _cached_zi(spec, sample_rate):
     """signal.sosfilt_zi of the cached design, also computed once and
     read-only: the section states of the steady-state response to a unit
     step. Each section's is lfilter_zi's solution of zi = A zi + B, scaled
-    by the DC gain of the sections before it."""
+    by the DC gain of the sections before it.
+
+    scipy solves each 2x2 system with LAPACK, whose kernel OpenBLAS picks
+    by CPU; Cramer's rule gives the same states on every CPU, within a few
+    units in the last place of scipy's (tests/test_dsp.py bounds the gap)."""
     sos = _cached_sos(spec, sample_rate)
     zi = np.empty((len(sos), 2))
     scale = 1.0
-    for section, (b, a) in enumerate(zip(sos[:, :3], sos[:, 3:])):
-        companion = np.zeros((2, 2))
-        companion[0] = -a[1:] / (1.0 * a[0:1])
-        companion[1, 0] = 1
-        i_minus_a = np.eye(2) - companion.T
-        zi[section] = scale * np.linalg.solve(i_minus_a, b[1:] - a[1:] * b[0])
-        scale *= np.sum(b) / np.sum(a)
+    for section, (b0, b1, b2, a0, a1, a2) in enumerate(sos.tolist()):
+        # A's first row is -a[1:] / a[0] and its second [1, 0], so
+        # (I - A^T) zi = B is [[p, -1], [q, 1]] zi = [r0, r1]
+        p, q = 1.0 + a1 / a0, a2 / a0
+        r0, r1 = b1 - a1 * b0, b2 - a2 * b0
+        det = p + q
+        zi[section] = scale * ((r0 + r1) / det), scale * ((p * r1 - q * r0) / det)
+        scale *= total((b0, b1, b2)) / total((a0, a1, a2))
     zi.flags.writeable = False
     return zi
 

@@ -34,6 +34,19 @@ SUMMARY_HEADER = ["kind", "signal", "condition", "n", "rmse", "median", "q1",
                   "intercept", "ci95_slope", "ci95_intercept"]
 
 
+# the highest rate a result CSV may hold, per minute (about 16.7 kHz): far
+# above any heart or breathing band, and low enough that the report's
+# squares, sums and fits of rates stay finite
+MAX_RATE = 1_000_000.0
+
+
+def check_rate(name, value):
+    """Raise ValueError unless the rate `value` (None for none) lies in
+    [0, MAX_RATE] per minute."""
+    if value is not None and not (0.0 <= value <= MAX_RATE):
+        raise ValueError(f"{name} {value} outside [0, {MAX_RATE:.0f}]")
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     trial_id: int
@@ -56,6 +69,8 @@ class TrialRecord:
         if not (has_hr or has_rr or self.flags):
             raise ValueError(
                 f"trial {self.trial_id}: no complete estimate/truth pair and no flags")
+        for name in ("hr_est", "hr_gt", "rr_est", "rr_gt"):
+            check_rate(name, getattr(self, name))
         if self.skin_gray is not None and not (0 <= self.skin_gray <= 255):
             raise ValueError(f"skin_gray {self.skin_gray} outside [0, 255]")
 
@@ -354,11 +369,15 @@ def join_results(est_path, gt_path):
         gt = gt_by_id.pop(trial_id, None)
         if gt is None:
             raise FormatError(f"{where}: trial_id {trial_id} present in estimates only")
-        _, gt_condition, gt_task, (hr_gt, rr_gt), gt_flags = gt
+        gt_where, gt_condition, gt_task, (hr_gt, rr_gt), gt_flags = gt
         if (condition, task) != (gt_condition, gt_task):
             raise FormatError(
                 f"{where}: trial_id {trial_id}: condition/task mismatch between files "
                 f"({condition}/{task} vs {gt_condition}/{gt_task})")
+        with named(gt_where):
+            # the record would name the estimates' line for these
+            check_rate("hr_gt", hr_gt)
+            check_rate("rr_gt", rr_gt)
         with named(where):
             records.append(TrialRecord(
                 trial_id, condition, task, hr_est=hr_est, hr_gt=hr_gt, rr_est=rr_est,

@@ -8,6 +8,8 @@ onto the first principal tangent direction. Respiration uses the mean
 grayscale of the area below the face.
 """
 
+import math
+
 import numpy as np
 
 # bandpass is unused here: the benchmark's tracer test reads vitals.bandpass
@@ -50,10 +52,48 @@ def _unit_means(clip, rois):
         # black pixels add 0.0 to the sums, which leaves them unchanged
         units = np.divide(px, norms[..., None], out=np.zeros_like(px), where=keep[..., None])
         bm = units.sum(axis=1) / counts[:, None]
-        # matmul takes each frame's squared norm through the dot kernel of
-        # m.dot(m); einsum or (bm * bm).sum(1) round differently
-        means[t0:t0 + len(bm)] = bm / np.sqrt(np.matmul(bm[:, None, :], bm[:, :, None]))[:, 0]
+        # each frame's squared norm in the fixed order of _norm3 below
+        m0, m1, m2 = bm.T
+        means[t0:t0 + len(bm)] = bm / np.sqrt((m0 * m0 + m1 * m1) + m2 * m2)[:, None]
     return means
+
+
+# The 3-vector and 2x2 arithmetic below is spelled out in a fixed order of
+# IEEE operations, element-wise over frames where it runs per frame. A
+# vector norm, `@`, matmul and eigh would run BLAS and LAPACK kernels,
+# which OpenBLAS picks by CPU, so the traces' last bits (and est.csv's)
+# would depend on the machine; they would also fault in about 1 MB of
+# library code for a handful of 3-term sums.
+
+def _norm3(v):
+    """Euclidean norm of the 3-vector v, as sqrt((x*x + y*y) + z*z)."""
+    x, y, z = v
+    return math.sqrt((x * x + y * y) + z * z)
+
+
+def _dot3(columns, v):
+    """Per-row dot product of a (T, 3) array, given as its 3 columns, with
+    the 3-vector v."""
+    c0, c1, c2 = columns
+    return (c0 * v[0] + c1 * v[1]) + c2 * v[2]
+
+
+def _principal_axis(a, b, d):
+    """(larger eigenvalue, its unit eigenvector) of the symmetric matrix
+    [[a, b], [b, d]], in closed form.
+
+    lambda = (a + d)/2 + hypot((a - d)/2, b). The eigenvector is taken as
+    (lambda - d, b) when a >= d and as (b, lambda - a) otherwise, whichever
+    avoids the cancellation of the other, then normalised. With b == 0 it
+    is the axis of the larger diagonal entry, [0, 1] on a tie, as
+    np.linalg.eigh's last column.
+    """
+    if b == 0.0:
+        return (a, (1.0, 0.0)) if a > d else (d, (0.0, 1.0))
+    lam = (a + d) / 2 + math.hypot((a - d) / 2, b)
+    v = (lam - d, b) if a >= d else (b, lam - a)
+    norm = math.hypot(*v)
+    return lam, (v[0] / norm, v[1] / norm)
 
 
 def pulse_trace(clip, rois):
@@ -70,10 +110,10 @@ def pulse_trace(clip, rois):
     means = _unit_means(clip, rois)
 
     mu = means.mean(axis=0)
-    mu /= np.linalg.norm(mu)
+    mu /= _norm3(mu)
 
     # sphere log map at mu: v = theta/sin(theta) * (m - cos(theta) mu)
-    dots = np.clip(means @ mu, -1.0, 1.0)
+    dots = np.clip(_dot3(means.T, mu), -1.0, 1.0)
     theta = np.arccos(dots)
     sin_t = np.sin(theta)
     factor = np.where(sin_t > 1e-12, theta / np.where(sin_t > 1e-12, sin_t, 1.0), 1.0)
@@ -82,16 +122,17 @@ def pulse_trace(clip, rois):
     # orthonormal tangent basis at mu, picked deterministically
     axis = np.array([1.0, 0.0, 0.0]) if abs(mu[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = np.cross(mu, axis)
-    e1 /= np.linalg.norm(e1)
+    e1 /= _norm3(e1)
     e2 = np.cross(mu, e1)
-    coords = np.stack([tangent @ e1, tangent @ e2], axis=1)
+    x, y = _dot3(tangent.T, e1), _dot3(tangent.T, e2)
 
-    cov = coords.T @ coords / n
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    if eigvals[-1] <= 1e-24:
+    # the tangent covariance [[a, b], [b, d]]; np.sum adds pairwise
+    lam, (v0, v1) = _principal_axis(float(np.sum(x * x)) / n, float(np.sum(x * y)) / n,
+                                    float(np.sum(y * y)) / n)
+    if lam <= 1e-24:
         scalar = np.zeros(n)
     else:
-        scalar = coords @ eigvecs[:, -1]
+        scalar = x * v0 + y * v1
         nonzero = np.flatnonzero(np.abs(scalar) > 1e-12)
         if nonzero.size and scalar[nonzero[0]] < 0:
             scalar = -scalar

@@ -958,8 +958,12 @@ def test_evaluate_names_a_non_finite_estimate(estimates_csv, groundtruth_csv, tm
 
 @pytest.mark.parametrize("cells,message", [
     ({5: "-1.0"}, "skin_gray -1.0 outside [0, 255]"),
-    ({3: "", 4: "", 6: ""}, "trial 1: no complete estimate/truth pair and no flags")],
-    ids=["skin-gray-range", "empty-row"])
+    ({3: "", 4: "", 6: ""}, "trial 1: no complete estimate/truth pair and no flags"),
+    # finite cells whose errors would overflow the report to inf
+    ({3: "1.7e308"}, "hr_est 1.7e+308 outside [0, 1000000]"),
+    ({3: "1e200"}, "hr_est 1e+200 outside [0, 1000000]"),
+    ({4: "-15.0"}, "rr_est -15.0 outside [0, 1000000]")],
+    ids=["skin-gray-range", "empty-row", "hr-1.7e308", "hr-1e200", "negative-rr"])
 def test_evaluate_names_the_line_of_an_invalid_record(cells, message, estimates_csv,
                                                       groundtruth_csv, tmp_path, capsys):
     est = tmp_path / "est.csv"
@@ -972,6 +976,22 @@ def test_evaluate_names_the_line_of_an_invalid_record(cells, message, estimates_
     assert main(["evaluate", "--estimates", str(est),
                  "--groundtruth", str(groundtruth_csv), "--out", str(tmp_path / "r")]) == 1
     assert capsys.readouterr().err == f"error: {est}:2: {message}\n"
+
+
+def test_evaluate_names_the_ground_truth_line_of_a_rate_outside_its_domain(
+        estimates_csv, groundtruth_csv, tmp_path, capsys):
+    # hr_est = 1.7e308 against hr_gt = -1.7e308 once overflowed the error to
+    # inf, and boxplot_stats raised IndexError on its nan fences
+    est, gt = tmp_path / "est.csv", tmp_path / "gt.csv"
+    for src, dst, value in ((estimates_csv, est, "1.7e308"), (groundtruth_csv, gt, "-1.7e308")):
+        header, row = src.read_text().splitlines()
+        row = row.split(",")
+        row[3] = value
+        dst.write_text(f"{header}\n{','.join(row)}\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--estimates", str(est),
+                 "--groundtruth", str(gt), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == f"error: {gt}:2: hr_gt -1.7e+308 outside [0, 1000000]\n"
 
 
 def test_evaluate_rejects_foreign_header(estimates_csv, tmp_path, capsys):

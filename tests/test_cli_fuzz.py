@@ -28,6 +28,10 @@ NOCROP = "0,0,0,0"
 CASES = 8
 DATASET_FILES = ("manifest.txt", "physio.csv", "frames.ppm")
 OTHER_FILES = ("cascade.json", "est.csv", "gt.csv")
+# finite values of a result CSV's number cells at and past the ends of
+# their domains: overflowing errors, the smallest subnormal, a negative
+# zero and a negative rate
+EXTREMES = ("1.7e308", "-1.7e308", "1e200", "5e-324", "-0.0", "-72.0")
 
 # the summary lines that follow a trial line for every trial, and so name
 # no file and no trial themselves
@@ -71,42 +75,65 @@ def _mutate(rng, data, record=None):
     return bytes(data)
 
 
+def _set_cell(rng, data, value):
+    """A result CSV's bytes with one seeded number cell (a rate, or
+    skin_gray) set to `value`."""
+    header, *rows = data.decode("ascii").splitlines()
+    row = int(rng.integers(len(rows)))
+    cells = rows[row].split(",")
+    cells[int(rng.integers(3, len(cells) - 1))] = value
+    rows[row] = ",".join(cells)
+    return "\n".join([header] + rows).encode("ascii") + b"\n"
+
+
 def _jobs(clean, rng, root):
     """(argv, files the call reads) of every fuzz call: CASES mutations of
-    each file, each in its own directory beside links to the clean files."""
+    each file, and for est.csv and gt.csv one cell set to each of
+    EXTREMES, each in its own directory beside links to the clean files."""
     from camvitals.ingest import _frames_file, parse_manifest
 
     _, _, record = _frames_file(clean / "ds", parse_manifest(clean / "ds" / "manifest.txt"))
+    cases = [(name, str(i), None) for name in DATASET_FILES + OTHER_FILES
+             for i in range(CASES)]
+    cases += [(name, f"value{i}", value) for name in OTHER_FILES[1:]
+              for i, value in enumerate(EXTREMES)]
     jobs = []
-    for name in DATASET_FILES + OTHER_FILES:
-        for i in range(CASES):
-            case = root / f"{name}-{i}"
-            ds = case / "ds"
-            ds.mkdir(parents=True)
-            for other in DATASET_FILES:
-                os.symlink(clean / "ds" / other, ds / other)
-            for other in OTHER_FILES:
-                os.symlink(clean / other, case / other)
-            path = (ds if name in DATASET_FILES else case) / name
-            source = path.resolve()
-            path.unlink()
-            path.write_bytes(_mutate(rng, source.read_bytes(),
-                                     record if name == "frames.ppm" else None))
-            out = str(case / "out.csv")
-            roi = (["estimate", "--data", str(ds), "--out", out, "--roi", ROI, "--crop", NOCROP],
-                   [ds / "manifest.txt", ds / "frames.ppm"])
-            gt = (["groundtruth", "--data", str(ds), "--out", out],
-                  [ds / "manifest.txt", ds / "physio.csv"])
-            cascade = (["estimate", "--data", str(ds), "--out", out, "--crop", NOCROP,
-                        "--cascade", str(case / "cascade.json")],
-                       [ds / "manifest.txt", ds / "frames.ppm", case / "cascade.json"])
-            evaluate = (["evaluate", "--estimates", str(case / "est.csv"), "--groundtruth",
-                         str(case / "gt.csv"), "--out", str(case / "report")],
-                        [case / "est.csv", case / "gt.csv"])
-            jobs += {"manifest.txt": [roi, gt], "physio.csv": [gt], "frames.ppm": [roi],
-                     "cascade.json": [cascade], "est.csv": [evaluate],
-                     "gt.csv": [evaluate]}[name]
+    for name, label, value in cases:
+        case = root / f"{name}-{label}"
+        ds = case / "ds"
+        ds.mkdir(parents=True)
+        for other in DATASET_FILES:
+            os.symlink(clean / "ds" / other, ds / other)
+        for other in OTHER_FILES:
+            os.symlink(clean / other, case / other)
+        path = (ds if name in DATASET_FILES else case) / name
+        source = path.resolve()
+        path.unlink()
+        data = source.read_bytes()
+        path.write_bytes(_set_cell(rng, data, value) if value is not None else
+                         _mutate(rng, data, record if name == "frames.ppm" else None))
+        out = str(case / "out.csv")
+        roi = (["estimate", "--data", str(ds), "--out", out, "--roi", ROI, "--crop", NOCROP],
+               [ds / "manifest.txt", ds / "frames.ppm"])
+        gt = (["groundtruth", "--data", str(ds), "--out", out],
+              [ds / "manifest.txt", ds / "physio.csv"])
+        cascade = (["estimate", "--data", str(ds), "--out", out, "--crop", NOCROP,
+                    "--cascade", str(case / "cascade.json")],
+                   [ds / "manifest.txt", ds / "frames.ppm", case / "cascade.json"])
+        evaluate = (["evaluate", "--estimates", str(case / "est.csv"), "--groundtruth",
+                     str(case / "gt.csv"), "--out", str(case / "report")],
+                    [case / "est.csv", case / "gt.csv"])
+        jobs += {"manifest.txt": [roi, gt], "physio.csv": [gt], "frames.ppm": [roi],
+                 "cascade.json": [cascade], "est.csv": [evaluate],
+                 "gt.csv": [evaluate]}[name]
     return jobs
+
+
+def _non_finite_cells(report):
+    """"file:line" of every inf or nan cell of an evaluate report's CSVs."""
+    return [f"{path.name}:{line}" for path in sorted(report.glob("*.csv"))
+            for line, text in enumerate(path.read_text().splitlines(), 1)
+            if {"inf", "-inf", "nan"} & set(text.split(","))]
 
 
 def _names_a_file_or_a_trial(line, files):
@@ -147,7 +174,9 @@ def test_mutated_inputs_exit_0_or_1_with_one_named_error(tmp_path):
         lines = err.splitlines()
         codes.append(rc)
         if rc == 0:
-            ok = err == ""
+            # and a report holds no inf or nan
+            ok = err == "" and not (argv[0] == "evaluate"
+                                    and _non_finite_cells(Path(argv[argv.index("--out") + 1])))
         elif rc == 1 and len(lines) == 1:
             ok = lines[0] in SUMMARY_ERRORS or _names_a_file_or_a_trial(lines[0], files)
         else:

@@ -3,9 +3,12 @@ share one box, against per-frame reference loops.
 
 The references below are the per-frame formulations the block versions
 replace. Results must be bit-identical, not merely close: est.csv is
-compared byte for byte across versions.
+compared byte for byte across versions. A mean direction's norm is taken
+as sqrt((x*x + y*y) + z*z), the fixed order `_unit_means` uses, not with
+np.linalg.norm, whose BLAS dot rounds by the CPU's kernel.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,7 +37,8 @@ def ref_unit_means(clip, rois):
         if not np.any(keep):
             raise ValueError(f"ROI entirely black in frame {t}")
         m = (px[keep] / norms[keep, None]).mean(axis=0)
-        means[t] = m / np.linalg.norm(m)
+        x, y, z = m.tolist()
+        means[t] = m / math.sqrt((x * x + y * y) + z * z)
     return means
 
 

@@ -4,7 +4,8 @@ import pytest
 from camvitals.config import PipelineConfig
 from camvitals.geometry import Rect
 from camvitals.ingest import VideoClip
-from camvitals.vitals import _unit_means, hr_roi, mean_gray_trace, pulse_trace, rr_roi
+from camvitals.vitals import (_principal_axis, _unit_means, hr_roi, mean_gray_trace,
+                              pulse_trace, rr_roi)
 
 from conftest import hr_estimate, quick_clip, rr_estimate
 
@@ -58,6 +59,58 @@ def test_spherical_trace_rejects_all_black_roi():
     clip = VideoClip(frames, 30.0)
     with pytest.raises(ValueError):
         pulse_trace(clip, [Rect(0, 0, 8, 8)] * 3)
+
+
+# The closed-form principal axis against LAPACK's eigh, which pulse_trace
+# used before: exactly where the covariance is diagonal, and to a few ulps
+# elsewhere.
+
+@pytest.mark.parametrize("a,d", [(2.0, 1.0), (1.0, 2.0), (1.5, 1.5), (0.0, 0.0),
+                                 (1e-30, 3e-30)])
+def test_principal_axis_of_a_diagonal_matrix_is_eighs(a, d):
+    eigvals, eigvecs = np.linalg.eigh(np.array([[a, 0.0], [0.0, d]]))
+    lam, vec = _principal_axis(a, 0.0, d)
+    assert lam == eigvals[-1]
+    assert vec == tuple(eigvecs[:, -1].tolist())
+
+
+def test_principal_axis_matches_eigh_on_random_matrices():
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        a, d = rng.uniform(0.0, 1.0, 2) * 10.0 ** rng.integers(-20, 3)
+        b = rng.uniform(-1.0, 1.0) * np.sqrt(a * d)
+        eigvals, eigvecs = np.linalg.eigh(np.array([[a, b], [b, d]]))
+        lam, vec = _principal_axis(a, b, d)
+        want = eigvecs[:, -1] * np.sign(eigvecs[:, -1] @ vec)   # eigh's sign is free
+        assert lam == pytest.approx(eigvals[-1], rel=1e-13)
+        assert np.abs(want - vec).max() < 1e-13
+
+
+def eigh_pulse_trace(clip, rois):
+    """pulse_trace as written with np.linalg (norm, @ and eigh)."""
+    means = _unit_means(clip, rois)
+    mu = means.mean(axis=0)
+    mu /= np.linalg.norm(mu)
+    dots = np.clip(means @ mu, -1.0, 1.0)
+    theta = np.arccos(dots)
+    sin_t = np.sin(theta)
+    factor = np.where(sin_t > 1e-12, theta / np.where(sin_t > 1e-12, sin_t, 1.0), 1.0)
+    tangent = factor[:, None] * (means - dots[:, None] * mu[None, :])
+    e1 = np.cross(mu, [1.0, 0.0, 0.0] if abs(mu[0]) <= 0.9 else [0.0, 1.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    coords = np.stack([tangent @ e1, tangent @ np.cross(mu, e1)], axis=1)
+    scalar = coords @ np.linalg.eigh(coords.T @ coords / clip.n_frames)[1][:, -1]
+    nonzero = np.flatnonzero(np.abs(scalar) > 1e-12)
+    return -scalar if nonzero.size and scalar[nonzero[0]] < 0 else scalar
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pulse_trace_matches_the_eigh_formulation(seed):
+    # seen: at most 1.8e-14 of the trace's peak on these clips
+    clip, truth = quick_clip(duration=10.0, noise_sigma=float(seed % 3), seed=seed)
+    rois = [truth.face_box] * clip.n_frames
+    got, want = pulse_trace(clip, rois).samples, eigh_pulse_trace(clip, rois)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_mean_gray_trace_matches_brute_force():
