@@ -4,5 +4,3 @@ Pipeline: video ingest -> face tracking -> color/motion features ->
 band-limited spectral rate estimation, plus ECG/respiration-belt ground
 truth extraction, synthetic scene generation, and report emission.
 """
-
-__version__ = "0.1.0"

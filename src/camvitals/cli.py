@@ -15,6 +15,8 @@ synth option defaults, without the renderer).
 
 import argparse
 import dataclasses
+import errno
+import os
 import sys
 from contextlib import closing
 from pathlib import Path
@@ -170,6 +172,20 @@ def _load_pipeline_config(args):
     return cfg
 
 
+def _check_out_file(path):
+    """Raise the OSError that writing the file `path` at the end of the
+    trial loop would, where its directory is missing or not a directory,
+    or `path` is a directory; the file itself is not created."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _check_bands(cfg, sample_rate, stft_spec):
     """Raise ValueError unless estimate_rate can filter and peak-track both
     bands of cfg at sample_rate: the checks each of its calls makes, on
@@ -261,6 +277,7 @@ def cmd_estimate(args):
         # min_size comes from --config; the default 0 keeps the base window
         with named(args.config):
             check_min_size(cascade, width, height, cfg.scale_factor, cfg.min_size)
+    _check_out_file(args.out)
     if args.plots is not None:
         Path(args.plots).mkdir(parents=True, exist_ok=True)
 
@@ -337,6 +354,7 @@ def cmd_groundtruth(args):
     with named(args.config or data_dir / PHYSIO_FILE):
         _check_bands(cfg, physio.sample_rate, cfg.physio_stft)
         check_detrend_window(cfg.ecg_detrend_s, physio.sample_rate)
+    _check_out_file(args.out)
     with named(data_dir / PHYSIO_FILE):
         segments = dict(zip(manifest.entries, segment_trials(physio, manifest)))
 
@@ -398,6 +416,10 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ValueError, OSError) as e:
+        # a system error on a file as "<file>: <reason>", as the package
+        # words its own file errors
+        if getattr(e, "filename", None) is not None:
+            e = f"{e.filename}: {e.strerror}"
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,10 @@ tracking, and the rate estimator shared by the video and physio paths."""
 # on the CPU, and _cached_zi uses Cramer's rule. Importing scipy.signal and
 # scipy.interpolate takes over a second, more than the signal work of a
 # whole `groundtruth` run, so the loop is loaded from its extension file
-# and scipy.signal's package init never runs.
+# and scipy.signal's package init never runs. The file is located before
+# trial 1 without importing scipy, and loaded at the first filter call of
+# each process that filters: the parent of forked trial workers never
+# loads it, nor runs scipy's own package init.
 
 import functools
 import importlib.machinery
@@ -153,9 +156,10 @@ def check_nyquist(spec, sample_rate):
 def check_bandpass(spec, sample_rate):
     """Raise ValueError unless bandpass can filter by spec at sample_rate:
     the band lies below Nyquist, and the design bandpass caches, built
-    here, is finite. Also load the compiled filter loop bandpass runs,
-    once per process (FileNotFoundError if scipy has none), so that
-    worker processes forked later inherit it."""
+    here, is finite. Also locate the extension file of the compiled filter
+    loop bandpass runs (FileNotFoundError if scipy has none), without
+    importing scipy or loading the loop: bandpass loads it at its first
+    call in each process that filters."""
     check_nyquist(spec, sample_rate)
     try:
         with np.errstate(all="ignore"):
@@ -165,7 +169,7 @@ def check_bandpass(spec, sample_rate):
     if not all(np.isfinite(d).all() for d in design):
         raise ValueError(f"band ({spec.low}, {spec.high}) Hz of order {spec.order} "
                          f"has no finite filter design at {sample_rate} Hz")
-    _sosfilt_kernel()
+    _kernel_path()
 
 
 def _quadratic(r1, r2):
@@ -300,27 +304,43 @@ def _load_extension(name, path):
     return module
 
 
-@functools.cache
-def _sosfilt_kernel():
-    """scipy.signal's compiled sosfilt loop, `_sosfilt(sos, x, zi)`, loaded
-    once per process from its extension file in the installed scipy, so
-    that scipy.signal's package init never runs. It filters the rows of
-    the C-contiguous float64 array x through the sections of sos, in
-    place, from the section states zi of shape (rows, sections, 2), which
-    it also updates; every argument must be writable. FileNotFoundError,
-    naming the file and scipy's version, if scipy has no such loop."""
-    import scipy
+def _kernel_path():
+    """The extension file of scipy's compiled sosfilt loop in the installed
+    scipy, found without importing scipy; FileNotFoundError, naming the
+    file and scipy's version, if there is none."""
     base = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin),
                         *_KERNEL_MODULE.split(".")[1:])
     paths = [base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((p for p in paths if os.path.isfile(p)), None)
     if path is None:
-        raise FileNotFoundError(f"{paths[0]}: no such file; the bandpass filter needs "
-                                f"scipy's compiled sosfilt loop (scipy {scipy.__version__})")
+        raise _no_kernel(f"{paths[0]}: no such file")
+    return path
+
+
+def _no_kernel(problem):
+    """The FileNotFoundError for `problem` with the sosfilt loop's file;
+    scipy's version comes from its installed metadata, since scipy itself
+    is not imported."""
+    from importlib.metadata import version
+
+    return FileNotFoundError(f"{problem}; the bandpass filter needs scipy's compiled "
+                             f"sosfilt loop (scipy {version('scipy')})")
+
+
+@functools.cache
+def _sosfilt_kernel():
+    """scipy.signal's compiled sosfilt loop, `_sosfilt(sos, x, zi)`, loaded
+    once per process from its extension file in the installed scipy, so
+    that scipy.signal's package init never runs (the loop's own init
+    imports scipy's top level). It filters the rows of the C-contiguous
+    float64 array x through the sections of sos, in place, from the
+    section states zi of shape (rows, sections, 2), which it also updates;
+    every argument must be writable. FileNotFoundError, naming the file
+    and scipy's version, if scipy has no such loop."""
+    path = _kernel_path()
     kernel = getattr(_load_extension(_KERNEL_MODULE, path), "_sosfilt", None)
     if kernel is None:
-        raise FileNotFoundError(f"{path}: no _sosfilt in it; the bandpass filter needs "
-                                f"scipy's compiled sosfilt loop (scipy {scipy.__version__})")
+        raise _no_kernel(f"{path}: no _sosfilt in it")
     return kernel
 
 

@@ -4,6 +4,7 @@ import importlib.machinery
 import os
 import subprocess
 import sys
+import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -723,6 +724,81 @@ def test_missing_filter_loop_is_one_error_line_before_trial_1(command, dataset, 
                             f"scipy's compiled sosfilt loop (scipy {scipy.__version__})\n")
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def two_trials(tmp_path_factory):
+    """Two 10 s trials at 32x32: enough for a trial loop of two workers."""
+    out = tmp_path_factory.mktemp("two_trials")
+    synth_dataset([TrialPlan(1, "respiration", 1, 10.0), TrialPlan(2, "gaze", 3, 10.0)],
+                  SynthConfig(width=32, height=32), out, seed=5,
+                  rates={1: (72.0, 15.0), 2: (66.0, 12.0)})
+    return out
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "forked"])
+@pytest.mark.parametrize("command", ["estimate", "groundtruth"])
+def test_filter_loop_without_sosfilt_is_one_error_line(command, cpus, two_trials, tmp_path,
+                                                       capsys, monkeypatch):
+    # the loop's file is there, so the check before trial 1 passes; the
+    # first filter call of each process that filters loads it and finds no
+    # _sosfilt. The failed load is not cached, so the next test loads the
+    # real loop
+    from scipy.signal import _sosfilt
+
+    monkeypatch.setattr(dsp, "_load_extension", lambda name, path: types.ModuleType(name))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    dsp._sosfilt_kernel.cache_clear()
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert main(_analysis_args(command, two_trials, out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {_sosfilt.__file__}: no _sosfilt in it; the bandpass "
+                            f"filter needs scipy's compiled sosfilt loop "
+                            f"(scipy {scipy.__version__})\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where,reason", [
+    ("missing/out.csv", "No such file or directory"),
+    ("file/out.csv", "Not a directory"),
+    (".", "Is a directory"),
+])
+@pytest.mark.parametrize("command", ["estimate", "groundtruth"])
+def test_out_that_cannot_be_written_is_one_error_line_before_trial_1(
+        command, where, reason, dataset, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / where
+    capsys.readouterr()
+    assert main(_analysis_args(command, dataset, out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {out}: {reason}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_plots_naming_a_file_is_one_error_line(dataset, tmp_path, capsys):
+    out, plots = tmp_path / "est.csv", tmp_path / "plots"
+    plots.write_text("")
+    capsys.readouterr()
+    assert main(_analysis_args("estimate", dataset, out) + ["--plots", str(plots)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {plots}: File exists\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_evaluate_out_naming_a_file_is_one_error_line(estimates_csv, groundtruth_csv,
+                                                      tmp_path, capsys):
+    report = tmp_path / "report"
+    report.write_text("")
+    capsys.readouterr()
+    assert main(["evaluate", "--estimates", str(estimates_csv),
+                 "--groundtruth", str(groundtruth_csv), "--out", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {report}: File exists\n"
+    assert captured.out == ""
 
 
 def _estimate_in_a_child(dataset, cfg, cascade, out):

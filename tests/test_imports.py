@@ -1,6 +1,8 @@
 """Start-up cost: `import camvitals.cli` loads no numpy or scipy module,
 `estimate` and `groundtruth` load only scipy's top level and its compiled
-sosfilt loop, and `evaluate` loads none of the slow scipy subpackages and,
+sosfilt loop, and only in the processes that filter (the parent of forked
+trial workers loads no scipy module; a process that filters loads the loop
+once), and `evaluate` loads none of the slow scipy subpackages and,
 for a report of the paper protocol's size, no numpy or scipy at all; the
 modules import numpy and scipy inside the functions that use them. None
 of the three loads the XML parser, which only `convert-cascade` needs.
@@ -54,12 +56,13 @@ def test_importing_the_cli_loads_no_numpy():
     assert loaded == []
 
 
-def estimate_and_groundtruth_args(tmp_path):
-    """`estimate` and `groundtruth` arguments over a one-trial synth dataset
-    in tmp_path, writing est.csv and gt.csv there."""
+def estimate_and_groundtruth_args(tmp_path, trials=1):
+    """`estimate` and `groundtruth` arguments over a synth dataset of 10 s
+    trials in tmp_path, writing est.csv and gt.csv there."""
     data = tmp_path / "data"
-    synth_dataset([TrialPlan(1, "respiration", 1, 10.0)], SynthConfig(width=32, height=32),
-                  data, seed=2, rates={1: (72.0, 15.0)})
+    synth_dataset([TrialPlan(i, "respiration", 1, 10.0) for i in range(1, trials + 1)],
+                  SynthConfig(width=32, height=32), data, seed=2,
+                  rates={i: (72.0, 15.0) for i in range(1, trials + 1)})
     estimate = ["estimate", "--data", str(data), "--out", str(tmp_path / "est.csv"),
                 "--roi", "manual:12,5,8,10", "--crop", "0,0,0,0"]
     groundtruth = ["groundtruth", "--data", str(data), "--out", str(tmp_path / "gt.csv")]
@@ -86,6 +89,63 @@ def test_estimate_and_groundtruth_load_no_scipy_subpackage(tmp_path):
     assert [m for m in loaded
             if (m + ".").startswith(tuple(p + "." for p in SLOW_SUBPACKAGES))] == []
     assert set(loaded) <= set(floor)
+
+
+def scipy_modules_after(code):
+    """The scipy modules loaded in a fresh interpreter after `code`, then
+    the JSON of the name `result` that code binds."""
+    return fresh_python(
+        "import json, sys\n"
+        f"{code}"
+        "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+        "                  result]))\n")
+
+
+def test_check_bandpass_loads_no_scipy():
+    loaded, result = scipy_modules_after(
+        "from camvitals import dsp\n"
+        "result = dsp.check_bandpass(dsp.BandpassSpec(0.7, 2.5), 30.0)\n")
+    assert (loaded, result) == ([], None)
+
+
+@pytest.fixture(scope="module")
+def two_trials(tmp_path_factory):
+    """{command: its arguments} over a dataset of two trials, enough for
+    two trial workers."""
+    return dict(zip(("estimate", "groundtruth"),
+                    estimate_and_groundtruth_args(tmp_path_factory.mktemp("two"), trials=2)))
+
+
+@pytest.mark.parametrize("command", ["estimate", "groundtruth"])
+def test_the_parent_of_forked_trials_loads_no_scipy(command, two_trials):
+    loaded, (rc, workers, filtered) = scipy_modules_after(
+        "import os\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from camvitals import cli\n"
+        "forks = []\n"
+        "fork = os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        f"rc = cli.main({two_trials[command]!r})\n"
+        f"rows = open({two_trials[command][4]!r}).read().splitlines()[1:]\n"
+        "result = [rc, len(forks), [row.split(',')[3] != '' for row in rows]]\n")
+    assert (rc, workers, filtered) == (0, 2, [True, True])
+    assert loaded == []
+
+
+@pytest.mark.parametrize("command", ["estimate", "groundtruth"])
+def test_an_inline_run_loads_the_filter_loop_once(command, two_trials):
+    _, (rc, loads, filter_calls) = scipy_modules_after(
+        "import os\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        "from camvitals import cli, dsp\n"
+        "loads, calls = [], []\n"
+        "load, bandpass = dsp._load_extension, dsp.bandpass\n"
+        "dsp._load_extension = lambda *a: loads.append(a) or load(*a)\n"
+        "dsp.bandpass = lambda *a: calls.append(a) or bandpass(*a)\n"
+        f"rc = cli.main({two_trials[command]!r})\n"
+        "result = [rc, len(loads), len(calls)]\n")
+    assert (rc, loads) == (0, 1)
+    assert filter_calls == 4   # two bands in each of two trials
 
 
 def test_estimate_groundtruth_and_evaluate_load_no_xml_parser(tmp_path):
