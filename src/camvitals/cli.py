@@ -290,13 +290,18 @@ def cmd_estimate(args):
         clip = crop_clip(clip, *cfg.crop)
         faces = ([args.roi] * clip.n_frames if cascade is None else
                  track_roi(clip, cascade, cfg.scale_factor, cfg.min_neighbors, cfg.min_size))
-        raw_pulse = pulse_trace(clip, [hr_roi(f) for f in faces])
+        # each ROI built once per distinct face box, in the order the boxes
+        # first appear, so the first box with no chest region raises
+        boxes = dict.fromkeys(faces)
+        hr_rois = {f: hr_roi(f) for f in boxes}
+        raw_pulse = pulse_trace(clip, [hr_rois[f] for f in faces])
         try:
-            chest_rois = [rr_roi(f, clip.height, clip.width) for f in faces]
+            rr_rois = {f: rr_roi(f, clip.height, clip.width) for f in boxes}
         except ValueError as e:
             # without its traceback, whose frames hold the clip
             return raw_pulse, e.with_traceback(None), None
-        return raw_pulse, mean_gray_trace(clip, chest_rois), skin_tone_gray(clip, faces)
+        return (raw_pulse, mean_gray_trace(clip, [rr_rois[f] for f in faces]),
+                skin_tone_gray(clip, faces))
 
     def analyse(entry):
         """(hr_est, rr_est, skin_gray, flags) of one trial."""

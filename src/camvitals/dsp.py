@@ -9,14 +9,19 @@ tracking, and the rate estimator shared by the video and physio paths."""
 # scipy's order, so its results are bit-equal to scipy's;
 # tests/test_dsp.py checks that against scipy. The filter's initial states
 # are the exception: scipy solves them with LAPACK, whose kernel depends
-# on the CPU, and _cached_zi uses Cramer's rule. Importing scipy.signal and
-# scipy.interpolate takes over a second, more than the signal work of a
-# whole `groundtruth` run, so the loop is loaded from its extension file
+# on the CPU, and _cached_zi uses Cramer's rule. The design also takes its
+# tangents and exponentials from math and cmath, one value at a time, and
+# sorts in Python: numpy's tan follows its SIMD dispatch, whose AVX-512
+# loop differs from libm in the last bit of some arguments, so the design
+# equals scipy's where numpy runs its AVX2 loops. Importing scipy.signal
+# and scipy.interpolate takes over a second, more than the signal work of
+# a whole `groundtruth` run, so the loop is loaded from its extension file
 # and scipy.signal's package init never runs. The file is located before
 # trial 1 without importing scipy, and loaded at the first filter call of
 # each process that filters: the parent of forked trial workers never
 # loads it, nor runs scipy's own package init.
 
+import cmath
 import functools
 import importlib.machinery
 import importlib.util
@@ -182,11 +187,24 @@ def _quadratic(r1, r2):
     return 1.0, -r1.real - r2.real, r1.real * r2.real - r1.imag * r2.imag
 
 
+def _stable_order(keys):
+    """The indices that sort the list keys, equal keys left in their order:
+    np.lexsort's result, for keys that are tuples of its keys last-first."""
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def _first_min(values):
+    """Index of the first smallest entry of the float array values, as
+    np.argmin gives it."""
+    values = values.tolist()
+    return values.index(min(values))
+
+
 def _cplxreal(z):
     """(one of each complex-conjugate pair, the real values) of z, sorted
     and averaged as scipy.signal's _cplxreal does."""
     tol = 100 * np.finfo(np.float64).eps
-    z = z[np.lexsort((abs(z.imag), z.real))]
+    z = z[_stable_order(list(zip(z.real.tolist(), abs(z.imag).tolist())))]
     real = abs(z.imag) <= tol * abs(z)
     if real.all():
         return np.array([]), z.real
@@ -194,11 +212,13 @@ def _cplxreal(z):
     z = z[~real]
     zp, zn = z[z.imag > 0], z[z.imag < 0]
     # runs of equal real part are ordered by imaginary part
-    same_real = np.diff(zp.real) <= tol * abs(zp[:-1])
-    diffs = np.diff(np.concatenate(([0], same_real, [0])))
-    for start, stop in zip(np.nonzero(diffs > 0)[0], np.nonzero(diffs < 0)[0] + 1):
-        for chunk in (zp[start:stop], zn[start:stop]):
-            chunk[...] = chunk[np.lexsort([abs(chunk.imag)])]
+    re, bound = zp.real.tolist(), (tol * abs(zp)).tolist()
+    start = 0
+    for stop in range(1, len(zp) + 1):
+        if stop == len(zp) or not re[stop] - re[stop - 1] <= bound[stop - 1]:
+            for chunk in (zp[start:stop], zn[start:stop]):
+                chunk[...] = chunk[_stable_order(abs(chunk.imag).tolist())]
+            start = stop
     return (zp + zn.conj()) / 2, zr
 
 
@@ -207,12 +227,11 @@ def _butter_bandpass(order, low, high, sample_rate):
     output="sos"): the analog prototype, pre-warped lowpass-to-bandpass
     transform, bilinear transform, and zpk2sos with "nearest" pairing."""
     m = np.arange(-order + 1, order, 2, dtype=np.float64)
-    p = -np.exp(1j * np.pi * m / (2 * order))
-    wn = np.asarray([low, high], dtype=np.float64) / (sample_rate / 2)
+    p = -np.array([cmath.exp(a) for a in (1j * np.pi * m / (2 * order)).tolist()])
     # pre-warped for the bilinear transform at fs = 2
-    warped = 4.0 * np.tan(np.pi * wn / 2.0)
-    bw = float(warped[1] - warped[0])
-    wo = float(np.sqrt(warped[0] * warped[1]))
+    warped = [4.0 * math.tan(math.pi * (w / (sample_rate / 2)) / 2.0) for w in (low, high)]
+    bw = warped[1] - warped[0]
+    wo = math.sqrt(warped[0] * warped[1])
     p = p * bw / 2
     p = np.concatenate((p + np.sqrt(p**2 - wo**2), p - np.sqrt(p**2 - wo**2)))
     # bilinear transform; the order zeros at s = 0 map to z = 1, the order
@@ -223,7 +242,7 @@ def _butter_bandpass(order, low, high, sample_rate):
 
     def idx_worst(p):
         # the pole closest to the unit circle
-        return np.argmin(np.abs(1 - np.abs(p)))
+        return _first_min(np.abs(1 - np.abs(p)))
 
     # sections from the last, so the poles closest to the unit circle go
     # last; all zeros are real and real poles come in pairs, so zpk2sos's
@@ -242,8 +261,8 @@ def _butter_bandpass(order, low, high, sample_rate):
             p2 = p1.conj()
         zeros = []
         for _ in range(2):
-            # the zero nearest to p1
-            z1_idx = np.argsort(np.abs(z - p1))[0]
+            # the zero nearest to p1 (zeros as near as it are equal to it)
+            z1_idx = _first_min(np.abs(z - p1))
             zeros.append(z[z1_idx])
             z = np.delete(z, z1_idx)
         sos[si, :3] = _quadratic(*zeros)

@@ -114,7 +114,9 @@ def pulse_trace(clip, rois):
 
     # sphere log map at mu: v = theta/sin(theta) * (m - cos(theta) mu)
     dots = np.clip(_dot3(means.T, mu), -1.0, 1.0)
-    theta = np.arccos(dots)
+    # math.acos, not np.arccos, whose AVX-512 loop differs from libm in the
+    # last bit of some angles
+    theta = np.array([math.acos(c) for c in dots.tolist()])
     sin_t = np.sin(theta)
     factor = np.where(sin_t > 1e-12, theta / np.where(sin_t > 1e-12, sin_t, 1.0), 1.0)
     tangent = factor[:, None] * (means - dots[:, None] * mu[None, :])

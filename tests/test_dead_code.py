@@ -53,27 +53,71 @@ def test_every_public_function_and_class_is_used_in_src():
     assert unreferenced_public_names() == sorted(ALLOWED)
 
 
-def unread_module_constants():
-    """Each name bound by a module-level assignment in src/ that no
-    expression in src/ reads, as "module.NAME": a sizing constant must
-    not outlive the code that it sized."""
-    trees = _parsed_modules()
-    read = {n.id if isinstance(n, ast.Name) else n.attr
-            for tree in trees.values() for n in ast.walk(tree)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-            or isinstance(n, ast.Attribute)}
+def _imported_modules_and_names(tree, modules):
+    """({local name: module} of each package module that an import in tree
+    binds, {local name: (module, name)} of each name imported from one).
+    The package imports its own modules relatively, as `from . import m`
+    and `from .m import NAME`."""
+    aliases, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for a in node.names:
+                if node.module in modules:
+                    names[a.asname or a.name] = (node.module, a.name)
+                elif node.module is None and a.name in modules:
+                    aliases[a.asname or a.name] = a.name
+    return aliases, names
+
+
+def _constant_reads(trees):
+    """The set of (module, NAME) that some expression in src/ reads: NAME
+    in the module itself, a name imported from the module, or `x.NAME`
+    where an import in the same file makes x the module."""
+    read = set()
+    for mod, tree in trees.items():
+        aliases, names = _imported_modules_and_names(tree, trees)
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(names.get(n.id, (mod, n.id)))
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) \
+                    and n.value.id in aliases:
+                read.add((aliases[n.value.id], n.attr))
+    return read
+
+
+def unread_module_constants(trees=None):
+    """Each name bound by a module-level assignment in src/ (or in the
+    {module: AST} trees) that no expression there reads, as "module.NAME":
+    a sizing constant must not outlive the code that it sized. An
+    attribute of the same spelling on another object is not a read."""
+    trees = _parsed_modules() if trees is None else trees
+    read = _constant_reads(trees)
     unread = []
     for mod, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 unread += [f"{mod}.{n.id}" for t in targets for n in ast.walk(t)
-                           if isinstance(n, ast.Name) and n.id not in read]
+                           if isinstance(n, ast.Name) and (mod, n.id) not in read]
     return sorted(unread)
 
 
 def test_every_module_constant_is_read_in_src():
     assert unread_module_constants() == []
+
+
+def test_a_constant_read_only_as_another_objects_attribute_is_unread():
+    sources = {
+        "a": "LIMIT = 3\nSIZE = 4\nSHARED = 5\nOWN = 6\nprint(OWN)\n",
+        # other.LIMIT and self.SIZE name no module of the package
+        "b": "import other\n\ndef f(self):\n    return other.LIMIT + self.SIZE\n",
+        "c": "from . import a\nfrom .a import OWN as own\nSHARED = a.SHARED\n",
+        "d": "from . import c as cc\nfrom .a import SIZE\nprint(cc.SHARED + SIZE)\n",
+    }
+    trees = {mod: ast.parse(source) for mod, source in sources.items()}
+    assert unread_module_constants(trees) == ["a.LIMIT"]
+    del trees["d"]
+    assert unread_module_constants(trees) == ["a.LIMIT", "a.SIZE", "c.SHARED"]
 
 
 def _called_name(call):

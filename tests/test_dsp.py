@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import types
 
@@ -14,6 +18,8 @@ from camvitals.dsp import (DEFAULT_FILTER_ORDER, PHYSIO_STFT, VIDEO_STFT,
                            BandpassSpec, SignalTooShort, StftSpec, TimeSeries,
                            bandpass, cubic_spline, detrend, estimate_rate,
                            median_rate, rate_flags, stft_peak_freqs)
+
+from test_outputs import SRC, cpu_settings
 
 
 def sine(freq, fs, duration, amp=1.0, phase=0.0):
@@ -165,11 +171,9 @@ _PIPELINE_DESIGNS = [(spec, rate) for spec in (_CFG.hr_bandpass, _CFG.rr_bandpas
 
 @pytest.mark.parametrize("spec,rate", _PIPELINE_DESIGNS,
                          ids=[f"{s.low}-{s.high}Hz@{r:g}" for s, r in _PIPELINE_DESIGNS])
-def test_cached_design_is_the_butterworth_design_bit_for_bit(spec, rate):
-    want = scipy.signal.butter(spec.order, [spec.low, spec.high], btype="bandpass",
-                               fs=rate, output="sos")
-    got = dsp._cached_sos(spec, rate)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+def test_cached_design_is_the_butterworth_design_bit_for_bit(spec, rate, scipy_designs):
+    want = scipy_designs[spec.order, spec.low, spec.high, rate]
+    assert same_bits(dsp._cached_sos(spec, rate), want)
 
 
 def test_bandpass_designs_once_per_band_and_rate(monkeypatch):
@@ -204,8 +208,36 @@ def same_bits(got, want):
         and got.tobytes() == want.tobytes()
 
 
-def scipy_sos(order, low, high, rate):
-    return scipy.signal.butter(order, [low, high], btype="bandpass", fs=rate, output="sos")
+# numpy's dispatch with its AVX-512 targets disabled, where this CPU has
+# them: numpy's AVX-512 `tan`, which scipy's design runs, differs from
+# libm's in the last bit of some arguments, and its AVX2 loop does not
+AVX2_DISPATCH = cpu_settings().get("no-avx512", {})
+
+# designs = [[order, low, high, rate], ...] on stdin; the hex bytes of each
+# design on stdout, from scipy.signal.butter or from the package
+_DESIGNS_SCRIPT = """
+import json, sys
+designs = json.load(sys.stdin)
+if sys.argv[1] == "scipy":
+    import scipy.signal
+    design = lambda order, low, high, rate: scipy.signal.butter(
+        order, [low, high], btype="bandpass", fs=rate, output="sos")
+else:
+    from camvitals.dsp import _butter_bandpass as design
+json.dump([design(*d).tobytes().hex() for d in designs], sys.stdout)
+"""
+
+
+def designs_in_child(designs, which, env):
+    """{(order, low, high, rate): its second-order sections} of each of
+    `designs`, designed by "scipy" or "package" in a child process with
+    the environment variables env."""
+    child = subprocess.run([sys.executable, "-c", _DESIGNS_SCRIPT, which],
+                           input=json.dumps(designs), capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=str(SRC), **env), timeout=120)
+    assert child.returncode == 0, child.stderr
+    return {tuple(d): np.frombuffer(bytes.fromhex(sos)).reshape(-1, 6)
+            for d, sos in zip(designs, json.loads(child.stdout))}
 
 
 # (low, high, rate): narrow bands give complex poles only; wide bands from
@@ -222,17 +254,49 @@ def has_real_poles(order, low, high, rate):
     return bool(np.any(p.imag == 0))
 
 
-@pytest.mark.parametrize("order", range(1, 7))
-def test_butterworth_design_matches_scipy_bit_for_bit(order):
+_DESIGN_ORDERS = range(1, 7)
+
+
+def design_bands(order):
+    """The fixed bands and 30 random ones, seeded by order."""
     rng = np.random.default_rng(order)
     bands = _COMPLEX_POLE_BANDS + _REAL_POLE_BANDS
     for _ in range(30):
         rate = float(rng.choice([30.0, 128.0, rng.uniform(5.0, 500.0)]))
         low = float(rng.uniform(0.001, 0.45)) * rate
         bands.append((low, float(rng.uniform(low / rate + 1e-4, 0.4999)) * rate, rate))
-    for low, high, rate in bands:
+    return bands
+
+
+@pytest.fixture(scope="module")
+def scipy_designs():
+    """scipy.signal.butter's design of every band the tests compare with
+    it, computed under numpy's AVX2 dispatch."""
+    designs = [[order, *band] for order in _DESIGN_ORDERS for band in design_bands(order)]
+    designs += [[spec.order, spec.low, spec.high, rate] for spec, rate in _PIPELINE_DESIGNS]
+    return designs_in_child(designs, "scipy", AVX2_DISPATCH)
+
+
+@pytest.mark.parametrize("order", _DESIGN_ORDERS)
+def test_butterworth_design_matches_scipy_bit_for_bit(order, scipy_designs):
+    for low, high, rate in design_bands(order):
         assert same_bits(dsp._butter_bandpass(order, low, high, rate),
-                         scipy_sos(order, low, high, rate)), (low, high, rate)
+                         scipy_designs[order, low, high, rate]), (low, high, rate)
+
+
+# bands whose design by scipy differs between numpy's AVX-512 and AVX2
+# dispatch at order 3, through the last bit of numpy's `tan`
+_DISPATCH_BANDS = [(2.2, 4.2, 30.0), (0.65, 2.65, 128.0), (1.65, 2.65, 128.0),
+                   (2.35, 2.65, 128.0), (2.65, 2.95, 128.0), (2.65, 3.65, 128.0)]
+
+
+def test_design_does_not_depend_on_numpys_simd_dispatch():
+    designs = [[3, *band] for band in _DISPATCH_BANDS]
+    default = designs_in_child(designs, "package", {})
+    avx2 = designs_in_child(designs, "package", AVX2_DISPATCH)
+    for design in default:
+        assert same_bits(default[design], avx2[design]), design
+        assert same_bits(default[design], dsp._butter_bandpass(*design)), design
 
 
 def test_design_bands_cover_real_and_complex_poles():
@@ -253,13 +317,15 @@ def scipy_sosfiltfilt(sos, zi, x, padlen):
 
 @pytest.mark.parametrize("order", range(1, 7))
 def test_bandpass_matches_sosfiltfilt_bit_for_bit(order):
-    # the section states are the package's: scipy's sosfilt_zi solves by
-    # LAPACK, and test_section_states_match_sosfilt_zi bounds the gap
+    # the design and section states are the package's: scipy's design
+    # follows numpy's SIMD dispatch (test_butterworth_design_matches_scipy_
+    # bit_for_bit compares the two), and scipy's sosfilt_zi solves by
+    # LAPACK (test_section_states_match_sosfilt_zi bounds the gap)
     rng = np.random.default_rng(10 + order)
     padlen = 3 * (2 * order + 1)
     for low, high, rate in _COMPLEX_POLE_BANDS[:4] + _REAL_POLE_BANDS[:1]:
         spec = BandpassSpec(low, high, order)
-        sos, zi = scipy_sos(order, low, high, rate), dsp._cached_zi(spec, rate)
+        sos, zi = dsp._cached_sos(spec, rate).copy(), dsp._cached_zi(spec, rate)
         for n in (3 * padlen + 1, 3 * padlen + 2, 600, 2560):
             for x in (rng.normal(size=n), np.full(n, 3.7), 1e6 + rng.normal(size=n),
                       -250.0 + 1e-3 * np.cumsum(rng.normal(size=n))):
