@@ -247,7 +247,8 @@ def cmd_estimate(args):
     from .evaluation import EST_HEADER, flags_cell, render_signals, skin_tone_gray
 
     if args.cascade is not None:
-        from .detect import check_frame_fits, check_min_size, load_cascade, track_roi
+        from .detect import (check_frame_fits, check_min_size, detect_trials, load_cascade,
+                             track_roi)
     from .dsp import bandpass, filtered_rate
     from .vitals import hr_roi, mean_gray_trace, pulse_trace, rr_roi
 
@@ -280,16 +281,19 @@ def cmd_estimate(args):
     _check_out_file(args.out)
     if args.plots is not None:
         Path(args.plots).mkdir(parents=True, exist_ok=True)
+    if cascade is not None:
+        raw_boxes = detect_trials(data_dir, manifest, cfg.crop, cascade, cfg.scale_factor,
+                                  cfg.min_neighbors, cfg.min_size)
 
     def pixel_stage(entry):
         """(pulse trace, chest gray trace, skin gray) of one trial: all
         that estimate computes from its frames, which die with this call.
         A face with no chest region below it gives its ValueError in
         place of the chest trace, for analyse to raise."""
+        faces = ([args.roi] * entry.frame_count if cascade is None else
+                 track_roi(raw_boxes[entry.trial_id]))
         clip = read_frame_range(data_dir, manifest, entry.start_frame, entry.frame_count)
         clip = crop_clip(clip, *cfg.crop)
-        faces = ([args.roi] * clip.n_frames if cascade is None else
-                 track_roi(clip, cascade, cfg.scale_factor, cfg.min_neighbors, cfg.min_size))
         # each ROI built once per distinct face box, in the order the boxes
         # first appear, so the first box with no chest region raises
         boxes = dict.fromkeys(faces)

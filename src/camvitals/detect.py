@@ -1,9 +1,11 @@
 """Haar-cascade face detection on integral images, with grouping of raw
-detections, per-frame tracking with a hold-last failure policy, and a JSON
-cascade format (plus a converter from the OpenCV XML layout)."""
+detections, a detection pass over a dataset's frames on every CPU,
+per-frame tracking with a hold-last failure policy, and a JSON cascade
+format (plus a converter from the OpenCV XML layout)."""
 
 import json
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -12,7 +14,8 @@ import numpy as np
 
 from .geometry import (DEFAULT_MIN_NEIGHBORS, DEFAULT_SCALE_FACTOR, DetectionError, Rect,
                        check_scale_factor)
-from .ingest import FormatError, named, not_ascii, to_grayscale
+from .ingest import (FormatError, crop_clip, in_order, named, not_ascii, read_frame_range,
+                     to_grayscale)
 
 GROUP_EPS = 0.2
 # most scales one frame's scan may slide over: the default scale_factor
@@ -406,25 +409,77 @@ def group_rects(candidates, min_neighbors):
     return out
 
 
-def track_roi(clip, cascade, scale_factor, min_neighbors, min_size):
-    """One face box per frame: the largest detection of the cascade.
+# A block of detect_trials ends at _DETECT_BLOCK_FRAMES frames, or sooner
+# where its frames' pixels would pass _DETECT_BLOCK_BYTES (never below one
+# frame). Blocks are what in_order spreads over the processes, so a small
+# cap evens out their shares: on 2 CPUs, the benchmark's 270-frame 24x24
+# trial splits 136/134 in 8-frame blocks and 142/128 in 16-frame ones,
+# and `estimate` took 0.425 against 0.437 s (medians of 20 alternating runs).
+_DETECT_BLOCK_FRAMES = 8
+_DETECT_BLOCK_BYTES = 1 << 22
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Frames start, ..., start + count - 1 of the trial trial_id."""
+    trial_id: int
+    start: int
+    count: int
+
+
+def detect_trials(data_dir, manifest, crop, cascade, scale_factor, min_neighbors, min_size):
+    """{trial id: the trial's raw boxes} for every trial of a dataset: the
+    largest detection of each frame, or None where there is none. A trial
+    whose frames could not be read has the ValueError of its first such
+    block instead, for track_roi to raise.
+
+    The trials' frames are cut into blocks, which ingest.in_order spreads
+    over this process and its workers. Each block is read, cropped by the
+    margins `crop` and scanned frame by frame, each frame converted to
+    gray as it is scanned, so a process holds one block's frames and one
+    frame's gray and integral images.
+    """
+    frames = min(_DETECT_BLOCK_FRAMES,
+                 max(1, _DETECT_BLOCK_BYTES // (manifest.width * manifest.height * 3)))
+    blocks = [_Block(e.trial_id, start, min(frames, e.start_frame + e.frame_count - start))
+              for e in manifest.entries
+              for start in range(e.start_frame, e.start_frame + e.frame_count, frames)]
+
+    def scan(block):
+        try:
+            clip = read_frame_range(data_dir, manifest, block.start, block.count)
+        except ValueError as e:
+            # without its traceback, whose frames hold the block's records
+            return e.with_traceback(None)
+        raw = []
+        for frame in crop_clip(clip, *crop).frames:
+            boxes = detect_faces(cascade, to_grayscale(frame), scale_factor=scale_factor,
+                                 min_neighbors=min_neighbors, min_size=min_size)
+            raw.append(boxes[0] if boxes else None)
+        return raw
+
+    raw = {e.trial_id: [] for e in manifest.entries}
+    with closing(in_order(scan, blocks, own_share=True)) as results:
+        for block, boxes in zip(blocks, results):
+            if not isinstance(raw[block.trial_id], list):
+                continue   # after the trial's first data error
+            if isinstance(boxes, ValueError):
+                raw[block.trial_id] = boxes
+            else:
+                raw[block.trial_id].extend(boxes)
+    return raw
+
+
+def track_roi(raw):
+    """One face box per frame, from one trial's raw boxes of detect_trials.
 
     Frames with no detection reuse the last successful box, leading
-    failures inherit the first success, and a clip with no detection on
-    any frame raises DetectionError.
-
-    Each frame is converted to gray as it is scanned, so the pass holds
-    one frame's gray and integral images besides the raw boxes. The whole
-    clip's gray took 17 bytes of float64 and uint8 temporaries per pixel:
-    on a 10 s 320x240 trial (66 MiB of frames) the pass raised peak RSS
-    by 374 MiB, and by 8 MiB frame by frame.
+    failures inherit the first success, and a trial with no detection on
+    any frame raises DetectionError. The ValueError that stopped the
+    trial's detection pass is raised here.
     """
-    raw = []
-    for t in range(clip.n_frames):
-        boxes = detect_faces(cascade, to_grayscale(clip.frames[t]), scale_factor=scale_factor,
-                             min_neighbors=min_neighbors, min_size=min_size)
-        raw.append(boxes[0] if boxes else None)
-
+    if isinstance(raw, ValueError):
+        raise raw
     first_hit = next((b for b in raw if b is not None), None)
     if first_hit is None:
         raise DetectionError("no face detected in any frame")

@@ -194,9 +194,8 @@ def _stable_order(keys):
 
 
 def _first_min(values):
-    """Index of the first smallest entry of the float array values, as
+    """Index of the first smallest entry of the list of floats values, as
     np.argmin gives it."""
-    values = values.tolist()
     return values.index(min(values))
 
 
@@ -205,14 +204,16 @@ def _cplxreal(z):
     and averaged as scipy.signal's _cplxreal does."""
     tol = 100 * np.finfo(np.float64).eps
     z = z[_stable_order(list(zip(z.real.tolist(), abs(z.imag).tolist())))]
-    real = abs(z.imag) <= tol * abs(z)
+    # Python's abs of a complex is libm's hypot; numpy's complex absolute
+    # follows its SIMD dispatch, and could make a near-tie choose otherwise
+    real = abs(z.imag) <= tol * np.array([abs(v) for v in z.tolist()])
     if real.all():
         return np.array([]), z.real
     zr = z[real].real
     z = z[~real]
     zp, zn = z[z.imag > 0], z[z.imag < 0]
     # runs of equal real part are ordered by imaginary part
-    re, bound = zp.real.tolist(), (tol * abs(zp)).tolist()
+    re, bound = zp.real.tolist(), [tol * abs(v) for v in zp.tolist()]
     start = 0
     for stop in range(1, len(zp) + 1):
         if stop == len(zp) or not re[stop] - re[stop - 1] <= bound[stop - 1]:
@@ -242,7 +243,7 @@ def _butter_bandpass(order, low, high, sample_rate):
 
     def idx_worst(p):
         # the pole closest to the unit circle
-        return _first_min(np.abs(1 - np.abs(p)))
+        return _first_min([abs(1 - abs(v)) for v in p.tolist()])
 
     # sections from the last, so the poles closest to the unit circle go
     # last; all zeros are real and real poles come in pairs, so zpk2sos's
@@ -250,19 +251,19 @@ def _butter_bandpass(order, low, high, sample_rate):
     sos = np.zeros((order, 6))
     for si in range(order - 1, -1, -1):
         p1_idx = idx_worst(p)
-        p1 = p[p1_idx]
+        p1 = complex(p[p1_idx])
         p = np.delete(p, p1_idx)
-        if np.isreal(p1):
+        if p1.imag == 0:
             real_idx = np.flatnonzero(np.isreal(p))
             p2_idx = real_idx[idx_worst(p[real_idx])]
             p2 = p[p2_idx]
             p = np.delete(p, p2_idx)
         else:
-            p2 = p1.conj()
+            p2 = p1.conjugate()
         zeros = []
         for _ in range(2):
             # the zero nearest to p1 (zeros as near as it are equal to it)
-            z1_idx = _first_min(np.abs(z - p1))
+            z1_idx = _first_min([abs(v - p1) for v in z.tolist()])
             zeros.append(z[z1_idx])
             z = np.delete(z, z1_idx)
         sos[si, :3] = _quadratic(*zeros)

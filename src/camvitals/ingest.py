@@ -159,52 +159,59 @@ class TrialManifest:
 
 # ------------------------- trials in worker processes -------------------------
 
-def in_order(fn, entries):
+def in_order(fn, entries, own_share=False):
     """Yield fn(entry) for each of a manifest's `entries`, in their order.
 
-    Where this process may run on more than one CPU (Linux), the calls run
-    in min(4, CPUs, entries) forked worker processes: worker k computes
-    entries k, k + workers, ... and sends each result, or the exception
-    that stops it, through its own pipe as one pickle after another. The
-    workers inherit `fn` with everything it reads; only results and
-    exceptions cross, and must pickle. An exception is raised here at its
-    entry's place; a worker that ends without its result raises
-    ChildProcessError naming the trial. However the generator ends, every
-    worker is killed and reaped. Otherwise the calls run here, one by one.
+    Where this process may run on more than one CPU (Linux), the calls
+    fall into w = min(4, CPUs, entries) shares: share k holds entries k,
+    k + w, .... With own_share this process computes share 0 between
+    reading the others' results, and forks w - 1 workers; otherwise it
+    forks w. Each worker sends each result, or the exception that stops
+    it, through its own pipe as one pickle after another. The workers
+    inherit `fn` with everything it reads; only results and exceptions
+    cross, and must pickle. An exception is raised here at its entry's
+    place; a worker that ends without its result raises ChildProcessError
+    naming the trial. However the generator ends, every worker is killed
+    and reaped. Otherwise the calls run here, one by one.
     """
     entries = list(entries)
-    workers = (min(4, len(os.sched_getaffinity(0)), len(entries))
-               if hasattr(os, "sched_getaffinity") else 1)
-    if workers <= 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus <= 1:
         yield from map(fn, entries)
         return
     import signal
 
+    shares = min(4, cpus, len(entries))
     # a worker that flushes a stream must not write again what this
     # process had buffered before the fork
     sys.stdout.flush()
     sys.stderr.flush()
-    pipes, running = [], []
+    # by share; None for the share this process computes
+    pipes, running = [None] * shares, [None] * shares
     try:
-        for k in range(workers):
+        for k in range(1 if own_share else 0, shares):
             r, w = os.pipe()
-            pipes.append(open(r, "rb"))
+            pipes[k] = open(r, "rb")
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(fn, entries[k::workers], w)
+                    _work(fn, entries[k::shares], w)
             finally:
                 # in this process only: a worker never returns from _work.
                 # Closed before the next fork, so a dead worker reads as EOF
                 os.close(w)
-            running.append(pid)
+            running[k] = pid
         for i, entry in enumerate(entries):
+            k = i % shares
+            if pipes[k] is None:
+                yield fn(entry)
+                continue
             try:
-                ok, value = pickle.load(pipes[i % workers])
+                ok, value = pickle.load(pipes[k])
             except (EOFError, pickle.UnpicklingError):
                 # the pipe ended before, or part-way through, the pickle
-                code = os.waitstatus_to_exitcode(os.waitpid(running[i % workers], 0)[1])
-                running[i % workers] = None
+                code = os.waitstatus_to_exitcode(os.waitpid(running[k], 0)[1])
+                running[k] = None
                 raise ChildProcessError(
                     f"trial {entry.trial_id}: worker process ended without its result "
                     f"({f'signal {-code}' if code < 0 else f'exit status {code}'})") from None
@@ -217,7 +224,8 @@ def in_order(fn, entries):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
         for pipe in pipes:
-            pipe.close()
+            if pipe is not None:
+                pipe.close()
 
 
 def _work(fn, entries, fd):

@@ -73,6 +73,15 @@ def rr_estimate(clip, rois, cfg=PipelineConfig()):
 # A function that runs in a worker process of ingest.in_order leaves its
 # traces in files: its memory ends with the worker.
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """pin(n): make the test's process, and so ingest.in_order, see n CPUs.
+    With one, every call runs in the test process."""
+    def pin(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    return pin
+
+
 def log_line(path, *fields):
     """Append one line of `fields` to `path`."""
     with open(path, "a") as f:

@@ -139,7 +139,9 @@ def test_estimate_writes_signal_plots(dataset, tmp_path):
     assert ET.fromstring(svg.read_text()).tag.endswith("svg")
 
 
-def test_plots_reuse_each_trace_and_leave_estimates_alone(dataset, tmp_path, monkeypatch):
+def test_plots_reuse_each_trace_and_leave_estimates_alone(dataset, tmp_path, monkeypatch,
+                                                          cpus):
+    cpus(1)   # the calls are counted in this process
     calls = {"pulse_trace": 0, "mean_gray_trace": 0}
     originals = {name: getattr(vitals, name) for name in calls}
 
@@ -176,7 +178,8 @@ def test_plots_reuse_each_trace_and_leave_estimates_alone(dataset, tmp_path, mon
     assert (plots / "signals_trial_001.svg").read_text() == want
 
 
-def test_plots_filter_each_trace_once(dataset, tmp_path, monkeypatch):
+def test_plots_filter_each_trace_once(dataset, tmp_path, monkeypatch, cpus):
+    cpus(1)   # the calls are counted in this process
     calls = []
 
     def counting(*args, **kwargs):
@@ -736,10 +739,10 @@ def two_trials(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "forked"])
+@pytest.mark.parametrize("n", [1, 2], ids=["inline", "forked"])
 @pytest.mark.parametrize("command", ["estimate", "groundtruth"])
-def test_filter_loop_without_sosfilt_is_one_error_line(command, cpus, two_trials, tmp_path,
-                                                       capsys, monkeypatch):
+def test_filter_loop_without_sosfilt_is_one_error_line(command, n, two_trials, tmp_path,
+                                                       capsys, monkeypatch, cpus):
     # the loop's file is there, so the check before trial 1 passes; the
     # first filter call of each process that filters loads it and finds no
     # _sosfilt. The failed load is not cached, so the next test loads the
@@ -747,7 +750,7 @@ def test_filter_loop_without_sosfilt_is_one_error_line(command, cpus, two_trials
     from scipy.signal import _sosfilt
 
     monkeypatch.setattr(dsp, "_load_extension", lambda name, path: types.ModuleType(name))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    cpus(n)
     dsp._sosfilt_kernel.cache_clear()
     out = tmp_path / "out.csv"
     capsys.readouterr()

@@ -4,15 +4,18 @@ import re
 import numpy as np
 import pytest
 
+from camvitals import detect
 from camvitals.detect import (DEFAULT_MIN_NEIGHBORS, DEFAULT_SCALE_FACTOR, Cascade,
                               DetectionError, Stage, Tree,
                               canonical_cascade_json, cascade_from_dict, cascade_to_dict,
-                              convert_opencv_xml, detect_faces,
+                              convert_opencv_xml, detect_faces, detect_trials,
                               evaluate_window, group_rects, integral_image,
                               load_cascade, rect_sum, save_cascade, scale_plan,
                               track_roi)
 from camvitals.geometry import Rect
-from camvitals.ingest import FormatError, VideoClip, to_grayscale
+from camvitals.ingest import (FRAMES_FILE, MANIFEST_FILE, FormatError, TrialEntry,
+                              TrialManifest, VideoClip, crop_clip, read_frame_range,
+                              to_grayscale, write_manifest, write_ppm)
 
 from conftest import blob_clip, blob_frame, make_toy_cascade
 
@@ -198,10 +201,21 @@ def test_group_rects_keeps_distant_clusters_apart():
 
 # ------------------------- ROI tracking -------------------------
 
+def scan_clip(clip, cascade, scale_factor, min_neighbors, min_size):
+    """The raw boxes of a clip's frames as detect_trials gives them: the
+    largest detection of each frame, or None."""
+    raw = []
+    for frame in clip.frames:
+        boxes = detect_faces(cascade, to_grayscale(frame), scale_factor=scale_factor,
+                             min_neighbors=min_neighbors, min_size=min_size)
+        raw.append(boxes[0] if boxes else None)
+    return raw
+
+
 def test_track_roi_hold_last_and_leading_inherit(toy_cascade):
     blob = Rect(8, 8, 4, 4)
     clip = blob_clip(24, 24, [None, blob, None, blob])
-    rois = track_roi(clip, toy_cascade, DEFAULT_SCALE_FACTOR, 1, 0)
+    rois = track_roi(scan_clip(clip, toy_cascade, DEFAULT_SCALE_FACTOR, 1, 0))
     assert len(rois) == 4
     assert rois[0] == rois[1]          # leading gap inherits first success
     assert rois[2] == rois[1]          # hold-last over the dropout
@@ -212,7 +226,14 @@ def test_track_roi_hold_last_and_leading_inherit(toy_cascade):
 def test_track_roi_all_frames_fail(toy_cascade):
     clip = blob_clip(24, 24, [None, None])
     with pytest.raises(DetectionError):
-        track_roi(clip, toy_cascade, DEFAULT_SCALE_FACTOR, DEFAULT_MIN_NEIGHBORS, 0)
+        track_roi(scan_clip(clip, toy_cascade, DEFAULT_SCALE_FACTOR, DEFAULT_MIN_NEIGHBORS, 0))
+
+
+def test_track_roi_raises_the_data_error_of_the_detection_pass():
+    error = FormatError("frames.ppm: frame 7 (byte 21567): record header b'P6', expected ...")
+    with pytest.raises(FormatError) as raised:
+        track_roi(error)
+    assert raised.value is error
 
 
 def whole_clip_track_roi(clip, cascade, scale_factor, min_neighbors, min_size):
@@ -237,17 +258,63 @@ def whole_clip_track_roi(clip, cascade, scale_factor, min_neighbors, min_size):
     return out
 
 
-def tinted_blob_clip(rng, blobs):
-    """conftest's blob_clip of 24x24 in a seeded tint: each channel is the
-    scene times its own factor, so that the gray of a pixel is rounded from
-    three different values. (Noise would make the toy cascade fire on
-    blank frames: it normalises windows by their spread.)"""
-    frames = blob_clip(24, 24, blobs).frames * rng.uniform(0.5, 1.0, 3)
+def per_frame_track_roi(clip, cascade, scale_factor, min_neighbors, min_size):
+    """The reference for the detection pass: track_roi as it was when it
+    scanned one trial's clip in one process, each frame converted to gray
+    as it was scanned."""
+    raw = []
+    for t in range(clip.n_frames):
+        boxes = detect_faces(cascade, to_grayscale(clip.frames[t]), scale_factor=scale_factor,
+                             min_neighbors=min_neighbors, min_size=min_size)
+        raw.append(boxes[0] if boxes else None)
+
+    first_hit = next((b for b in raw if b is not None), None)
+    if first_hit is None:
+        raise DetectionError("no face detected in any frame")
+    out = []
+    last = first_hit
+    for b in raw:
+        if b is not None:
+            last = b
+        out.append(last)
+    return out
+
+
+def tinted_blob_clip(rng, blobs, size=24):
+    """conftest's blob_clip of size x size in a seeded tint: each channel
+    is the scene times its own factor, so that the gray of a pixel is
+    rounded from three different values. (Noise would make the toy cascade
+    fire on blank frames: it normalises windows by their spread.)"""
+    frames = blob_clip(size, size, blobs).frames * rng.uniform(0.5, 1.0, 3)
     return VideoClip(np.rint(frames).astype(np.uint8), 30.0)
 
 
+def write_dataset(path, clips):
+    """A dataset at `path` whose trial k + 1 holds clips[k]: its frames.ppm
+    and manifest. Returns the manifest."""
+    path.mkdir()
+    entries, start = [], 0
+    with open(path / FRAMES_FILE, "wb") as f:
+        for k, clip in enumerate(clips):
+            write_ppm(f, clip.frames)
+            entries.append(TrialEntry(k + 1, "gaze", 3, start, clip.n_frames, k + 1))
+            start += clip.n_frames
+    manifest = TrialManifest(30.0, clips[0].width, clips[0].height, entries)
+    write_manifest(path / MANIFEST_FILE, manifest)
+    return manifest
+
+
+def outcome(track, *args):
+    """The boxes track(*args) returns, or the class and message of the
+    DetectionError or data error it raises."""
+    try:
+        return track(*args)
+    except (DetectionError, ValueError) as e:
+        return type(e), str(e)
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_track_roi_equals_the_whole_clip_reference(seed, toy_cascade):
+def test_track_roi_equals_the_whole_clip_reference(seed, toy_cascade, tmp_path, cpus):
     rng = np.random.default_rng(seed)
     # two leading misses, then a blob of 4 or 8 px that moves, dropping out
     # on about a third of the frames
@@ -256,19 +323,107 @@ def test_track_roi_equals_the_whole_clip_reference(seed, toy_cascade):
         else Rect(*rng.integers(0, 16, 2), *[int(rng.choice([4, 8]))] * 2)
         for _ in range(10)]
     clip = tinted_blob_clip(rng, blobs)
+    manifest = write_dataset(tmp_path / "ds", [clip])
+    cpus(1)
+    raw = detect_trials(tmp_path / "ds", manifest, (0, 0, 0, 0), toy_cascade,
+                        DEFAULT_SCALE_FACTOR, 1, 0)
     want = whole_clip_track_roi(clip, toy_cascade, DEFAULT_SCALE_FACTOR, 1, 0)
-    assert track_roi(clip, toy_cascade, DEFAULT_SCALE_FACTOR, 1, 0) == want
+    assert track_roi(raw[1]) == want
     # the clip holds a leading miss, a held frame and a box that moves
     assert want[0] == want[1] == want[2]
     assert any(b is None for b in blobs[3:])
     assert len(set(want)) > 1
 
 
-def test_track_roi_without_a_face_raises_as_the_whole_clip_reference(toy_cascade):
+def test_track_roi_without_a_face_raises_as_the_whole_clip_reference(toy_cascade, tmp_path,
+                                                                      cpus):
     clip = tinted_blob_clip(np.random.default_rng(7), [None] * 6)
-    for track in (whole_clip_track_roi, track_roi):
+    manifest = write_dataset(tmp_path / "ds", [clip])
+    cpus(1)
+    raw = detect_trials(tmp_path / "ds", manifest, (0, 0, 0, 0), toy_cascade,
+                        DEFAULT_SCALE_FACTOR, 1, 0)
+    for track in (lambda: whole_clip_track_roi(clip, toy_cascade, DEFAULT_SCALE_FACTOR, 1, 0),
+                  lambda: track_roi(raw[1])):
         with pytest.raises(DetectionError, match="^no face detected in any frame$"):
-            track(clip, toy_cascade, DEFAULT_SCALE_FACTOR, 1, 0)
+            track()
+
+
+def moving_blobs(rng, n):
+    """n blobs of 4 or 8 px at seeded places of a 26x26 frame, 1 to 17 px
+    from its top-left corner, so that they stay whole in its 24x24 crop."""
+    return [Rect(*rng.integers(1, 18, 2), *[int(rng.choice([4, 8]))] * 2) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_detection_pass_equals_the_per_frame_scan(n, toy_cascade, tmp_path, monkeypatch,
+                                                  cpus):
+    """detect_trials and track_roi against one process scanning each trial's
+    cropped clip, over blocks of 4 frames: 23 blocks, of which this process
+    scans a share at 2 and 4 CPUs."""
+    monkeypatch.setattr(detect, "_DETECT_BLOCK_FRAMES", 4)
+    rng = np.random.default_rng(11)
+    blobs = {
+        # the first hit in the third block
+        1: [None] * 9 + moving_blobs(rng, 5),
+        # held over frames 3-9 and 13-16, across three block boundaries
+        2: moving_blobs(rng, 3) + [None] * 7 + moving_blobs(rng, 3) + [None] * 4
+           + moving_blobs(rng, 2),
+        # no hit in any frame
+        3: [None] * 10,
+        # a blob on about two frames in three
+        4: [None if rng.random() < 0.35 else b for b in moving_blobs(rng, 23)],
+        # one frame
+        5: moving_blobs(rng, 1),
+        # the last frame holds the only hit
+        6: [None] * 12 + moving_blobs(rng, 1),
+    }
+    clips = [tinted_blob_clip(rng, blobs[k], size=26) for k in sorted(blobs)]
+    manifest = write_dataset(tmp_path / "ds", clips)
+    crop = (1, 1, 1, 1)
+    scan = (toy_cascade, DEFAULT_SCALE_FACTOR, 1, 0)
+    want = [outcome(per_frame_track_roi, crop_clip(clip, *crop), *scan) for clip in clips]
+    cpus(n)
+    scanned = []   # the frames scanned in this process
+    monkeypatch.setattr(detect, "detect_faces",
+                        lambda *args, **kwargs: scanned.append(1) or detect_faces(*args, **kwargs))
+    raw = detect_trials(tmp_path / "ds", manifest, crop, *scan)
+    assert [outcome(track_roi, raw[e.trial_id]) for e in manifest.entries] == want
+    # this process scans blocks 0, n, 2n, ... of the 23
+    sizes = [min(4, len(clip.frames) - start) for clip in clips
+             for start in range(0, len(clip.frames), 4)]
+    assert len(sizes) == 23
+    assert len(scanned) == sum(sizes[::n])
+    # the cases the clips are made for
+    assert want[0][0] == want[0][9] != want[0][10]
+    assert want[1][2] == want[1][9] != want[1][10]
+    assert want[2] == (DetectionError, "no face detected in any frame")
+    assert len(set(want[3])) > 3
+    assert want[5][0] == want[5][12]
+
+
+def test_detection_pass_keeps_each_trials_first_data_error(toy_cascade, tmp_path, monkeypatch,
+                                                           cpus):
+    """A bad record in trial 2 gives trial 2, and only trial 2, the error
+    of reading its whole range: the first bad record's."""
+    monkeypatch.setattr(detect, "_DETECT_BLOCK_FRAMES", 4)
+    rng = np.random.default_rng(5)
+    clips = [tinted_blob_clip(rng, moving_blobs(rng, 13), size=26) for _ in range(3)]
+    data = tmp_path / "ds"
+    manifest = write_dataset(data, clips)
+    record = (data / FRAMES_FILE).stat().st_size // 39
+    with open(data / FRAMES_FILE, "r+b") as f:
+        for frame in (13 + 6, 13 + 11):
+            f.seek(frame * record)
+            f.write(b"P5")
+    with pytest.raises(FormatError) as whole:
+        read_frame_range(data, manifest, 13, 13)
+    scan = (toy_cascade, DEFAULT_SCALE_FACTOR, 1, 0)
+    want = [outcome(per_frame_track_roi, clips[0], *scan), (FormatError, str(whole.value)),
+            outcome(per_frame_track_roi, clips[2], *scan)]
+    for n in (1, 2, 4):
+        cpus(n)
+        raw = detect_trials(data, manifest, (0, 0, 0, 0), *scan)
+        assert [outcome(track_roi, raw[e.trial_id]) for e in manifest.entries] == want
 
 
 # ------------------------- serialization -------------------------

@@ -41,15 +41,15 @@ def test_mean_gray_trace_peak_rss_grows_by_less_than_half_the_frames():
     assert result["growth"] < result["frame_bytes"] / 2, result
 
 
-@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "forked"])
-def test_no_frames_of_a_trial_outlive_its_pixel_stage(cpus, tmp_path, monkeypatch):
+@pytest.mark.parametrize("n", [1, 2], ids=["inline", "forked"])
+def test_no_frames_of_a_trial_outlive_its_pixel_stage(n, tmp_path, monkeypatch, cpus):
     from camvitals import cli, dsp
     from camvitals.synth import SynthConfig, TrialPlan, synth_dataset
 
     data = tmp_path / "ds"
     synth_dataset([TrialPlan(1, "respiration", 1, 9.0), TrialPlan(2, "gaze", 3, 9.0)],
                   SynthConfig(width=32, height=32), data, seed=3)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    cpus(n)
     # in each process that runs trials: a weak reference to each clip read
     # and to the buffer of its frames; every bandpass call logs how many
     # are still alive
@@ -75,8 +75,8 @@ def test_no_frames_of_a_trial_outlive_its_pixel_stage(cpus, tmp_path, monkeypatc
     # two bandpass calls a trial, each after a trial's clip was read
     assert len(lines) == 4 and all(int(read) > 0 for _, read, _ in lines)
     assert [alive for _, _, alive in lines] == ["0"] * 4
-    assert len({pid for pid, _, _ in lines}) == cpus
-    assert (os.getpid() == int(lines[0][0])) == (cpus == 1)
+    assert len({pid for pid, _, _ in lines}) == n
+    assert (os.getpid() == int(lines[0][0])) == (n == 1)
 
 
 def _child():

@@ -411,14 +411,10 @@ def _digests(out):
             for name in POOL_DIGESTS}
 
 
-def _cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-@pytest.mark.parametrize("cpus", [None, 1, 4])
-def test_dataset_bytes_do_not_depend_on_the_cpu_count(cpus, tmp_path, monkeypatch):
-    if cpus is not None:
-        _cpus(monkeypatch, cpus)
+@pytest.mark.parametrize("n", [None, 1, 4])
+def test_dataset_bytes_do_not_depend_on_the_cpu_count(n, tmp_path, monkeypatch, cpus):
+    if n is not None:
+        cpus(n)
     workers = (min(4, len(os.sched_getaffinity(0)), len(POOL_PROTOCOL))
                if hasattr(os, "sched_getaffinity") else 1)
     log = tmp_path / "pids"
@@ -448,8 +444,8 @@ def _failing_at_trial(n, seed):
     return render
 
 
-def test_a_failing_trial_stops_the_pool(tmp_path, monkeypatch):
-    _cpus(monkeypatch, 4)
+def test_a_failing_trial_stops_the_pool(tmp_path, monkeypatch, cpus):
+    cpus(4)
     log = tmp_path / "pids"
     failing = _failing_at_trial(3, seed=0)
 
@@ -466,11 +462,11 @@ def test_a_failing_trial_stops_the_pool(tmp_path, monkeypatch):
     assert list((tmp_path / "ds").iterdir()) == []
 
 
-def test_each_trial_places_its_records_at_its_start_frame(tmp_path, monkeypatch):
+def test_each_trial_places_its_records_at_its_start_frame(tmp_path, monkeypatch, cpus):
     # four workers own trials (1, 5), (2, 6), (3) and (4). Trial 1 renders
     # once the other workers' trials 2, 3, 4 and 6 have written, so records
     # reach the file out of plan order, and none from this process
-    _cpus(monkeypatch, 4)
+    cpus(4)
     log = tmp_path / "writes"   # (trial's first byte, writing pid) per trial
     write_ppm = synth.write_ppm
 
@@ -497,9 +493,9 @@ def test_each_trial_places_its_records_at_its_start_frame(tmp_path, monkeypatch)
     assert_ended({int(pid) for _, pid in writes})
 
 
-def test_a_failing_trial_cancels_the_trials_not_started(tmp_path, monkeypatch):
+def test_a_failing_trial_cancels_the_trials_not_started(tmp_path, monkeypatch, cpus):
     # four workers own trials (1, 5, 9), (2, 6, 10), (3, 7, 11) and (4, 8, 12)
-    _cpus(monkeypatch, 4)
+    cpus(4)
     log = tmp_path / "started"   # (trial id, pid) of each trial begun
 
     def render(cfg):
@@ -521,9 +517,9 @@ def test_a_failing_trial_cancels_the_trials_not_started(tmp_path, monkeypatch):
     assert_ended({int(pid) for _, pid in started})
 
 
-@pytest.mark.parametrize("cpus", [1, 4])
-def test_a_failing_trial_keeps_the_dataset_already_there(cpus, tmp_path, monkeypatch):
-    _cpus(monkeypatch, cpus)
+@pytest.mark.parametrize("n", [1, 4])
+def test_a_failing_trial_keeps_the_dataset_already_there(n, tmp_path, monkeypatch, cpus):
+    cpus(n)
     synth_dataset(POOL_PROTOCOL, SynthConfig(width=32, height=32, noise_sigma=1.0),
                   tmp_path, seed=5)
     monkeypatch.setattr(synth, "synth_clip", _failing_at_trial(4, seed=5))

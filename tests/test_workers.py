@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import assert_ended, log_line, logged, make_toy_cascade, wait_for_lines
 
-from camvitals import cli, synth
+from camvitals import cli, detect, groundtruth, synth
 from camvitals.cli import main
 from camvitals.detect import save_cascade
 from camvitals.ingest import MANIFEST_FILE, TrialEntry, _frames_file, in_order, parse_manifest
@@ -23,15 +23,11 @@ NOCROP = "0,0,0,0"
 ENTRIES = [TrialEntry(i, "gaze", 3, 10 * i, 10, i) for i in range(1, 7)]
 
 
-def _cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
 # ------------------------- in_order -------------------------
 
 @pytest.mark.parametrize("how", ["end", "failing trial", "closed part-way"])
-def test_no_worker_outlives_in_order(how, tmp_path, monkeypatch):
-    _cpus(monkeypatch, 4)
+def test_no_worker_outlives_in_order(how, tmp_path, monkeypatch, cpus):
+    cpus(4)
     log = tmp_path / "pids"
 
     def square(entry):
@@ -57,12 +53,12 @@ def test_no_worker_outlives_in_order(how, tmp_path, monkeypatch):
     assert_ended(pids)
 
 
-@pytest.mark.parametrize("cpus", [1, None], ids=["one CPU", "no sched_getaffinity"])
-def test_in_order_runs_inline_without_a_second_cpu(cpus, tmp_path, monkeypatch):
-    if cpus is None:
+@pytest.mark.parametrize("n", [1, None], ids=["one CPU", "no sched_getaffinity"])
+def test_in_order_runs_inline_without_a_second_cpu(n, tmp_path, monkeypatch, cpus):
+    if n is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
-        _cpus(monkeypatch, cpus)
+        cpus(n)
     log = tmp_path / "pids"
 
     def trial_id(entry):
@@ -73,12 +69,56 @@ def test_in_order_runs_inline_without_a_second_cpu(cpus, tmp_path, monkeypatch):
     assert {int(pid) for pid, in logged(log)} == {os.getpid()}
 
 
+@pytest.mark.parametrize("fails", [False, True], ids=["end", "failing trial"])
+def test_in_order_computes_its_own_share_here(fails, tmp_path, cpus):
+    cpus(4)
+    log = tmp_path / "pids"
+    parent = os.getpid()
+
+    def square(entry):
+        log_line(log, entry.trial_id, os.getpid())
+        if fails and entry.trial_id == 5:
+            assert os.getpid() == parent
+            raise ValueError("trial 5 fails")
+        return entry.trial_id ** 2
+
+    results = in_order(square, ENTRIES, own_share=True)
+    if fails:
+        assert [next(results) for _ in range(4)] == [1, 4, 9, 16]
+        with pytest.raises(ValueError, match="^trial 5 fails$"):
+            next(results)
+    else:
+        assert list(results) == [1, 4, 9, 16, 25, 36]
+    pids = {int(trial): int(pid) for trial, pid in logged(log)}
+    # entries 0 and 4 here, each other share in a worker of its own (the
+    # failing trial's may be killed before it reaches trial 6)
+    assert pids[1] == pids[5] == parent
+    assert len({pids[2], pids[3], pids[4], parent}) == 4
+    assert pids.get(6, pids[2]) == pids[2]
+    assert_ended(set(pids.values()) - {parent})
+
+
+def test_in_order_forks_for_one_entry_where_it_has_a_second_cpu(tmp_path, cpus):
+    cpus(2)
+    log = tmp_path / "pids"
+
+    def trial_id(entry):
+        log_line(log, os.getpid())
+        return entry.trial_id
+
+    assert list(in_order(trial_id, ENTRIES[:1])) == [1]
+    assert list(in_order(trial_id, ENTRIES[:1], own_share=True)) == [1]
+    (worker,), (here,) = logged(log)
+    assert int(here) == os.getpid() != int(worker)
+    assert_ended({int(worker)})
+
+
 @pytest.mark.parametrize("end, reason", [
     (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
     (lambda: os._exit(3), "exit status 3"),
 ], ids=["killed", "exited"])
-def test_a_worker_that_ends_early_names_its_trial(end, reason, monkeypatch):
-    _cpus(monkeypatch, 2)
+def test_a_worker_that_ends_early_names_its_trial(end, reason, monkeypatch, cpus):
+    cpus(2)
     parent = os.getpid()
 
     def ending_at_trial_4(entry):
@@ -94,10 +134,10 @@ def test_a_worker_that_ends_early_names_its_trial(end, reason, monkeypatch):
         next(results)
 
 
-def test_a_worker_that_ends_part_way_through_a_result_names_its_trial(monkeypatch):
+def test_a_worker_that_ends_part_way_through_a_result_names_its_trial(monkeypatch, cpus):
     """Trial 2's worker writes half of its result's pickle, then dies in
     trial 4: the pipe ends inside the pickle."""
-    _cpus(monkeypatch, 2)
+    cpus(2)
     parent = os.getpid()
     dumps = pickle.dumps
 
@@ -120,8 +160,8 @@ def test_a_worker_that_ends_part_way_through_a_result_names_its_trial(monkeypatc
         next(results)
 
 
-def test_a_result_that_does_not_pickle_is_raised_at_its_trial(monkeypatch):
-    _cpus(monkeypatch, 2)
+def test_a_result_that_does_not_pickle_is_raised_at_its_trial(monkeypatch, cpus):
+    cpus(2)
     results = in_order(lambda entry: entry.trial_id if entry.trial_id != 2 else (lambda: 2),
                        ENTRIES)
     assert next(results) == 1
@@ -149,14 +189,15 @@ FOUR_TRIALS = [TrialPlan(i, "gaze", 3, 1.0) for i in range(1, 5)]
 KILLED = "error: trial 2: worker process ended without its result (signal 9)\n"
 
 
-def test_estimate_with_a_killed_worker_prints_one_error_line(tmp_path, monkeypatch, capsys):
+def test_estimate_with_a_killed_worker_prints_one_error_line(tmp_path, monkeypatch, capsys,
+                                                             cpus):
     data = tmp_path / "ds"
     manifest, _ = synth_dataset(FOUR_TRIALS, SynthConfig(width=32, height=32), data, seed=3)
     log = tmp_path / "pids"
     monkeypatch.setattr(cli, "read_frame_range", _killing(
         cli.read_frame_range, lambda d, m, start, n: start == manifest.entries[1].start_frame,
         log))
-    _cpus(monkeypatch, 2)
+    cpus(2)
     capsys.readouterr()
     assert main(["estimate", "--data", str(data), "--out", str(tmp_path / "est.csv"),
                  "--roi", ROI, "--crop", NOCROP]) == 1
@@ -167,12 +208,13 @@ def test_estimate_with_a_killed_worker_prints_one_error_line(tmp_path, monkeypat
     assert_ended({int(pid) for pid, in logged(log)})
 
 
-def test_synth_with_a_killed_worker_prints_one_error_line(tmp_path, monkeypatch, capsys):
+def test_synth_with_a_killed_worker_prints_one_error_line(tmp_path, monkeypatch, capsys,
+                                                          cpus):
     log = tmp_path / "pids"
     monkeypatch.setattr(synth, "paper_protocol", lambda seed: FOUR_TRIALS)
     monkeypatch.setattr(synth, "synth_clip",
                         _killing(synth_clip, lambda cfg: cfg.seed == 7 + 2, log))
-    _cpus(monkeypatch, 2)
+    cpus(2)
     out = tmp_path / "ds"
     capsys.readouterr()
     assert main(["synth", "--out", str(out), "--protocol", "paper", "--seed", "7",
@@ -180,6 +222,46 @@ def test_synth_with_a_killed_worker_prints_one_error_line(tmp_path, monkeypatch,
     assert capsys.readouterr() == ("", KILLED)
     assert list(out.iterdir()) == []
     assert_ended({int(pid) for pid, in logged(log)})
+
+
+@pytest.fixture(scope="module")
+def one_trial(tmp_path_factory):
+    """One 2 s trial at 32x32, four blocks of the detection pass, beside
+    the toy cascade and a sparse scan that finds the face."""
+    out = tmp_path_factory.mktemp("one")
+    synth_dataset([TrialPlan(1, "gaze", 3, 2.0)], SynthConfig(width=32, height=32),
+                  out / "ds", seed=3)
+    save_cascade(out / "cascade.json", make_toy_cascade())
+    (out / "scan.cfg").write_text("scale_factor = 2.0\nmin_size = 16\n")
+    return out / "ds"
+
+
+@pytest.mark.parametrize("command, module, function, when", [
+    # the second block of the detection pass: the worker's share
+    ("cascade", detect, "read_frame_range",
+     lambda d, m, start, n: start == detect._DETECT_BLOCK_FRAMES),
+    ("cascade", cli, "read_frame_range", lambda *args: True),
+    ("roi", cli, "read_frame_range", lambda *args: True),
+    ("groundtruth", groundtruth, "gt_hr_flagged", lambda *args: True),
+], ids=["cascade detection worker", "cascade trial worker", "roi", "groundtruth"])
+def test_a_killed_worker_of_a_one_trial_run_names_the_trial(command, module, function, when,
+                                                            one_trial, tmp_path, monkeypatch,
+                                                            capsys, cpus):
+    out = tmp_path / "out.csv"
+    argv = {"cascade": ["estimate", "--cascade", str(one_trial.parent / "cascade.json"),
+                        "--config", str(one_trial.parent / "scan.cfg"), "--crop", NOCROP],
+            "roi": ["estimate", "--roi", ROI, "--crop", NOCROP],
+            "groundtruth": ["groundtruth"]}[command]
+    log = tmp_path / "pids"
+    monkeypatch.setattr(module, function, _killing(getattr(module, function), when, log))
+    cpus(2)
+    capsys.readouterr()
+    assert main(argv + ["--data", str(one_trial), "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: trial 1: worker process ended without its result (signal 9)\n")
+    assert not out.exists()
+    # the detection pass reads its first block in this process
+    assert_ended({int(pid) for pid, in logged(log)} - {os.getpid()})
 
 
 # ------------------------- outputs at 1, 2 and 4 workers -------------------------
@@ -229,13 +311,12 @@ def _outputs(data, out, capsys):
     return got
 
 
-def test_outputs_do_not_depend_on_the_worker_count(mixed_dataset, tmp_path, monkeypatch,
-                                                   capsys):
+def test_outputs_do_not_depend_on_the_worker_count(mixed_dataset, tmp_path, capsys, cpus):
     outputs = {}
-    for cpus in (1, 2, 4):
-        _cpus(monkeypatch, cpus)
-        (tmp_path / str(cpus)).mkdir()
-        outputs[cpus] = _outputs(mixed_dataset, tmp_path / str(cpus), capsys)
+    for n in (1, 2, 4):
+        cpus(n)
+        (tmp_path / str(n)).mkdir()
+        outputs[n] = _outputs(mixed_dataset, tmp_path / str(n), capsys)
     assert outputs[2] == outputs[1]
     assert outputs[4] == outputs[1]
     # the dataset reaches every outcome the commands print
@@ -248,24 +329,51 @@ def test_outputs_do_not_depend_on_the_worker_count(mixed_dataset, tmp_path, monk
     assert len([p for p in outputs[1] if p.endswith(".svg")]) == 6 + 5
 
 
-def test_a_bad_record_in_trial_3_stops_every_worker_count_alike(mixed_dataset, tmp_path,
-                                                                 monkeypatch, capsys):
+@pytest.fixture
+def bad_record_in_trial_3(mixed_dataset, tmp_path):
+    """(dataset, its frames.ppm, the global index of the bad frame): a copy
+    of mixed_dataset whose trial 3 has a bad header in its 8th record."""
     data = tmp_path / "ds"
     shutil.copytree(mixed_dataset, data)
     manifest = parse_manifest(data / MANIFEST_FILE)
     path, _, record = _frames_file(data, manifest)
+    frame = manifest.entries[2].start_frame + 7
     with open(path, "r+b") as f:
-        f.seek((manifest.entries[2].start_frame + 7) * record)
+        f.seek(frame * record)
         f.write(b"P6\n33")
+    return data, path, frame
+
+
+def _stops_every_worker_count_alike(bad_record_in_trial_3, how, tmp_path, capsys, cpus):
+    """estimate with the arguments `how` prints the lines of trials 1 and 2,
+    then trial 3's error, the same bytes at 1, 2 and 4 CPUs."""
+    data, path, frame = bad_record_in_trial_3
     seen = set()
-    for cpus in (1, 2, 4):
-        _cpus(monkeypatch, cpus)
+    for n in (1, 2, 4):
+        cpus(n)
         capsys.readouterr()
         assert main(["estimate", "--data", str(data), "--out", str(tmp_path / "est.csv"),
-                     "--roi", ROI, "--crop", NOCROP]) == 1
+                     "--crop", NOCROP, *how]) == 1
         captured = capsys.readouterr()
         assert [line.split(":")[0] for line in captured.out.splitlines()] == ["trial 1",
                                                                                "trial 2"]
-        assert captured.err.startswith(f"error: trial 3: {path}: frame ")
+        assert captured.err.startswith(f"error: trial 3: {path}: frame {frame} (byte ")
+        assert captured.err.count("\n") == 1
         seen.add((captured.out, captured.err))
     assert len(seen) == 1
+
+
+def test_a_bad_record_in_trial_3_stops_every_worker_count_alike(bad_record_in_trial_3,
+                                                                 tmp_path, capsys, cpus):
+    _stops_every_worker_count_alike(bad_record_in_trial_3, ["--roi", ROI], tmp_path, capsys,
+                                    cpus)
+
+
+def test_a_bad_record_in_trial_3_stops_every_cascade_worker_count_alike(
+        bad_record_in_trial_3, mixed_dataset, tmp_path, capsys, cpus):
+    """The detection pass reads trial 3's bad record before the trial loop
+    starts; its error waits for trial 3's place."""
+    _stops_every_worker_count_alike(
+        bad_record_in_trial_3, ["--cascade", str(mixed_dataset.parent / "cascade.json"),
+                                "--config", str(mixed_dataset.parent / "scan.cfg")],
+        tmp_path, capsys, cpus)
