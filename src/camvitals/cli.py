@@ -24,7 +24,7 @@ from pathlib import Path
 from .geometry import DetectionError, Rect, validate_rect
 from .ingest import (CONDITIONS, MANIFEST_FILE, PHYSIO_FILE, check_crop,
                      check_frames_file, crop_clip, in_order, load_physio_csv, named,
-                     parse_manifest, read_frame_range, write_csv)
+                     parse_manifest, read_frame_range, worker_count, write_csv)
 from .scene import SynthConfig
 
 
@@ -248,7 +248,7 @@ def cmd_estimate(args):
 
     if args.cascade is not None:
         from .detect import (check_frame_fits, check_min_size, detect_trials, load_cascade,
-                             track_roi)
+                             scan_frames, track_roi)
     from .dsp import bandpass, filtered_rate
     from .vitals import hr_roi, mean_gray_trace, pulse_trace, rr_roi
 
@@ -281,7 +281,11 @@ def cmd_estimate(args):
     _check_out_file(args.out)
     if args.plots is not None:
         Path(args.plots).mkdir(parents=True, exist_ok=True)
-    if cascade is not None:
+    # with fewer trials than worker processes, the trial loop would leave
+    # CPUs idle, so a detection pass spreads the trials' frames over them
+    # first; otherwise each trial scans its own frames
+    raw_boxes = {}
+    if cascade is not None and len(manifest.entries) < worker_count():
         raw_boxes = detect_trials(data_dir, manifest, cfg.crop, cascade, cfg.scale_factor,
                                   cfg.min_neighbors, cfg.min_size)
 
@@ -290,10 +294,14 @@ def cmd_estimate(args):
         that estimate computes from its frames, which die with this call.
         A face with no chest region below it gives its ValueError in
         place of the chest trace, for analyse to raise."""
-        faces = ([args.roi] * entry.frame_count if cascade is None else
-                 track_roi(raw_boxes[entry.trial_id]))
+        faces = track_roi(raw_boxes[entry.trial_id]) if raw_boxes else None
         clip = read_frame_range(data_dir, manifest, entry.start_frame, entry.frame_count)
         clip = crop_clip(clip, *cfg.crop)
+        if cascade is None:
+            faces = [args.roi] * clip.n_frames
+        elif faces is None:
+            faces = track_roi(scan_frames(clip.frames, cascade, cfg.scale_factor,
+                                          cfg.min_neighbors, cfg.min_size))
         # each ROI built once per distinct face box, in the order the boxes
         # first appear, so the first box with no chest region raises
         boxes = dict.fromkeys(faces)

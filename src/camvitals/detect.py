@@ -427,17 +427,28 @@ class _Block:
     count: int
 
 
+def scan_frames(frames, cascade, scale_factor, min_neighbors, min_size):
+    """The raw boxes of frames: the largest detection of each, or None
+    where there is none. Each frame is converted to gray as it is scanned,
+    so the scan holds one frame's gray and integral images besides them."""
+    raw = []
+    for frame in frames:
+        boxes = detect_faces(cascade, to_grayscale(frame), scale_factor=scale_factor,
+                             min_neighbors=min_neighbors, min_size=min_size)
+        raw.append(boxes[0] if boxes else None)
+    return raw
+
+
 def detect_trials(data_dir, manifest, crop, cascade, scale_factor, min_neighbors, min_size):
-    """{trial id: the trial's raw boxes} for every trial of a dataset: the
-    largest detection of each frame, or None where there is none. A trial
+    """{trial id: the trial's raw boxes of scan_frames} for every trial of
+    a dataset. A trial
     whose frames could not be read has the ValueError of its first such
     block instead, for track_roi to raise.
 
     The trials' frames are cut into blocks, which ingest.in_order spreads
     over this process and its workers. Each block is read, cropped by the
-    margins `crop` and scanned frame by frame, each frame converted to
-    gray as it is scanned, so a process holds one block's frames and one
-    frame's gray and integral images.
+    margins `crop` and scanned, so a process holds one block's frames and
+    one frame's gray and integral images.
     """
     frames = min(_DETECT_BLOCK_FRAMES,
                  max(1, _DETECT_BLOCK_BYTES // (manifest.width * manifest.height * 3)))
@@ -451,12 +462,8 @@ def detect_trials(data_dir, manifest, crop, cascade, scale_factor, min_neighbors
         except ValueError as e:
             # without its traceback, whose frames hold the block's records
             return e.with_traceback(None)
-        raw = []
-        for frame in crop_clip(clip, *crop).frames:
-            boxes = detect_faces(cascade, to_grayscale(frame), scale_factor=scale_factor,
-                                 min_neighbors=min_neighbors, min_size=min_size)
-            raw.append(boxes[0] if boxes else None)
-        return raw
+        return scan_frames(crop_clip(clip, *crop).frames, cascade, scale_factor,
+                           min_neighbors, min_size)
 
     raw = {e.trial_id: [] for e in manifest.entries}
     with closing(in_order(scan, blocks, own_share=True)) as results:
@@ -471,7 +478,8 @@ def detect_trials(data_dir, manifest, crop, cascade, scale_factor, min_neighbors
 
 
 def track_roi(raw):
-    """One face box per frame, from one trial's raw boxes of detect_trials.
+    """One face box per frame, from one trial's raw boxes: those of
+    scan_frames, or the trial's entry of detect_trials.
 
     Frames with no detection reuse the last successful box, leading
     failures inherit the first success, and a trial with no detection on

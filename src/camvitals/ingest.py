@@ -159,11 +159,17 @@ class TrialManifest:
 
 # ------------------------- trials in worker processes -------------------------
 
+def worker_count():
+    """The most processes in_order spreads entries over: min(4, CPUs this
+    process may run on), or 1 where it cannot tell (off Linux)."""
+    return min(4, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+
+
 def in_order(fn, entries, own_share=False):
     """Yield fn(entry) for each of a manifest's `entries`, in their order.
 
     Where this process may run on more than one CPU (Linux), the calls
-    fall into w = min(4, CPUs, entries) shares: share k holds entries k,
+    fall into w = min(worker_count(), entries) shares: share k holds entries k,
     k + w, .... With own_share this process computes share 0 between
     reading the others' results, and forks w - 1 workers; otherwise it
     forks w. Each worker sends each result, or the exception that stops
@@ -175,13 +181,13 @@ def in_order(fn, entries, own_share=False):
     and reaped. Otherwise the calls run here, one by one.
     """
     entries = list(entries)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if cpus <= 1:
+    most = worker_count()
+    if most <= 1:
         yield from map(fn, entries)
         return
     import signal
 
-    shares = min(4, cpus, len(entries))
+    shares = min(most, len(entries))
     # a worker that flushes a stream must not write again what this
     # process had buffered before the fork
     sys.stdout.flush()

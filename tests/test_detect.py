@@ -11,7 +11,7 @@ from camvitals.detect import (DEFAULT_MIN_NEIGHBORS, DEFAULT_SCALE_FACTOR, Casca
                               convert_opencv_xml, detect_faces, detect_trials,
                               evaluate_window, group_rects, integral_image,
                               load_cascade, rect_sum, save_cascade, scale_plan,
-                              track_roi)
+                              scan_frames, track_roi)
 from camvitals.geometry import Rect
 from camvitals.ingest import (FRAMES_FILE, MANIFEST_FILE, FormatError, TrialEntry,
                               TrialManifest, VideoClip, crop_clip, read_frame_range,
@@ -201,21 +201,10 @@ def test_group_rects_keeps_distant_clusters_apart():
 
 # ------------------------- ROI tracking -------------------------
 
-def scan_clip(clip, cascade, scale_factor, min_neighbors, min_size):
-    """The raw boxes of a clip's frames as detect_trials gives them: the
-    largest detection of each frame, or None."""
-    raw = []
-    for frame in clip.frames:
-        boxes = detect_faces(cascade, to_grayscale(frame), scale_factor=scale_factor,
-                             min_neighbors=min_neighbors, min_size=min_size)
-        raw.append(boxes[0] if boxes else None)
-    return raw
-
-
 def test_track_roi_hold_last_and_leading_inherit(toy_cascade):
     blob = Rect(8, 8, 4, 4)
     clip = blob_clip(24, 24, [None, blob, None, blob])
-    rois = track_roi(scan_clip(clip, toy_cascade, DEFAULT_SCALE_FACTOR, 1, 0))
+    rois = track_roi(scan_frames(clip.frames, toy_cascade, DEFAULT_SCALE_FACTOR, 1, 0))
     assert len(rois) == 4
     assert rois[0] == rois[1]          # leading gap inherits first success
     assert rois[2] == rois[1]          # hold-last over the dropout
@@ -226,7 +215,8 @@ def test_track_roi_hold_last_and_leading_inherit(toy_cascade):
 def test_track_roi_all_frames_fail(toy_cascade):
     clip = blob_clip(24, 24, [None, None])
     with pytest.raises(DetectionError):
-        track_roi(scan_clip(clip, toy_cascade, DEFAULT_SCALE_FACTOR, DEFAULT_MIN_NEIGHBORS, 0))
+        track_roi(scan_frames(clip.frames, toy_cascade, DEFAULT_SCALE_FACTOR,
+                              DEFAULT_MIN_NEIGHBORS, 0))
 
 
 def test_track_roi_raises_the_data_error_of_the_detection_pass():
@@ -243,28 +233,6 @@ def whole_clip_track_roi(clip, cascade, scale_factor, min_neighbors, min_size):
     raw = []
     for t in range(clip.n_frames):
         boxes = detect_faces(cascade, grays[t], scale_factor=scale_factor,
-                             min_neighbors=min_neighbors, min_size=min_size)
-        raw.append(boxes[0] if boxes else None)
-
-    first_hit = next((b for b in raw if b is not None), None)
-    if first_hit is None:
-        raise DetectionError("no face detected in any frame")
-    out = []
-    last = first_hit
-    for b in raw:
-        if b is not None:
-            last = b
-        out.append(last)
-    return out
-
-
-def per_frame_track_roi(clip, cascade, scale_factor, min_neighbors, min_size):
-    """The reference for the detection pass: track_roi as it was when it
-    scanned one trial's clip in one process, each frame converted to gray
-    as it was scanned."""
-    raw = []
-    for t in range(clip.n_frames):
-        boxes = detect_faces(cascade, to_grayscale(clip.frames[t]), scale_factor=scale_factor,
                              min_neighbors=min_neighbors, min_size=min_size)
         raw.append(boxes[0] if boxes else None)
 
@@ -381,7 +349,7 @@ def test_detection_pass_equals_the_per_frame_scan(n, toy_cascade, tmp_path, monk
     manifest = write_dataset(tmp_path / "ds", clips)
     crop = (1, 1, 1, 1)
     scan = (toy_cascade, DEFAULT_SCALE_FACTOR, 1, 0)
-    want = [outcome(per_frame_track_roi, crop_clip(clip, *crop), *scan) for clip in clips]
+    want = [outcome(whole_clip_track_roi, crop_clip(clip, *crop), *scan) for clip in clips]
     cpus(n)
     scanned = []   # the frames scanned in this process
     monkeypatch.setattr(detect, "detect_faces",
@@ -418,8 +386,8 @@ def test_detection_pass_keeps_each_trials_first_data_error(toy_cascade, tmp_path
     with pytest.raises(FormatError) as whole:
         read_frame_range(data, manifest, 13, 13)
     scan = (toy_cascade, DEFAULT_SCALE_FACTOR, 1, 0)
-    want = [outcome(per_frame_track_roi, clips[0], *scan), (FormatError, str(whole.value)),
-            outcome(per_frame_track_roi, clips[2], *scan)]
+    want = [outcome(whole_clip_track_roi, clips[0], *scan), (FormatError, str(whole.value)),
+            outcome(whole_clip_track_roi, clips[2], *scan)]
     for n in (1, 2, 4):
         cpus(n)
         raw = detect_trials(data, manifest, (0, 0, 0, 0), *scan)

@@ -14,8 +14,9 @@ from conftest import assert_ended, log_line, logged, make_toy_cascade, wait_for_
 
 from camvitals import cli, detect, groundtruth, synth
 from camvitals.cli import main
-from camvitals.detect import save_cascade
-from camvitals.ingest import MANIFEST_FILE, TrialEntry, _frames_file, in_order, parse_manifest
+from camvitals.detect import detect_trials, save_cascade
+from camvitals.ingest import (MANIFEST_FILE, TrialEntry, _frames_file, in_order, parse_manifest,
+                              write_manifest)
 from camvitals.synth import SynthConfig, TrialPlan, synth_clip, synth_dataset
 
 ROI = "manual:12,5,8,10"   # the synthetic face box at 32x32
@@ -329,6 +330,38 @@ def test_outputs_do_not_depend_on_the_worker_count(mixed_dataset, tmp_path, caps
     assert len([p for p in outputs[1] if p.endswith(".svg")]) == 6 + 5
 
 
+def first_trials(data, k):
+    """Cut the manifest of the dataset `data` to its first k trials."""
+    manifest = parse_manifest(data / MANIFEST_FILE)
+    manifest.entries[k:] = []
+    write_manifest(data / MANIFEST_FILE, manifest)
+
+
+@pytest.mark.parametrize("trials, passes", [(1, [2, 4]), (2, [4]), (3, [4]), (4, [])])
+def test_the_detection_pass_runs_with_fewer_trials_than_workers(
+        trials, passes, mixed_dataset, tmp_path, monkeypatch, capsys, cpus):
+    """estimate --cascade runs detect_trials only where the trials are
+    fewer than the workers it may fork, and gives the bytes of the
+    per-trial scan either way."""
+    data = tmp_path / "ds"
+    shutil.copytree(mixed_dataset, data)
+    first_trials(data, trials)
+    for name in ("cascade.json", "scan.cfg"):
+        shutil.copy(mixed_dataset.parent / name, tmp_path)
+    calls = []
+    monkeypatch.setattr(detect, "detect_trials",
+                        lambda *args: calls.append(n) or detect_trials(*args))
+    outputs = {}
+    for n in (1, 2, 4):
+        cpus(n)
+        (tmp_path / str(n)).mkdir()
+        outputs[n] = _outputs(data, tmp_path / str(n), capsys)
+    assert calls == passes
+    assert outputs[2] == outputs[1]
+    assert outputs[4] == outputs[1]
+    assert outputs[1]["cascade"].endswith(f"/{trials} trials -> OUT/cascade.csv\n")
+
+
 @pytest.fixture
 def bad_record_in_trial_3(mixed_dataset, tmp_path):
     """(dataset, its frames.ppm, the global index of the bad frame): a copy
@@ -371,8 +404,10 @@ def test_a_bad_record_in_trial_3_stops_every_worker_count_alike(bad_record_in_tr
 
 def test_a_bad_record_in_trial_3_stops_every_cascade_worker_count_alike(
         bad_record_in_trial_3, mixed_dataset, tmp_path, capsys, cpus):
-    """The detection pass reads trial 3's bad record before the trial loop
-    starts; its error waits for trial 3's place."""
+    """With three trials, the detection pass runs at 4 CPUs only: it reads
+    trial 3's bad record before the trial loop starts, and its error waits
+    for trial 3's place. At 1 and 2 CPUs, trial 3 scans its own frames."""
+    first_trials(bad_record_in_trial_3[0], 3)
     _stops_every_worker_count_alike(
         bad_record_in_trial_3, ["--cascade", str(mixed_dataset.parent / "cascade.json"),
                                 "--config", str(mixed_dataset.parent / "scan.cfg")],
