@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 
 from .dsp import PHYSIO_STFT, VIDEO_STFT, DEFAULT_FILTER_ORDER, BandpassSpec, StftSpec
 from .geometry import DEFAULT_MIN_NEIGHBORS, DEFAULT_SCALE_FACTOR, check_scale_factor
-from .ingest import FormatError, named, not_ascii
+from .ingest import FormatError, named
 
 
 @dataclass(frozen=True)
@@ -75,29 +75,24 @@ def load_config(path):
     """
     known = {f.name: f.type for f in fields(PipelineConfig)}
     updates = {}
-    try:
+    with named(path):
         with open(path, "r", encoding="ascii") as f:
             for lineno, raw in enumerate(f, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
                 if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected `key = value`")
+                    raise FormatError("expected `key = value`", lineno)
                 key, _, value = line.partition("=")
                 key = key.strip()
                 value = value.strip()
                 if key not in known:
-                    raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+                    raise FormatError(f"unknown config key {key!r}", lineno)
                 try:
                     updates[key] = known[key](value)
                 except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: config key {key}: cannot parse {value!r} "
-                        f"as {known[key].__name__}") from None
+                    raise FormatError(f"config key {key}: cannot parse {value!r} "
+                                      f"as {known[key].__name__}", lineno) from None
                 if known[key] is float and not math.isfinite(updates[key]):
-                    raise ValueError(
-                        f"{path}:{lineno}: config key {key}: {value!r} is not a number")
-    except UnicodeDecodeError as e:
-        raise FormatError(not_ascii(path, e)) from None
-    with named(path):
+                    raise FormatError(f"config key {key}: {value!r} is not a number", lineno)
         return PipelineConfig(**updates)

@@ -14,8 +14,7 @@ import numpy as np
 
 from .geometry import (DEFAULT_MIN_NEIGHBORS, DEFAULT_SCALE_FACTOR, DetectionError, Rect,
                        check_scale_factor)
-from .ingest import (FormatError, crop_clip, in_order, named, not_ascii, read_frame_range,
-                     to_grayscale)
+from .ingest import FormatError, crop_clip, in_order, named, read_frame_range, to_grayscale
 
 GROUP_EPS = 0.2
 # most scales one frame's scan may slide over: the default scale_factor
@@ -151,15 +150,13 @@ def cascade_from_dict(d):
 
 def load_cascade(path):
     """Read and validate a cascade from its JSON file format."""
-    try:
-        d = json.loads(Path(path).read_text(encoding="ascii"))
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}: invalid JSON: {e}") from None
-    except RecursionError:
-        raise FormatError(f"{path}: invalid JSON: nested too deeply") from None
-    except UnicodeDecodeError as e:
-        raise FormatError(not_ascii(path, e)) from None
     with named(path):
+        try:
+            d = json.loads(Path(path).read_text(encoding="ascii"))
+        except json.JSONDecodeError as e:
+            raise FormatError(f"invalid JSON: {e}") from None
+        except RecursionError:
+            raise FormatError("invalid JSON: nested too deeply") from None
         return cascade_from_dict(d)
 
 
@@ -229,7 +226,7 @@ def scale_plan(c, scale, img_w, img_h):
     return img_w, img_h, tuple(stages)
 
 
-def evaluate_window(c, ii, ii_sq, win, scale, plan):
+def evaluate_window(ii, ii_sq, win, scale, plan):
     """Run the stage cascade on one window.
 
     Feature sums are divided by scale^2 (rect areas grow with the window)
@@ -353,7 +350,7 @@ def detect_faces(c, gray, scale_factor=DEFAULT_SCALE_FACTOR,
             for x in range(0, img_w - ww + 1, step):
                 # a plain tuple: a Rect per window costs more than most
                 # windows' evaluation
-                if evaluate_window(c, ii, ii_sq, (x, y, ww, wh), scale, plan):
+                if evaluate_window(ii, ii_sq, (x, y, ww, wh), scale, plan):
                     candidates.append(Rect(x, y, ww, wh))
 
     grouped = group_rects(candidates, min_neighbors)
@@ -466,6 +463,9 @@ def detect_trials(data_dir, manifest, crop, cascade, scale_factor, min_neighbors
                            min_neighbors, min_size)
 
     raw = {e.trial_id: [] for e in manifest.entries}
+    # one object per distinct box, not one per frame: the trial workers
+    # forked after the pass inherit them all
+    seen = {}
     with closing(in_order(scan, blocks, own_share=True)) as results:
         for block, boxes in zip(blocks, results):
             if not isinstance(raw[block.trial_id], list):
@@ -473,7 +473,7 @@ def detect_trials(data_dir, manifest, crop, cascade, scale_factor, min_neighbors
             if isinstance(boxes, ValueError):
                 raw[block.trial_id] = boxes
             else:
-                raw[block.trial_id].extend(boxes)
+                raw[block.trial_id].extend(seen.setdefault(b, b) for b in boxes)
     return raw
 
 
@@ -502,18 +502,18 @@ def track_roi(raw):
 
 # ------------------------- OpenCV XML conversion -------------------------
 
-def _child_text(el, tag, what, path):
+def _child_text(el, tag, what):
     text = el.findtext(tag)
     if text is None:
-        raise FormatError(f"{path}: {what} without <{tag}>")
+        raise FormatError(f"{what} without <{tag}>")
     return text
 
 
-def _number(convert, text, tag, path):
+def _number(convert, text, tag):
     try:
         return convert(text)
     except ValueError:
-        raise FormatError(f"{path}: non-numeric value {text!r} in <{tag}>") from None
+        raise FormatError(f"non-numeric value {text!r} in <{tag}>") from None
 
 
 def convert_opencv_xml(path):
@@ -528,60 +528,59 @@ def convert_opencv_xml(path):
     # here, not at the top: only convert-cascade reads XML
     import xml.etree.ElementTree as ET
 
-    try:
-        root = ET.parse(path).getroot()
-    except ET.ParseError as e:
-        raise FormatError(f"{path}: invalid XML: {e}") from None
-    casc = root.find("cascade")
-    if casc is None:
-        raise FormatError(f"{path}: no <cascade> element")
-    window_w = _number(int, casc.findtext("width", "0"), "width", path)
-    window_h = _number(int, casc.findtext("height", "0"), "height", path)
-
-    features = []
-    feats_el = casc.find("features")
-    if feats_el is None:
-        raise FormatError(f"{path}: no <features> element")
-    for feat in feats_el:
-        if feat.findtext("tilted", "0").strip() == "1":
-            raise FormatError(f"{path}: tilted features unsupported")
-        rects = []
-        rects_el = feat.find("rects")
-        if rects_el is None:
-            raise FormatError(f"{path}: feature without <rects>")
-        for r_el in rects_el:
-            parts = (r_el.text or "").split()
-            if len(parts) != 5:
-                raise FormatError(f"{path}: rect needs 5 fields, got {r_el.text!r}")
-            x, y, w, h = (_number(int, p, "rects", path) for p in parts[:4])
-            rects.append((Rect(x, y, w, h), _number(float, parts[4], "rects", path)))
-        features.append(tuple(rects))
-
-    stages = []
-    stages_el = casc.find("stages")
-    if stages_el is None:
-        raise FormatError(f"{path}: no <stages> element")
-    for st in stages_el:
-        threshold = _number(float, _child_text(st, "stageThreshold", "stage", path),
-                            "stageThreshold", path)
-        weak_el = st.find("weakClassifiers")
-        if weak_el is None:
-            raise FormatError(f"{path}: stage without <weakClassifiers>")
-        trees = []
-        for weak in weak_el:
-            nodes = _child_text(weak, "internalNodes", "classifier", path).split()
-            leaves = _child_text(weak, "leafValues", "classifier", path).split()
-            if len(nodes) != 4 or len(leaves) != 2:
-                raise FormatError(f"{path}: only stump classifiers supported")
-            feat_idx = _number(int, nodes[2], "internalNodes", path)
-            if not (0 <= feat_idx < len(features)):
-                raise FormatError(f"{path}: feature index {feat_idx} out of range")
-            split = _number(float, nodes[3], "internalNodes", path)
-            fail_value, pass_value = (_number(float, v, "leafValues", path) for v in leaves)
-            # leaf order: value when the feature falls below the split, then above
-            trees.append(Tree(rects=features[feat_idx], threshold=split,
-                              fail_value=fail_value, pass_value=pass_value))
-        stages.append(Stage(threshold=threshold, trees=tuple(trees)))
-
     with named(path):
+        try:
+            root = ET.parse(path).getroot()
+        except ET.ParseError as e:
+            raise FormatError(f"invalid XML: {e}") from None
+        casc = root.find("cascade")
+        if casc is None:
+            raise FormatError("no <cascade> element")
+        window_w = _number(int, casc.findtext("width", "0"), "width")
+        window_h = _number(int, casc.findtext("height", "0"), "height")
+
+        features = []
+        feats_el = casc.find("features")
+        if feats_el is None:
+            raise FormatError("no <features> element")
+        for feat in feats_el:
+            if feat.findtext("tilted", "0").strip() == "1":
+                raise FormatError("tilted features unsupported")
+            rects = []
+            rects_el = feat.find("rects")
+            if rects_el is None:
+                raise FormatError("feature without <rects>")
+            for r_el in rects_el:
+                parts = (r_el.text or "").split()
+                if len(parts) != 5:
+                    raise FormatError(f"rect needs 5 fields, got {r_el.text!r}")
+                x, y, w, h = (_number(int, p, "rects") for p in parts[:4])
+                rects.append((Rect(x, y, w, h), _number(float, parts[4], "rects")))
+            features.append(tuple(rects))
+
+        stages = []
+        stages_el = casc.find("stages")
+        if stages_el is None:
+            raise FormatError("no <stages> element")
+        for st in stages_el:
+            threshold = _number(float, _child_text(st, "stageThreshold", "stage"),
+                                "stageThreshold")
+            weak_el = st.find("weakClassifiers")
+            if weak_el is None:
+                raise FormatError("stage without <weakClassifiers>")
+            trees = []
+            for weak in weak_el:
+                nodes = _child_text(weak, "internalNodes", "classifier").split()
+                leaves = _child_text(weak, "leafValues", "classifier").split()
+                if len(nodes) != 4 or len(leaves) != 2:
+                    raise FormatError("only stump classifiers supported")
+                feat_idx = _number(int, nodes[2], "internalNodes")
+                if not (0 <= feat_idx < len(features)):
+                    raise FormatError(f"feature index {feat_idx} out of range")
+                split = _number(float, nodes[3], "internalNodes")
+                fail_value, pass_value = (_number(float, v, "leafValues") for v in leaves)
+                # leaf order: value when the feature falls below the split, then above
+                trees.append(Tree(rects=features[feat_idx], threshold=split,
+                                  fail_value=fail_value, pass_value=pass_value))
+            stages.append(Stage(threshold=threshold, trees=tuple(trees)))
         return Cascade(window_w=window_w, window_h=window_h, stages=tuple(stages))

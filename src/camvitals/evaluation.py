@@ -331,59 +331,59 @@ def build_report(records):
 # ------------------------- CSV round trip -------------------------
 
 def _read_results_csv(path, header):
-    """Rows of a result CSV written under `header`, as ("path:line",
-    trial_id, condition, task, numbers, flags)."""
+    """{trial_id: (line, condition, task, numbers, flags)} of the rows of a
+    result CSV written under `header`, in file order; a trial_id met twice
+    raises after the last row parses."""
     types = (int, str, int) + (_optional_float,) * (len(header) - 4)
-    rows = []
+    rows, duplicate = {}, None
     for line, row in read_csv(path, header):
-        where = f"{path}:{line}"
-        trial_id, condition, task, *numbers = _parse_row(types, row[:-1], header, where)
-        flags = frozenset(row[-1].split(";")) if row[-1] else frozenset()
-        if flags - FLAGS:
-            raise FormatError(f"{where}: unknown flags {sorted(flags - FLAGS)}")
-        rows.append((where, trial_id, condition, task, numbers, flags))
+        with named(path, line):
+            trial_id, condition, task, *numbers = _parse_row(types, row[:-1], header)
+            flags = frozenset(row[-1].split(";")) if row[-1] else frozenset()
+            if flags - FLAGS:
+                raise FormatError(f"unknown flags {sorted(flags - FLAGS)}")
+        if trial_id in rows:
+            duplicate = duplicate or FormatError(f"duplicate trial_id {trial_id}", line)
+        else:
+            rows[trial_id] = (line, condition, task, numbers, flags)
+    if duplicate:
+        with named(path):
+            raise duplicate
     return rows
-
-
-def _by_trial_id(rows):
-    """{trial_id: (where, *rest)} of _read_results_csv rows, in file order."""
-    out = {}
-    for where, trial_id, *rest in rows:
-        if trial_id in out:
-            raise FormatError(f"{where}: duplicate trial_id {trial_id}")
-        out[trial_id] = (where, *rest)
-    return out
 
 
 def join_results(est_path, gt_path):
     """One TrialRecord per trial of an est.csv and a gt.csv, in est.csv
     order. Both files must list the same trials, once each, with the same
     condition and task."""
-    est_by_id = _by_trial_id(_read_results_csv(est_path, EST_HEADER))
+    est_by_id = _read_results_csv(est_path, EST_HEADER)
     if not est_by_id:
-        raise FormatError(f"{est_path}: no trial records to evaluate")
-    gt_by_id = _by_trial_id(_read_results_csv(gt_path, GT_HEADER))
+        with named(est_path):
+            raise FormatError("no trial records to evaluate")
+    gt_by_id = _read_results_csv(gt_path, GT_HEADER)
     records = []
-    for trial_id, (where, condition, task, (hr_est, rr_est, skin_gray), flags) \
+    for trial_id, (line, condition, task, (hr_est, rr_est, skin_gray), flags) \
             in est_by_id.items():
-        gt = gt_by_id.pop(trial_id, None)
-        if gt is None:
-            raise FormatError(f"{where}: trial_id {trial_id} present in estimates only")
-        gt_where, gt_condition, gt_task, (hr_gt, rr_gt), gt_flags = gt
-        if (condition, task) != (gt_condition, gt_task):
-            raise FormatError(
-                f"{where}: trial_id {trial_id}: condition/task mismatch between files "
-                f"({condition}/{task} vs {gt_condition}/{gt_task})")
-        with named(gt_where):
+        with named(est_path, line):
+            gt = gt_by_id.pop(trial_id, None)
+            if gt is None:
+                raise FormatError(f"trial_id {trial_id} present in estimates only")
+            gt_line, gt_condition, gt_task, (hr_gt, rr_gt), gt_flags = gt
+            if (condition, task) != (gt_condition, gt_task):
+                raise FormatError(
+                    f"trial_id {trial_id}: condition/task mismatch between files "
+                    f"({condition}/{task} vs {gt_condition}/{gt_task})")
+        with named(gt_path, gt_line):
             # the record would name the estimates' line for these
             check_rate("hr_gt", hr_gt)
             check_rate("rr_gt", rr_gt)
-        with named(where):
+        with named(est_path, line):
             records.append(TrialRecord(
                 trial_id, condition, task, hr_est=hr_est, hr_gt=hr_gt, rr_est=rr_est,
                 rr_gt=rr_gt, skin_gray=skin_gray, flags=flags | gt_flags))
     if gt_by_id:
-        raise FormatError(f"{gt_path}: trial_id {min(gt_by_id)} present in ground truth only")
+        with named(gt_path):
+            raise FormatError(f"trial_id {min(gt_by_id)} present in ground truth only")
     return records
 
 
@@ -474,10 +474,6 @@ class _Axes:
         self.y0, self.y1 = y_range
         self.px0, self.px1 = left, canvas.width - right
         self.py0, self.py1 = canvas.height - bottom, top
-        if self.x1 <= self.x0:
-            self.x1 = self.x0 + 1.0
-        if self.y1 <= self.y0:
-            self.y1 = self.y0 + 1.0
 
     def x(self, v):
         t = (v - self.x0) / (self.x1 - self.x0)

@@ -35,26 +35,34 @@ LUMA_R, LUMA_G, LUMA_B = 0.299, 0.587, 0.114
 
 
 class FormatError(ValueError):
-    """A file failed to parse against its documented format."""
-
-
-def not_ascii(path, err):
-    """Error message for a UnicodeDecodeError met reading `path` as ASCII.
-    The decoder reads in chunks, so it cannot say on which line."""
-    return f"{path}: not ASCII text (byte 0x{err.object[err.start]:02x})"
+    """A file failed to parse against its documented format. A reader
+    raises FormatError(message), or FormatError(message, line) for one line
+    of the file, inside `named`, which words it with the file's name."""
 
 
 @contextlib.contextmanager
-def named(source):
-    """Raise a ValueError from the block as a FormatError prefixed with
-    `source`, the file of the setting or data it concerns; with source
-    None, as it is."""
+def named(source, line=None):
+    """Raise a ValueError from the block as a FormatError worded
+    `<source>: <message>`, or `<source>:<line>: <message>` where the error
+    (a FormatError(message, line)) or the call gives a line; with source
+    None, as it is. A UnicodeDecodeError, of a file read as ASCII, is
+    worded `not ASCII text (byte 0x..)`, with no line. `source` is the file
+    of the setting or data that the error concerns: readers raise bare
+    messages and leave its name to this. Blocks do not nest: an outer
+    block would word the error again."""
     try:
         yield
     except ValueError as e:
         if source is None:
             raise
-        raise FormatError(f"{source}: {e}") from None
+        message = e
+        if isinstance(e, UnicodeDecodeError):
+            # the decoder reads in chunks, so it cannot say on which line
+            message, line = f"not ASCII text (byte 0x{e.object[e.start]:02x})", None
+        elif isinstance(e, FormatError) and len(e.args) == 2:
+            message, line = e.args
+        where = source if line is None else f"{source}:{line}"
+        raise FormatError(f"{where}: {message}") from None
 
 
 @dataclass
@@ -168,25 +176,24 @@ def worker_count():
 def in_order(fn, entries, own_share=False):
     """Yield fn(entry) for each of a manifest's `entries`, in their order.
 
-    Where this process may run on more than one CPU (Linux), the calls
-    fall into w = min(worker_count(), entries) shares: share k holds entries k,
-    k + w, .... With own_share this process computes share 0 between
-    reading the others' results, and forks w - 1 workers; otherwise it
-    forks w. Each worker sends each result, or the exception that stops
-    it, through its own pipe as one pickle after another. The workers
-    inherit `fn` with everything it reads; only results and exceptions
-    cross, and must pickle. An exception is raised here at its entry's
-    place; a worker that ends without its result raises ChildProcessError
-    naming the trial. However the generator ends, every worker is killed
-    and reaped. Otherwise the calls run here, one by one.
+    The calls fall into w = min(worker_count(), entries) shares: share k
+    holds entries k, k + w, .... With own_share, or where this process may
+    run on just one CPU (or cannot tell, off Linux), this process computes
+    share 0 between reading the others' results, and forks w - 1 workers;
+    otherwise it forks w. Each worker sends each result, or the exception
+    that stops it, through its own pipe as one pickle after another. The
+    workers inherit `fn` with everything it reads; only results and
+    exceptions cross, and must pickle. An exception is raised here at its
+    entry's place; a worker that ends without its result raises
+    ChildProcessError naming the trial. However the generator ends, every
+    worker is killed and reaped.
     """
-    entries = list(entries)
-    most = worker_count()
-    if most <= 1:
-        yield from map(fn, entries)
-        return
     import signal
 
+    entries = list(entries)
+    most = worker_count()
+    # on one CPU, share 0 is every entry
+    own_share = own_share or most <= 1
     shares = min(most, len(entries))
     # a worker that flushes a stream must not write again what this
     # process had buffered before the fork
@@ -293,7 +300,7 @@ def parse_manifest(path):
     """
     header = {}
     entries = []
-    try:
+    with named(path):
         with open(path, "r", encoding="ascii") as f:
             for lineno, raw in enumerate(f, 1):
                 line = raw.strip()
@@ -305,27 +312,24 @@ def parse_manifest(path):
                     continue
                 parts = line.split()
                 if len(parts) != 6:
-                    raise FormatError(f"{path}:{lineno}: expected 6 trial fields, got {len(parts)}")
+                    raise FormatError(f"expected 6 trial fields, got {len(parts)}", lineno)
                 try:
                     entries.append(TrialEntry(
                         trial_id=int(parts[0]), condition=parts[1], task_id=int(parts[2]),
                         start_frame=int(parts[3]), frame_count=int(parts[4]),
                         trigger_code=int(parts[5])))
                 except ValueError:
-                    raise FormatError(f"{path}:{lineno}: non-numeric trial field") from None
-    except UnicodeDecodeError as e:
-        raise FormatError(not_ascii(path, e)) from None
-    try:
-        fps = float(header["fps"])
-        width = int(header["width"])
-        height = int(header["height"])
-    except KeyError as missing:
-        raise FormatError(f"{path}: manifest header missing {missing}") from None
-    except ValueError:
-        raise FormatError(f"{path}: non-numeric manifest header value") from None
-    if not entries:
-        raise FormatError(f"{path}: no trials")
-    with named(path):
+                    raise FormatError("non-numeric trial field", lineno) from None
+        try:
+            fps = float(header["fps"])
+            width = int(header["width"])
+            height = int(header["height"])
+        except KeyError as missing:
+            raise FormatError(f"manifest header missing {missing}") from None
+        except ValueError:
+            raise FormatError("non-numeric manifest header value") from None
+        if not entries:
+            raise FormatError("no trials")
         return TrialManifest(fps=fps, width=width, height=height, entries=entries)
 
 
@@ -347,13 +351,13 @@ def _frames_file(dataset_dir, manifest):
     return os.path.join(dataset_dir, FRAMES_FILE), header, record
 
 
-def _frame_error(path, frame, record, problem):
-    return FormatError(f"{path}: frame {frame} (byte {frame * record}): {problem}")
+def _frame_error(frame, record, problem):
+    return FormatError(f"frame {frame} (byte {frame * record}): {problem}")
 
 
-def _cut_short(path, frame, record, have):
+def _cut_short(frame, record, have):
     """The FormatError of a frame of which the file holds `have` bytes."""
-    return _frame_error(path, frame, record, (
+    return _frame_error(frame, record, (
         f"truncated record, {have} of {record} bytes" if have else
         f"past the end of the file, expected a {record}-byte record"))
 
@@ -364,13 +368,14 @@ def check_frames_file(dataset_dir, manifest):
     middle shifts every later frame under headers that still match, which
     read_frame_range alone sees only at the end of the stream."""
     path, _, record = _frames_file(dataset_dir, manifest)
-    try:
-        size = os.stat(path).st_size
-    except OSError as e:
-        raise _frame_error(path, 0, record, f"cannot read ({e.strerror})") from None
-    whole, have = divmod(size, record)
-    if have or whole < max(e.start_frame + e.frame_count for e in manifest.entries):
-        raise _cut_short(path, whole, record, have)
+    with named(path):
+        try:
+            size = os.stat(path).st_size
+        except OSError as e:
+            raise _frame_error(0, record, f"cannot read ({e.strerror})") from None
+        whole, have = divmod(size, record)
+        if have or whole < max(e.start_frame + e.frame_count for e in manifest.entries):
+            raise _cut_short(whole, record, have)
 
 
 def read_frame_range(dataset_dir, manifest, start_frame, frame_count):
@@ -393,30 +398,31 @@ def read_frame_range(dataset_dir, manifest, start_frame, frame_count):
     flat = records.reshape(-1)
 
     got = 0
-    try:
-        with open(path, "rb", buffering=0) as f:
-            f.seek(start_frame * record)
-            while got < flat.size:
-                n = f.readinto(flat[got:])
-                if not n:
-                    break
-                got += n
-    except OSError as e:
-        raise _frame_error(path, start_frame + got // record, record,
-                           f"cannot read ({e.strerror})") from None
-    whole, have = divmod(got, record)
-    heads = records[:, :len(header)]
-    # a bytes comparison: a first numpy comparison and reduction in the
-    # process would raise estimate's peak RSS by a quarter of a megabyte
-    if whole < frame_count or heads.tobytes() != header * frame_count:
-        # the first bad record, or the one the file cuts short, and the
-        # header bytes read of it
-        i = next((i for i in range(whole) if heads[i].tobytes() != header), whole)
-        head = heads[i, :have if i == whole else None].tobytes()
-        if not header.startswith(head):
-            raise _frame_error(path, start_frame + i, record, f"record header {head!r}, "
-                               f"expected {header!r} for the manifest's {w}x{h}")
-        raise _cut_short(path, start_frame + i, record, have)
+    with named(path):
+        try:
+            with open(path, "rb", buffering=0) as f:
+                f.seek(start_frame * record)
+                while got < flat.size:
+                    n = f.readinto(flat[got:])
+                    if not n:
+                        break
+                    got += n
+        except OSError as e:
+            raise _frame_error(start_frame + got // record, record,
+                               f"cannot read ({e.strerror})") from None
+        whole, have = divmod(got, record)
+        heads = records[:, :len(header)]
+        # a bytes comparison: a first numpy comparison and reduction in the
+        # process would raise estimate's peak RSS by a quarter of a megabyte
+        if whole < frame_count or heads.tobytes() != header * frame_count:
+            # the first bad record, or the one the file cuts short, and the
+            # header bytes read of it
+            i = next((i for i in range(whole) if heads[i].tobytes() != header), whole)
+            head = heads[i, :have if i == whole else None].tobytes()
+            if not header.startswith(head):
+                raise _frame_error(start_frame + i, record, f"record header {head!r}, "
+                                   f"expected {header!r} for the manifest's {w}x{h}")
+            raise _cut_short(start_frame + i, record, have)
     return VideoClip(records[:, len(header):].reshape(frame_count, h, w, 3), manifest.fps)
 
 
@@ -523,29 +529,26 @@ def write_csv(path, header, rows):
 def read_csv(path, header):
     """Yield (line number, row) for each row of a CSV written under
     `header`, after checking the header and the row's cell count."""
-    try:
-        with open(path, "r", newline="", encoding="ascii") as f:
-            reader = csv.reader(f)
+    with named(path), open(path, "r", newline="", encoding="ascii") as f:
+        reader = csv.reader(f)
+        try:
             got = next(reader, None)
             if got != header:
-                raise FormatError(f"{path}:1: expected header {header}, got {got}")
+                raise FormatError(f"expected header {header}, got {got}", 1)
             n = len(header)
             for row in reader:
                 if len(row) != n:
-                    raise FormatError(
-                        f"{path}:{reader.line_num}: expected {n} cells, got {len(row)}")
+                    raise FormatError(f"expected {n} cells, got {len(row)}", reader.line_num)
                 yield reader.line_num, row
-    except UnicodeDecodeError as e:
-        raise FormatError(not_ascii(path, e)) from None
-    except csv.Error as e:
-        raise FormatError(f"{path}:{reader.line_num}: {e}") from None
+        except csv.Error as e:
+            raise FormatError(str(e), reader.line_num) from None
 
 
-def _parse_cell(convert, cell, column, where):
+def _parse_cell(convert, cell, column):
     try:
         return convert(cell)
     except ValueError:
-        raise FormatError(f"{where}: {column} {cell!r} is not a number") from None
+        raise FormatError(f"{column} {cell!r} is not a number") from None
 
 
 def _finite_float(cell):
@@ -559,8 +562,8 @@ def _optional_float(cell):
     return None if cell == "" else _finite_float(cell)
 
 
-def _parse_row(converters, row, header, where):
-    return [_parse_cell(c, cell, column, where)
+def _parse_row(converters, row, header):
+    return [_parse_cell(c, cell, column)
             for c, cell, column in zip(converters, row, header)]
 
 
@@ -627,8 +630,10 @@ def _checked_physio_columns(path):
     naming its line and column."""
     import numpy as np
 
-    rows = [_parse_row(_PHYSIO_TYPES, row, PHYSIO_HEADER, f"{path}:{line}")
-            for line, row in read_csv(path, PHYSIO_HEADER)]
+    rows = []
+    for line, row in read_csv(path, PHYSIO_HEADER):
+        with named(path, line):
+            rows.append(_parse_row(_PHYSIO_TYPES, row, PHYSIO_HEADER))
     t, ecg, resp, trig = zip(*rows) if rows else [()] * 4
     return (*(np.array(c, dtype=np.float64) for c in (t, ecg, resp)),
             np.array(trig, dtype=np.int64))
@@ -643,13 +648,14 @@ def load_physio_csv(path):
     with open(path, "rb") as f:
         columns = _physio_columns(f.read())
     t, ecg, resp, trig = columns or _checked_physio_columns(path)
-    if len(t) < 2:
-        raise FormatError(f"{path}: need at least 2 samples to infer a rate")
-    dt = t[1] - t[0]
-    if dt <= 0:
-        raise FormatError(f"{path}: time column not increasing")
-    if np.max(np.abs(np.diff(t) - dt)) > _T_TOLERANCE:
-        raise FormatError(f"{path}: non-uniform timestamps (tolerance {_T_TOLERANCE} s)")
+    with named(path):
+        if len(t) < 2:
+            raise FormatError("need at least 2 samples to infer a rate")
+        dt = t[1] - t[0]
+        if dt <= 0:
+            raise FormatError("time column not increasing")
+        if np.max(np.abs(np.diff(t) - dt)) > _T_TOLERANCE:
+            raise FormatError(f"non-uniform timestamps (tolerance {_T_TOLERANCE} s)")
     rate = 1.0 / dt
     return PhysioRecord(sample_rate=rate,
                         ecg=TimeSeries(ecg, rate),

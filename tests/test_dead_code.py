@@ -1,8 +1,10 @@
 """`src/` keeps only what the package itself uses: every public top-level
 function and class of camvitals is referenced somewhere in src/ outside
 its own definition, every module-level constant is read somewhere in
-src/, and every parameter with a default is passed by some call in src/. Readers and helpers that only tests need live under tests/
-(see readers.py), and so do modes that only tests would set."""
+src/, every parameter with a default is passed by some call in src/, and
+every parameter is read by its function. Readers and helpers that only
+tests need live under tests/ (see readers.py), and so do modes that only
+tests would set."""
 
 import ast
 from pathlib import Path
@@ -175,3 +177,27 @@ def unpassed_default_parameters():
 
 def test_every_default_parameter_is_passed_in_src():
     assert unpassed_default_parameters() == sorted(ALLOWED_PARAMETERS)
+
+
+def unread_parameters():
+    """Each parameter of a function or lambda in src/, other than one named
+    `_...`, that its body never reads, as "module.function(parameter)": a
+    parameter that only callers fill must not outlive the code that read it."""
+    unread = []
+    for mod, tree in _parsed_modules().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(fn, "name", "<lambda>")
+            unread += [f"{mod}.{name}({p.arg})" for p in params
+                       if not p.arg.startswith("_") and p.arg not in read]
+    return sorted(unread)
+
+
+def test_every_parameter_is_read_in_its_function():
+    assert unread_parameters() == []

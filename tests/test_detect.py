@@ -67,8 +67,8 @@ def test_evaluate_window_zero_on_flat_patch():
     passing = make_toy_cascade(threshold=-0.5)
     failing = make_toy_cascade(threshold=0.5)
     win = Rect(0, 0, 8, 8)
-    assert evaluate_window(passing, ii, ii_sq, win, 1.0, scale_plan(passing, 1.0, 8, 8))
-    assert not evaluate_window(failing, ii, ii_sq, win, 1.0, scale_plan(failing, 1.0, 8, 8))
+    assert evaluate_window(ii, ii_sq, win, 1.0, scale_plan(passing, 1.0, 8, 8))
+    assert not evaluate_window(ii, ii_sq, win, 1.0, scale_plan(failing, 1.0, 8, 8))
 
 
 def test_evaluate_window_normalized_value_frozen():
@@ -81,8 +81,8 @@ def test_evaluate_window_normalized_value_frozen():
     win = Rect(0, 0, 8, 8)
     below = make_toy_cascade(threshold=110.85125168440815 - 1e-9)
     above = make_toy_cascade(threshold=110.85125168440815 + 1e-9)
-    assert evaluate_window(below, ii, ii_sq, win, 1.0, scale_plan(below, 1.0, 8, 8))
-    assert not evaluate_window(above, ii, ii_sq, win, 1.0, scale_plan(above, 1.0, 8, 8))
+    assert evaluate_window(ii, ii_sq, win, 1.0, scale_plan(below, 1.0, 8, 8))
+    assert not evaluate_window(ii, ii_sq, win, 1.0, scale_plan(above, 1.0, 8, 8))
 
 
 def test_stage_threshold_can_reject_despite_tree_pass():
@@ -92,7 +92,7 @@ def test_stage_threshold_can_reject_despite_tree_pass():
     img = blob_frame(8, 8, Rect(2, 2, 4, 4))
     ii = integral_image(img).ravel()
     ii_sq = integral_image(img, squared=True).ravel()
-    assert not evaluate_window(c, ii, ii_sq, Rect(0, 0, 8, 8), 1.0, scale_plan(c, 1.0, 8, 8))
+    assert not evaluate_window(ii, ii_sq, Rect(0, 0, 8, 8), 1.0, scale_plan(c, 1.0, 8, 8))
 
 
 # ------------------------- detection -------------------------
@@ -326,7 +326,7 @@ def moving_blobs(rng, n):
 def test_detection_pass_equals_the_per_frame_scan(n, toy_cascade, tmp_path, monkeypatch,
                                                   cpus):
     """detect_trials and track_roi against one process scanning each trial's
-    cropped clip, over blocks of 4 frames: 23 blocks, of which this process
+    cropped clip, over blocks of 4 frames: 25 blocks, of which this process
     scans a share at 2 and 4 CPUs."""
     monkeypatch.setattr(detect, "_DETECT_BLOCK_FRAMES", 4)
     rng = np.random.default_rng(11)
@@ -344,6 +344,8 @@ def test_detection_pass_equals_the_per_frame_scan(n, toy_cascade, tmp_path, monk
         5: moving_blobs(rng, 1),
         # the last frame holds the only hit
         6: [None] * 12 + moving_blobs(rng, 1),
+        # one box on six frames, in two blocks
+        7: [Rect(5, 5, 8, 8)] * 6,
     }
     clips = [tinted_blob_clip(rng, blobs[k], size=26) for k in sorted(blobs)]
     manifest = write_dataset(tmp_path / "ds", clips)
@@ -356,10 +358,13 @@ def test_detection_pass_equals_the_per_frame_scan(n, toy_cascade, tmp_path, monk
                         lambda *args, **kwargs: scanned.append(1) or detect_faces(*args, **kwargs))
     raw = detect_trials(tmp_path / "ds", manifest, crop, *scan)
     assert [outcome(track_roi, raw[e.trial_id]) for e in manifest.entries] == want
-    # this process scans blocks 0, n, 2n, ... of the 23
+    # one object per distinct box, whichever process scanned its frames
+    hits = [b for boxes in raw.values() for b in boxes if b is not None]
+    assert len(set(map(id, hits))) == len(set(hits)) < len(hits)
+    # this process scans blocks 0, n, 2n, ... of the 25
     sizes = [min(4, len(clip.frames) - start) for clip in clips
              for start in range(0, len(clip.frames), 4)]
-    assert len(sizes) == 23
+    assert len(sizes) == 25
     assert len(scanned) == sum(sizes[::n])
     # the cases the clips are made for
     assert want[0][0] == want[0][9] != want[0][10]

@@ -564,7 +564,7 @@ def test_flags_cell_round_trips_through_a_result_csv(tmp_path):
     cells = [row[-1] for _, row in read_csv(path, GT_HEADER)]
     assert cells == ["", "too_short", "hold_breath_excluded;roi_failure",
                      "hold_breath_excluded;out_of_band;roi_failure;too_short"]
-    assert [flags for *_, flags in _read_results_csv(path, GT_HEADER)] == flag_sets
+    assert [flags for *_, flags in _read_results_csv(path, GT_HEADER).values()] == flag_sets
 
 
 # ------------------------- CSV dialect -------------------------

@@ -54,8 +54,10 @@ def test_no_worker_outlives_in_order(how, tmp_path, monkeypatch, cpus):
     assert_ended(pids)
 
 
-@pytest.mark.parametrize("n", [1, None], ids=["one CPU", "no sched_getaffinity"])
-def test_in_order_runs_inline_without_a_second_cpu(n, tmp_path, monkeypatch, cpus):
+@pytest.mark.parametrize("n,own_share", [(1, False), (None, False), (1, True), (None, True)],
+                         ids=["one CPU", "no sched_getaffinity", "one CPU, own share",
+                              "no sched_getaffinity, own share"])
+def test_in_order_runs_inline_without_a_second_cpu(n, own_share, tmp_path, monkeypatch, cpus):
     if n is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
@@ -66,7 +68,7 @@ def test_in_order_runs_inline_without_a_second_cpu(n, tmp_path, monkeypatch, cpu
         log_line(log, os.getpid())
         return entry.trial_id
 
-    assert list(in_order(trial_id, ENTRIES)) == [1, 2, 3, 4, 5, 6]
+    assert list(in_order(trial_id, ENTRIES, own_share)) == [1, 2, 3, 4, 5, 6]
     assert {int(pid) for pid, in logged(log)} == {os.getpid()}
 
 
