@@ -478,8 +478,7 @@ def detect_trials(data_dir, manifest, crop, cascade, scale_factor, min_neighbors
 
 
 def track_roi(raw):
-    """One face box per frame, from one trial's raw boxes: those of
-    scan_frames, or the trial's entry of detect_trials.
+    """One face box per frame, from one trial's entry of detect_trials.
 
     Frames with no detection reuse the last successful box, leading
     failures inherit the first success, and a trial with no detection on
@@ -531,7 +530,8 @@ def convert_opencv_xml(path):
     with named(path):
         try:
             root = ET.parse(path).getroot()
-        except ET.ParseError as e:
+        except (ET.ParseError, LookupError) as e:
+            # LookupError: a declaration naming an encoding Python lacks
             raise FormatError(f"invalid XML: {e}") from None
         casc = root.find("cascade")
         if casc is None:

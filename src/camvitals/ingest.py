@@ -174,7 +174,7 @@ def worker_count():
 
 
 def in_order(fn, entries, own_share=False):
-    """Yield fn(entry) for each of a manifest's `entries`, in their order.
+    """Yield fn(entry) for each of `entries`, each with a `trial_id`, in order.
 
     The calls fall into w = min(worker_count(), entries) shares: share k
     holds entries k, k + w, .... With own_share, or where this process may

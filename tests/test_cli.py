@@ -1191,6 +1191,16 @@ def test_convert_cascade_bad_xml_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_convert_cascade_unknown_xml_encoding_is_one_error_line(tmp_path, capsys):
+    xml = tmp_path / "cascade.xml"
+    xml.write_text(OPENCV_XML.replace("?>", ' encoding="foo"?>', 1))
+    out = tmp_path / "c.json"
+    rc = main(["convert-cascade", "--xml", str(xml), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {xml}: invalid XML: unknown encoding: foo\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value,message", [
     ("--roi", "manual:12,5,8", "ROI must be 4 comma-separated integers (got '12,5,8')"),
     ("--roi", "manual:12,5,8,1.5", "ROI must be 4 comma-separated integers (got '12,5,8,1.5')"),

@@ -1,7 +1,8 @@
-"""CLI mutation fuzz: `estimate --roi`, `estimate --cascade`, `groundtruth`
-and `evaluate` on seeded mutations of a small multi-trial dataset's
-manifest.txt, physio.csv and frames.ppm, of a cascade JSON, and of est.csv
-and gt.csv.
+"""CLI mutation fuzz: `estimate --roi`, `estimate --cascade`, `groundtruth`,
+`evaluate` and `convert-cascade` on seeded mutations of a small
+multi-trial dataset's manifest.txt, physio.csv and frames.ppm, of a
+cascade JSON, of est.csv and gt.csv, and of an OpenCV XML cascade, which
+also runs once with a declaration of an encoding Python does not know.
 
 Each call must exit 0 with nothing on stderr, or 1 with one `error:` line
 on stderr that names a file the call reads or a trial. No exception may
@@ -28,6 +29,7 @@ NOCROP = "0,0,0,0"
 CASES = 8
 DATASET_FILES = ("manifest.txt", "physio.csv", "frames.ppm")
 OTHER_FILES = ("cascade.json", "est.csv", "gt.csv")
+XML_FILE = "cascade.xml"
 # finite values of a result CSV's number cells at and past the ends of
 # their domains: overflowing errors, the smallest subnormal, a negative
 # zero and a negative rate
@@ -89,7 +91,9 @@ def _set_cell(rng, data, value):
 def _jobs(clean, rng, root):
     """(argv, files the call reads) of every fuzz call: CASES mutations of
     each file, and for est.csv and gt.csv one cell set to each of
-    EXTREMES, each in its own directory beside links to the clean files."""
+    EXTREMES, each in its own directory beside links to the clean files.
+    The XML cascade's cases come last, with the unknown encoding as its
+    fixed extra case."""
     from camvitals.ingest import _frames_file, parse_manifest
 
     _, _, record = _frames_file(clean / "ds", parse_manifest(clean / "ds" / "manifest.txt"))
@@ -97,6 +101,9 @@ def _jobs(clean, rng, root):
              for i in range(CASES)]
     cases += [(name, f"value{i}", value) for name in OTHER_FILES[1:]
               for i, value in enumerate(EXTREMES)]
+    xml = (clean / XML_FILE).read_bytes()
+    cases += [(XML_FILE, str(i), None) for i in range(CASES)]
+    cases += [(XML_FILE, "encoding", xml.replace(b"?>", b' encoding="foo"?>', 1))]
     jobs = []
     for name, label, value in cases:
         case = root / f"{name}-{label}"
@@ -104,14 +111,19 @@ def _jobs(clean, rng, root):
         ds.mkdir(parents=True)
         for other in DATASET_FILES:
             os.symlink(clean / "ds" / other, ds / other)
-        for other in OTHER_FILES:
+        for other in OTHER_FILES + (XML_FILE,):
             os.symlink(clean / other, case / other)
         path = (ds if name in DATASET_FILES else case) / name
         source = path.resolve()
         path.unlink()
         data = source.read_bytes()
-        path.write_bytes(_set_cell(rng, data, value) if value is not None else
-                         _mutate(rng, data, record if name == "frames.ppm" else None))
+        if value is None:
+            data = _mutate(rng, data, record if name == "frames.ppm" else None)
+        elif name == XML_FILE:
+            data = value
+        else:
+            data = _set_cell(rng, data, value)
+        path.write_bytes(data)
         out = str(case / "out.csv")
         roi = (["estimate", "--data", str(ds), "--out", out, "--roi", ROI, "--crop", NOCROP],
                [ds / "manifest.txt", ds / "frames.ppm"])
@@ -123,9 +135,11 @@ def _jobs(clean, rng, root):
         evaluate = (["evaluate", "--estimates", str(case / "est.csv"), "--groundtruth",
                      str(case / "gt.csv"), "--out", str(case / "report")],
                     [case / "est.csv", case / "gt.csv"])
+        convert = (["convert-cascade", "--xml", str(path), "--out", str(case / "out.json")],
+                   [path])
         jobs += {"manifest.txt": [roi, gt], "physio.csv": [gt], "frames.ppm": [roi],
                  "cascade.json": [cascade], "est.csv": [evaluate],
-                 "gt.csv": [evaluate]}[name]
+                 "gt.csv": [evaluate], XML_FILE: [convert]}[name]
     return jobs
 
 
@@ -144,6 +158,7 @@ def _names_a_file_or_a_trial(line, files):
 
 def test_mutated_inputs_exit_0_or_1_with_one_named_error(tmp_path):
     from conftest import run_cli_calls
+    from test_detect import OPENCV_XML
 
     from camvitals.cli import main
     from camvitals.detect import Cascade, Stage, Tree, save_cascade
@@ -161,6 +176,7 @@ def test_mutated_inputs_exit_0_or_1_with_one_named_error(tmp_path):
                 pass_value=1.0, fail_value=0.0)
     save_cascade(clean / "cascade.json",
                  Cascade(window_w=28, window_h=28, stages=(Stage(0.5, (tree,)),)))
+    (clean / XML_FILE).write_text(OPENCV_XML)
     assert main(["estimate", "--data", str(clean / "ds"), "--out", str(clean / "est.csv"),
                  "--roi", ROI, "--crop", NOCROP]) == 0
     assert main(["groundtruth", "--data", str(clean / "ds"),

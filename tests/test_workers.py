@@ -3,6 +3,7 @@ their trials through it. The outputs must not depend on the number of
 workers, a worker that dies must end its command with one error line,
 and no worker may outlive the call that forked it."""
 
+import hashlib
 import os
 import pickle
 import shutil
@@ -16,7 +17,7 @@ from camvitals import cli, detect, groundtruth, synth
 from camvitals.cli import main
 from camvitals.detect import detect_trials, save_cascade
 from camvitals.ingest import (MANIFEST_FILE, TrialEntry, _frames_file, in_order, parse_manifest,
-                              write_manifest)
+                              read_frame_range, to_grayscale, write_manifest)
 from camvitals.synth import SynthConfig, TrialPlan, synth_clip, synth_dataset
 
 ROI = "manual:12,5,8,10"   # the synthetic face box at 32x32
@@ -267,6 +268,29 @@ def test_a_killed_worker_of_a_one_trial_run_names_the_trial(command, module, fun
     assert_ended({int(pid) for pid, in logged(log)} - {os.getpid()})
 
 
+def test_a_killed_detection_worker_ends_the_command_before_any_trial_line(
+        one_trial, tmp_path, monkeypatch, capsys, cpus):
+    """With more trials than CPUs, the detection pass still runs, so a
+    detection worker killed in trial 2's frames ends estimate before the
+    trial loop prints trial 1's line."""
+    data = tmp_path / "ds"
+    manifest, _ = synth_dataset(FOUR_TRIALS, SynthConfig(width=32, height=32), data, seed=3)
+    # the second block of trial 2: the worker's share
+    second_block = manifest.entries[1].start_frame + detect._DETECT_BLOCK_FRAMES
+    log = tmp_path / "pids"
+    monkeypatch.setattr(detect, "read_frame_range", _killing(
+        detect.read_frame_range, lambda d, m, start, n: start == second_block, log))
+    cpus(2)
+    capsys.readouterr()
+    out = tmp_path / "est.csv"
+    assert main(["estimate", "--cascade", str(one_trial.parent / "cascade.json"),
+                 "--config", str(one_trial.parent / "scan.cfg"), "--crop", NOCROP,
+                 "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", KILLED)
+    assert not out.exists()
+    assert_ended({int(pid) for pid, in logged(log)} - {os.getpid()})
+
+
 # ------------------------- outputs at 1, 2 and 4 workers -------------------------
 
 @pytest.fixture(scope="module")
@@ -339,12 +363,11 @@ def first_trials(data, k):
     write_manifest(data / MANIFEST_FILE, manifest)
 
 
-@pytest.mark.parametrize("trials, passes", [(1, [2, 4]), (2, [4]), (3, [4]), (4, [])])
-def test_the_detection_pass_runs_with_fewer_trials_than_workers(
-        trials, passes, mixed_dataset, tmp_path, monkeypatch, capsys, cpus):
-    """estimate --cascade runs detect_trials only where the trials are
-    fewer than the workers it may fork, and gives the bytes of the
-    per-trial scan either way."""
+@pytest.mark.parametrize("trials", [1, 2, 3, 4])
+def test_the_detection_pass_runs_once_for_every_cascade_dataset(
+        trials, mixed_dataset, tmp_path, monkeypatch, capsys, cpus):
+    """estimate --cascade runs detect_trials once at every CPU count, and
+    gives the same bytes at each."""
     data = tmp_path / "ds"
     shutil.copytree(mixed_dataset, data)
     first_trials(data, trials)
@@ -358,10 +381,53 @@ def test_the_detection_pass_runs_with_fewer_trials_than_workers(
         cpus(n)
         (tmp_path / str(n)).mkdir()
         outputs[n] = _outputs(data, tmp_path / str(n), capsys)
-    assert calls == passes
+    assert calls == [1, 2, 4]
     assert outputs[2] == outputs[1]
     assert outputs[4] == outputs[1]
     assert outputs[1]["cascade"].endswith(f"/{trials} trials -> OUT/cascade.csv\n")
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_every_cascade_frame_is_scanned_once_before_the_trial_loop(
+        n, mixed_dataset, tmp_path, monkeypatch, cpus):
+    """Over the seven trials, each frame goes through detect_faces exactly
+    once, in the detection pass: every scan is logged before the trial
+    loop reads its first frame, and no trial-loop worker scans."""
+    def digest(gray):
+        return hashlib.sha256(gray.tobytes()).hexdigest()
+
+    log = tmp_path / "calls"
+    detect_faces = detect.detect_faces
+
+    def logging_detect_faces(cascade, gray, **kwargs):
+        log_line(log, "scan", os.getpid(), digest(gray))
+        return detect_faces(cascade, gray, **kwargs)
+
+    def logging_read_frame_range(*args):
+        log_line(log, "trial", os.getpid())
+        return read_frame_range(*args)
+
+    monkeypatch.setattr(detect, "detect_faces", logging_detect_faces)
+    monkeypatch.setattr(cli, "read_frame_range", logging_read_frame_range)
+    cpus(n)
+    assert main(["estimate", "--data", str(mixed_dataset), "--out", str(tmp_path / "est.csv"),
+                 "--crop", NOCROP, "--cascade", str(mixed_dataset.parent / "cascade.json"),
+                 "--config", str(mixed_dataset.parent / "scan.cfg")]) == 0
+    manifest = parse_manifest(mixed_dataset / MANIFEST_FILE)
+    frames = read_frame_range(mixed_dataset, manifest, 0,
+                              sum(e.frame_count for e in manifest.entries)).frames
+    lines = logged(log)
+    kinds = [kind for kind, *_ in lines]
+    first_trial = kinds.index("trial")
+    # trial 5, with no face, reads no frames
+    assert kinds == ["scan"] * first_trial + ["trial"] * 6
+    assert sorted(d for _, _, d in lines[:first_trial]) == sorted(
+        digest(to_grayscale(frame)) for frame in frames)
+    scanners = {int(pid) for _, pid, _ in lines[:first_trial]}
+    readers = {int(pid) for _, pid in lines[first_trial:]}
+    assert len(scanners) == n
+    if n > 1:
+        assert not scanners & readers
 
 
 @pytest.fixture
@@ -406,9 +472,9 @@ def test_a_bad_record_in_trial_3_stops_every_worker_count_alike(bad_record_in_tr
 
 def test_a_bad_record_in_trial_3_stops_every_cascade_worker_count_alike(
         bad_record_in_trial_3, mixed_dataset, tmp_path, capsys, cpus):
-    """With three trials, the detection pass runs at 4 CPUs only: it reads
-    trial 3's bad record before the trial loop starts, and its error waits
-    for trial 3's place. At 1 and 2 CPUs, trial 3 scans its own frames."""
+    """The detection pass reads trial 3's bad record before the trial loop
+    starts, at 1, 2 and 4 CPUs alike, and its error waits for trial 3's
+    place."""
     first_trials(bad_record_in_trial_3[0], 3)
     _stops_every_worker_count_alike(
         bad_record_in_trial_3, ["--cascade", str(mixed_dataset.parent / "cascade.json"),
