@@ -14,7 +14,6 @@ synth option defaults, without the renderer).
 """
 
 import argparse
-import dataclasses
 import errno
 import os
 import sys
@@ -103,8 +102,9 @@ def build_parser():
     p.add_argument("--roi", type=_roi_spec, metavar="manual:X,Y,W,H",
                    help="fixed face box in cropped-frame coordinates "
                         "(alternative to --cascade)")
-    p.add_argument("--crop", type=_crop_spec, metavar="L,R,T,B",
-                   help="override crop margins left,right,top,bottom")
+    p.add_argument("--crop", type=_crop_spec, default="300,300,200,0", metavar="L,R,T,B",
+                   help="crop margins left,right,top,bottom, cut from every frame "
+                        "before the face search; the default suits 1920x1080 frames")
     p.add_argument("--plots", help="directory for per-trial signal SVGs")
     p.set_defaults(func=cmd_estimate)
 
@@ -164,12 +164,7 @@ def cmd_synth(args):
 def _load_pipeline_config(args):
     from .config import PipelineConfig, load_config
 
-    cfg = load_config(args.config) if args.config else PipelineConfig()
-    if getattr(args, "crop", None) is not None:
-        left, right, top, bottom = args.crop
-        cfg = dataclasses.replace(cfg, crop_left=left, crop_right=right,
-                                  crop_top=top, crop_bottom=bottom)
-    return cfg
+    return load_config(args.config) if args.config else PipelineConfig()
 
 
 def _check_out_file(path):
@@ -263,13 +258,10 @@ def cmd_estimate(args):
     data_dir = Path(args.data)
     manifest = parse_manifest(data_dir / MANIFEST_FILE)
     check_frames_file(data_dir, manifest)
-    # settings that do not fit the frames are setting errors, not one trial's;
-    # margins from --crop or the defaults name no file, and a --roi box that
-    # misses the cropped frame names the file of the margins
-    with named(args.config if args.crop is None else None):
-        width, height = check_crop(manifest.width, manifest.height, *cfg.crop)
-        if args.roi is not None:
-            rr_roi(validate_rect(args.roi, width, height, "manual ROI"), height, width)
+    # settings that do not fit the frames are setting errors, not one trial's
+    width, height = check_crop(manifest.width, manifest.height, *args.crop)
+    if args.roi is not None:
+        rr_roi(validate_rect(args.roi, width, height, "manual ROI"), height, width)
     with named(args.config or data_dir / MANIFEST_FILE):
         _check_bands(cfg, manifest.fps, cfg.video_stft)
     if cascade is not None:
@@ -284,7 +276,7 @@ def cmd_estimate(args):
     if cascade is not None:
         # a detection pass spreads every trial's frames over the CPUs before
         # the trial loop starts
-        raw_boxes = detect_trials(data_dir, manifest, cfg.crop, cascade, cfg.scale_factor,
+        raw_boxes = detect_trials(data_dir, manifest, args.crop, cascade, cfg.scale_factor,
                                   cfg.min_neighbors, cfg.min_size)
 
     def pixel_stage(entry):
@@ -297,7 +289,7 @@ def cmd_estimate(args):
         else:
             faces = track_roi(raw_boxes[entry.trial_id])
         clip = read_frame_range(data_dir, manifest, entry.start_frame, entry.frame_count)
-        clip = crop_clip(clip, *cfg.crop)
+        clip = crop_clip(clip, *args.crop)
         # each ROI built once per distinct face box, in the order the boxes
         # first appear, so the first box with no chest region raises
         boxes = dict.fromkeys(faces)

@@ -1,6 +1,6 @@
 """Pipeline configuration: defaults follow the reference acquisition setup
-(full-HD 30 Hz video cropped by (300,300,200,0), physio at 128 Hz), with a
-flat `key = value` file format and CLI override."""
+(30 Hz video, physio at 128 Hz), with a flat `key = value` file format;
+the crop margins are no key, `estimate --crop` sets them."""
 
 import math
 from dataclasses import dataclass, fields
@@ -12,12 +12,6 @@ from .ingest import FormatError, named
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    # crop margins applied to every frame before detection (pixels)
-    crop_left: int = 300
-    crop_right: int = 300
-    crop_top: int = 200
-    crop_bottom: int = 0
-
     # detection
     scale_factor: float = DEFAULT_SCALE_FACTOR
     min_neighbors: int = DEFAULT_MIN_NEIGHBORS
@@ -62,10 +56,6 @@ class PipelineConfig:
                            BandpassSpec(self.hr_low, self.hr_high, self.filter_order))
         object.__setattr__(self, "rr_bandpass",
                            BandpassSpec(self.rr_low, self.rr_high, self.filter_order))
-
-    @property
-    def crop(self):
-        return (self.crop_left, self.crop_right, self.crop_top, self.crop_bottom)
 
 
 def load_config(path):

@@ -210,8 +210,9 @@ def _render_trial(cfg, entry, path, record):
     with open(path, "r+b") as f:
         f.seek(entry.start_frame * record)
         write_ppm(f, clip.frames)
-    ecg = synth_ecg(cfg.hr_bpm, PHYSIO_RATE, cfg.duration, jitter=0.05, seed=cfg.seed + 50_000)
-    resp = synth_resp(cfg.rr_brpm, PHYSIO_RATE, cfg.duration, seed=cfg.seed + 100_000,
+    span = entry.frame_count / cfg.fps   # the frames' time, as segment_trials reads it
+    ecg = synth_ecg(cfg.hr_bpm, PHYSIO_RATE, span, jitter=0.05, seed=cfg.seed + 50_000)
+    resp = synth_resp(cfg.rr_brpm, PHYSIO_RATE, span, seed=cfg.seed + 100_000,
                       amplitude=0.0 if entry.is_hold_breath else 1.0)
     trig = np.zeros(len(ecg), dtype=np.int64)
     trig[0] = entry.trigger_code
@@ -253,7 +254,8 @@ def synth_dataset(protocol, base_cfg, out_dir, seed=0, rates=None):
         cfg = replace(base_cfg, duration=plan.duration, hr_bpm=hr, rr_brpm=rr,
                       chest_amp=0.0 if plan.task_id == HOLD_BREATH_TASK else base_cfg.chest_amp,
                       seed=seed + plan.trial_id)
-        if round(plan.duration * PHYSIO_RATE) == 0:
+        # _render_trial's span; a plan of no frame (a bad frame range) by its duration
+        if round((cfg.n_frames / cfg.fps or plan.duration) * PHYSIO_RATE) == 0:
             raise ValueError(f"trial {plan.trial_id}: {plan.duration:g} s holds no physio "
                              f"sample at {PHYSIO_RATE:g} Hz for its trigger")
         configs.append(cfg)

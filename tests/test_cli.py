@@ -113,6 +113,18 @@ def test_synth_is_deterministic(dataset, tmp_path):
         assert (twin / name).read_bytes() == (dataset / name).read_bytes()
 
 
+def test_synth_physio_spans_the_frames_at_a_fractional_fps(tmp_path, capsys):
+    # 300 frames of 29.97 fps are 10.01 s: the record holds 1281 samples
+    # after the trigger, as groundtruth segments it, not 10 s worth
+    ds, gt = tmp_path / "ds", tmp_path / "gt.csv"
+    assert main(["synth", "--out", str(ds), "--fps", "29.97", "--duration", "10",
+                 "--width", "32", "--height", "32"]) == 0
+    capsys.readouterr()
+    assert main(["groundtruth", "--data", str(ds), "--out", str(gt)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [row["trial_id"] for row in read_rows(gt)] == ["1"]
+
+
 def test_synth_leaves_exactly_the_dataset_files(dataset):
     assert sorted(os.listdir(dataset)) == [FRAMES_FILE, "manifest.txt", "physio.csv",
                                            "truth.csv"]
@@ -565,39 +577,31 @@ def test_detected_face_without_a_chest_region_fails_after_a_too_short_pulse(
     assert captured.err == "error: trial 2: face bottom 32 leaves no chest region in height 32\n"
 
 
-def test_roi_outside_a_frame_cropped_by_the_config_names_the_config(dataset, tmp_path,
-                                                                    capsys):
-    cfg = tmp_path / "r.cfg"
-    cfg.write_text("crop_left = 0\ncrop_right = 20\ncrop_top = 0\n")
-    out = tmp_path / "e.csv"
-    capsys.readouterr()
-    assert main(["estimate", "--data", str(dataset), "--out", str(out), "--roi", ROI,
-                 "--config", str(cfg)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == (f"error: {cfg}: manual ROI Rect(x=12, y=5, w=8, h=10) "
-                            "outside 12x32 frame\n")
-    assert captured.out == ""
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("source", ["config", "crop"])
 def test_bad_crop_names_the_config_only_when_it_came_from_there(source, dataset, tmp_path,
                                                                 capsys):
     cfg = tmp_path / "pipeline.cfg"
-    args = ["estimate", "--data", str(dataset), "--out", str(tmp_path / "e.csv"),
-            "--roi", ROI, "--config", str(cfg)]
-    if source == "config":
-        cfg.write_text("crop_left = -1\ncrop_right = 0\ncrop_top = 0\n")
-        message = f"error: {cfg}: crop margins must be non-negative\n"
-    else:
-        # --crop overrides every margin of the config
-        cfg.write_text("crop_left = 0\ncrop_right = 0\ncrop_top = 0\n")
-        args += ["--crop", "0,40,0,0"]
-        message = "error: crop (0,40,0,0) exceeds 32x32 frame\n"
+    out = tmp_path / "e.csv"
+    args = ["estimate", "--data", str(dataset), "--out", str(out), "--roi", ROI,
+            "--config", str(cfg)]
     capsys.readouterr()
-    assert main(args) == 1
-    assert capsys.readouterr().err == message
-    assert not (tmp_path / "e.csv").exists()
+    if source == "config":
+        # a crop margin is no config key, and fails before trial 1
+        cfg.write_text("min_size = 0\ncrop_left = 0\n")
+        assert main(args + ["--crop", NOCROP]) == 1
+        assert capsys.readouterr() == ("", f"error: {cfg}:2: unknown config key 'crop_left'\n")
+    else:
+        # margins too wide for the frames, given or the default, and a --roi
+        # outside the cropped frame name no file: the config does not set them
+        cfg.write_text("min_size = 0\n")
+        for crop, message in [
+                (["--crop", "0,40,0,0"], "crop (0,40,0,0) exceeds 32x32 frame"),
+                ([], "crop (300,300,200,0) exceeds 32x32 frame"),
+                (["--crop", "0,20,0,0"],
+                 "manual ROI Rect(x=12, y=5, w=8, h=10) outside 12x32 frame")]:
+            assert main(args + crop) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_bad_scale_factor_is_not_blamed_on_a_trial(dataset, tmp_path, capsys):
@@ -997,18 +1001,33 @@ def test_evaluate_names_an_estimates_file_without_rows(groundtruth_csv, tmp_path
     assert capsys.readouterr().err == f"error: {est}: no trial records to evaluate\n"
 
 
-def test_evaluate_rejects_mismatched_trials(estimates_csv, groundtruth_csv,
-                                            tmp_path, capsys):
-    renumbered = tmp_path / "gt.csv"
-    text = groundtruth_csv.read_text().splitlines()
-    body = text[1].split(",")
-    body[0] = "7"
-    renumbered.write_text(text[0] + "\n" + ",".join(body) + "\n")
-    rc = main(["evaluate", "--estimates", str(estimates_csv),
-               "--groundtruth", str(renumbered), "--out", str(tmp_path / "r")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "trial_id 1" in err and "estimates only" in err
+def test_evaluate_rejects_mismatched_trials(estimates_csv, groundtruth_csv, tmp_path,
+                                            capsys):
+    gt = tmp_path / "gt.csv"
+    header, row = groundtruth_csv.read_text().splitlines()
+    rates = row.split(",", 3)[3]   # hr_gt,rr_gt,flags of trial 1
+    for rows, message in [
+            (["7,respiration,1,{rates}"],
+             f"{estimates_csv}:2: trial_id 1 present in estimates only"),
+            (["1,respiration,1,{rates}", "2,respiration,1,{rates}"],
+             f"{gt}: trial_id 2 present in ground truth only"),
+            (["1,respiration,4,{rates}"],
+             f"{estimates_csv}:2: trial_id 1: condition/task mismatch between files "
+             "(respiration/1 vs respiration/4)")]:
+        gt.write_text("".join(f"{line}\n" for line in [header, *rows]).format(rates=rates))
+        capsys.readouterr()
+        assert main(["evaluate", "--estimates", str(estimates_csv),
+                     "--groundtruth", str(gt), "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_evaluate_draws_an_empty_skin_scatter_when_no_trial_has_an_estimate(
+        groundtruth_csv, tmp_path):
+    est = tmp_path / "est.csv"
+    est.write_text(",".join(EST_HEADER) + "\n1,respiration,1,,,,roi_failure\n")
+    assert main(["evaluate", "--estimates", str(est), "--groundtruth", str(groundtruth_csv),
+                 "--out", str(tmp_path / "r")]) == 0
+    assert ">no data points</text>" in (tmp_path / "r" / "skin_scatter.svg").read_text()
 
 
 def test_evaluate_names_a_trial_id_duplicated_in_estimates(estimates_csv, groundtruth_csv,

@@ -1,17 +1,37 @@
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
+from camvitals.cli import build_parser
 from camvitals.config import PipelineConfig, load_config
 from camvitals.dsp import BandpassSpec
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_defaults_match_reference_setup():
     cfg = PipelineConfig()
-    assert cfg.crop == (300, 300, 200, 0)
+    # the margins are estimate's --crop, sized for full-HD frames
+    args = build_parser().parse_args(["estimate", "--data", "d", "--out", "o"])
+    assert args.crop == (300, 300, 200, 0)
     assert cfg.hr_bandpass == BandpassSpec(0.7, 2.5, 3)
     assert cfg.rr_bandpass == BandpassSpec(0.2, 0.5, 3)
     assert (cfg.scale_factor, cfg.min_neighbors, cfg.min_size) == (1.1, 3, 0)
     assert (cfg.video_window, cfg.video_hop, cfg.video_fft) == (256, 30, 4096)
     assert (cfg.physio_window, cfg.physio_hop, cfg.physio_fft) == (1024, 128, 8192)
+
+
+def test_readme_lists_every_config_key_with_its_default():
+    text = " ".join(README.read_text().split())
+    section = text.split("## Pipeline configuration", 1)[1].split(" ## ", 1)[0]
+    listing = section.split("Keys and defaults mirror `PipelineConfig`:", 1)[1]
+    listed = re.findall(r"`(\w+) = ([^`]+)`", listing.split(". ", 1)[0])
+    assert len(listed) == len(dict(listed))
+    assert {name: float(value) for name, value in listed} == {
+        f.name: float(f.default) for f in fields(PipelineConfig)}
 
 
 def test_stft_properties_build_specs():
@@ -24,16 +44,16 @@ def test_load_config_overrides_and_coerces(tmp_path):
     p = tmp_path / "pipeline.cfg"
     p.write_text(
         "# comment line\n"
-        "crop_left = 0\n"
-        "crop_right=0   # trailing comment\n"
+        "min_size = 24\n"
+        "min_neighbors=0   # trailing comment\n"
         "\n"
         "hr_high = 3.0\n")
     cfg = load_config(p)
-    assert cfg.crop_left == 0 and isinstance(cfg.crop_left, int)
-    assert cfg.crop_right == 0
+    assert cfg.min_size == 24 and isinstance(cfg.min_size, int)
+    assert cfg.min_neighbors == 0
     assert cfg.hr_high == 3.0 and isinstance(cfg.hr_high, float)
     # untouched keys keep defaults
-    assert cfg.crop_top == 200
+    assert cfg.video_fft == 4096
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
@@ -45,15 +65,15 @@ def test_load_config_rejects_unknown_key(tmp_path):
 
 def test_load_config_rejects_unparseable_value(tmp_path):
     p = tmp_path / "bad.cfg"
-    p.write_text("# margins\ncrop_left = wide\n")
+    p.write_text("# detection\nmin_size = wide\n")
     with pytest.raises(ValueError) as exc:
         load_config(p)
-    assert str(exc.value) == f"{p}:2: config key crop_left: cannot parse 'wide' as int"
+    assert str(exc.value) == f"{p}:2: config key min_size: cannot parse 'wide' as int"
 
 
 def test_load_config_rejects_missing_equals(tmp_path):
     p = tmp_path / "bad.cfg"
-    p.write_text("crop_left 0\n")
+    p.write_text("min_size 0\n")
     with pytest.raises(ValueError):
         load_config(p)
 

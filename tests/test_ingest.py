@@ -288,15 +288,23 @@ MANIFEST_CHECKS = {
     "overlap": ("fps=30\nwidth=8\nheight=8\n1 gaze 3 0 10 1\n2 gaze 4 9 10 2\n",
                 "trials 1 and 2 overlap in frame ranges"),
     "no trials": ("fps=30\nwidth=8\nheight=8\n# trial_id condition task_id\n", "no trials"),
+    "missing header": ("width=8\nheight=8\n1 gaze 3 0 10 1\n",
+                       "manifest header missing 'fps'"),
+    "header value": ("fps=fast\nwidth=8\nheight=8\n1 gaze 3 0 10 1\n",
+                     "non-numeric manifest header value"),
+    # a check of one trial line names the line
+    "trial field": ("fps=30\nwidth=8\nheight=8\n1 gaze x 0 10 1\n",
+                    "non-numeric trial field", 4),
 }
 
 
 @pytest.mark.parametrize("check", list(MANIFEST_CHECKS))
 def test_parse_manifest_names_the_file_of_a_manifest_check(check, tmp_path):
-    text, message = MANIFEST_CHECKS[check]
+    text, message, *line = MANIFEST_CHECKS[check]
     p = tmp_path / "manifest.txt"
     p.write_text(text)
-    with pytest.raises(FormatError, match=f"^{re.escape(f'{p}: {message}')}$"):
+    where = ":".join([str(p), *map(str, line)])
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{where}: {message}')}$"):
         parse_manifest(p)
 
 

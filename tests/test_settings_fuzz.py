@@ -6,7 +6,9 @@ type and at each README bound plus and minus one step, through `estimate
 Each call must exit 0 or 1 with no traceback. A failing call must name
 the config file before any trial line, unless its outcome is one of the
 per-trial ones in PER_TRIAL_OUTCOMES, each listed with the README
-sentence that documents it.
+sentence that documents it. One baseline call per command, with a config
+file that sets no key, must exit 0 with nothing on stderr, so that calls
+which all fail on what the fuzz writes besides the key do not pass.
 
 The calls run in child processes under an address-space limit and a
 per-call alarm, so that a missed check fails the test instead of filling
@@ -25,6 +27,7 @@ from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 ROI = "manual:12,5,8,10"   # the synthetic face box at 32x32
+NOCROP = "0,0,0,0"         # so that the 32x32 frames keep every pixel
 CHILD_AS_BYTES = 1 << 30
 CALL_SECONDS = 5.0
 DETECTION_KEYS = ("scale_factor", "min_neighbors", "min_size")
@@ -71,23 +74,39 @@ def _values(key, kind):
     return list(dict.fromkeys(out))
 
 
+def _runs(data, cascade, cfg, out, detection):
+    """(command, argv) of each call with the config file cfg; the cascade
+    one only where the config sets a detection key."""
+    common = ["--data", str(data), "--out", out, "--config", str(cfg)]
+    runs = [("estimate --roi", ["estimate", *common, "--roi", ROI, "--crop", NOCROP]),
+            ("groundtruth", ["groundtruth", *common])]
+    if detection:
+        runs.append(("estimate --cascade",
+                     ["estimate", *common, "--cascade", cascade, "--crop", NOCROP]))
+    return runs
+
+
+def _config(path, setting=""):
+    """Write the config file of a call: `setting`, one `key = value` line,
+    or for the baseline calls nothing. Fuzz and baseline files share this
+    writer, so that a line that every fuzz call fails on fails a baseline."""
+    path.write_text(f"{setting}\n")
+    return path
+
+
 def _jobs(data, cascade, tmp_path):
-    """(description, argv, config path) of every fuzz call."""
+    """(description, argv, config path) of every fuzz call, the baseline
+    calls, whose config is `baseline.cfg`, first."""
     from camvitals.config import PipelineConfig
-    jobs = []
+    out = str(tmp_path / "out.csv")
+    cfg = _config(tmp_path / "baseline.cfg")
+    jobs = [(f"{command}: baseline", argv, cfg)
+            for command, argv in _runs(data, cascade, cfg, out, detection=True)]
     for f in fields(PipelineConfig):
         for value in _values(f.name, f.type):
-            cfg = tmp_path / f"{f.name}-{len(jobs)}.cfg"
-            # zero crop margins, so that the 32x32 frames keep every pixel
-            cfg.write_text("crop_left = 0\ncrop_right = 0\ncrop_top = 0\ncrop_bottom = 0\n"
-                           f"{f.name} = {value}\n")
-            out = str(tmp_path / "out.csv")
-            common = ["--data", str(data), "--out", out, "--config", str(cfg)]
-            runs = [("estimate --roi", ["estimate", *common, "--roi", ROI]),
-                    ("groundtruth", ["groundtruth", *common])]
-            if f.name in DETECTION_KEYS:
-                runs.append(("estimate --cascade", ["estimate", *common, "--cascade", cascade]))
-            jobs += [(f"{command}: {f.name} = {value}", argv, cfg) for command, argv in runs]
+            cfg = _config(tmp_path / f"{f.name}-{len(jobs)}.cfg", f"{f.name} = {value}")
+            jobs += [(f"{command}: {f.name} = {value}", argv, cfg) for command, argv
+                     in _runs(data, cascade, cfg, out, f.name in DETECTION_KEYS)]
     return jobs
 
 
@@ -115,7 +134,9 @@ def test_every_setting_runs_or_fails_before_trial_1(tmp_path):
     failures = []
     for (what, _, cfg), (rc, out, err) in zip(jobs, results, strict=True):
         lines = err.splitlines()
-        if rc == 0:
+        if cfg.name == "baseline.cfg":
+            ok = rc == 0 and err == ""
+        elif rc == 0:
             ok = err == ""
         elif rc == 1 and len(lines) == 1:
             ok = (lines[0].startswith(f"error: {cfg}:") and out == "") or any(
